@@ -1,138 +1,22 @@
-"""Lambertian visible-light channel model and CSA-RSS single-LED indoor positioning."""
+"""Lambertian visible-light channel model and CSA-RSS single-LED indoor positioning.
+
+The package namespace re-exports the public names (`__all__`) of every module.
+"""
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelSample,
-    LedSpec,
-    PdSpec,
-    concentrator_gain,
-    effective_area,
-    lambertian_order,
-    radiant_intensity,
-    received_power,
-    received_power_at,
-)
-from .errors import (
-    DomainError,
-    EmptyInput,
-    LedNotAbovePd,
-    NonPositivePower,
-    OutOfRoom,
-    ParseError,
-    PowerTooHigh,
-    UnsupportedFormat,
-    ValidationError,
-)
-from .estimator import (
-    CsaAngles,
-    EstimateRecord,
-    OffsetEstimate,
-    anchor_estimate,
-    average_error,
-    csa_angles,
-    estimate_position,
-    invert_power_to_distance,
-    offset_estimate,
-    positioning_error,
-)
-from .geometry import (
-    LinkGeometry,
-    Point3,
-    RoomSpec,
-    clip_to_floor,
-    diagonal_positions,
-    euclidean_distance,
-    link_geometry,
-)
-from .reporting import (
-    OutputTable,
-    angle_sweep_table,
-    config_hash,
-    emit,
-    estimate_lines,
-    format_number,
-    load_config,
-    position_sweep_table,
-    power_sweep_table,
-    replication_table,
-    serialize_config,
-)
-from .scenario import (
-    ReplicationCheck,
-    ReplicationReport,
-    ScenarioConfig,
-    SweepResult,
-    SweepRow,
-    SweepSummary,
-    Verdict,
-    default_config,
-    replication_report,
-    run_angle_sweep,
-    run_position_sweep,
-    run_power_distance_sweep,
-)
+from . import channel, errors, estimator, geometry, reporting, scenario
+from .channel import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimator import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .reporting import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "ChannelSample",
-    "LedSpec",
-    "PdSpec",
-    "concentrator_gain",
-    "effective_area",
-    "lambertian_order",
-    "radiant_intensity",
-    "received_power",
-    "received_power_at",
-    "DomainError",
-    "EmptyInput",
-    "LedNotAbovePd",
-    "NonPositivePower",
-    "OutOfRoom",
-    "ParseError",
-    "PowerTooHigh",
-    "UnsupportedFormat",
-    "ValidationError",
-    "CsaAngles",
-    "EstimateRecord",
-    "OffsetEstimate",
-    "anchor_estimate",
-    "average_error",
-    "csa_angles",
-    "estimate_position",
-    "invert_power_to_distance",
-    "offset_estimate",
-    "positioning_error",
-    "LinkGeometry",
-    "Point3",
-    "RoomSpec",
-    "clip_to_floor",
-    "diagonal_positions",
-    "euclidean_distance",
-    "link_geometry",
-    "OutputTable",
-    "angle_sweep_table",
-    "config_hash",
-    "emit",
-    "estimate_lines",
-    "format_number",
-    "load_config",
-    "position_sweep_table",
-    "power_sweep_table",
-    "replication_table",
-    "serialize_config",
-    "ReplicationCheck",
-    "ReplicationReport",
-    "ScenarioConfig",
-    "SweepResult",
-    "SweepRow",
-    "SweepSummary",
-    "Verdict",
-    "default_config",
-    "replication_report",
-    "run_angle_sweep",
-    "run_position_sweep",
-    "run_power_distance_sweep",
+__all__ = ["__version__"] + [
+    name
+    for module in (channel, errors, estimator, geometry, reporting, scenario)
+    for name in module.__all__
 ]

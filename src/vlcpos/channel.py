@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .geometry import LinkGeometry, Point3, link_geometry
@@ -32,6 +32,7 @@ __all__ = [
     "radiant_intensity",
     "concentrator_gain",
     "effective_area",
+    "power_columns",
     "received_power",
     "received_power_at",
 ]
@@ -179,6 +180,50 @@ def effective_area(normal_angle: float, pd: PdSpec) -> float:
     return pd.area * pd.filter_gain * gain * math.cos(math.radians(normal_angle))
 
 
+def power_columns(
+    led: LedSpec,
+    pd: PdSpec,
+    distances: Sequence[float],
+    irradiance_angles: Sequence[float],
+    normal_angles: Sequence[float],
+) -> list[float]:
+    """Received power P_t / d^2 * f(phi) * A_eff(theta) for each row, 0 beyond the FOV.
+
+    (m+1)/2pi and A*h*g are computed once; each row checks its inputs and
+    that every factor is >= 0.
+
+    Raises:
+        DomainError: when a distance is not > 0 or an angle is out of range.
+    """
+
+    m = led.lambertian_order
+    if not m > 0.0:
+        raise DomainError(f"Lambertian order must be > 0, got {m}")
+    fov = pd.fov
+    intensity_scale = (m + 1.0) / (2.0 * math.pi)
+    area_gain = pd.area * pd.filter_gain * concentrator_gain(0.0, pd.refractive_index, fov)
+    transmit = led.transmit_power
+    cos, radians = math.cos, math.radians
+    powers: list[float] = []
+    for distance, irradiance, normal in zip(distances, irradiance_angles, normal_angles):
+        if not distance > 0.0:
+            raise DomainError(f"distance must be > 0, got {distance}")
+        if normal > fov:
+            powers.append(0.0)
+            continue
+        if not 0.0 <= irradiance <= 90.0 or normal < 0.0:
+            raise DomainError(
+                f"angles must lie in [0, 90] degrees, got {irradiance} and {normal}"
+            )
+        pattern = intensity_scale * cos(radians(irradiance)) ** m
+        area = area_gain * cos(radians(normal))
+        power = transmit / distance**2 * pattern * area
+        if pattern < 0.0 or area < 0.0 or power < 0.0:
+            raise DomainError("ChannelSample factors must be >= 0")
+        powers.append(power)
+    return powers
+
+
 def received_power_at(
     led: LedSpec,
     pd: PdSpec,
@@ -188,20 +233,11 @@ def received_power_at(
 ) -> float:
     """Received power with both angles and the distance given explicitly.
 
-    Generic entry point for sweeps that hold an angle factor fixed while the
-    distance varies; the positional pipeline uses received_power instead,
-    which couples the angles to the geometry.
-
-    Raises:
-        DomainError: when distance <= 0 or an angle is out of range.
+    A one-row view of power_columns; received_power couples the angles to the
+    geometry instead.
     """
 
-    if not distance > 0.0:
-        raise DomainError(f"distance must be > 0, got {distance}")
-    if normal_angle > pd.fov:
-        return 0.0
-    pattern = radiant_intensity(irradiance_angle, led.lambertian_order)
-    return led.transmit_power / distance**2 * pattern * effective_area(normal_angle, pd)
+    return power_columns(led, pd, (distance,), (irradiance_angle,), (normal_angle,))[0]
 
 
 def received_power(
@@ -224,6 +260,7 @@ def received_power(
     # Both gain factors are already 0 beyond the FOV, which zeroes the power.
     gain = concentrator_gain(angle, pd.refractive_index, pd.fov)
     area = effective_area(angle, pd)
+    # Same product, in the same order, as power_columns.
     power = led.transmit_power / geometry.slant_distance**2 * pattern * area
     if noise is not None:
         power = max(power + noise(), 0.0)

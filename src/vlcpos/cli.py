@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -61,17 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    position = sub.add_parser(
+    sub.add_parser(
         "position-sweep",
         parents=[common],
         help="walk the PD over the configured positions and estimate each one",
-    )
-    position.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate positions on N threads (result order is unaffected)",
     )
     sub.add_parser(
         "power-sweep",
@@ -122,10 +116,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_table(table, fmt: str | None, out: str | None) -> None:
-    if out is None:
-        emit(table, fmt or "csv", sys.stdout)
-    else:
-        emit(table, fmt or "csv", out)
+    emit(table, fmt or "csv", sys.stdout if out is None else out)
 
 
 def _replicate_text(report) -> str:
@@ -142,9 +133,7 @@ def _replicate_text(report) -> str:
             f"{format_number(check.reference)}{diff}: {check.verdict.value} "
             f"[{check.note}]"
         )
-    counts = {verdict: 0 for verdict in ("REPRODUCED", "TREND-ONLY", "NOT-REPRODUCIBLE")}
-    for check in report.checks:
-        counts[check.verdict.value] += 1
+    counts = Counter(check.verdict.value for check in report.checks)
     lines.append(
         f"checks: {len(report.checks)} total, {counts['REPRODUCED']} reproduced, "
         f"{counts['TREND-ONLY']} trend-only, {counts['NOT-REPRODUCIBLE']} "
@@ -166,16 +155,13 @@ def cli(argv: list[str] | None = None) -> int:
         config = load_config(args.config) if args.config else default_config()
         if args.samples is not None:
             config = replace(config, distance_samples=args.samples)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     try:
         if args.command == "position-sweep":
-            result = run_position_sweep(config, workers=args.workers)
+            result = run_position_sweep(config)
             _emit_table(
                 position_sweep_table(result, _metadata(config)), args.format, args.out
             )
@@ -215,10 +201,7 @@ def cli(argv: list[str] | None = None) -> int:
     except UnsupportedFormat as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,6 +7,18 @@ CLI maps them to a different exit code.
 
 from __future__ import annotations
 
+__all__ = [
+    "DomainError",
+    "LedNotAbovePd",
+    "OutOfRoom",
+    "NonPositivePower",
+    "PowerTooHigh",
+    "EmptyInput",
+    "ParseError",
+    "ValidationError",
+    "UnsupportedFormat",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical or physical domain of an operation."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError, LedNotAbovePd, OutOfRoom
 
@@ -22,6 +23,7 @@ __all__ = [
     "RoomSpec",
     "LinkGeometry",
     "euclidean_distance",
+    "link_columns",
     "link_geometry",
     "diagonal_positions",
     "clip_to_floor",
@@ -77,22 +79,28 @@ class LinkGeometry:
     normal_angle: float
 
     def __post_init__(self) -> None:
-        if not self.slant_distance >= self.vertical_separation >= 0.0:
-            raise DomainError(
-                "LinkGeometry requires slant_distance >= vertical_separation >= 0"
-            )
-        closure = (
-            self.horizontal_distance**2
-            + self.vertical_separation**2
-            - self.slant_distance**2
-        )
-        if abs(closure) > 1e-9 * max(self.slant_distance**2, 1.0):
-            raise DomainError("LinkGeometry sides violate the Pythagorean closure")
-        if abs(self.elevation_angle + self.normal_angle - 90.0) > 1e-9:
-            raise DomainError("LinkGeometry angles must sum to 90 degrees")
-        for name in ("elevation_angle", "normal_angle"):
-            if not 0.0 <= getattr(self, name) <= 90.0:
-                raise DomainError(f"LinkGeometry.{name} must lie in [0, 90] degrees")
+        if _breaks_link_invariant(
+            self.slant_distance,
+            self.vertical_separation,
+            self.horizontal_distance,
+            self.elevation_angle,
+            self.normal_angle,
+        ):
+            raise DomainError(f"inconsistent link geometry: {self}")
+
+
+def _breaks_link_invariant(
+    slant: float, vertical: float, horizontal: float, elevation: float, normal: float
+) -> bool:
+    """d >= V >= 0, h^2 + V^2 = d^2 to 1e-9, elevation + normal = 90, both in [0, 90]."""
+
+    return (
+        not slant >= vertical >= 0.0
+        or abs(horizontal**2 + vertical**2 - slant**2) > 1e-9 * max(slant**2, 1.0)
+        or abs(elevation + normal - 90.0) > 1e-9
+        or not 0.0 <= elevation <= 90.0
+        or not 0.0 <= normal <= 90.0
+    )
 
 
 def euclidean_distance(a: Point3, b: Point3) -> float:
@@ -101,29 +109,55 @@ def euclidean_distance(a: Point3, b: Point3) -> float:
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
+def link_columns(
+    led_pos: Point3, points: Sequence[Point3]
+) -> tuple[list[float], list[float], list[float]]:
+    """Slant distance, horizontal distance and elevation columns, one row per PD point.
+
+    Each row is checked against every LinkGeometry invariant.
+
+    Raises:
+        LedNotAbovePd: when the LED is not strictly above a PD point.
+        DomainError: when a row breaks a LinkGeometry invariant.
+    """
+
+    lx, ly, lz = led_pos.x, led_pos.y, led_pos.z
+    sqrt, asin, degrees = math.sqrt, math.asin, math.degrees
+    columns: tuple[list[float], list[float], list[float]] = ([], [], [])
+    slants, horizontals, elevations = columns
+    for point in points:
+        x, y, z = point.x, point.y, point.z
+        if not lz > z:
+            raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
+        vertical = lz - z
+        slant = sqrt((lx - x) ** 2 + (ly - y) ** 2 + (lz - z) ** 2)
+        # max() guards the radicand against rounding when the PD sits
+        # directly under the LED and d == V up to one ulp.
+        horizontal = sqrt(max(slant**2 - vertical**2, 0.0))
+        elevation = degrees(asin(min(vertical / slant, 1.0)))
+        if _breaks_link_invariant(slant, vertical, horizontal, elevation, 90.0 - elevation):
+            raise DomainError(f"inconsistent link geometry to ({x}, {y}, {z})")
+        slants.append(slant)
+        horizontals.append(horizontal)
+        elevations.append(elevation)
+    return columns
+
+
 def link_geometry(led_pos: Point3, pd_pos: Point3) -> LinkGeometry:
     """Derive the link geometry for an LED strictly above the PD plane.
 
-    Returns slant distance d, vertical separation V = led.z - pd.z, horizontal
-    distance sqrt(d^2 - V^2), elevation arcsin(V/d), and normal 90 - elevation.
+    A one-point view of link_columns: vertical separation V = led.z - pd.z,
+    slant distance d, horizontal distance sqrt(d^2 - V^2), elevation
+    arcsin(V/d), normal 90 - elevation.
 
     Raises:
         LedNotAbovePd: when led_pos.z <= pd_pos.z.
     """
 
-    if not led_pos.z > pd_pos.z:
-        raise LedNotAbovePd(
-            f"LED z={led_pos.z} must be strictly above PD z={pd_pos.z}"
-        )
-    slant = euclidean_distance(led_pos, pd_pos)
-    vertical = led_pos.z - pd_pos.z
-    # max() guards the radicand against rounding when the PD sits directly
-    # under the LED and d == V up to one ulp.
-    horizontal = math.sqrt(max(slant**2 - vertical**2, 0.0))
-    elevation = math.degrees(math.asin(min(vertical / slant, 1.0)))
+    (slant,), (horizontal,), (elevation,) = link_columns(led_pos, (pd_pos,))
     return LinkGeometry(
         slant_distance=slant,
-        vertical_separation=vertical,
+        vertical_separation=led_pos.z - pd_pos.z,
         horizontal_distance=horizontal,
         elevation_angle=elevation,
         normal_angle=90.0 - elevation,

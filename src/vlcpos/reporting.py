@@ -18,13 +18,14 @@ guarantees.
 from __future__ import annotations
 
 import ast
-import csv
 import hashlib
-import io
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from itertools import repeat, starmap
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Mapping
+from typing import IO, Any, Callable, Mapping, Sequence
 
 from .channel import LedSpec, PdSpec, lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
@@ -77,21 +78,51 @@ def format_number(value: float, digits: int = SIGNIFICANT_DIGITS) -> str:
     return format(value, f".{digits}g")
 
 
-def _cell_text(value: Any) -> str:
-    if isinstance(value, bool) or value is None:
-        return "" if value is None else str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_number(value)
-    return str(value)
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    text = format_number(value) if isinstance(value, float) else str(value)
+    # Quoting as csv.writer's QUOTE_MINIMAL does with a "\n" line terminator.
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _cell_json(value: Any) -> Any:
-    if isinstance(value, float):
-        # Round through the fixed-digit text form so JSON and CSV agree.
-        return float(format_number(value))
-    return value
+def _json_numbers(column: Sequence[float]) -> list[str]:
+    # Round through the fixed-digit text form so JSON and CSV agree, then
+    # spell each float the way json.dumps does.
+    rounded = list(map(float, map(format, column, repeat(f".{SIGNIFICANT_DIGITS}g"))))
+    if all(map(math.isfinite, rounded)):
+        return list(map(repr, rounded))
+    return list(map(json.dumps, rounded))
+
+
+def _json_cell(value: Any) -> str:
+    return _json_numbers((value,))[0] if isinstance(value, float) else json.dumps(value)
+
+
+def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> list[str]:
+    """Each row's text in one str.format pass; only mixed-type columns go cell by cell."""
+
+    columns, cells = [], []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {float} and fmt == "csv":
+            cells.append(f"{{:.{SIGNIFICANT_DIGITS}g}}")
+        else:
+            cells.append("{}")
+            if kinds == {float}:
+                column = _json_numbers(column)
+            elif kinds != {int}:
+                column = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
+        columns.append(column)
+    if fmt == "csv":
+        row_format = ",".join(cells)
+    else:
+        row_format = "    [\n      " + ",\n      ".join(cells) + "\n    ]"
+    return list(starmap(row_format.format, zip(*columns)))
 
 
 def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> int:
@@ -101,23 +132,22 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
         UnsupportedFormat: for formats other than "csv" and "json".
     """
 
+    metadata = sorted(table.metadata.items())
     if format == "csv":
-        buffer = io.StringIO()
-        for key in sorted(table.metadata):
-            buffer.write(f"# {key} = {table.metadata[key]}\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_cell_text(cell) for cell in row])
-        text = buffer.getvalue()
+        lines = [",".join(map(_csv_cell, table.columns))]
+        lines += _render_rows(table.rows, "csv")
+        if len(table.columns) == 1:
+            # csv.writer quotes a lone empty field so the row is not blank.
+            lines = ['""' if line == "" else line for line in lines]
+        comments = [f"# {key} = {value}\n" for key, value in metadata]
+        text = "".join(comments) + "\n".join(lines) + "\n"
     elif format == "json":
-        payload = {
-            "name": table.name,
-            "columns": list(table.columns),
-            "rows": [[_cell_json(cell) for cell in row] for row in table.rows],
-            "metadata": dict(sorted(table.metadata.items())),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        frame = {"name": table.name, "columns": list(table.columns), "rows": []}
+        text = json.dumps({**frame, "metadata": dict(metadata)}, indent=2) + "\n"
+        if table.rows:
+            # JSON escapes quotes inside strings, so this is the rows key.
+            rows = ",\n".join(_render_rows(table.rows, "json"))
+            text = text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)
     else:
         raise UnsupportedFormat(f"unsupported output format: {format!r}")
 
@@ -138,87 +168,49 @@ def position_sweep_table(
 ) -> OutputTable:
     """The position-sweep schema: one row per PD position."""
 
-    rows = tuple(
-        (
-            row.index,
-            row.position.x,
-            row.position.y,
-            row.estimate.estimated.x,
-            row.estimate.estimated.y,
-            row.geometry.slant_distance,
-            row.channel.received_power,
-            row.estimate.positioning_error,
-        )
-        for row in result.rows
-    )
-    return OutputTable(
-        name="position_sweep",
-        columns=(
-            "index",
-            "actual_x",
-            "actual_y",
-            "est_x",
-            "est_y",
-            "slant_d",
-            "received_power",
-            "error_m",
-        ),
-        rows=rows,
-        metadata=metadata,
-    )
+    columns = {
+        "index": range(1, len(result.est_x) + 1),
+        "actual_x": result.actual_x,
+        "actual_y": result.actual_y,
+        "est_x": result.est_x,
+        "est_y": result.est_y,
+        "slant_d": result.slant_distance,
+        "received_power": result.received_power,
+        "error_m": result.positioning_error,
+    }
+    rows = tuple(zip(*columns.values()))
+    return OutputTable("position_sweep", tuple(columns), rows, metadata)
 
 
 def power_sweep_table(
     rows: tuple[tuple[float, float, float], ...], metadata: Mapping[str, str]
 ) -> OutputTable:
-    return OutputTable(
-        name="power_sweep",
-        columns=("transmit_power", "distance", "received_power"),
-        rows=tuple(rows),
-        metadata=metadata,
-    )
+    columns = ("transmit_power", "distance", "received_power")
+    return OutputTable("power_sweep", columns, tuple(rows), metadata)
 
 
 def angle_sweep_table(
     rows: tuple[tuple[float, float, float], ...], metadata: Mapping[str, str]
 ) -> OutputTable:
-    return OutputTable(
-        name="angle_sweep",
-        columns=("elevation", "distance", "received_power"),
-        rows=tuple(rows),
-        metadata=metadata,
-    )
+    columns = ("elevation", "distance", "received_power")
+    return OutputTable("angle_sweep", columns, tuple(rows), metadata)
 
 
 def replication_table(
     report: ReplicationReport, metadata: Mapping[str, str]
 ) -> OutputTable:
-    rows = tuple(
-        (
-            check.name,
-            check.reference,
-            check.computed,
-            check.difference,
-            check.verdict.value,
-            check.expected.value,
-            check.note,
-        )
-        for check in report.checks
-    )
-    return OutputTable(
-        name="replication_report",
-        columns=(
-            "check",
-            "reference",
-            "computed",
-            "abs_diff",
-            "verdict",
-            "expected",
-            "note",
-        ),
-        rows=rows,
-        metadata=metadata,
-    )
+    # Column name -> ReplicationCheck attribute.
+    fields = {
+        "check": "name",
+        "reference": "reference",
+        "computed": "computed",
+        "abs_diff": "difference",
+        "verdict": "verdict.value",
+        "expected": "expected.value",
+        "note": "note",
+    }
+    rows = tuple(map(attrgetter(*fields.values()), report.checks))
+    return OutputTable("replication_report", tuple(fields), rows, metadata)
 
 
 def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[str]:
@@ -297,10 +289,33 @@ def _point(value: Any, key: str) -> Point3:
     return Point3(*(float(c) for c in value))
 
 
+def _number(value: Any, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _count(value: Any, key: str) -> int:
+    if not isinstance(value, int) and not _number(value, key).is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value: Any, key: str) -> tuple[float, ...]:
     if not isinstance(value, (tuple, list)) or len(value) == 0:
         raise ValidationError(f"{key} must be a non-empty list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v, key) for v in value)
+
+
+def _span(value: Any, key: str) -> tuple[float, ...]:
+    span = _floats(value, key)
+    if len(span) != 2:
+        raise ValidationError(f"{key} must be (low, high), got {span!r}")
+    return span
 
 
 def load_config(source: str | Path) -> ScenarioConfig:
@@ -323,29 +338,21 @@ def load_config(source: str | Path) -> ScenarioConfig:
         text = Path(source).read_text(encoding="utf-8")
     values = _parse_lines(text)
 
+    def get(key: str, parse: Callable[[Any, str], Any], default: Any) -> Any:
+        return parse(values[key], key) if key in values else default
+
     base = default_config()
     try:
-        room = replace(
-            base.room,
-            width=float(values.get("room.width", base.room.width)),
-            length=float(values.get("room.length", base.room.length)),
-            height=float(values.get("room.height", base.room.height)),
+        room = RoomSpec(
+            width=get("room.width", _number, base.room.width),
+            length=get("room.length", _number, base.room.length),
+            height=get("room.height", _number, base.room.height),
         )
         led = LedSpec(
-            position=_point(values["led.position"], "led.position")
-            if "led.position" in values
-            else base.led.position,
-            transmit_power=float(
-                values.get("led.transmit_power", base.led.transmit_power)
-            ),
-            half_power_angle=float(
-                values.get("led.half_power_angle", base.led.half_power_angle)
-            ),
-            lambertian_order=(
-                float(values["led.lambertian_order"])
-                if "led.lambertian_order" in values
-                else None
-            ),
+            position=get("led.position", _point, base.led.position),
+            transmit_power=get("led.transmit_power", _number, base.led.transmit_power),
+            half_power_angle=get("led.half_power_angle", _number, base.led.half_power_angle),
+            lambertian_order=get("led.lambertian_order", _number, None),
         )
         if "sweep.positions" in values and "pd.position" in values:
             raise ValidationError(
@@ -364,44 +371,24 @@ def load_config(source: str | Path) -> ScenarioConfig:
             positions = base.pd_positions
         # The template position is immaterial (overridden per run); pinning it
         # to the first sweep position keeps serialization round-trips exact.
+        template = base.pd_template
         pd = PdSpec(
             position=positions[0],
-            area=float(values.get("pd.area", base.pd_template.area)),
-            fov=float(values.get("pd.fov", base.pd_template.fov)),
-            filter_gain=float(
-                values.get("pd.filter_gain", base.pd_template.filter_gain)
-            ),
-            refractive_index=float(
-                values.get("pd.refractive_index", base.pd_template.refractive_index)
-            ),
+            area=get("pd.area", _number, template.area),
+            fov=get("pd.fov", _number, template.fov),
+            filter_gain=get("pd.filter_gain", _number, template.filter_gain),
+            refractive_index=get("pd.refractive_index", _number, template.refractive_index),
         )
-        distance_range = None
-        if "sweep.distance_range" in values:
-            span = _floats(values["sweep.distance_range"], "sweep.distance_range")
-            if len(span) != 2:
-                raise ValidationError(
-                    f"sweep.distance_range must be (low, high), got {span!r}"
-                )
-            distance_range = (span[0], span[1])
+        distance_range = get("sweep.distance_range", _span, None)
         return ScenarioConfig(
             room=room,
             led=led,
             pd_template=pd,
             pd_positions=positions,
-            transmit_powers=(
-                _floats(values["sweep.transmit_powers"], "sweep.transmit_powers")
-                if "sweep.transmit_powers" in values
-                else base.transmit_powers
-            ),
-            sweep_elevations=(
-                _floats(values["sweep.elevations"], "sweep.elevations")
-                if "sweep.elevations" in values
-                else base.sweep_elevations
-            ),
-            azimuth=float(values.get("sweep.azimuth", base.azimuth)),
-            distance_samples=int(
-                values.get("sweep.distance_samples", base.distance_samples)
-            ),
+            transmit_powers=get("sweep.transmit_powers", _floats, base.transmit_powers),
+            sweep_elevations=get("sweep.elevations", _floats, base.sweep_elevations),
+            azimuth=get("sweep.azimuth", _number, base.azimuth),
+            distance_samples=get("sweep.distance_samples", _count, base.distance_samples),
             distance_range=distance_range,
         )
     except DomainError as exc:

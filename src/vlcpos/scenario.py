@@ -18,23 +18,29 @@ defects of the reference data stay visible without failing the run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
+from typing import Sequence
 
-from .channel import ChannelSample, LedSpec, PdSpec, received_power, received_power_at
+from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import (
-    EstimateRecord,
     average_error,
     estimate_position,
     positioning_error,
 )
-from .geometry import LinkGeometry, Point3, RoomSpec, diagonal_positions
+from .geometry import (
+    Point3,
+    RoomSpec,
+    diagonal_positions,
+    euclidean_distance,
+    link_columns,
+    link_geometry,
+)
 
 __all__ = [
     "ScenarioConfig",
-    "SweepRow",
     "SweepSummary",
     "SweepResult",
     "Verdict",
@@ -215,17 +221,6 @@ def default_config() -> ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One position of a sweep: geometry, channel sample, and estimate."""
-
-    index: int
-    position: Point3
-    geometry: LinkGeometry
-    channel: ChannelSample
-    estimate: EstimateRecord
-
-
-@dataclass(frozen=True)
 class SweepSummary:
     """Aggregates over a position sweep."""
 
@@ -239,65 +234,56 @@ class SweepSummary:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered sweep rows plus their summary."""
+    """Position-sweep columns, one entry per configured position, plus their summary."""
 
-    rows: tuple[SweepRow, ...]
+    actual_x: Sequence[float]
+    actual_y: Sequence[float]
+    est_x: Sequence[float]
+    est_y: Sequence[float]
+    slant_distance: Sequence[float]
+    received_power: Sequence[float]
+    positioning_error: Sequence[float]
     summary: SweepSummary
 
-    def __post_init__(self) -> None:
-        indexes = [row.index for row in self.rows]
-        if indexes != sorted(indexes):
-            raise ValidationError("sweep rows must be ordered by position index")
 
-
-def _position_row(config: ScenarioConfig, index: int, position: Point3) -> SweepRow:
-    pd = replace(config.pd_template, position=position)
-    sample = received_power(config.led, pd)
-    estimate = estimate_position(
-        sample.received_power,
-        config.led,
-        pd,
-        azimuth=config.azimuth,
-        actual=position,
-        vertical_separation=sample.geometry.vertical_separation,
-    )
-    return SweepRow(
-        index=index,
-        position=position,
-        geometry=sample.geometry,
-        channel=sample,
-        estimate=estimate,
-    )
-
-
-def run_position_sweep(config: ScenarioConfig, workers: int | None = None) -> SweepResult:
+def run_position_sweep(config: ScenarioConfig) -> SweepResult:
     """Walk the PD over the configured positions and estimate each one.
 
-    Rows are independent; workers > 1 evaluates them on a thread pool but the
-    result order always follows the configured position order, so output is
-    identical regardless of parallelism.
+    Each position is one received_power and one estimate_position call, so a
+    sweep row is exactly what the one-shot API reports for that position.
 
     Raises:
         DomainError subclasses from the underlying modules, annotated with the
         1-based position index.
     """
 
-    def row(args: tuple[int, Point3]) -> SweepRow:
-        index, position = args
+    led, pd, azimuth = config.led, config.pd_template, config.azimuth
+    positions = config.pd_positions
+    slants: list[float] = []
+    powers: list[float] = []
+    est_x: list[float] = []
+    est_y: list[float] = []
+    errors: list[float] = []
+    for index, position in enumerate(positions, start=1):
         try:
-            return _position_row(config, index, position)
+            moved = PdSpec(position, pd.area, pd.fov, pd.filter_gain, pd.refractive_index)
+            sample = received_power(led, moved)
+            geometry = sample.geometry
+            estimate = estimate_position(
+                sample.received_power,
+                led,
+                moved,
+                azimuth=azimuth,
+                actual=position,
+                vertical_separation=geometry.vertical_separation,
+            )
         except DomainError as exc:
             raise type(exc)(f"position {index}: {exc}") from exc
-
-    numbered = list(enumerate(config.pd_positions, start=1))
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(row, numbered))
-    else:
-        rows = tuple(row(item) for item in numbered)
-
-    errors = [r.estimate.positioning_error for r in rows]
-    powers = [r.channel.received_power for r in rows]
+        slants.append(geometry.slant_distance)
+        powers.append(sample.received_power)
+        est_x.append(estimate.estimated.x)
+        est_y.append(estimate.estimated.y)
+        errors.append(estimate.positioning_error)
     summary = SweepSummary(
         average_error=average_error(errors),
         max_error=max(errors),
@@ -306,7 +292,16 @@ def run_position_sweep(config: ScenarioConfig, workers: int | None = None) -> Sw
         min_power=min(powers),
         max_power=max(powers),
     )
-    return SweepResult(rows=rows, summary=summary)
+    return SweepResult(
+        actual_x=[p.x for p in positions],
+        actual_y=[p.y for p in positions],
+        est_x=est_x,
+        est_y=est_y,
+        slant_distance=slants,
+        received_power=powers,
+        positioning_error=errors,
+        summary=summary,
+    )
 
 
 def run_power_distance_sweep(
@@ -319,34 +314,20 @@ def run_power_distance_sweep(
     position sweep.
     """
 
+    led = config.led
     by_distance = sorted(
-        (replace(config.pd_template, position=pos) for pos in config.pd_positions),
-        key=lambda pd: (pd.position.x - config.led.position.x) ** 2
-        + (pd.position.y - config.led.position.y) ** 2,
+        config.pd_positions,
+        key=lambda pos: (pos.x - led.position.x) ** 2 + (pos.y - led.position.y) ** 2,
     )
-    rows = []
+    slants, _, elevations = link_columns(led.position, by_distance)
+    normals = [90.0 - elevation for elevation in elevations]
+    rows: list[tuple[float, float, float]] = []
     for power in config.transmit_powers:
-        led = replace(config.led, transmit_power=power)
-        for pd in by_distance:
-            sample = received_power(led, pd)
-            rows.append((power, sample.geometry.slant_distance, sample.received_power))
-    return tuple(rows)
-
-
-def _linspace(low: float, high: float, count: int) -> list[float]:
-    return [low + i * (high - low) / (count - 1) for i in range(count)]
-
-
-def _derived_distance_range(config: ScenarioConfig) -> tuple[float, float]:
-    slants = [
-        math.sqrt(
-            (pos.x - config.led.position.x) ** 2
-            + (pos.y - config.led.position.y) ** 2
-            + (pos.z - config.led.position.z) ** 2
+        powers = power_columns(
+            replace(led, transmit_power=power), config.pd_template, slants, normals, normals
         )
-        for pos in config.pd_positions
-    ]
-    return min(slants), max(slants)
+        rows.extend(zip(repeat(power), slants, powers))
+    return tuple(rows)
 
 
 def run_angle_sweep(
@@ -357,7 +338,8 @@ def run_angle_sweep(
     This is the figure parameterization: each family keeps its labelled
     elevation across the whole distance axis, so only the inverse-square term
     varies within a family. Elevation e maps to the from-normal angle 90 - e
-    for both channel gains.
+    for both channel gains. Without a configured distance_range the span runs
+    from the nearest to the farthest configured position.
 
     Raises:
         DomainError: when a configured elevation is outside (0, 90] degrees.
@@ -368,16 +350,18 @@ def run_angle_sweep(
             raise DomainError(
                 f"sweep elevation must lie in (0, 90] degrees, got {elevation}"
             )
-    low, high = config.distance_range or _derived_distance_range(config)
-    distances = _linspace(low, high, config.distance_samples)
-    rows = []
+    if config.distance_range is None:
+        slants = [euclidean_distance(config.led.position, p) for p in config.pd_positions]
+        low, high = min(slants), max(slants)
+    else:
+        low, high = config.distance_range
+    count = config.distance_samples
+    distances = [low + i * (high - low) / (count - 1) for i in range(count)]
+    rows: list[tuple[float, float, float]] = []
     for elevation in config.sweep_elevations:
-        normal = 90.0 - elevation
-        for distance in distances:
-            power = received_power_at(
-                config.led, config.pd_template, distance, normal, normal
-            )
-            rows.append((elevation, distance, power))
+        normals = [90.0 - elevation] * len(distances)
+        powers = power_columns(config.led, config.pd_template, distances, normals, normals)
+        rows.extend(zip(repeat(elevation), distances, powers))
     return tuple(rows)
 
 
@@ -476,7 +460,8 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     if config is None:
         config = default_config()
     sweep = run_position_sweep(config)
-    rows = sweep.rows
+    center = link_geometry(config.led.position, config.pd_positions[0])
+    corner = link_geometry(config.led.position, config.pd_positions[-1])
 
     checks: list[ReplicationCheck] = []
 
@@ -484,7 +469,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         _value_check(
             "center_slant_distance",
             REFERENCE_CENTER_DISTANCE,
-            rows[0].geometry.slant_distance,
+            sweep.slant_distance[0],
             _TOL_DISTANCE,
             Verdict.REPRODUCED,
             "LED-PD distance at the first position",
@@ -494,7 +479,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         _value_check(
             "corner_slant_distance",
             REFERENCE_CORNER_DISTANCE,
-            rows[-1].geometry.slant_distance,
+            sweep.slant_distance[-1],
             _TOL_DISTANCE,
             Verdict.REPRODUCED,
             "LED-PD distance at the tenth position",
@@ -504,7 +489,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         _value_check(
             "center_elevation_angle",
             90.0,
-            rows[0].geometry.elevation_angle,
+            center.elevation_angle,
             1e-9,
             Verdict.REPRODUCED,
             "CSA angles equal 90 degrees directly under the LED",
@@ -572,7 +557,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     )
 
     # Absolute received-power scale of the published curves.
-    center_power = rows[0].channel.received_power
+    center_power = sweep.received_power[0]
     checks.append(
         _value_check(
             "published_absolute_power",
@@ -588,7 +573,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     )
 
     # Decay ratio across the distance span at fixed transmit power.
-    corner_power = rows[-1].channel.received_power
+    corner_power = sweep.received_power[-1]
     plotted_center, plotted_corner = REFERENCE_POWER_FAMILIES[15.0]
     checks.append(
         _value_check(
@@ -603,8 +588,14 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     )
 
     # Estimated coordinates of the reference table vs the estimator pipeline.
-    corner_fused = rows[-1].estimate.offsets.x_fused
-    attainable = rows[-1].geometry.horizontal_distance * math.sqrt(2.0) / 2.0
+    corner_fused = estimate_position(
+        corner_power,
+        config.led,
+        config.pd_template,
+        azimuth=config.azimuth,
+        vertical_separation=corner.vertical_separation,
+    ).offsets.x_fused
+    attainable = corner.horizontal_distance * math.sqrt(2.0) / 2.0
     checks.append(
         _value_check(
             "published_estimated_coordinates",
@@ -657,7 +648,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         )
     )
 
-    pipeline_errors = [row.estimate.positioning_error for row in rows]
+    pipeline_errors = sweep.positioning_error
     error_violations = sum(
         1 for a, b in zip(pipeline_errors, pipeline_errors[1:]) if b < a
     )

@@ -1,5 +1,6 @@
 """Tests for table emission, config parsing, and serialization round-trips."""
 
+import csv
 import io
 import json
 import math
@@ -112,6 +113,72 @@ class TestEmit:
     def test_rejects_unknown_format(self):
         with pytest.raises(UnsupportedFormat):
             emit(_table(), "yaml", io.StringIO())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            ((1, None), (None, 2.5)),
+            (('say "hi"', "h\u00e9llo \u2713"), ("back\\slash", "tab\tnew\nline")),
+            ((1, 2), (3, 4)),
+            ((1, math.inf), (2, 1234567.0)),
+        ],
+        ids=["empty", "none", "strings", "ints", "inf"],
+    )
+    def test_json_matches_json_dumps(self, rows):
+        table = OutputTable(
+            name="demo", columns=("a", "b"), rows=rows, metadata={"zeta": "z", "alpha": "\u00e5"}
+        )
+        payload = {
+            "name": "demo",
+            "columns": ["a", "b"],
+            "rows": [
+                [float(format_number(c)) if isinstance(c, float) else c for c in row]
+                for row in rows
+            ],
+            "metadata": {"alpha": "\u00e5", "zeta": "z"},
+        }
+        buffer = io.StringIO()
+        emit(table, "json", buffer)
+        assert buffer.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_json_without_metadata(self):
+        table = OutputTable(name="demo", columns=("a",), rows=((1.0,),), metadata={})
+        buffer = io.StringIO()
+        emit(table, "json", buffer)
+        payload = {"name": "demo", "columns": ["a"], "rows": [[1.0]], "metadata": {}}
+        assert buffer.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("a", "b,c"), (("x,y", 'q"t'), ("line\nbreak", None), (True, 1.5), (7, -0.0))),
+            (("only",), (("",), (None,), ("x",))),
+        ],
+        ids=["quoting", "one-column"],
+    )
+    def test_csv_matches_csv_writer(self, columns, rows):
+        table = OutputTable(name="demo", columns=columns, rows=rows, metadata={"k": "v"})
+        expected = io.StringIO()
+        expected.write("# k = v\n")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(
+                [
+                    ""
+                    if c is None
+                    else str(c).lower()
+                    if isinstance(c, bool)
+                    else format_number(c)
+                    if isinstance(c, float)
+                    else c
+                    for c in row
+                ]
+            )
+        buffer = io.StringIO()
+        emit(table, "csv", buffer)
+        assert buffer.getvalue() == expected.getvalue()
 
     def test_emission_is_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
@@ -255,6 +322,22 @@ class TestLoadConfig:
             load_config("pd.fov = 120")
         with pytest.raises(ValidationError):
             load_config("led.half_power_angle = 90")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "room.width = 1e999",
+            "led.transmit_power = 1e999",
+            "sweep.transmit_powers = [8.0, -1e999]",
+            "sweep.distance_samples = 2.7",
+        ],
+    )
+    def test_rejects_non_finite_and_fractional_values(self, text):
+        with pytest.raises(ValidationError, match=text.split(" = ")[0]):
+            load_config(text)
+
+    def test_accepts_integral_float_sample_count(self):
+        assert load_config("sweep.distance_samples = 7.0").distance_samples == 7
 
     def test_rejects_bad_distance_range(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Tests for sweep orchestration and the replication report."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,11 +10,22 @@ from vlcpos import (
     DomainError,
     LedNotAbovePd,
     LedSpec,
+    NonPositivePower,
     Point3,
     ScenarioConfig,
     ValidationError,
     Verdict,
+    anchor_estimate,
+    concentrator_gain,
+    csa_angles,
     default_config,
+    effective_area,
+    estimate_position,
+    link_geometry,
+    offset_estimate,
+    positioning_error,
+    radiant_intensity,
+    received_power,
     replication_report,
     run_angle_sweep,
     run_position_sweep,
@@ -169,23 +181,24 @@ class TestScenarioConfigValidation:
 
 class TestPositionSweep:
     def test_rows_follow_reference_grid(self):
-        result = run_position_sweep(default_config())
-        assert len(result.rows) == 10
-        assert [row.index for row in result.rows] == list(range(1, 11))
-        for row, slant, power, error in zip(
-            result.rows, DIAGONAL_SLANTS, DIAGONAL_POWERS, PIPELINE_ERRORS
+        config = default_config()
+        result = run_position_sweep(config)
+        assert result.actual_x == [p.x for p in config.pd_positions]
+        assert result.actual_y == [p.y for p in config.pd_positions]
+        for i, (slant, power, error) in enumerate(
+            zip(DIAGONAL_SLANTS, DIAGONAL_POWERS, PIPELINE_ERRORS)
         ):
-            assert _close(row.geometry.slant_distance, slant)
-            assert _close(row.channel.received_power, power)
+            assert _close(result.slant_distance[i], slant)
+            assert _close(result.received_power[i], power)
             if error == 0.0:
-                assert row.estimate.positioning_error == 0.0
+                assert result.positioning_error[i] == 0.0
             else:
-                assert _close(row.estimate.positioning_error, error)
-            assert abs(row.estimate.estimated.x - row.estimate.estimated.y) < 1e-12
+                assert _close(result.positioning_error[i], error)
+            assert abs(result.est_x[i] - result.est_y[i]) < 1e-12
 
     def test_summary(self):
         result = run_position_sweep(default_config())
-        errors = [row.estimate.positioning_error for row in result.rows]
+        errors = result.positioning_error
         summary = result.summary
         assert _close(summary.average_error, sum(errors) / len(errors))
         assert summary.max_error == max(errors)
@@ -193,15 +206,6 @@ class TestPositionSweep:
         assert _close(summary.error_spread, max(errors) - min(errors))
         assert _close(summary.min_power, DIAGONAL_POWERS[-1])
         assert _close(summary.max_power, DIAGONAL_POWERS[0])
-
-    def test_parallel_matches_serial(self):
-        serial = run_position_sweep(default_config())
-        threaded = run_position_sweep(default_config(), workers=4)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.index == b.index
-            assert a.channel.received_power == b.channel.received_power
-            assert a.estimate.estimated == b.estimate.estimated
-            assert a.estimate.positioning_error == b.estimate.positioning_error
 
     def test_failures_name_the_position(self):
         config = default_config()
@@ -212,6 +216,94 @@ class TestPositionSweep:
         )
         with pytest.raises(LedNotAbovePd, match="^position 1:"):
             run_position_sweep(replace(config, led=grounded))
+
+
+class TestSweepColumnsMatchScalarPath:
+    """Sweep columns against the one-shot API and the unhoisted formulas.
+
+    Equality is exact: power_columns hoists only whole subexpressions and
+    keeps the evaluation order of received_power.
+    """
+
+    @pytest.mark.parametrize("order", [1.0, 7.5])
+    @pytest.mark.parametrize("azimuth", [225.0, 10.0])
+    def test_columns_equal_scalar_results(self, order, azimuth):
+        rng = random.Random(29)
+        positions = tuple(
+            Point3(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0) for _ in range(200)
+        )
+        base = default_config()
+        led = replace(base.led, lambertian_order=order)
+        config = replace(base, led=led, pd_positions=positions, azimuth=azimuth)
+        result = run_position_sweep(config)
+        for i, position in enumerate(positions):
+            pd = replace(config.pd_template, position=position)
+            geometry = link_geometry(led.position, position)
+            sample = received_power(led, pd)
+            record = estimate_position(
+                sample.received_power,
+                led,
+                pd,
+                azimuth,
+                actual=position,
+                vertical_separation=geometry.vertical_separation,
+            )
+            assert result.slant_distance[i] == geometry.slant_distance
+            assert result.received_power[i] == sample.received_power
+            assert result.est_x[i] == record.estimated.x
+            assert result.est_y[i] == record.estimated.y
+            assert result.positioning_error[i] == record.positioning_error
+
+            angle = geometry.normal_angle
+            power = (
+                led.transmit_power
+                / geometry.slant_distance**2
+                * radiant_intensity(angle, order)
+                * effective_area(angle, pd)
+            )
+            assert result.received_power[i] == power
+            unhoisted = self._unhoisted_estimate(power, led, pd, azimuth, position)
+            assert (result.est_x[i], result.est_y[i], result.positioning_error[i]) == unhoisted
+
+    @staticmethod
+    def _unhoisted_estimate(power, led, pd, azimuth, actual):
+        m = led.lambertian_order
+        vertical = led.position.z
+        gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
+        k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
+        distance = max((k * vertical ** (m + 1.0) / power) ** (1.0 / (m + 3.0)), vertical)
+        elevation = math.degrees(math.asin(min(vertical / distance, 1.0)))
+        d_hor = math.sqrt(max(distance**2 - vertical**2, 0.0))
+        offsets = offset_estimate(d_hor, csa_angles(elevation))
+        estimated = anchor_estimate(offsets, (led.position.x, led.position.y), azimuth)
+        return estimated.x, estimated.y, positioning_error(actual, estimated)
+
+    @pytest.mark.parametrize("order", [1.0, 7.5])
+    def test_power_sweep_equals_received_power(self, order):
+        rng = random.Random(31)
+        positions = tuple(
+            Point3(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0) for _ in range(50)
+        )
+        base = default_config()
+        config = replace(
+            base, led=replace(base.led, lambertian_order=order), pd_positions=positions
+        )
+        rows = run_power_distance_sweep(config)
+        assert len(rows) == len(positions) * len(config.transmit_powers)
+        for transmit in config.transmit_powers:
+            led = replace(config.led, transmit_power=transmit)
+            samples = [
+                received_power(led, replace(config.pd_template, position=position))
+                for position in positions
+            ]
+            expected = {s.geometry.slant_distance: s.received_power for s in samples}
+            assert {row[1]: row[2] for row in rows if row[0] == transmit} == expected
+
+    def test_power_outside_the_fov_names_the_position(self):
+        config = default_config()
+        narrow = replace(config, pd_template=replace(config.pd_template, fov=30.0))
+        with pytest.raises(NonPositivePower, match="^position 6:"):
+            run_position_sweep(narrow)
 
 
 class TestPowerDistanceSweep:
