@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .geometry import LinkGeometry, Point3, link_geometry
@@ -142,6 +142,12 @@ class PdSpec:
             raise DomainError(
                 f"refractive_index must be >= 1, got {self.refractive_index}"
             )
+        # n^2 / sin^2(fov) overflows for a fov below about 1e-152 degrees.
+        sin_squared, n = math.sin(math.radians(self.fov)) ** 2, self.refractive_index
+        if not (sin_squared > 0.0 and math.isfinite(n * n / sin_squared)):
+            raise DomainError(
+                f"fov {self.fov} with refractive_index {n} gives an infinite concentrator gain"
+            )
 
 
 @dataclass(frozen=True)
@@ -153,16 +159,6 @@ class ChannelSample:
     concentrator_gain: float
     effective_area: float
     received_power: float
-
-    def __post_init__(self) -> None:
-        for name in (
-            "radiant_intensity",
-            "concentrator_gain",
-            "effective_area",
-            "received_power",
-        ):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"ChannelSample.{name} must be >= 0")
 
 
 def effective_area(normal_angle: float, pd: PdSpec) -> float:
@@ -189,8 +185,7 @@ def power_columns(
 ) -> list[float]:
     """Received power P_t / d^2 * f(phi) * A_eff(theta) for each row, 0 beyond the FOV.
 
-    (m+1)/2pi and A*h*g are computed once; each row checks its inputs and
-    that every factor is >= 0.
+    (m+1)/2pi and A*h*g are computed once; each row checks its inputs.
 
     Raises:
         DomainError: when a distance is not > 0 or an angle is out of range.
@@ -217,10 +212,7 @@ def power_columns(
             )
         pattern = intensity_scale * cos(radians(irradiance)) ** m
         area = area_gain * cos(radians(normal))
-        power = transmit / distance**2 * pattern * area
-        if pattern < 0.0 or area < 0.0 or power < 0.0:
-            raise DomainError("ChannelSample factors must be >= 0")
-        powers.append(power)
+        powers.append(transmit / distance**2 * pattern * area)
     return powers
 
 
@@ -240,15 +232,11 @@ def received_power_at(
     return power_columns(led, pd, (distance,), (irradiance_angle,), (normal_angle,))[0]
 
 
-def received_power(
-    led: LedSpec, pd: PdSpec, noise: Callable[[], float] | None = None
-) -> ChannelSample:
+def received_power(led: LedSpec, pd: PdSpec) -> ChannelSample:
     """Evaluate the channel for the LED/PD pair at their stored positions.
 
     The irradiance and incidence angles both equal the link's from-normal
-    angle because the LED faces straight down and the PD straight up. The
-    optional noise hook adds its sample to the power (clamped at zero); it is
-    off by default because the model is deterministic.
+    angle because the LED faces straight down and the PD straight up.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
@@ -262,8 +250,6 @@ def received_power(
     area = effective_area(angle, pd)
     # Same product, in the same order, as power_columns.
     power = led.transmit_power / geometry.slant_distance**2 * pattern * area
-    if noise is not None:
-        power = max(power + noise(), 0.0)
     return ChannelSample(
         geometry=geometry,
         radiant_intensity=pattern,

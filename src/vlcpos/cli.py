@@ -9,8 +9,8 @@ parse, or config validation errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,17 +18,17 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, clip_to_floor
+from .geometry import Point3, RoomSpec, clip_to_floor
 from .reporting import (
     angle_sweep_table,
     config_hash,
     emit,
     estimate_lines,
-    format_number,
     load_config,
     position_sweep_table,
     power_sweep_table,
     replication_table,
+    replication_text,
 )
 from .scenario import (
     ScenarioConfig,
@@ -119,27 +119,13 @@ def _emit_table(table, fmt: str | None, out: str | None) -> None:
     emit(table, fmt or "csv", sys.stdout if out is None else out)
 
 
-def _replicate_text(report) -> str:
-    lines = [f"# reference dataset version {report.dataset_version}"]
-    lines += [f"# assumption: {assumption}" for assumption in report.assumptions]
-    for check in report.checks:
-        diff = (
-            ""
-            if check.difference is None
-            else f" (diff {format_number(check.difference)})"
-        )
-        lines.append(
-            f"{check.name}: computed {format_number(check.computed)} vs reference "
-            f"{format_number(check.reference)}{diff}: {check.verdict.value} "
-            f"[{check.note}]"
-        )
-    counts = Counter(check.verdict.value for check in report.checks)
-    lines.append(
-        f"checks: {len(report.checks)} total, {counts['REPRODUCED']} reproduced, "
-        f"{counts['TREND-ONLY']} trend-only, {counts['NOT-REPRODUCIBLE']} "
-        f"not-reproducible, {len(report.regressions)} regressions"
-    )
-    return "\n".join(lines) + "\n"
+def _floor_point(x: float, y: float, room: RoomSpec) -> Point3:
+    """The --actual position, held to the rule the config applies to PD positions."""
+
+    finite = math.isfinite(x) and math.isfinite(y)
+    if not (finite and room.contains_floor_point(Point3(x, y, 0.0))):
+        raise ValidationError(f"--actual ({x}, {y}) is not a point on the room floor")
+    return Point3(x, y, 0.0)
 
 
 def cli(argv: list[str] | None = None) -> int:
@@ -172,7 +158,7 @@ def cli(argv: list[str] | None = None) -> int:
             rows = run_angle_sweep(config)
             _emit_table(angle_sweep_table(rows, _metadata(config)), args.format, args.out)
         elif args.command == "estimate":
-            actual = Point3(args.actual[0], args.actual[1], 0.0) if args.actual else None
+            actual = _floor_point(*args.actual, config.room) if args.actual else None
             record = estimate_position(
                 args.power,
                 config.led,
@@ -185,7 +171,7 @@ def cli(argv: list[str] | None = None) -> int:
         elif args.command == "replicate":
             report = replication_report(config)
             if args.format is None:
-                _write(_replicate_text(report), args.out)
+                _write(replication_text(report), args.out)
             else:
                 _emit_table(
                     replication_table(report, _metadata(config)), args.format, args.out
@@ -198,7 +184,7 @@ def cli(argv: list[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                 return 1
-    except UnsupportedFormat as exc:
+    except (UnsupportedFormat, ValidationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OSError) as exc:

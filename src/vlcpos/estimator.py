@@ -48,45 +48,36 @@ class CsaAngles:
     """Incidence elevation angle with its complementary and supplementary angles."""
 
     incidence: float
-    complementary: float
-    supplementary: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.incidence <= 90.0:
             raise DomainError(
                 f"incidence must lie in [0, 90] degrees, got {self.incidence}"
             )
-        # Recomputation equality is exact in floating point, which also makes
-        # complementary + supplementary == 180 hold exactly.
-        if self.complementary != 90.0 - self.incidence:
-            raise DomainError("complementary must equal 90 - incidence exactly")
-        if self.supplementary != 90.0 + self.incidence:
-            raise DomainError("supplementary must equal 90 + incidence exactly")
+
+    @property
+    def complementary(self) -> float:
+        return 90.0 - self.incidence
+
+    @property
+    def supplementary(self) -> float:
+        return 90.0 + self.incidence
 
 
 @dataclass(frozen=True)
 class OffsetEstimate:
-    """Per-axis projections of the horizontal distance and their fused means.
+    """Projections of the horizontal distance through both angles, and their mean.
 
-    The fused fields are displacement magnitudes from the LED's floor
-    projection; z_fused is always 0 because the PD moves on the floor.
+    The values are radial displacement magnitudes from the LED's floor
+    projection; the construction is the same on every axis.
     """
 
-    x_comp: float
-    y_comp: float
-    x_supp: float
-    y_supp: float
-    x_fused: float
-    y_fused: float
-    z_fused: float = 0.0
+    comp: float
+    supp: float
 
-    def __post_init__(self) -> None:
-        if self.x_fused != (self.x_comp + self.x_supp) / 2.0:
-            raise DomainError("x_fused must be the mean of x_comp and x_supp")
-        if self.y_fused != (self.y_comp + self.y_supp) / 2.0:
-            raise DomainError("y_fused must be the mean of y_comp and y_supp")
-        if self.z_fused != 0.0:
-            raise DomainError("z_fused must be 0")
+    @property
+    def fused(self) -> float:
+        return (self.comp + self.supp) / 2.0
 
 
 @dataclass(frozen=True)
@@ -104,12 +95,6 @@ class EstimateRecord:
     measured_power: float
     inverted_distance: float
     positioning_error: float | None
-
-    def __post_init__(self) -> None:
-        if self.estimated.z != 0.0:
-            raise DomainError("estimated position must lie on the floor plane")
-        if self.positioning_error is not None and self.positioning_error < 0.0:
-            raise DomainError("positioning_error must be >= 0")
 
 
 def invert_power_to_distance(
@@ -153,23 +138,14 @@ def csa_angles(incidence_elevation: float) -> CsaAngles:
         DomainError: when the elevation is outside [0, 90] degrees.
     """
 
-    if not 0.0 <= incidence_elevation <= 90.0:
-        raise DomainError(
-            f"incidence elevation must lie in [0, 90] degrees, got {incidence_elevation}"
-        )
-    return CsaAngles(
-        incidence=incidence_elevation,
-        complementary=90.0 - incidence_elevation,
-        supplementary=90.0 + incidence_elevation,
-    )
+    return CsaAngles(incidence_elevation)
 
 
 def offset_estimate(d_hor: float, angles: CsaAngles) -> OffsetEstimate:
     """Project the horizontal distance through both angles and fuse the results.
 
-    comp projections use cos(complementary), supp projections sin(supplementary);
-    both axes carry the same value because the construction is radial. The
-    fused value therefore equals d_hor * (sin(theta) + cos(theta)) / 2.
+    comp projects through cos(complementary), supp through sin(supplementary),
+    so the fused value equals d_hor * (sin(theta) + cos(theta)) / 2.
 
     Raises:
         DomainError: when d_hor < 0.
@@ -177,16 +153,9 @@ def offset_estimate(d_hor: float, angles: CsaAngles) -> OffsetEstimate:
 
     if d_hor < 0.0:
         raise DomainError(f"horizontal distance must be >= 0, got {d_hor}")
-    comp = d_hor * math.cos(math.radians(angles.complementary))
-    supp = d_hor * math.sin(math.radians(angles.supplementary))
-    fused = (comp + supp) / 2.0
     return OffsetEstimate(
-        x_comp=comp,
-        y_comp=comp,
-        x_supp=supp,
-        y_supp=supp,
-        x_fused=fused,
-        y_fused=fused,
+        comp=d_hor * math.cos(math.radians(angles.complementary)),
+        supp=d_hor * math.sin(math.radians(angles.supplementary)),
     )
 
 
@@ -195,11 +164,11 @@ def anchor_estimate(
 ) -> Point3:
     """Place the fused offset at the LED's floor projection along an azimuth.
 
-    The per-axis displacements are x_fused*cos(azimuth) and y_fused*sin(azimuth);
-    since the fused offsets are equal by construction, the radial displacement
-    magnitude already equals the fused offset (cos^2 + sin^2 = 1) and no extra
-    normalization factor is needed. For the 225-degree diagonal each axis moves
-    by x_fused/sqrt(2) toward the origin corner.
+    The per-axis displacements are fused*cos(azimuth) and fused*sin(azimuth),
+    so the radial displacement magnitude equals the fused offset
+    (cos^2 + sin^2 = 1) and no extra normalization factor is needed. For the
+    225-degree diagonal each axis moves by fused/sqrt(2) toward the origin
+    corner.
 
     Raises:
         DomainError: when the azimuth is outside [0, 360).
@@ -208,9 +177,10 @@ def anchor_estimate(
     if not 0.0 <= azimuth < 360.0:
         raise DomainError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
     led_x, led_y = led_floor_projection
+    fused = offsets.fused
     return Point3(
-        led_x + offsets.x_fused * math.cos(math.radians(azimuth)),
-        led_y + offsets.y_fused * math.sin(math.radians(azimuth)),
+        led_x + fused * math.cos(math.radians(azimuth)),
+        led_y + fused * math.sin(math.radians(azimuth)),
         0.0,
     )
 

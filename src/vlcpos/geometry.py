@@ -67,40 +67,19 @@ class LinkGeometry:
     """Derived quantities of one LED-to-PD link.
 
     slant_distance is the 3-D separation, vertical_separation the height
-    difference, horizontal_distance the floor-plane separation. The two angle
-    fields are the elevation and from-normal conventions described in the
-    module docstring.
+    difference, horizontal_distance the floor-plane separation. The two angles
+    are the elevation and from-normal conventions described in the module
+    docstring; the normal angle is derived from the elevation.
     """
 
     slant_distance: float
     vertical_separation: float
     horizontal_distance: float
     elevation_angle: float
-    normal_angle: float
 
-    def __post_init__(self) -> None:
-        if _breaks_link_invariant(
-            self.slant_distance,
-            self.vertical_separation,
-            self.horizontal_distance,
-            self.elevation_angle,
-            self.normal_angle,
-        ):
-            raise DomainError(f"inconsistent link geometry: {self}")
-
-
-def _breaks_link_invariant(
-    slant: float, vertical: float, horizontal: float, elevation: float, normal: float
-) -> bool:
-    """d >= V >= 0, h^2 + V^2 = d^2 to 1e-9, elevation + normal = 90, both in [0, 90]."""
-
-    return (
-        not slant >= vertical >= 0.0
-        or abs(horizontal**2 + vertical**2 - slant**2) > 1e-9 * max(slant**2, 1.0)
-        or abs(elevation + normal - 90.0) > 1e-9
-        or not 0.0 <= elevation <= 90.0
-        or not 0.0 <= normal <= 90.0
-    )
+    @property
+    def normal_angle(self) -> float:
+        return 90.0 - self.elevation_angle
 
 
 def euclidean_distance(a: Point3, b: Point3) -> float:
@@ -114,11 +93,8 @@ def link_columns(
 ) -> tuple[list[float], list[float], list[float]]:
     """Slant distance, horizontal distance and elevation columns, one row per PD point.
 
-    Each row is checked against every LinkGeometry invariant.
-
     Raises:
         LedNotAbovePd: when the LED is not strictly above a PD point.
-        DomainError: when a row breaks a LinkGeometry invariant.
     """
 
     lx, ly, lz = led_pos.x, led_pos.y, led_pos.z
@@ -135,8 +111,6 @@ def link_columns(
         # directly under the LED and d == V up to one ulp.
         horizontal = sqrt(max(slant**2 - vertical**2, 0.0))
         elevation = degrees(asin(min(vertical / slant, 1.0)))
-        if _breaks_link_invariant(slant, vertical, horizontal, elevation, 90.0 - elevation):
-            raise DomainError(f"inconsistent link geometry to ({x}, {y}, {z})")
         slants.append(slant)
         horizontals.append(horizontal)
         elevations.append(elevation)
@@ -160,7 +134,6 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> LinkGeometry:
         vertical_separation=led_pos.z - pd_pos.z,
         horizontal_distance=horizontal,
         elevation_angle=elevation,
-        normal_angle=90.0 - elevation,
     )
 
 

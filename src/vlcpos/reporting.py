@@ -21,6 +21,7 @@ import ast
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat, starmap
 from operator import attrgetter
@@ -49,6 +50,7 @@ __all__ = [
     "power_sweep_table",
     "angle_sweep_table",
     "replication_table",
+    "replication_text",
     "estimate_lines",
 ]
 
@@ -213,6 +215,31 @@ def replication_table(
     return OutputTable("replication_report", tuple(fields), rows, metadata)
 
 
+def replication_text(report: ReplicationReport) -> str:
+    """The plain-text replication report: assumptions, one line per check, totals."""
+
+    lines = [f"# reference dataset version {report.dataset_version}"]
+    lines += [f"# assumption: {assumption}" for assumption in report.assumptions]
+    for check in report.checks:
+        diff = (
+            ""
+            if check.difference is None
+            else f" (diff {format_number(check.difference)})"
+        )
+        lines.append(
+            f"{check.name}: computed {format_number(check.computed)} vs reference "
+            f"{format_number(check.reference)}{diff}: {check.verdict.value} "
+            f"[{check.note}]"
+        )
+    counts = Counter(check.verdict.value for check in report.checks)
+    lines.append(
+        f"checks: {len(report.checks)} total, {counts['REPRODUCED']} reproduced, "
+        f"{counts['TREND-ONLY']} trend-only, {counts['NOT-REPRODUCIBLE']} "
+        f"not-reproducible, {len(report.regressions)} regressions"
+    )
+    return "\n".join(lines) + "\n"
+
+
 def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[str]:
     """Human-readable key = value lines for a one-shot estimate."""
 
@@ -222,7 +249,7 @@ def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[
         f"incidence_elevation = {format_number(record.angles.incidence)}",
         f"complementary = {format_number(record.angles.complementary)}",
         f"supplementary = {format_number(record.angles.supplementary)}",
-        f"fused_offset = {format_number(record.offsets.x_fused)}",
+        f"fused_offset = {format_number(record.offsets.fused)}",
         "estimated = "
         f"({format_number(record.estimated.x)}, {format_number(record.estimated.y)}, 0)",
     ]

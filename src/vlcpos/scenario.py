@@ -169,6 +169,11 @@ class ScenarioConfig:
                 raise ValidationError(f"transmit power must be > 0, got {p}")
         if len(self.sweep_elevations) == 0:
             raise ValidationError("sweep_elevations must not be empty")
+        for elevation in self.sweep_elevations:
+            if not 0.0 < elevation <= 90.0:
+                raise ValidationError(
+                    f"sweep elevation must lie in (0, 90] degrees, got {elevation}"
+                )
         if not 0.0 <= self.azimuth < 360.0:
             raise ValidationError(
                 f"azimuth must lie in [0, 360) degrees, got {self.azimuth}"
@@ -340,16 +345,8 @@ def run_angle_sweep(
     varies within a family. Elevation e maps to the from-normal angle 90 - e
     for both channel gains. Without a configured distance_range the span runs
     from the nearest to the farthest configured position.
-
-    Raises:
-        DomainError: when a configured elevation is outside (0, 90] degrees.
     """
 
-    for elevation in config.sweep_elevations:
-        if not 0.0 < elevation <= 90.0:
-            raise DomainError(
-                f"sweep elevation must lie in (0, 90] degrees, got {elevation}"
-            )
     if config.distance_range is None:
         slants = [euclidean_distance(config.led.position, p) for p in config.pd_positions]
         low, high = min(slants), max(slants)
@@ -594,7 +591,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         config.pd_template,
         azimuth=config.azimuth,
         vertical_separation=corner.vertical_separation,
-    ).offsets.x_fused
+    ).offsets.fused
     attainable = corner.horizontal_distance * math.sqrt(2.0) / 2.0
     checks.append(
         _value_check(

@@ -149,7 +149,7 @@ def test_criterion_5_angle_identities_and_fusion():
             offsets = offset_estimate(d_hor, csa_angles(theta))
             rad = math.radians(theta)
             expected = d_hor * (math.sin(rad) + math.cos(rad)) / 2.0
-            gap = abs(offsets.x_fused - expected)
+            gap = abs(offsets.fused - expected)
             worst = max(worst, gap)
             assert gap <= TOL_FUSION
     print(f"criterion 5 PASS: 1801-point grid exact, worst fusion gap {worst:.2e} m")

@@ -115,6 +115,13 @@ class TestEstimate:
         assert cli(["estimate", "--power", "0.0"]) == 1
         assert "error: NonPositivePower:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x", ["1e308", "nan"])
+    def test_rejects_actual_off_the_floor(self, capsys, x):
+        assert cli(["estimate", "--power", "1.4e-6", "--actual", x, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError: --actual (")
+        assert f"({float(x)}, 0.0)" in err
+
 
 class TestReplicate:
     def test_text_report(self, capsys):

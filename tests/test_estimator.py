@@ -7,12 +7,10 @@ import pytest
 from scipy.optimize import brentq
 
 from vlcpos import (
-    CsaAngles,
     DomainError,
     EmptyInput,
     LedSpec,
     NonPositivePower,
-    OffsetEstimate,
     PdSpec,
     Point3,
     PowerTooHigh,
@@ -143,22 +141,13 @@ class TestCsaAngles:
         with pytest.raises(DomainError):
             csa_angles(90.1)
 
-    def test_record_validates_consistency(self):
-        with pytest.raises(DomainError):
-            CsaAngles(incidence=41.123, complementary=48.0, supplementary=131.123)
-
 
 class TestOffsetEstimate:
     def test_reference_offsets(self):
         offsets = offset_estimate(3.4365, csa_angles(41.123))
-        assert _close(offsets.x_comp, 2.2601093904608134)
-        assert _close(offsets.x_supp, 2.5887135401876455)
-        assert _close(offsets.x_fused, 2.4244114653242295)
-        # Both branches resolve the same horizontal magnitude per axis.
-        assert offsets.x_comp == offsets.y_comp
-        assert offsets.x_supp == offsets.y_supp
-        assert offsets.x_fused == offsets.y_fused
-        assert offsets.z_fused == 0.0
+        assert _close(offsets.comp, 2.2601093904608134)
+        assert _close(offsets.supp, 2.5887135401876455)
+        assert _close(offsets.fused, 2.4244114653242295)
 
     def test_fused_closed_form(self):
         for d_hor in (0.5, 1.0, 3.4365):
@@ -167,22 +156,15 @@ class TestOffsetEstimate:
                 offsets = offset_estimate(d_hor, csa_angles(theta))
                 rad = math.radians(theta)
                 expected = d_hor * (math.sin(rad) + math.cos(rad)) / 2.0
-                assert abs(offsets.x_fused - expected) < 1e-12
+                assert abs(offsets.fused - expected) < 1e-12
 
     def test_zero_horizontal_distance(self):
         offsets = offset_estimate(0.0, csa_angles(90.0))
-        assert offsets.x_comp == offsets.x_supp == offsets.x_fused == 0.0
+        assert offsets.comp == offsets.supp == offsets.fused == 0.0
 
     def test_rejects_negative_distance(self):
         with pytest.raises(DomainError):
             offset_estimate(-0.1, csa_angles(45.0))
-
-    def test_record_validates_fusion(self):
-        with pytest.raises(DomainError):
-            OffsetEstimate(
-                x_comp=1.0, y_comp=1.0, x_supp=2.0, y_supp=2.0,
-                x_fused=1.4, y_fused=1.4,
-            )
 
 
 class TestAnchorEstimate:
@@ -193,7 +175,7 @@ class TestAnchorEstimate:
 
     def test_reference_anchor(self):
         offsets = offset_estimate(3.4365, csa_angles(41.123))
-        fused = offsets.x_fused
+        fused = offsets.fused
         toward_origin = anchor_estimate(offsets, (2.5, 2.5), 225.0)
         assert _close(toward_origin.x, 2.5 + fused * math.cos(math.radians(225.0)))
         assert abs(toward_origin.x - toward_origin.y) < 1e-12

@@ -8,7 +8,6 @@ import pytest
 from vlcpos import (
     DomainError,
     LedNotAbovePd,
-    LinkGeometry,
     OutOfRoom,
     Point3,
     RoomSpec,
@@ -134,24 +133,6 @@ class TestLinkGeometry:
             link_geometry(Point3(2.5, 2.5, 0.0), Point3(2.5, 2.5, 0.0))
         with pytest.raises(LedNotAbovePd):
             link_geometry(Point3(2.5, 2.5, 1.0), Point3(2.5, 2.5, 2.0))
-
-    def test_record_validates_consistency(self):
-        with pytest.raises(DomainError):
-            LinkGeometry(
-                slant_distance=3.0,
-                vertical_separation=3.0,
-                horizontal_distance=1.0,
-                elevation_angle=90.0,
-                normal_angle=0.0,
-            )
-        with pytest.raises(DomainError):
-            LinkGeometry(
-                slant_distance=5.0,
-                vertical_separation=3.0,
-                horizontal_distance=4.0,
-                elevation_angle=40.0,
-                normal_angle=40.0,
-            )
 
 
 class TestDiagonalPositions:

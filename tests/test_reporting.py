@@ -322,6 +322,9 @@ class TestLoadConfig:
             load_config("pd.fov = 120")
         with pytest.raises(ValidationError):
             load_config("led.half_power_angle = 90")
+        for elevations in ("[0]", "[95]"):
+            with pytest.raises(ValidationError, match="got " + elevations.strip("[]")):
+                load_config(f"sweep.elevations = {elevations}")
 
     @pytest.mark.parametrize(
         "text",

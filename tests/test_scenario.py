@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from vlcpos import (
-    DomainError,
     LedNotAbovePd,
     LedSpec,
     NonPositivePower,
@@ -373,9 +372,8 @@ class TestAngleSweep:
         assert [row[1] for row in rows] == [2.0, 2.5, 3.0, 3.5, 4.0]
 
     def test_rejects_out_of_range_elevation(self):
-        config = replace(default_config(), sweep_elevations=(0.0,))
-        with pytest.raises(DomainError):
-            run_angle_sweep(config)
+        with pytest.raises(ValidationError):
+            replace(default_config(), sweep_elevations=(0.0,))
 
 
 class TestReplicationReport:
