@@ -51,7 +51,10 @@ def lambertian_order(half_power_angle: float) -> float:
         raise DomainError(
             f"half-power angle must lie in (0, 90) degrees, got {half_power_angle}"
         )
-    return -math.log(2.0) / math.log(math.cos(math.radians(half_power_angle)))
+    log_cos = math.log(math.cos(math.radians(half_power_angle)))
+    if log_cos == 0.0:  # cos rounds to 1 below about 6e-7 degrees
+        raise DomainError(f"half-power angle {half_power_angle} gives an infinite order")
+    return -math.log(2.0) / log_cos
 
 
 def radiant_intensity(irradiance_angle: float, m: float) -> float:
@@ -105,27 +108,19 @@ class LedSpec:
     def __post_init__(self) -> None:
         if not self.transmit_power > 0.0:
             raise DomainError(f"transmit_power must be > 0, got {self.transmit_power}")
+        # The formula checks the angle even when an explicit order overrides it.
+        derived = lambertian_order(self.half_power_angle)
         if self.lambertian_order is None:
             # Frozen dataclass: the derived default is filled in here.
-            object.__setattr__(
-                self, "lambertian_order", lambertian_order(self.half_power_angle)
-            )
-        else:
-            if not 0.0 < self.half_power_angle < 90.0:
-                raise DomainError(
-                    f"half_power_angle must lie in (0, 90) degrees, got {self.half_power_angle}"
-                )
-            if not self.lambertian_order > 0.0:
-                raise DomainError(
-                    f"lambertian_order must be > 0, got {self.lambertian_order}"
-                )
+            object.__setattr__(self, "lambertian_order", derived)
+        elif not self.lambertian_order > 0.0:
+            raise DomainError(f"lambertian_order must be > 0, got {self.lambertian_order}")
 
 
 @dataclass(frozen=True)
 class PdSpec:
-    """Receiver: position, active area, field of view, filter gain, refractive index."""
+    """Receiver: area, field of view, filter gain, refractive index; placed per call."""
 
-    position: Point3
     area: float
     fov: float
     filter_gain: float
@@ -232,8 +227,8 @@ def received_power_at(
     return power_columns(led, pd, (distance,), (irradiance_angle,), (normal_angle,))[0]
 
 
-def received_power(led: LedSpec, pd: PdSpec) -> ChannelSample:
-    """Evaluate the channel for the LED/PD pair at their stored positions.
+def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
+    """Evaluate the channel for the LED and the detector placed at position.
 
     The irradiance and incidence angles both equal the link's from-normal
     angle because the LED faces straight down and the PD straight up.
@@ -242,7 +237,7 @@ def received_power(led: LedSpec, pd: PdSpec) -> ChannelSample:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
     """
 
-    geometry = link_geometry(led.position, pd.position)
+    geometry = link_geometry(led.position, position)
     angle = geometry.normal_angle
     pattern = radiant_intensity(angle, led.lambertian_order)
     # Both gain factors are already 0 beyond the FOV, which zeroes the power.

@@ -110,7 +110,8 @@ def invert_power_to_distance(
         NonPositivePower: when measured_power <= 0.
         PowerTooHigh: when the implied distance falls below the vertical
             separation, i.e. the power exceeds the on-axis maximum.
-        DomainError: when vertical_separation <= 0.
+        DomainError: when vertical_separation <= 0, or when the power is so
+            small that the implied distance overflows.
     """
 
     if not measured_power > 0.0:
@@ -123,6 +124,10 @@ def invert_power_to_distance(
     gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
     k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
     distance = (k * vertical_separation ** (m + 1.0) / measured_power) ** (1.0 / (m + 3.0))
+    if not math.isfinite(distance):
+        raise DomainError(
+            f"measured power {measured_power} inverts to a non-finite distance {distance}"
+        )
     if distance < vertical_separation * (1.0 - _INVERSION_SLACK):
         raise PowerTooHigh(
             f"measured power {measured_power} implies distance {distance} below "

@@ -22,16 +22,16 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat, starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping, Sequence
 
-from .channel import LedSpec, PdSpec, lambertian_order
+from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord
-from .geometry import Point3, RoomSpec
+from .geometry import Point3
 from .scenario import (
     ReplicationReport,
     ScenarioConfig,
@@ -264,26 +264,92 @@ def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[
 # Configuration
 # ---------------------------------------------------------------------------
 
-# Every accepted dotted key, mapped to a short description used in errors.
-_CONFIG_KEYS = {
-    "room.width": "room width in meters",
-    "room.length": "room length in meters",
-    "room.height": "room height in meters",
-    "led.position": "LED position (x, y, z)",
-    "led.transmit_power": "LED transmit power in watts",
-    "led.half_power_angle": "LED half-power angle in degrees",
-    "led.lambertian_order": "explicit Lambertian order override",
-    "pd.position": "single PD position (x, y, z); replaces sweep.positions",
-    "pd.area": "PD active area in square meters",
-    "pd.fov": "PD field of view in degrees",
-    "pd.filter_gain": "PD optical filter gain",
-    "pd.refractive_index": "PD concentrator refractive index",
-    "sweep.positions": "list of PD positions [(x, y, z), ...]",
-    "sweep.transmit_powers": "list of transmit powers in watts",
-    "sweep.elevations": "list of sweep elevations in degrees",
-    "sweep.azimuth": "anchoring azimuth in degrees",
-    "sweep.distance_samples": "sample count for figure-style sweeps",
-    "sweep.distance_range": "distance span (low, high) for figure-style sweeps",
+
+def _number(value: Any, key: str) -> float:
+    if type(value) not in (int, float):  # a bool or a string is not a number here
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _count(value: Any, key: str) -> int:
+    number = _number(value, key)
+    if not number.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _point(value: Any, key: str) -> Point3:
+    if not (isinstance(value, (tuple, list)) and len(value) == 3):
+        raise ValidationError(f"{key} must be a 3-tuple (x, y, z), got {value!r}")
+    return Point3(*map(_number, value, repeat(key)))
+
+
+def _one_point(value: Any, key: str) -> tuple[Point3]:
+    return (_point(value, key),)
+
+
+def _points(value: Any, key: str) -> tuple[Point3, ...]:
+    if not isinstance(value, (tuple, list)) or len(value) == 0:
+        raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
+    return tuple(_point(p, key) for p in value)
+
+
+def _floats(value: Any, key: str) -> tuple[float, ...]:
+    if not isinstance(value, (tuple, list)) or len(value) == 0:
+        raise ValidationError(f"{key} must be a non-empty list of numbers, got {value!r}")
+    return tuple(_number(v, key) for v in value)
+
+
+def _span(value: Any, key: str) -> tuple[float, ...]:
+    span = _floats(value, key)
+    if len(span) != 2:
+        raise ValidationError(f"{key} must be (low, high), got {span!r}")
+    return span
+
+
+def _point_text(point: Point3) -> str:
+    return f"({point.x!r}, {point.y!r}, {point.z!r})"
+
+
+# The text serialize_config writes for what each parser returns (repr keeps
+# floats exact). _one_point has none: sweep.positions carries the positions.
+_TEXT_FORMS: dict[Callable[[Any, str], Any], Callable[[Any], str]] = {
+    _number: repr,
+    _count: repr,
+    _point: _point_text,
+    _points: lambda points: "[" + ", ".join(map(_point_text, points)) + "]",
+    _floats: lambda values: "[" + ", ".join(map(repr, values)) + "]",
+    _span: lambda span: "(" + ", ".join(map(repr, span)) + ")",
+}
+
+# Every accepted dotted key, in serialization order: the ScenarioConfig field
+# it sets ("record.field" inside the room, LED and detector records), its
+# parser, and a short description used in errors.
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, str], Any], str]] = {
+    "room.width": ("room.width", _number, "room width in meters"),
+    "room.length": ("room.length", _number, "room length in meters"),
+    "room.height": ("room.height", _number, "room height in meters"),
+    "led.position": ("led.position", _point, "LED position (x, y, z)"),
+    "led.transmit_power": ("led.transmit_power", _number, "LED transmit power in watts"),
+    "led.half_power_angle": ("led.half_power_angle", _number, "LED half-power angle, degrees"),
+    "led.lambertian_order": ("led.lambertian_order", _number, "Lambertian order override"),
+    "pd.position": ("pd_positions", _one_point, "one PD position; excludes sweep.positions"),
+    "pd.area": ("pd_template.area", _number, "PD active area in square meters"),
+    "pd.fov": ("pd_template.fov", _number, "PD field of view in degrees"),
+    "pd.filter_gain": ("pd_template.filter_gain", _number, "PD optical filter gain"),
+    "pd.refractive_index": ("pd_template.refractive_index", _number, "PD refractive index"),
+    "sweep.positions": ("pd_positions", _points, "list of PD positions [(x, y, z), ...]"),
+    "sweep.transmit_powers": ("transmit_powers", _floats, "transmit powers in watts"),
+    "sweep.elevations": ("sweep_elevations", _floats, "angle-sweep elevations, degrees"),
+    "sweep.azimuth": ("azimuth", _number, "anchoring azimuth in degrees"),
+    "sweep.distance_samples": ("distance_samples", _count, "figure-sweep sample count"),
+    "sweep.distance_range": ("distance_range", _span, "figure-sweep span (low, high)"),
 }
 
 
@@ -296,53 +362,20 @@ def _parse_lines(text: str) -> dict[str, Any]:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         key, _, value_text = line.partition("=")
-        key = key.strip()
+        key, value_text = key.strip(), value_text.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ParseError(f"duplicate key {key!r}", lineno)
+        # Every error ast.literal_eval documents for malformed input.
         try:
-            values[key] = ast.literal_eval(value_text.strip())
-        except (ValueError, SyntaxError) as exc:
+            values[key] = ast.literal_eval(value_text)
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
             raise ParseError(
-                f"invalid value for {key} ({_CONFIG_KEYS[key]}): {exc}", lineno
+                f"invalid value {value_text!r} for {key} ({_CONFIG_KEYS[key][2]}): {exc}",
+                lineno,
             ) from exc
     return values
-
-
-def _point(value: Any, key: str) -> Point3:
-    if not (isinstance(value, (tuple, list)) and len(value) == 3):
-        raise ValidationError(f"{key} must be a 3-tuple (x, y, z), got {value!r}")
-    return Point3(*(float(c) for c in value))
-
-
-def _number(value: Any, key: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ValidationError(f"{key} must be finite, got {value!r}")
-    return number
-
-
-def _count(value: Any, key: str) -> int:
-    if not isinstance(value, int) and not _number(value, key).is_integer():
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _floats(value: Any, key: str) -> tuple[float, ...]:
-    if not isinstance(value, (tuple, list)) or len(value) == 0:
-        raise ValidationError(f"{key} must be a non-empty list of numbers")
-    return tuple(_number(v, key) for v in value)
-
-
-def _span(value: Any, key: str) -> tuple[float, ...]:
-    span = _floats(value, key)
-    if len(span) != 2:
-        raise ValidationError(f"{key} must be (low, high), got {span!r}")
-    return span
 
 
 def load_config(source: str | Path) -> ScenarioConfig:
@@ -353,71 +386,38 @@ def load_config(source: str | Path) -> ScenarioConfig:
     scenario values.
 
     Raises:
-        ParseError: malformed lines, unknown or duplicate keys.
+        ParseError: a file that is not UTF-8 text, malformed lines, unknown or
+            duplicate keys.
         ValidationError: parsed values violating a scenario invariant.
     """
 
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif "=" in source or "\n" in source or source.strip() == "":
+    if isinstance(source, str) and ("=" in source or "\n" in source or source.strip() == ""):
         text = source
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
     values = _parse_lines(text)
+    if "pd.position" in values and "sweep.positions" in values:
+        raise ValidationError("pd.position and sweep.positions are mutually exclusive")
 
-    def get(key: str, parse: Callable[[Any, str], Any], default: Any) -> Any:
-        return parse(values[key], key) if key in values else default
-
+    # Field overrides per record of the default; "" holds ScenarioConfig's own
+    # fields. The LED is rebuilt without an order unless led.lambertian_order
+    # sets one, so the order follows the half-power angle.
+    changes: dict[str, dict[str, Any]] = {
+        "room": {}, "led": {"lambertian_order": None}, "pd_template": {}, "": {}
+    }
+    for key, value in values.items():
+        field, parse, _ = _CONFIG_KEYS[key]
+        record, _, name = field.rpartition(".")
+        changes[record][name] = parse(value, key)
     base = default_config()
+    fields = changes.pop("")
     try:
-        room = RoomSpec(
-            width=get("room.width", _number, base.room.width),
-            length=get("room.length", _number, base.room.length),
-            height=get("room.height", _number, base.room.height),
-        )
-        led = LedSpec(
-            position=get("led.position", _point, base.led.position),
-            transmit_power=get("led.transmit_power", _number, base.led.transmit_power),
-            half_power_angle=get("led.half_power_angle", _number, base.led.half_power_angle),
-            lambertian_order=get("led.lambertian_order", _number, None),
-        )
-        if "sweep.positions" in values and "pd.position" in values:
-            raise ValidationError(
-                "pd.position and sweep.positions are mutually exclusive"
-            )
-        if "sweep.positions" in values:
-            raw_positions = values["sweep.positions"]
-            if not isinstance(raw_positions, (tuple, list)) or len(raw_positions) == 0:
-                raise ValidationError("sweep.positions must be a non-empty list")
-            positions = tuple(
-                _point(p, "sweep.positions") for p in raw_positions
-            )
-        elif "pd.position" in values:
-            positions = (_point(values["pd.position"], "pd.position"),)
-        else:
-            positions = base.pd_positions
-        # The template position is immaterial (overridden per run); pinning it
-        # to the first sweep position keeps serialization round-trips exact.
-        template = base.pd_template
-        pd = PdSpec(
-            position=positions[0],
-            area=get("pd.area", _number, template.area),
-            fov=get("pd.fov", _number, template.fov),
-            filter_gain=get("pd.filter_gain", _number, template.filter_gain),
-            refractive_index=get("pd.refractive_index", _number, template.refractive_index),
-        )
-        distance_range = get("sweep.distance_range", _span, None)
-        return ScenarioConfig(
-            room=room,
-            led=led,
-            pd_template=pd,
-            pd_positions=positions,
-            transmit_powers=get("sweep.transmit_powers", _floats, base.transmit_powers),
-            sweep_elevations=get("sweep.elevations", _floats, base.sweep_elevations),
-            azimuth=get("sweep.azimuth", _number, base.azimuth),
-            distance_samples=get("sweep.distance_samples", _count, base.distance_samples),
-            distance_range=distance_range,
-        )
+        for record, overrides in changes.items():
+            fields[record] = replace(getattr(base, record), **overrides)
+        return replace(base, **fields)
     except DomainError as exc:
         # Constructor-level domain violations become config validation errors
         # so the CLI maps them to the usage exit code.
@@ -429,40 +429,18 @@ def serialize_config(config: ScenarioConfig) -> str:
 
     Floats are written with repr so loading the result reproduces the exact
     same values. The Lambertian order is written only when it overrides the
-    half-power-angle formula.
+    half-power-angle formula, and the distance range only when it is set.
     """
 
-    lines = [
-        f"room.width = {config.room.width!r}",
-        f"room.length = {config.room.length!r}",
-        f"room.height = {config.room.height!r}",
-        f"led.position = ({config.led.position.x!r}, {config.led.position.y!r}, "
-        f"{config.led.position.z!r})",
-        f"led.transmit_power = {config.led.transmit_power!r}",
-        f"led.half_power_angle = {config.led.half_power_angle!r}",
-    ]
-    if config.led.lambertian_order != lambertian_order(config.led.half_power_angle):
-        lines.append(f"led.lambertian_order = {config.led.lambertian_order!r}")
-    lines += [
-        f"pd.area = {config.pd_template.area!r}",
-        f"pd.fov = {config.pd_template.fov!r}",
-        f"pd.filter_gain = {config.pd_template.filter_gain!r}",
-        f"pd.refractive_index = {config.pd_template.refractive_index!r}",
-        "sweep.positions = ["
-        + ", ".join(f"({p.x!r}, {p.y!r}, {p.z!r})" for p in config.pd_positions)
-        + "]",
-        "sweep.transmit_powers = ["
-        + ", ".join(repr(p) for p in config.transmit_powers)
-        + "]",
-        "sweep.elevations = ["
-        + ", ".join(repr(e) for e in config.sweep_elevations)
-        + "]",
-        f"sweep.azimuth = {config.azimuth!r}",
-        f"sweep.distance_samples = {config.distance_samples!r}",
-    ]
-    if config.distance_range is not None:
-        low, high = config.distance_range
-        lines.append(f"sweep.distance_range = ({low!r}, {high!r})")
+    derived_order = lambertian_order(config.led.half_power_angle)
+    lines = []
+    for key, (field, parse, _) in _CONFIG_KEYS.items():
+        value = attrgetter(field)(config)
+        if key == "pd.position" or value is None:
+            continue
+        if key == "led.lambertian_order" and value == derived_order:
+            continue
+        lines.append(f"{key} = {_TEXT_FORMS[parse](value)}")
     return "\n".join(lines) + "\n"
 
 

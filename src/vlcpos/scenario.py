@@ -135,9 +135,10 @@ _TOL_DISTANCE = 5e-3
 class ScenarioConfig:
     """Complete description of one experiment scenario.
 
-    pd_template's position is overridden per run; pd_positions are the floor
-    points the position sweep visits. distance_range is the span for the
-    figure-style sweeps; None derives it from the configured positions.
+    pd_template is the one detector the sweeps place at each of pd_positions,
+    the floor points the position sweep visits. The LED must lie inside the
+    room. distance_range is the span for the figure-style sweeps; None derives
+    it from the configured positions.
     """
 
     room: RoomSpec
@@ -151,6 +152,11 @@ class ScenarioConfig:
     distance_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        led = self.led.position
+        if not (self.room.contains_floor_point(led) and 0.0 < led.z <= self.room.height):
+            raise ValidationError(
+                f"led position ({led.x}, {led.y}, {led.z}) is outside the room"
+            )
         if len(self.pd_positions) == 0:
             raise ValidationError("pd_positions must not be empty")
         for i, pos in enumerate(self.pd_positions, start=1):
@@ -208,7 +214,6 @@ def default_config() -> ScenarioConfig:
         room, count=10, start=Point3(2.5, 2.5, 0.0), end=Point3(0.07, 0.07, 0.0)
     )
     pd = PdSpec(
-        position=positions[0],
         area=2.25e-6,
         fov=90.0,
         filter_gain=1.0,
@@ -271,13 +276,12 @@ def run_position_sweep(config: ScenarioConfig) -> SweepResult:
     errors: list[float] = []
     for index, position in enumerate(positions, start=1):
         try:
-            moved = PdSpec(position, pd.area, pd.fov, pd.filter_gain, pd.refractive_index)
-            sample = received_power(led, moved)
+            sample = received_power(led, pd, position)
             geometry = sample.geometry
             estimate = estimate_position(
                 sample.received_power,
                 led,
-                moved,
+                pd,
                 azimuth=azimuth,
                 actual=position,
                 vertical_separation=geometry.vertical_separation,

@@ -120,14 +120,14 @@ def test_criterion_4_randomized_inversion_round_trip():
         if fov < 90.0:
             d_max = min(d_max, 0.999 * vertical / math.cos(math.radians(fov)))
         d_true = rng.uniform(vertical, d_max)
+        position = Point3(math.sqrt(d_true**2 - vertical**2), 0.0, 0.0)
         pd = PdSpec(
-            position=Point3(math.sqrt(d_true**2 - vertical**2), 0.0, 0.0),
             area=rng.uniform(5e-7, 1e-4),
             fov=fov,
             filter_gain=rng.uniform(0.5, 2.0),
             refractive_index=rng.uniform(1.0, 2.0),
         )
-        sample = received_power(led, pd)
+        sample = received_power(led, pd, position)
         d_back = invert_power_to_distance(sample.received_power, led, pd, vertical)
         rel = abs(d_back - d_true) / d_true
         worst = max(worst, rel)

@@ -115,6 +115,11 @@ class TestEstimate:
         assert cli(["estimate", "--power", "0.0"]) == 1
         assert "error: NonPositivePower:" in capsys.readouterr().err
 
+    def test_power_too_small_to_invert(self, capsys):
+        assert cli(["estimate", "--power", "5e-324"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: measured power 5e-324 ")
+
     @pytest.mark.parametrize("x", ["1e308", "nan"])
     def test_rejects_actual_off_the_floor(self, capsys, x):
         assert cli(["estimate", "--power", "1.4e-6", "--actual", x, "0"]) == 2
@@ -208,6 +213,51 @@ class TestConfigHandling:
         path.write_text(text + "\n", encoding="utf-8")
         assert cli(["position-sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param(
+                "room.width = {[]: 1}", "ParseError: line 1: invalid value '{[]: 1}'",
+                id="unhashable",
+            ),
+            pytest.param(
+                'led.position = ("a", 1, 2)',
+                "ValidationError: led.position must be a number, got 'a'",
+                id="text-coordinate",
+            ),
+            pytest.param(
+                "sweep.positions = [(1, 2, None)]",
+                "ValidationError: sweep.positions must be a number, got None",
+                id="none-coordinate",
+            ),
+            pytest.param(
+                "room.width = 1" + "0" * 400,
+                "ValidationError: room.width must be finite, got 1000",
+                id="huge-int",
+            ),
+            pytest.param(
+                'sweep.distance_samples = "7.0"',
+                "ValidationError: sweep.distance_samples must be a number, got '7.0'",
+                id="text-count",
+            ),
+            pytest.param(
+                "led.position = (2.5, 2.5, 1e200)",
+                "ValidationError: led position (2.5, 2.5, 1e+200) is outside the room",
+                id="led-above-ceiling",
+            ),
+            pytest.param(
+                "led.position = (90.0, 2.5, 3.0)",
+                "ValidationError: led position (90.0, 2.5, 3.0) is outside the room",
+                id="led-off-floor",
+            ),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert cli(["position-sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -30,7 +30,6 @@ LED = LedSpec(
     half_power_angle=60.0,
 )
 PD = PdSpec(
-    position=Point3(2.5, 2.5, 0.0),
     area=2.25e-6,
     fov=90.0,
     filter_gain=1.0,
@@ -239,7 +238,7 @@ class TestEstimatePosition:
         assert record.positioning_error is None
 
     def test_under_emitter_is_error_free(self):
-        sample = received_power(LED, PD)
+        sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
         record = estimate_position(
             sample.received_power, LED, PD, 225.0, actual=Point3(2.5, 2.5, 0.0)
         )

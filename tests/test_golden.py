@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from vlcpos import config_hash, default_config
 from vlcpos.cli import cli
 
 GOLDEN = {
@@ -40,3 +41,8 @@ def test_default_config_output_is_pinned(command, tmp_path):
     out = tmp_path / "out"
     assert cli([*command.split(), "--out", str(out)]) == 0
     assert _digest_outside_metadata(out.read_bytes()) == GOLDEN[command]
+
+
+def test_default_config_hash_is_pinned():
+    # The hash digests serialize_config's text, so this pins those bytes too.
+    assert config_hash(default_config()) == "b43b69b192d5"

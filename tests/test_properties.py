@@ -1,4 +1,5 @@
-"""Property tests for the identities the per-row records hold by construction.
+"""Property tests for the identities the per-row records hold by construction,
+and for the config text boundary.
 
 The records no longer re-check these on every row, so each test drives one
 producer over its input domain instead. Hypothesis runs derandomized: every
@@ -13,12 +14,19 @@ from hypothesis import strategies as st
 from vlcpos import (
     DomainError,
     LedSpec,
+    ParseError,
     PdSpec,
     Point3,
+    RoomSpec,
+    ScenarioConfig,
+    ValidationError,
     estimate_position,
     link_geometry,
+    load_config,
     received_power,
+    serialize_config,
 )
+from vlcpos.reporting import _CONFIG_KEYS
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -41,8 +49,8 @@ def links(draw):
 
 
 @st.composite
-def transceivers(draw, led_position, pd_position):
-    """Any LedSpec and PdSpec at the given positions, with a Lambertian order in (0.1, 20]."""
+def transceivers(draw, led_position):
+    """Any LedSpec at the given position and any PdSpec, with a Lambertian order in (0.1, 20]."""
 
     led = LedSpec(
         position=led_position,
@@ -52,7 +60,6 @@ def transceivers(draw, led_position, pd_position):
     )
     try:
         pd = PdSpec(
-            position=pd_position,
             area=draw(st.floats(1e-8, 1e-2)),
             fov=draw(FOV),
             filter_gain=draw(st.floats(1e-3, 10.0)),
@@ -81,8 +88,9 @@ def test_link_geometry_closes(link):
 @PROPERTY
 @given(st.data(), links())
 def test_received_power_factors_are_non_negative(data, link):
-    led, pd = data.draw(transceivers(*link))
-    sample = received_power(led, pd)
+    led_position, pd_position = link
+    led, pd = data.draw(transceivers(led_position))
+    sample = received_power(led, pd, pd_position)
     assert sample.radiant_intensity >= 0.0
     assert sample.concentrator_gain >= 0.0
     assert sample.effective_area >= 0.0
@@ -103,12 +111,91 @@ def rooms(draw):
 @PROPERTY
 @given(st.data(), rooms(), st.floats(0.0, 360.0, exclude_max=True))
 def test_estimate_lies_on_the_floor(data, room, azimuth):
-    led, pd = data.draw(transceivers(*room))
-    sample = received_power(led, pd)
+    led_position, pd_position = room
+    led, pd = data.draw(transceivers(led_position))
+    sample = received_power(led, pd, pd_position)
     # A PD outside the FOV reads 0 W, which the estimator rejects as input.
     assume(sample.received_power > 0.0)
-    record = estimate_position(sample.received_power, led, pd, azimuth, actual=pd.position)
+    record = estimate_position(sample.received_power, led, pd, azimuth, actual=pd_position)
     assert record.estimated.z == 0.0
     assert record.positioning_error >= 0.0
     # The inversion recovers the slant distance the reading was made at.
     assert math.isclose(record.inverted_distance, sample.geometry.slant_distance, rel_tol=1e-9)
+
+
+@st.composite
+def configs(draw):
+    """Any valid ScenarioConfig: the LED inside the room, the positions on its floor."""
+
+    width, length = draw(st.floats(0.5, 100.0)), draw(st.floats(0.5, 100.0))
+    height = draw(st.floats(0.5, 20.0))
+    floor_point = st.builds(
+        Point3, st.floats(0.0, width), st.floats(0.0, length), st.just(0.0)
+    )
+    led = LedSpec(
+        position=Point3(
+            draw(st.floats(0.0, width)), draw(st.floats(0.0, length)),
+            draw(st.floats(0.0, height, exclude_min=True)),
+        ),
+        transmit_power=draw(st.floats(1e-3, 1e3)),
+        half_power_angle=draw(st.floats(1.0, 89.0)),
+        lambertian_order=draw(st.none() | ORDER),
+    )
+    pd = PdSpec(
+        area=draw(st.floats(1e-8, 1e-2)),
+        fov=draw(st.floats(1e-3, 90.0)),
+        filter_gain=draw(st.floats(1e-3, 10.0)),
+        refractive_index=draw(st.floats(1.0, 3.0)),
+    )
+    low = draw(st.floats(1e-3, 50.0))
+    return ScenarioConfig(
+        room=RoomSpec(width, length, height),
+        led=led,
+        pd_template=pd,
+        pd_positions=tuple(draw(st.lists(floor_point, min_size=1, max_size=5))),
+        transmit_powers=tuple(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))),
+        sweep_elevations=tuple(
+            draw(st.lists(st.floats(0.0, 90.0, exclude_min=True), min_size=1, max_size=4))
+        ),
+        azimuth=draw(st.floats(0.0, 360.0, exclude_max=True)),
+        distance_samples=draw(st.integers(2, 10**6)),
+        distance_range=draw(st.none() | st.just((low, low + draw(st.floats(0.0, 50.0))))),
+    )
+
+
+@PROPERTY
+@given(configs())
+def test_serialized_config_loads_back_equal(config):
+    assert load_config(serialize_config(config)) == config
+
+
+# Python literal text, well-formed or not: numbers of any size, strings, None,
+# and lists, tuples, sets and dicts nested from them (including unhashable
+# set members and dict keys, which ast.literal_eval rejects with TypeError).
+SCALAR_TEXT = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**500), 10**500),
+    st.floats(), st.complex_numbers(), st.text(max_size=4),
+).map(repr)
+LITERAL_TEXT = st.recursive(
+    SCALAR_TEXT,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(inner, max_size=4).map(lambda items: "(" + ", ".join(items) + ")"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda items: "{" + ", ".join(items) + "}"),
+        st.lists(st.tuples(inner, inner), max_size=2).map(
+            lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(list(_CONFIG_KEYS)), LITERAL_TEXT | st.text())))
+def test_config_text_loads_or_is_rejected_at_the_boundary(lines):
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        config = load_config(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(config, ScenarioConfig)

@@ -37,7 +37,6 @@ LED = LedSpec(
     half_power_angle=60.0,
 )
 PD = PdSpec(
-    position=Point3(2.5, 2.5, 0.0),
     area=2.25e-6,
     fov=90.0,
     filter_gain=1.0,
@@ -267,18 +266,22 @@ class TestLoadConfig:
     def test_single_pd_position(self):
         config = load_config("pd.position = (1.0, 2.0, 0.0)")
         assert config.pd_positions == (Point3(1.0, 2.0, 0.0),)
-        assert config.pd_template.position == Point3(1.0, 2.0, 0.0)
 
     def test_sweep_positions(self):
         config = load_config("sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]")
         assert config.pd_positions == (Point3(1.0, 1.0, 0.0), Point3(2.0, 2.0, 0.0))
-        assert config.pd_template.position == config.pd_positions[0]
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("sweep.azimuth = 45.0\n", encoding="utf-8")
         assert load_config(path).azimuth == 45.0
         assert load_config(str(path)).azimuth == 45.0
+
+    def test_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"room.width = 5\xff\n")
+        with pytest.raises(ParseError, match="is not UTF-8 text"):
+            load_config(path)
 
     def test_distance_range(self):
         config = load_config("sweep.distance_range = (2.0, 4.0)")
@@ -325,6 +328,10 @@ class TestLoadConfig:
         for elevations in ("[0]", "[95]"):
             with pytest.raises(ValidationError, match="got " + elevations.strip("[]")):
                 load_config(f"sweep.elevations = {elevations}")
+        # The serialized form needs the formula's order even when one is given.
+        for order in ("", "\nled.lambertian_order = 2"):
+            with pytest.raises(ValidationError, match="angle 1e-09"):
+                load_config("led.half_power_angle = 1e-9" + order)
 
     @pytest.mark.parametrize(
         "text",

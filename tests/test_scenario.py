@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from vlcpos import (
-    LedNotAbovePd,
     LedSpec,
     NonPositivePower,
     Point3,
@@ -213,8 +212,10 @@ class TestPositionSweep:
             transmit_power=15.0,
             half_power_angle=60.0,
         )
-        with pytest.raises(LedNotAbovePd, match="^position 1:"):
-            run_position_sweep(replace(config, led=grounded))
+        # An LED on the floor is outside the room, so the config rejects it
+        # before a sweep could fail at position 1.
+        with pytest.raises(ValidationError, match=r"led position \(2.5, 2.5, 0.0\)"):
+            replace(config, led=grounded)
 
 
 class TestSweepColumnsMatchScalarPath:
@@ -235,10 +236,10 @@ class TestSweepColumnsMatchScalarPath:
         led = replace(base.led, lambertian_order=order)
         config = replace(base, led=led, pd_positions=positions, azimuth=azimuth)
         result = run_position_sweep(config)
+        pd = config.pd_template
         for i, position in enumerate(positions):
-            pd = replace(config.pd_template, position=position)
             geometry = link_geometry(led.position, position)
-            sample = received_power(led, pd)
+            sample = received_power(led, pd, position)
             record = estimate_position(
                 sample.received_power,
                 led,
@@ -292,7 +293,7 @@ class TestSweepColumnsMatchScalarPath:
         for transmit in config.transmit_powers:
             led = replace(config.led, transmit_power=transmit)
             samples = [
-                received_power(led, replace(config.pd_template, position=position))
+                received_power(led, config.pd_template, position)
                 for position in positions
             ]
             expected = {s.geometry.slant_distance: s.received_power for s in samples}
