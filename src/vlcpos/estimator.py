@@ -110,8 +110,9 @@ def invert_power_to_distance(
         NonPositivePower: when measured_power <= 0.
         PowerTooHigh: when the implied distance falls below the vertical
             separation, i.e. the power exceeds the on-axis maximum.
-        DomainError: when vertical_separation <= 0, or when the power is so
-            small that the implied distance overflows.
+        DomainError: when vertical_separation <= 0, when V^(m+1) overflows
+            (a large Lambertian order), or when the power is so small that the
+            implied distance overflows.
     """
 
     if not measured_power > 0.0:
@@ -123,7 +124,13 @@ def invert_power_to_distance(
     m = led.lambertian_order
     gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
     k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
-    distance = (k * vertical_separation ** (m + 1.0) / measured_power) ** (1.0 / (m + 3.0))
+    try:
+        distance = (k * vertical_separation ** (m + 1.0) / measured_power) ** (1.0 / (m + 3.0))
+    except OverflowError:  # V ** (m + 1) past the float range
+        raise DomainError(
+            f"Lambertian order {m} overflows the vertical separation "
+            f"{vertical_separation} raised to m + 1"
+        ) from None
     if not math.isfinite(distance):
         raise DomainError(
             f"measured power {measured_power} inverts to a non-finite distance {distance}"

@@ -21,6 +21,7 @@ import ast
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import repeat, starmap
@@ -353,6 +354,27 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, str], Any], str]] = {
 }
 
 
+# serialize_config's spelling of a point list with every number in JSON's
+# grammar, spaces only. json.loads reads such text to the value
+# ast.literal_eval gives (ints stay ints, both round floats correctly) without
+# the syntax tree, which dominates loading a long sweep.positions. re compiles
+# the pattern on first use. No possessive quantifiers: Python 3.10 lacks them.
+_JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_JSON_POINT = rf"\( *{_JSON_NUMBER} *, *{_JSON_NUMBER} *, *{_JSON_NUMBER} *\)"
+_POINT_LIST = rf"\[ *{_JSON_POINT}(?: *, *{_JSON_POINT})* *\]"
+
+
+def _literal(text: str) -> Any:
+    """ast.literal_eval(text), read by json when text is a point list in JSON numbers."""
+
+    if re.fullmatch(_POINT_LIST, text):
+        try:
+            return list(map(tuple, json.loads(text.replace("(", "[").replace(")", "]"))))
+        except ValueError:  # an integer past the digit limit: ast reports it
+            pass
+    return ast.literal_eval(text)
+
+
 def _parse_lines(text: str) -> dict[str, Any]:
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -369,7 +391,7 @@ def _parse_lines(text: str) -> dict[str, Any]:
             raise ParseError(f"duplicate key {key!r}", lineno)
         # Every error ast.literal_eval documents for malformed input.
         try:
-            values[key] = ast.literal_eval(value_text)
+            values[key] = _literal(value_text)
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
             raise ParseError(
                 f"invalid value {value_text!r} for {key} ({_CONFIG_KEYS[key][2]}): {exc}",

@@ -18,6 +18,7 @@ defects of the reference data stay visible without failing the run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
@@ -131,14 +132,21 @@ _TOL_DISTANCE = 5e-3
 # ---------------------------------------------------------------------------
 
 
+# The lowest LED whose squared height above the floor is a normal float.
+# Below it the slant distance of a PD under the LED can round to 0, and the
+# link geometry divides by it.
+_MIN_LED_HEIGHT = math.sqrt(sys.float_info.min)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
     the floor points the position sweep visits. The LED must lie inside the
-    room. distance_range is the span for the figure-style sweeps; None derives
-    it from the configured positions.
+    room, at least _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor.
+    distance_range is the span for the figure-style sweeps; None derives it
+    from the configured positions.
     """
 
     room: RoomSpec
@@ -156,6 +164,11 @@ class ScenarioConfig:
         if not (self.room.contains_floor_point(led) and 0.0 < led.z <= self.room.height):
             raise ValidationError(
                 f"led position ({led.x}, {led.y}, {led.z}) is outside the room"
+            )
+        if led.z < _MIN_LED_HEIGHT:
+            raise ValidationError(
+                f"led height {led.z} is below {_MIN_LED_HEIGHT:.3g} m, where the "
+                "squared link distances underflow"
             )
         if len(self.pd_positions) == 0:
             raise ValidationError("pd_positions must not be empty")

@@ -73,6 +73,13 @@ class TestOtherSweeps:
         assert header == ["elevation", "distance", "received_power"]
         assert len(rows) == 20
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_samples_below_two_exit_2(self, capsys, samples):
+        assert cli(["angle-sweep", "--samples", samples]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: ValidationError: distance_samples must be >= 2, got {samples}\n"
+        )
+
     def test_samples_change_config_hash(self, capsys):
         assert cli(["angle-sweep"]) == 0
         default_meta = [
@@ -251,6 +258,11 @@ class TestConfigHandling:
                 "ValidationError: led position (90.0, 2.5, 3.0) is outside the room",
                 id="led-off-floor",
             ),
+            pytest.param(
+                "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
+                "ValidationError: led height 1e-200 is below 1.49e-154 m",
+                id="led-height-underflows",
+            ),
         ],
     )
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys, text, error):
@@ -258,6 +270,17 @@ class TestConfigHandling:
         path.write_text(text + "\n", encoding="utf-8")
         assert cli(["position-sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    @pytest.mark.parametrize(
+        "argv", [["estimate", "--power", "1e-9"], ["position-sweep"]], ids=["estimate", "sweep"]
+    )
+    def test_overflowing_lambertian_order_exits_1(self, tmp_path, capsys, argv):
+        path = tmp_path / "order.cfg"
+        path.write_text("led.lambertian_order = 650\n", encoding="utf-8")
+        assert cli(argv + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ")
+        assert "Lambertian order 650.0 overflows the vertical separation 3.0" in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -1,13 +1,18 @@
 """Property tests for the identities the per-row records hold by construction,
-and for the config text boundary.
+and for the config text boundary and its point-list reader.
 
 The records no longer re-check these on every row, so each test drives one
 producer over its input domain instead. Hypothesis runs derandomized: every
 run draws the same examples.
 """
 
+import ast
 import math
+import random
+import re
+from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
@@ -20,13 +25,16 @@ from vlcpos import (
     RoomSpec,
     ScenarioConfig,
     ValidationError,
+    default_config,
     estimate_position,
     link_geometry,
     load_config,
     received_power,
     serialize_config,
 )
-from vlcpos.reporting import _CONFIG_KEYS
+from vlcpos import reporting
+from vlcpos.reporting import _CONFIG_KEYS, _POINT_LIST, _literal
+from vlcpos.scenario import _MIN_LED_HEIGHT
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -125,7 +133,8 @@ def test_estimate_lies_on_the_floor(data, room, azimuth):
 
 @st.composite
 def configs(draw):
-    """Any valid ScenarioConfig: the LED inside the room, the positions on its floor."""
+    """Any valid ScenarioConfig: the LED inside the room (and not so low that its
+    squared height underflows), the positions on its floor."""
 
     width, length = draw(st.floats(0.5, 100.0)), draw(st.floats(0.5, 100.0))
     height = draw(st.floats(0.5, 20.0))
@@ -135,7 +144,7 @@ def configs(draw):
     led = LedSpec(
         position=Point3(
             draw(st.floats(0.0, width)), draw(st.floats(0.0, length)),
-            draw(st.floats(0.0, height, exclude_min=True)),
+            draw(st.floats(_MIN_LED_HEIGHT, height)),
         ),
         transmit_power=draw(st.floats(1e-3, 1e3)),
         half_power_angle=draw(st.floats(1.0, 89.0)),
@@ -199,3 +208,85 @@ def test_config_text_loads_or_is_rejected_at_the_boundary(lines):
     except (ParseError, ValidationError):
         return
     assert isinstance(config, ScenarioConfig)
+
+
+# Numbers as repr spells them, all in JSON's grammar: signed zeros, exponents
+# such as 1e-05 and 1e+16, and integers of more than 400 digits.
+POINT_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.integers(-(10**500), 10**500),
+    st.sampled_from([0, -0.0, 1e-05, 1e16, 5e-324]),
+)
+
+
+@st.composite
+def point_list_texts(draw):
+    """A non-empty list of 3-number tuples, with or without spaces around commas."""
+
+    comma = st.sampled_from([",", ", ", " , "])
+    points = draw(st.lists(st.tuples(POINT_NUMBER, POINT_NUMBER, POINT_NUMBER), min_size=1))
+    spelled = [
+        "(" + "".join(repr(n) + draw(comma) for n in point[:2]) + repr(point[2]) + ")"
+        for point in points
+    ]
+    return "[" + "".join(p + draw(comma) for p in spelled[:-1]) + spelled[-1] + "]"
+
+
+@PROPERTY
+@given(point_list_texts())
+def test_point_list_reader_matches_literal_eval(text):
+    assert re.fullmatch(_POINT_LIST, text)  # the text takes the JSON path
+    value, expected = _literal(text), ast.literal_eval(text)
+    assert value == expected
+    # repr tells a list from a tuple, an int from a float, and -0.0 from 0.0.
+    assert repr(value) == repr(expected)
+
+
+def _outcome(read, text):
+    """What read(text) gives: its value, or the kind and message of its error.
+
+    ast.literal_eval names a malformed node by its repr, whose address differs
+    from one call to the next, so addresses are dropped from messages.
+    """
+
+    try:
+        return repr(read(text))
+    except (ValueError, TypeError, SyntaxError, ParseError, ValidationError) as exc:
+        return type(exc), re.sub(r" at 0x[0-9a-f]+", "", str(exc))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "[(1., 2, 3)]",
+        "[(.5, 2, 3)]",
+        "[(+1, 2, 3)]",
+        "[(1_0, 2, 3)]",
+        "[(01, 2, 3)]",
+        "[(1, 2, 3),]",
+        "[(1, 2, 3])",
+        "[(1), (2, 3, 4)]",
+        "[(NaN, 1, 2)]",
+        "[(1e400, 0, 0)]",
+        "[(1" + "0" * 4999 + ", 0, 0)]",
+    ],
+)
+def test_near_miss_point_lists_load_as_literal_eval_reads_them(monkeypatch, value):
+    text = f"sweep.positions = {value}\n"
+    assert _outcome(_literal, value) == _outcome(ast.literal_eval, value)
+    loaded = _outcome(load_config, text)
+    monkeypatch.setattr(reporting, "_literal", ast.literal_eval)
+    assert loaded == _outcome(load_config, text)
+
+
+def test_long_point_list_loads_as_literal_eval_reads_it(monkeypatch):
+    rng = random.Random(601)
+    positions = tuple(
+        Point3(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0) for _ in range(20_000)
+    )
+    config = replace(default_config(), pd_positions=positions)
+    text = serialize_config(config)
+    loaded = load_config(text)
+    monkeypatch.setattr(reporting, "_literal", ast.literal_eval)
+    assert loaded == load_config(text) == config
