@@ -19,6 +19,7 @@ direction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .channel import LedSpec, PdSpec, concentrator_gain
@@ -26,14 +27,11 @@ from .errors import DomainError, EmptyInput, NonPositivePower, PowerTooHigh
 from .geometry import Point3, euclidean_distance
 
 __all__ = [
-    "CsaAngles",
-    "OffsetEstimate",
     "EstimateRecord",
     "invert_power_to_distance",
     "csa_angles",
     "offset_estimate",
     "anchor_estimate",
-    "positioning_error",
     "average_error",
     "estimate_position",
 ]
@@ -44,54 +42,18 @@ _INVERSION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class CsaAngles:
-    """Incidence elevation angle with its complementary and supplementary angles."""
-
-    incidence: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.incidence <= 90.0:
-            raise DomainError(
-                f"incidence must lie in [0, 90] degrees, got {self.incidence}"
-            )
-
-    @property
-    def complementary(self) -> float:
-        return 90.0 - self.incidence
-
-    @property
-    def supplementary(self) -> float:
-        return 90.0 + self.incidence
-
-
-@dataclass(frozen=True)
-class OffsetEstimate:
-    """Projections of the horizontal distance through both angles, and their mean.
-
-    The values are radial displacement magnitudes from the LED's floor
-    projection; the construction is the same on every axis.
-    """
-
-    comp: float
-    supp: float
-
-    @property
-    def fused(self) -> float:
-        return (self.comp + self.supp) / 2.0
-
-
-@dataclass(frozen=True)
 class EstimateRecord:
     """One position estimate with every intermediate quantity recorded.
 
-    actual and positioning_error are None for one-shot estimates where the
-    true position is unknown.
+    incidence is the elevation angle fed to the CSA construction and fused the
+    mean of its two projections. actual and positioning_error are None for
+    one-shot estimates where the true position is unknown.
     """
 
     actual: Point3 | None
     estimated: Point3
-    offsets: OffsetEstimate
-    angles: CsaAngles
+    incidence: float
+    fused: float
     measured_power: float
     inverted_distance: float
     positioning_error: float | None
@@ -105,14 +67,16 @@ def invert_power_to_distance(
     With cos(theta) = V/d the received power collapses to
     P = K * V^(m+1) / d^(m+3) with K = P_trans*(m+1)*A*h*g/(2*pi), so
     d = (K * V^(m+1) / P) ^ (1/(m+3)), the unique solution with d >= V.
+    Where V^(m+1) leaves the normal float range (a large order or a small
+    separation), or K * V^(m+1) / P falls below it, the same formula is taken
+    in logarithms, d = exp((ln K + (m+1) ln V - ln P) / (m+3)).
 
     Raises:
         NonPositivePower: when measured_power <= 0.
         PowerTooHigh: when the implied distance falls below the vertical
             separation, i.e. the power exceeds the on-axis maximum.
-        DomainError: when vertical_separation <= 0, when V^(m+1) overflows
-            (a large Lambertian order), or when the power is so small that the
-            implied distance overflows.
+        DomainError: when vertical_separation <= 0, or when the power is so
+            small that the implied distance overflows.
     """
 
     if not measured_power > 0.0:
@@ -125,12 +89,18 @@ def invert_power_to_distance(
     gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
     k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
     try:
-        distance = (k * vertical_separation ** (m + 1.0) / measured_power) ** (1.0 / (m + 3.0))
+        lifted = vertical_separation ** (m + 1.0)
     except OverflowError:  # V ** (m + 1) past the float range
-        raise DomainError(
-            f"Lambertian order {m} overflows the vertical separation "
-            f"{vertical_separation} raised to m + 1"
-        ) from None
+        lifted = math.inf
+    quotient = k * lifted / measured_power
+    if lifted < math.inf and min(lifted, quotient) >= sys.float_info.min:
+        distance = quotient ** (1.0 / (m + 3.0))
+    else:
+        log_v, log_p = math.log(vertical_separation), math.log(measured_power)
+        try:
+            distance = math.exp((math.log(k) + (m + 1.0) * log_v - log_p) / (m + 3.0))
+        except (OverflowError, ValueError):  # past the float range, or K == 0
+            distance = math.inf
     if not math.isfinite(distance):
         raise DomainError(
             f"measured power {measured_power} inverts to a non-finite distance {distance}"
@@ -143,36 +113,42 @@ def invert_power_to_distance(
     return max(distance, vertical_separation)
 
 
-def csa_angles(incidence_elevation: float) -> CsaAngles:
+def csa_angles(incidence_elevation: float) -> tuple[float, float]:
     """Complementary (90 - theta) and supplementary (90 + theta) angles.
 
     Raises:
         DomainError: when the elevation is outside [0, 90] degrees.
     """
 
-    return CsaAngles(incidence_elevation)
+    if not 0.0 <= incidence_elevation <= 90.0:
+        raise DomainError(
+            f"incidence must lie in [0, 90] degrees, got {incidence_elevation}"
+        )
+    return 90.0 - incidence_elevation, 90.0 + incidence_elevation
 
 
-def offset_estimate(d_hor: float, angles: CsaAngles) -> OffsetEstimate:
-    """Project the horizontal distance through both angles and fuse the results.
+def offset_estimate(d_hor: float, incidence_elevation: float) -> float:
+    """Project the horizontal distance through both CSA angles and fuse the results.
 
-    comp projects through cos(complementary), supp through sin(supplementary),
-    so the fused value equals d_hor * (sin(theta) + cos(theta)) / 2.
+    The complementary projection goes through cos(90 - theta), the
+    supplementary one through sin(90 + theta), so the fused mean equals
+    d_hor * (sin(theta) + cos(theta)) / 2. It is a radial displacement
+    magnitude from the LED's floor projection.
 
     Raises:
-        DomainError: when d_hor < 0.
+        DomainError: when d_hor < 0 or the elevation is outside [0, 90] degrees.
     """
 
     if d_hor < 0.0:
         raise DomainError(f"horizontal distance must be >= 0, got {d_hor}")
-    return OffsetEstimate(
-        comp=d_hor * math.cos(math.radians(angles.complementary)),
-        supp=d_hor * math.sin(math.radians(angles.supplementary)),
-    )
+    complementary, supplementary = csa_angles(incidence_elevation)
+    comp = d_hor * math.cos(math.radians(complementary))
+    supp = d_hor * math.sin(math.radians(supplementary))
+    return (comp + supp) / 2.0
 
 
 def anchor_estimate(
-    offsets: OffsetEstimate, led_floor_projection: tuple[float, float], azimuth: float
+    fused: float, led_floor_projection: tuple[float, float], azimuth: float
 ) -> Point3:
     """Place the fused offset at the LED's floor projection along an azimuth.
 
@@ -189,18 +165,11 @@ def anchor_estimate(
     if not 0.0 <= azimuth < 360.0:
         raise DomainError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
     led_x, led_y = led_floor_projection
-    fused = offsets.fused
     return Point3(
         led_x + fused * math.cos(math.radians(azimuth)),
         led_y + fused * math.sin(math.radians(azimuth)),
         0.0,
     )
-
-
-def positioning_error(actual: Point3, estimated: Point3) -> float:
-    """3-D Euclidean distance between the actual and estimated positions."""
-
-    return euclidean_distance(actual, estimated)
 
 
 def average_error(errors: list[float] | tuple[float, ...]) -> float:
@@ -234,15 +203,14 @@ def estimate_position(
     distance = invert_power_to_distance(measured_power, led, pd, vertical_separation)
     elevation = math.degrees(math.asin(min(vertical_separation / distance, 1.0)))
     d_hor = math.sqrt(max(distance**2 - vertical_separation**2, 0.0))
-    angles = csa_angles(elevation)
-    offsets = offset_estimate(d_hor, angles)
-    estimated = anchor_estimate(offsets, (led.position.x, led.position.y), azimuth)
-    error = None if actual is None else positioning_error(actual, estimated)
+    fused = offset_estimate(d_hor, elevation)
+    estimated = anchor_estimate(fused, (led.position.x, led.position.y), azimuth)
+    error = None if actual is None else euclidean_distance(actual, estimated)
     return EstimateRecord(
         actual=actual,
         estimated=estimated,
-        offsets=offsets,
-        angles=angles,
+        incidence=elevation,
+        fused=fused,
         measured_power=measured_power,
         inverted_distance=distance,
         positioning_error=error,

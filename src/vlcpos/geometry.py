@@ -41,7 +41,7 @@ class Point3:
     def __post_init__(self) -> None:
         for name in ("x", "y", "z"):
             if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"Point3.{name} must be finite")
+                raise DomainError(f"Point3.{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class RoomSpec:
     def __post_init__(self) -> None:
         for name in ("width", "length", "height"):
             if not getattr(self, name) > 0:
-                raise DomainError(f"RoomSpec.{name} must be > 0")
+                raise DomainError(f"RoomSpec.{name} must be > 0, got {getattr(self, name)}")
 
     def contains_floor_point(self, point: Point3) -> bool:
         """True when the point lies on the floor rectangle (z ignored)."""

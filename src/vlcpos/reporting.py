@@ -31,7 +31,7 @@ from typing import IO, Any, Callable, Mapping, Sequence
 
 from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
-from .estimator import EstimateRecord
+from .estimator import EstimateRecord, csa_angles
 from .geometry import Point3
 from .scenario import (
     ReplicationReport,
@@ -244,13 +244,14 @@ def replication_text(report: ReplicationReport) -> str:
 def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[str]:
     """Human-readable key = value lines for a one-shot estimate."""
 
+    complementary, supplementary = csa_angles(record.incidence)
     lines = [
         f"measured_power = {format_number(record.measured_power)}",
         f"inverted_distance = {format_number(record.inverted_distance)}",
-        f"incidence_elevation = {format_number(record.angles.incidence)}",
-        f"complementary = {format_number(record.angles.complementary)}",
-        f"supplementary = {format_number(record.angles.supplementary)}",
-        f"fused_offset = {format_number(record.offsets.fused)}",
+        f"incidence_elevation = {format_number(record.incidence)}",
+        f"complementary = {format_number(complementary)}",
+        f"supplementary = {format_number(supplementary)}",
+        f"fused_offset = {format_number(record.fused)}",
         "estimated = "
         f"({format_number(record.estimated.x)}, {format_number(record.estimated.y)}, 0)",
     ]

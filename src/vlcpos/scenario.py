@@ -21,16 +21,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import Sequence
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
-from .estimator import (
-    average_error,
-    estimate_position,
-    positioning_error,
-)
+from .estimator import average_error, estimate_position
 from .geometry import (
     Point3,
     RoomSpec,
@@ -42,7 +38,6 @@ from .geometry import (
 
 __all__ = [
     "ScenarioConfig",
-    "SweepSummary",
     "SweepResult",
     "Verdict",
     "ReplicationCheck",
@@ -244,20 +239,8 @@ def default_config() -> ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class SweepSummary:
-    """Aggregates over a position sweep."""
-
-    average_error: float
-    max_error: float
-    min_error: float
-    error_spread: float
-    min_power: float
-    max_power: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Position-sweep columns, one entry per configured position, plus their summary."""
+    """Position-sweep columns, one entry per configured position."""
 
     actual_x: Sequence[float]
     actual_y: Sequence[float]
@@ -266,7 +249,6 @@ class SweepResult:
     slant_distance: Sequence[float]
     received_power: Sequence[float]
     positioning_error: Sequence[float]
-    summary: SweepSummary
 
 
 def run_position_sweep(config: ScenarioConfig) -> SweepResult:
@@ -306,14 +288,6 @@ def run_position_sweep(config: ScenarioConfig) -> SweepResult:
         est_x.append(estimate.estimated.x)
         est_y.append(estimate.estimated.y)
         errors.append(estimate.positioning_error)
-    summary = SweepSummary(
-        average_error=average_error(errors),
-        max_error=max(errors),
-        min_error=min(errors),
-        error_spread=max(errors) - min(errors),
-        min_power=min(powers),
-        max_power=max(powers),
-    )
     return SweepResult(
         actual_x=[p.x for p in positions],
         actual_y=[p.y for p in positions],
@@ -322,7 +296,6 @@ def run_position_sweep(config: ScenarioConfig) -> SweepResult:
         slant_distance=slants,
         received_power=powers,
         positioning_error=errors,
-        summary=summary,
     )
 
 
@@ -431,37 +404,48 @@ class ReplicationReport:
         return len(self.regressions) == 0
 
 
-def _value_check(
+def _grade(
     name: str,
     reference: float,
     computed: float,
-    tol: float,
+    tol: float | None,
+    trend_tol: float | None,
     expected: Verdict,
     note: str,
-    trend_tol: float | None = None,
 ) -> ReplicationCheck:
-    """Grade a value comparison: REPRODUCED within tol, otherwise TREND-ONLY
-    within trend_tol when given, otherwise NOT-REPRODUCIBLE."""
+    """REPRODUCED within tol, else TREND-ONLY within trend_tol when given, else
+    NOT-REPRODUCIBLE.
+
+    A row with tol None is a count check: computed is a violation count, only
+    zero reproduces, and the check carries no difference.
+    """
 
     difference = abs(computed - reference)
-    if difference <= tol:
+    if difference <= (0.0 if tol is None else tol):
         verdict = Verdict.REPRODUCED
     elif trend_tol is not None and difference <= trend_tol:
         verdict = Verdict.TREND_ONLY
     else:
         verdict = Verdict.NOT_REPRODUCIBLE
+    if tol is None:
+        difference = None
     return ReplicationCheck(name, reference, computed, difference, verdict, expected, note)
 
 
-def _count_check(
-    name: str, violations: int, expected: Verdict, note: str
-) -> ReplicationCheck:
-    """Grade a trend check by its violation count: zero means REPRODUCED."""
-
-    verdict = Verdict.REPRODUCED if violations == 0 else Verdict.NOT_REPRODUCIBLE
-    return ReplicationCheck(
-        name, 0.0, float(violations), None, verdict, expected, note
-    )
+_ASSUMPTIONS = (
+    "vertical separation V in the horizontal-distance relation is read as "
+    "the LED-PD height difference (3.0 m in the default room)",
+    "figure-mode sweeps hold the angle factor fixed across the distance "
+    "axis as the published families do; the position sweep couples the "
+    "angles to the true geometry",
+    "a single-LED intensity measurement cannot disambiguate direction, so "
+    "estimates are anchored along the configured azimuth (225 degrees for "
+    "the published half-diagonal)",
+    "the position sweep runs at 15 W; positioning results are "
+    "power-independent in this noiseless model",
+    "position-8 estimated coordinates of the reference table use the "
+    "symmetric reading, see reference_position8_symmetry",
+)
 
 
 def replication_report(config: ScenarioConfig | None = None) -> ReplicationReport:
@@ -477,129 +461,23 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     center = link_geometry(config.led.position, config.pd_positions[0])
     corner = link_geometry(config.led.position, config.pd_positions[-1])
 
-    checks: list[ReplicationCheck] = []
-
-    checks.append(
-        _value_check(
-            "center_slant_distance",
-            REFERENCE_CENTER_DISTANCE,
-            sweep.slant_distance[0],
-            _TOL_DISTANCE,
-            Verdict.REPRODUCED,
-            "LED-PD distance at the first position",
-        )
-    )
-    checks.append(
-        _value_check(
-            "corner_slant_distance",
-            REFERENCE_CORNER_DISTANCE,
-            sweep.slant_distance[-1],
-            _TOL_DISTANCE,
-            Verdict.REPRODUCED,
-            "LED-PD distance at the tenth position",
-        )
-    )
-    checks.append(
-        _value_check(
-            "center_elevation_angle",
-            90.0,
-            center.elevation_angle,
-            1e-9,
-            Verdict.REPRODUCED,
-            "CSA angles equal 90 degrees directly under the LED",
-        )
-    )
-
     # Reference error column recomputed from the reference coordinate pairs.
     recomputed = [
-        positioning_error(Point3(a, a, 0.0), Point3(e, e, 0.0))
+        euclidean_distance(Point3(a, a, 0.0), Point3(e, e, 0.0))
         for a, e in zip(REFERENCE_ACTUAL_XY, REFERENCE_ESTIMATED_XY)
     ]
     max_row_gap = max(
         abs(r - published) for r, published in zip(recomputed, REFERENCE_ERRORS)
     )
-    checks.append(
-        _value_check(
-            "reference_error_column",
-            0.0,
-            max_row_gap,
-            _TOL_TABLE,
-            Verdict.REPRODUCED,
-            "max per-row gap between errors recomputed from the reference "
-            "coordinate pairs and the published column (4-decimal rounding)",
-        )
-    )
-    checks.append(
-        _value_check(
-            "reference_mean_error",
-            REFERENCE_MEAN_ERROR,
-            average_error(REFERENCE_ERRORS),
-            _TOL_HEADLINE,
-            Verdict.REPRODUCED,
-            "mean of the published error column vs the published 0.042 m headline",
-        )
-    )
-    first_eight = average_error(REFERENCE_ERRORS[:8])
-    checks.append(
-        _value_check(
-            "first_eight_mean_error",
-            REFERENCE_FIRST_EIGHT_MEAN,
-            first_eight,
-            _TOL_HEADLINE,
-            Verdict.TREND_ONLY,
-            "published headline 3.2 cm for 80% of positions; the column mean "
-            "is 0.032925 m, which rounds to 3.3 cm, not 3.2",
-            trend_tol=2e-3,
-        )
-    )
 
     # Published row-8 estimate as printed, graded against the published error.
     a8 = REFERENCE_ACTUAL_XY[7]
     e8x, e8y = REFERENCE_POSITION8_AS_PUBLISHED
-    row8_as_published = positioning_error(Point3(a8, a8, 0.0), Point3(e8x, e8y, 0.0))
-    checks.append(
-        _value_check(
-            "reference_position8_symmetry",
-            REFERENCE_ERRORS[7],
-            row8_as_published,
-            _TOL_TABLE,
-            Verdict.NOT_REPRODUCIBLE,
-            "as printed the position-8 estimate (0.5591, 0.5519) breaks the "
-            "stated X/Y symmetry and misses the published error by 5.3e-3; "
-            "the symmetric reading 0.5591 reproduces it within 8.4e-5",
-        )
-    )
+    row8_as_published = euclidean_distance(Point3(a8, a8, 0.0), Point3(e8x, e8y, 0.0))
 
-    # Absolute received-power scale of the published curves.
     center_power = sweep.received_power[0]
-    checks.append(
-        _value_check(
-            "published_absolute_power",
-            REFERENCE_PLOTTED_PEAK_POWER,
-            center_power,
-            _TOL_HEADLINE,
-            Verdict.NOT_REPRODUCIBLE,
-            "closed-form received power at 3 m, 90 degrees, 15 W is "
-            f"{center_power:.4g} W against the plotted 4.5 W, a factor of "
-            f"{REFERENCE_PLOTTED_PEAK_POWER / center_power:.3g}; no scaling "
-            "constant is published",
-        )
-    )
-
-    # Decay ratio across the distance span at fixed transmit power.
     corner_power = sweep.received_power[-1]
     plotted_center, plotted_corner = REFERENCE_POWER_FAMILIES[15.0]
-    checks.append(
-        _value_check(
-            "published_power_decay_ratio",
-            plotted_center / plotted_corner,
-            center_power / corner_power,
-            0.05,
-            Verdict.NOT_REPRODUCIBLE,
-            "published curves decay by ~2.34x over the diagonal, matching pure "
-            "inverse-square; the modelled decay is d^-(m+3), a 5.35x drop",
-        )
-    )
 
     # Estimated coordinates of the reference table vs the estimator pipeline.
     corner_fused = estimate_position(
@@ -608,23 +486,10 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         config.pd_template,
         azimuth=config.azimuth,
         vertical_separation=corner.vertical_separation,
-    ).offsets.fused
+    ).fused
     attainable = corner.horizontal_distance * math.sqrt(2.0) / 2.0
-    checks.append(
-        _value_check(
-            "published_estimated_coordinates",
-            REFERENCE_IMPLIED_CORNER_DISPLACEMENT,
-            corner_fused,
-            _TOL_TABLE,
-            Verdict.NOT_REPRODUCIBLE,
-            "the published corner estimate implies a 2.4864 m per-axis "
-            "displacement; the equations yield a fused offset of "
-            f"{corner_fused:.4f} m and cannot exceed {attainable:.4f} m, so "
-            "the published coordinate generation procedure is unknown",
-        )
-    )
 
-    # Trend checks over the implemented pipeline.
+    # Trend checks over the implemented pipeline, as violation counts.
     power_rows = run_power_distance_sweep(config)
     power_violations = 0
     for power in config.transmit_powers:
@@ -632,15 +497,6 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         power_violations += sum(
             1 for a, b in zip(family, family[1:]) if not b < a
         )
-    checks.append(
-        _count_check(
-            "power_monotonic_decrease",
-            power_violations,
-            Verdict.REPRODUCED,
-            "received power strictly decreases over positions 1 to 10 for "
-            "every configured transmit power",
-        )
-    )
 
     angle_rows = run_angle_sweep(config)
     ordered = sorted(set(config.sweep_elevations), reverse=True)
@@ -653,66 +509,69 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         angle_violations += sum(
             1 for a, b in zip(families[higher], families[lower]) if not a > b
         )
-    checks.append(
-        _count_check(
-            "angle_family_ordering",
-            angle_violations,
-            Verdict.REPRODUCED,
-            "figure families ordered pointwise by elevation, 90 > 80 > 70 > 60",
-        )
-    )
 
-    pipeline_errors = sweep.positioning_error
-    error_violations = sum(
-        1 for a, b in zip(pipeline_errors, pipeline_errors[1:]) if b < a
-    )
-    checks.append(
-        _count_check(
-            "pipeline_error_monotonic",
-            error_violations,
-            Verdict.REPRODUCED,
-            "positioning error is zero at the center and non-decreasing "
-            "toward the corner, matching the published trend",
-        )
-    )
+    errors = sweep.positioning_error
+    error_violations = sum(1 for a, b in zip(errors, errors[1:]) if b < a)
 
-    spread = sweep.summary.error_spread
-    if abs(spread - REFERENCE_ERROR_SPREAD) <= _TOL_HEADLINE:
-        spread_verdict = Verdict.REPRODUCED
-    elif error_violations == 0:
-        spread_verdict = Verdict.TREND_ONLY
-    else:
-        spread_verdict = Verdict.NOT_REPRODUCIBLE
-    checks.append(
-        ReplicationCheck(
-            "pipeline_error_spread",
-            REFERENCE_ERROR_SPREAD,
-            spread,
-            abs(spread - REFERENCE_ERROR_SPREAD),
-            spread_verdict,
-            Verdict.TREND_ONLY,
-            "difference between the tenth and first position errors; the "
-            "published 0.0784 m is not recoverable from the equations, the "
-            "growth trend is",
-        )
-    )
-
-    assumptions = (
-        "vertical separation V in the horizontal-distance relation is read as "
-        "the LED-PD height difference (3.0 m in the default room)",
-        "figure-mode sweeps hold the angle factor fixed across the distance "
-        "axis as the published families do; the position sweep couples the "
-        "angles to the true geometry",
-        "a single-LED intensity measurement cannot disambiguate direction, so "
-        "estimates are anchored along the configured azimuth (225 degrees for "
-        "the published half-diagonal)",
-        "the position sweep runs at 15 W; positioning results are "
-        "power-independent in this noiseless model",
-        "position-8 estimated coordinates of the reference table use the "
-        "symmetric reading, see reference_position8_symmetry",
+    reproduced, not_reproducible = Verdict.REPRODUCED, Verdict.NOT_REPRODUCIBLE
+    # (name, reference, computed, tol, trend_tol, expected, note); tol None
+    # marks a count check.
+    rows = (
+        ("center_slant_distance", REFERENCE_CENTER_DISTANCE, sweep.slant_distance[0],
+         _TOL_DISTANCE, None, reproduced, "LED-PD distance at the first position"),
+        ("corner_slant_distance", REFERENCE_CORNER_DISTANCE, sweep.slant_distance[-1],
+         _TOL_DISTANCE, None, reproduced, "LED-PD distance at the tenth position"),
+        ("center_elevation_angle", 90.0, center.elevation_angle, 1e-9, None, reproduced,
+         "CSA angles equal 90 degrees directly under the LED"),
+        ("reference_error_column", 0.0, max_row_gap, _TOL_TABLE, None, reproduced,
+         "max per-row gap between errors recomputed from the reference "
+         "coordinate pairs and the published column (4-decimal rounding)"),
+        ("reference_mean_error", REFERENCE_MEAN_ERROR, average_error(REFERENCE_ERRORS),
+         _TOL_HEADLINE, None, reproduced,
+         "mean of the published error column vs the published 0.042 m headline"),
+        ("first_eight_mean_error", REFERENCE_FIRST_EIGHT_MEAN,
+         average_error(REFERENCE_ERRORS[:8]), _TOL_HEADLINE, 2e-3, Verdict.TREND_ONLY,
+         "published headline 3.2 cm for 80% of positions; the column mean "
+         "is 0.032925 m, which rounds to 3.3 cm, not 3.2"),
+        ("reference_position8_symmetry", REFERENCE_ERRORS[7], row8_as_published,
+         _TOL_TABLE, None, not_reproducible,
+         "as printed the position-8 estimate (0.5591, 0.5519) breaks the "
+         "stated X/Y symmetry and misses the published error by 5.3e-3; "
+         "the symmetric reading 0.5591 reproduces it within 8.4e-5"),
+        ("published_absolute_power", REFERENCE_PLOTTED_PEAK_POWER, center_power,
+         _TOL_HEADLINE, None, not_reproducible,
+         "closed-form received power at 3 m, 90 degrees, 15 W is "
+         f"{center_power:.4g} W against the plotted 4.5 W, a factor of "
+         f"{REFERENCE_PLOTTED_PEAK_POWER / center_power:.3g}; no scaling "
+         "constant is published"),
+        ("published_power_decay_ratio", plotted_center / plotted_corner,
+         center_power / corner_power, 0.05, None, not_reproducible,
+         "published curves decay by ~2.34x over the diagonal, matching pure "
+         "inverse-square; the modelled decay is d^-(m+3), a 5.35x drop"),
+        ("published_estimated_coordinates", REFERENCE_IMPLIED_CORNER_DISPLACEMENT,
+         corner_fused, _TOL_TABLE, None, not_reproducible,
+         "the published corner estimate implies a 2.4864 m per-axis "
+         "displacement; the equations yield a fused offset of "
+         f"{corner_fused:.4f} m and cannot exceed {attainable:.4f} m, so "
+         "the published coordinate generation procedure is unknown"),
+        ("power_monotonic_decrease", 0.0, float(power_violations), None, None, reproduced,
+         "received power strictly decreases over positions 1 to 10 for "
+         "every configured transmit power"),
+        ("angle_family_ordering", 0.0, float(angle_violations), None, None, reproduced,
+         "figure families ordered pointwise by elevation, 90 > 80 > 70 > 60"),
+        ("pipeline_error_monotonic", 0.0, float(error_violations), None, None, reproduced,
+         "positioning error is zero at the center and non-decreasing "
+         "toward the corner, matching the published trend"),
+        # Off the published value, the spread still shows the trend while the
+        # errors grow monotonically.
+        ("pipeline_error_spread", REFERENCE_ERROR_SPREAD, max(errors) - min(errors),
+         _TOL_HEADLINE, math.inf if error_violations == 0 else None, Verdict.TREND_ONLY,
+         "difference between the tenth and first position errors; the "
+         "published 0.0784 m is not recoverable from the equations, the "
+         "growth trend is"),
     )
     return ReplicationReport(
         dataset_version=REFERENCE_DATASET_VERSION,
-        checks=tuple(checks),
-        assumptions=assumptions,
+        checks=tuple(starmap(_grade, rows)),
+        assumptions=_ASSUMPTIONS,
     )

@@ -18,10 +18,10 @@ from vlcpos import (
     Point3,
     csa_angles,
     default_config,
+    euclidean_distance,
     invert_power_to_distance,
     lambertian_order,
     offset_estimate,
-    positioning_error,
     received_power,
     run_angle_sweep,
     run_position_sweep,
@@ -82,7 +82,7 @@ def test_criterion_3_reference_error_table():
     for a, e, published in zip(
         REFERENCE_ACTUAL_XY, REFERENCE_ESTIMATED_XY, REFERENCE_ERRORS
     ):
-        err = positioning_error(Point3(a, a, 0.0), Point3(e, e, 0.0))
+        err = euclidean_distance(Point3(a, a, 0.0), Point3(e, e, 0.0))
         assert abs(err - published) <= TOL_ERROR_ROW
         recomputed.append(err)
     # The 0.042 headline is the rounded mean of the printed column, whose
@@ -138,18 +138,18 @@ def test_criterion_4_randomized_inversion_round_trip():
 def test_criterion_5_angle_identities_and_fusion():
     for k in range(1801):
         theta = k * 0.05
-        angles = csa_angles(theta)
-        assert angles.complementary == 90.0 - theta
-        assert angles.supplementary == 90.0 + theta
-        assert angles.complementary + angles.supplementary == 180.0
+        complementary, supplementary = csa_angles(theta)
+        assert complementary == 90.0 - theta
+        assert supplementary == 90.0 + theta
+        assert complementary + supplementary == 180.0
     worst = 0.0
     for d_hor in (0.5, 1.0, 3.4365):
         for k in range(1801):
             theta = k * 0.05
-            offsets = offset_estimate(d_hor, csa_angles(theta))
+            fused = offset_estimate(d_hor, theta)
             rad = math.radians(theta)
             expected = d_hor * (math.sin(rad) + math.cos(rad)) / 2.0
-            gap = abs(offsets.fused - expected)
+            gap = abs(fused - expected)
             worst = max(worst, gap)
             assert gap <= TOL_FUSION
     print(f"criterion 5 PASS: 1801-point grid exact, worst fusion gap {worst:.2e} m")

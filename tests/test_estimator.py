@@ -18,9 +18,9 @@ from vlcpos import (
     average_error,
     csa_angles,
     estimate_position,
+    euclidean_distance,
     invert_power_to_distance,
     offset_estimate,
-    positioning_error,
     received_power,
 )
 
@@ -116,23 +116,48 @@ class TestInvertPowerToDistance:
         with pytest.raises(DomainError):
             invert_power_to_distance(POWER_AT_3_5_M, LED, PD, 0.0)
 
+    @pytest.mark.parametrize(
+        "height, order, point, distance",
+        [
+            # V ** (m + 1) = 0.5 ** 1101 underflows to 0.
+            pytest.param(0.5, 1100.0, (2.5, 2.5), 0.5, id="underflow-on-axis"),
+            pytest.param(0.5, 1100.0, (2.23, 2.23), 0.6291263784010332, id="underflow"),
+            # V ** (m + 1) = 3.0 ** 651 overflows.
+            pytest.param(3.0, 650.0, (2.23, 2.23), 3.02420237418067, id="overflow"),
+            # V ** (m + 1) is in range, but K * V^(m+1) / P = V^4 underflows.
+            pytest.param(1e-100, 1.0, (2.5, 2.5), 1e-100, id="quotient-underflow"),
+        ],
+    )
+    def test_out_of_range_powers_of_v_invert_in_logarithms(
+        self, height, order, point, distance
+    ):
+        led = LedSpec(
+            position=Point3(2.5, 2.5, height),
+            transmit_power=15.0,
+            half_power_angle=60.0,
+            lambertian_order=order,
+        )
+        power = received_power(led, PD, Point3(*point, 0.0)).received_power
+        assert _close(invert_power_to_distance(power, led, PD, height), distance, 1e-9)
+
+    def test_power_below_the_float_range_still_fails(self):
+        with pytest.raises(DomainError, match="non-finite distance"):
+            invert_power_to_distance(5e-324, LED, PD, 3.0)
+
 
 class TestCsaAngles:
     def test_under_emitter(self):
-        angles = csa_angles(90.0)
-        assert angles.incidence == 90.0
-        assert angles.complementary == 0.0
-        assert angles.supplementary == 180.0
+        assert csa_angles(90.0) == (0.0, 180.0)
 
     def test_reference_incidence(self):
-        angles = csa_angles(41.123)
-        assert abs(angles.complementary - 48.877) < 1e-12
-        assert abs(angles.supplementary - 131.123) < 1e-12
+        complementary, supplementary = csa_angles(41.123)
+        assert abs(complementary - 48.877) < 1e-12
+        assert abs(supplementary - 131.123) < 1e-12
 
     def test_pair_sums_to_straight_angle_exactly(self):
         for k in range(1801):
-            angles = csa_angles(k * 0.05)
-            assert angles.complementary + angles.supplementary == 180.0
+            complementary, supplementary = csa_angles(k * 0.05)
+            assert complementary + supplementary == 180.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
@@ -143,50 +168,48 @@ class TestCsaAngles:
 
 class TestOffsetEstimate:
     def test_reference_offsets(self):
-        offsets = offset_estimate(3.4365, csa_angles(41.123))
-        assert _close(offsets.comp, 2.2601093904608134)
-        assert _close(offsets.supp, 2.5887135401876455)
-        assert _close(offsets.fused, 2.4244114653242295)
+        assert _close(offset_estimate(3.4365, 41.123), 2.4244114653242295)
 
     def test_fused_closed_form(self):
         for d_hor in (0.5, 1.0, 3.4365):
             for k in range(0, 901, 9):
                 theta = k * 0.1
-                offsets = offset_estimate(d_hor, csa_angles(theta))
+                fused = offset_estimate(d_hor, theta)
                 rad = math.radians(theta)
                 expected = d_hor * (math.sin(rad) + math.cos(rad)) / 2.0
-                assert abs(offsets.fused - expected) < 1e-12
+                assert abs(fused - expected) < 1e-12
 
     def test_zero_horizontal_distance(self):
-        offsets = offset_estimate(0.0, csa_angles(90.0))
-        assert offsets.comp == offsets.supp == offsets.fused == 0.0
+        assert offset_estimate(0.0, 90.0) == 0.0
 
     def test_rejects_negative_distance(self):
         with pytest.raises(DomainError):
-            offset_estimate(-0.1, csa_angles(45.0))
+            offset_estimate(-0.1, 45.0)
+
+    def test_rejects_elevation_out_of_range(self):
+        with pytest.raises(DomainError):
+            offset_estimate(1.0, 90.1)
 
 
 class TestAnchorEstimate:
     def test_zero_offset_lands_under_emitter(self):
-        offsets = offset_estimate(0.0, csa_angles(90.0))
-        p = anchor_estimate(offsets, (2.5, 2.5), 225.0)
+        p = anchor_estimate(0.0, (2.5, 2.5), 225.0)
         assert (p.x, p.y, p.z) == (2.5, 2.5, 0.0)
 
     def test_reference_anchor(self):
-        offsets = offset_estimate(3.4365, csa_angles(41.123))
-        fused = offsets.fused
-        toward_origin = anchor_estimate(offsets, (2.5, 2.5), 225.0)
+        fused = offset_estimate(3.4365, 41.123)
+        toward_origin = anchor_estimate(fused, (2.5, 2.5), 225.0)
         assert _close(toward_origin.x, 2.5 + fused * math.cos(math.radians(225.0)))
         assert abs(toward_origin.x - toward_origin.y) < 1e-12
-        away = anchor_estimate(offsets, (2.5, 2.5), 45.0)
+        away = anchor_estimate(fused, (2.5, 2.5), 45.0)
         assert _close(away.x, 2.5 + fused * math.cos(math.radians(45.0)))
 
     def test_rejects_azimuth_out_of_range(self):
-        offsets = offset_estimate(1.0, csa_angles(45.0))
+        fused = offset_estimate(1.0, 45.0)
         with pytest.raises(DomainError):
-            anchor_estimate(offsets, (2.5, 2.5), 360.0)
+            anchor_estimate(fused, (2.5, 2.5), 360.0)
         with pytest.raises(DomainError):
-            anchor_estimate(offsets, (2.5, 2.5), -1.0)
+            anchor_estimate(fused, (2.5, 2.5), -1.0)
 
 
 class TestPositioningError:
@@ -197,11 +220,11 @@ class TestPositioningError:
             1.1149, 0.8363, 0.5591, 0.2851, 0.0136,
         )
         for a, e, published in zip(actual, estimated, PUBLISHED_ERRORS):
-            err = positioning_error(Point3(a, a, 0.0), Point3(e, e, 0.0))
+            err = euclidean_distance(Point3(a, a, 0.0), Point3(e, e, 0.0))
             assert abs(err - published) < 5e-4
 
     def test_zero_for_identical_points(self):
-        assert positioning_error(Point3(1, 2, 0), Point3(1, 2, 0)) == 0.0
+        assert euclidean_distance(Point3(1, 2, 0), Point3(1, 2, 0)) == 0.0
 
 
 class TestAverageError:

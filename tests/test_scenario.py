@@ -15,13 +15,12 @@ from vlcpos import (
     Verdict,
     anchor_estimate,
     concentrator_gain,
-    csa_angles,
     default_config,
     effective_area,
     estimate_position,
+    euclidean_distance,
     link_geometry,
     offset_estimate,
-    positioning_error,
     radiant_intensity,
     received_power,
     replication_report,
@@ -194,17 +193,6 @@ class TestPositionSweep:
                 assert _close(result.positioning_error[i], error)
             assert abs(result.est_x[i] - result.est_y[i]) < 1e-12
 
-    def test_summary(self):
-        result = run_position_sweep(default_config())
-        errors = result.positioning_error
-        summary = result.summary
-        assert _close(summary.average_error, sum(errors) / len(errors))
-        assert summary.max_error == max(errors)
-        assert summary.min_error == min(errors)
-        assert _close(summary.error_spread, max(errors) - min(errors))
-        assert _close(summary.min_power, DIAGONAL_POWERS[-1])
-        assert _close(summary.max_power, DIAGONAL_POWERS[0])
-
     def test_failures_name_the_position(self):
         config = default_config()
         grounded = LedSpec(
@@ -274,9 +262,9 @@ class TestSweepColumnsMatchScalarPath:
         distance = max((k * vertical ** (m + 1.0) / power) ** (1.0 / (m + 3.0)), vertical)
         elevation = math.degrees(math.asin(min(vertical / distance, 1.0)))
         d_hor = math.sqrt(max(distance**2 - vertical**2, 0.0))
-        offsets = offset_estimate(d_hor, csa_angles(elevation))
-        estimated = anchor_estimate(offsets, (led.position.x, led.position.y), azimuth)
-        return estimated.x, estimated.y, positioning_error(actual, estimated)
+        fused = offset_estimate(d_hor, elevation)
+        estimated = anchor_estimate(fused, (led.position.x, led.position.y), azimuth)
+        return estimated.x, estimated.y, euclidean_distance(actual, estimated)
 
     @pytest.mark.parametrize("order", [1.0, 7.5])
     def test_power_sweep_equals_received_power(self, order):
@@ -389,6 +377,48 @@ class TestReplicationReport:
             assert not check.regressed, check.name
         assert report.regressions == ()
         assert report.ok
+
+    def test_reversed_positions_fail_the_trend_checks(self):
+        # The sweep walks from the corner to the center, so the geometry and
+        # error-trend checks fail: the count check reports its violations
+        # without a difference, and the spread is no longer a trend.
+        config = default_config()
+        report = replication_report(replace(config, pd_positions=config.pd_positions[::-1]))
+        reproduced, trend, failed = (
+            Verdict.REPRODUCED, Verdict.TREND_ONLY, Verdict.NOT_REPRODUCIBLE
+        )
+        verdicts = {
+            "center_slant_distance": failed,
+            "corner_slant_distance": failed,
+            "center_elevation_angle": failed,
+            "reference_error_column": reproduced,
+            "reference_mean_error": reproduced,
+            "first_eight_mean_error": trend,
+            "reference_position8_symmetry": failed,
+            "published_absolute_power": failed,
+            "published_power_decay_ratio": failed,
+            "published_estimated_coordinates": failed,
+            "power_monotonic_decrease": reproduced,
+            "angle_family_ordering": reproduced,
+            "pipeline_error_monotonic": failed,
+            "pipeline_error_spread": failed,
+        }
+        assert {check.name: check.verdict for check in report.checks} == verdicts
+        by_name = {check.name: check for check in report.checks}
+        monotonic = by_name["pipeline_error_monotonic"]
+        assert (monotonic.reference, monotonic.computed) == (0.0, 9.0)
+        assert monotonic.difference is None
+        spread = by_name["pipeline_error_spread"]
+        assert _close(spread.computed, 1.0121085356718664)
+        assert _close(spread.difference, 0.9337085356718664)
+        assert [check.name for check in report.regressions] == [
+            "center_slant_distance",
+            "corner_slant_distance",
+            "center_elevation_angle",
+            "pipeline_error_monotonic",
+            "pipeline_error_spread",
+        ]
+        assert not report.ok
 
     def test_quantified_gaps(self):
         report = replication_report()
