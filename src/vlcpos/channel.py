@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .geometry import LinkGeometry, Point3, link_geometry
+from .geometry import Point3, link_geometry
 
 __all__ = [
     "LedSpec",
@@ -149,7 +149,7 @@ class PdSpec:
 class ChannelSample:
     """One channel evaluation with every intermediate factor recorded."""
 
-    geometry: LinkGeometry
+    slant_distance: float
     radiant_intensity: float
     concentrator_gain: float
     effective_area: float
@@ -237,16 +237,16 @@ def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
     """
 
-    geometry = link_geometry(led.position, position)
-    angle = geometry.normal_angle
+    slant, _, elevation = link_geometry(led.position, position)
+    angle = 90.0 - elevation
     pattern = radiant_intensity(angle, led.lambertian_order)
     # Both gain factors are already 0 beyond the FOV, which zeroes the power.
     gain = concentrator_gain(angle, pd.refractive_index, pd.fov)
     area = effective_area(angle, pd)
     # Same product, in the same order, as power_columns.
-    power = led.transmit_power / geometry.slant_distance**2 * pattern * area
+    power = led.transmit_power / slant**2 * pattern * area
     return ChannelSample(
-        geometry=geometry,
+        slant_distance=slant,
         radiant_intensity=pattern,
         concentrator_gain=gain,
         effective_area=area,

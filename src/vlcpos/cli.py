@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, RoomSpec, clip_to_floor
+from .geometry import Point3, RoomSpec
 from .reporting import (
     angle_sweep_table,
     config_hash,
@@ -54,27 +54,31 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="scenario config file")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument(
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
         "--format", choices=("csv", "json"), help="output format (default csv)"
     )
-    common.add_argument(
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument(
         "--samples", type=int, metavar="N", help="figure-sweep distance sample count"
     )
 
+    # Each subcommand takes only the options it reads: --format where a table
+    # is written, --samples where the figure sweep runs.
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "position-sweep",
-        parents=[common],
+        parents=[common, table],
         help="walk the PD over the configured positions and estimate each one",
     )
     sub.add_parser(
         "power-sweep",
-        parents=[common],
+        parents=[common, table],
         help="received power over positions for each configured transmit power",
     )
     sub.add_parser(
         "angle-sweep",
-        parents=[common],
+        parents=[common, table, samples],
         help="figure-style families with the angle factor held fixed",
     )
     estimate = sub.add_parser(
@@ -94,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser(
         "replicate",
-        parents=[common],
+        parents=[common, table, samples],
         help="grade computed results against the embedded reference dataset",
     )
     return parser
@@ -138,8 +142,8 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = load_config(args.config) if args.config else default_config()
-        if args.samples is not None:
+        config = load_config(Path(args.config)) if args.config else default_config()
+        if getattr(args, "samples", None) is not None:
             config = replace(config, distance_samples=args.samples)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -166,7 +170,7 @@ def cli(argv: list[str] | None = None) -> int:
                 azimuth=config.azimuth,
                 actual=actual,
             )
-            _, clipped = clip_to_floor(record.estimated, config.room)
+            clipped = not config.room.contains_floor_point(record.estimated)
             _write("\n".join(estimate_lines(record, clipped=clipped)) + "\n", args.out)
         elif args.command == "replicate":
             report = replication_report(config)

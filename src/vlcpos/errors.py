@@ -10,10 +10,8 @@ from __future__ import annotations
 __all__ = [
     "DomainError",
     "LedNotAbovePd",
-    "OutOfRoom",
     "NonPositivePower",
     "PowerTooHigh",
-    "EmptyInput",
     "ParseError",
     "ValidationError",
     "UnsupportedFormat",
@@ -28,20 +26,12 @@ class LedNotAbovePd(DomainError):
     """The LED is not strictly above the PD plane; the link geometry is degenerate."""
 
 
-class OutOfRoom(DomainError):
-    """A generated or supplied point leaves the room's floor rectangle."""
-
-
 class NonPositivePower(DomainError):
     """A measured power of zero or less cannot be inverted to a distance."""
 
 
 class PowerTooHigh(DomainError):
     """The measured power exceeds the physical maximum attainable at the LED height."""
-
-
-class EmptyInput(DomainError):
-    """An aggregate operation received no elements."""
 
 
 class ParseError(ValueError):

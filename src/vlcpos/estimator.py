@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .channel import LedSpec, PdSpec, concentrator_gain
-from .errors import DomainError, EmptyInput, NonPositivePower, PowerTooHigh
+from .errors import DomainError, NonPositivePower, PowerTooHigh
 from .geometry import Point3, euclidean_distance
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "csa_angles",
     "offset_estimate",
     "anchor_estimate",
-    "average_error",
     "estimate_position",
 ]
 
@@ -46,11 +45,10 @@ class EstimateRecord:
     """One position estimate with every intermediate quantity recorded.
 
     incidence is the elevation angle fed to the CSA construction and fused the
-    mean of its two projections. actual and positioning_error are None for
-    one-shot estimates where the true position is unknown.
+    mean of its two projections. positioning_error is None for one-shot
+    estimates where the true position is unknown.
     """
 
-    actual: Point3 | None
     estimated: Point3
     incidence: float
     fused: float
@@ -172,34 +170,20 @@ def anchor_estimate(
     )
 
 
-def average_error(errors: list[float] | tuple[float, ...]) -> float:
-    """Arithmetic mean of a non-empty error list.
-
-    Raises:
-        EmptyInput: when the list is empty.
-    """
-
-    if len(errors) == 0:
-        raise EmptyInput("average_error needs at least one element")
-    return sum(errors) / len(errors)
-
-
 def estimate_position(
     measured_power: float,
     led: LedSpec,
     pd: PdSpec,
     azimuth: float,
     actual: Point3 | None = None,
-    vertical_separation: float | None = None,
 ) -> EstimateRecord:
     """Run the full CSA-RSS pipeline for one power measurement.
 
-    vertical_separation defaults to the LED height, i.e. a PD on the floor.
+    The PD lies on the floor, so the vertical separation is the LED height.
     When the actual position is supplied the positioning error is filled in.
     """
 
-    if vertical_separation is None:
-        vertical_separation = led.position.z
+    vertical_separation = led.position.z
     distance = invert_power_to_distance(measured_power, led, pd, vertical_separation)
     elevation = math.degrees(math.asin(min(vertical_separation / distance, 1.0)))
     d_hor = math.sqrt(max(distance**2 - vertical_separation**2, 0.0))
@@ -207,7 +191,6 @@ def estimate_position(
     estimated = anchor_estimate(fused, (led.position.x, led.position.y), azimuth)
     error = None if actual is None else euclidean_distance(actual, estimated)
     return EstimateRecord(
-        actual=actual,
         estimated=estimated,
         incidence=elevation,
         fused=fused,

@@ -75,10 +75,10 @@ class OutputTable:
                 )
 
 
-def format_number(value: float, digits: int = SIGNIFICANT_DIGITS) -> str:
+def format_number(value: float) -> str:
     """Fixed-significant-digit rendering used for every emitted numeric cell."""
 
-    return format(value, f".{digits}g")
+    return format(value, f".{SIGNIFICANT_DIGITS}g")
 
 
 def _csv_cell(value: Any) -> str:
@@ -292,10 +292,6 @@ def _point(value: Any, key: str) -> Point3:
     return Point3(*map(_number, value, repeat(key)))
 
 
-def _one_point(value: Any, key: str) -> tuple[Point3]:
-    return (_point(value, key),)
-
-
 def _points(value: Any, key: str) -> tuple[Point3, ...]:
     if not isinstance(value, (tuple, list)) or len(value) == 0:
         raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
@@ -320,7 +316,7 @@ def _point_text(point: Point3) -> str:
 
 
 # The text serialize_config writes for what each parser returns (repr keeps
-# floats exact). _one_point has none: sweep.positions carries the positions.
+# floats exact).
 _TEXT_FORMS: dict[Callable[[Any, str], Any], Callable[[Any], str]] = {
     _number: repr,
     _count: repr,
@@ -341,7 +337,6 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, str], Any], str]] = {
     "led.transmit_power": ("led.transmit_power", _number, "LED transmit power in watts"),
     "led.half_power_angle": ("led.half_power_angle", _number, "LED half-power angle, degrees"),
     "led.lambertian_order": ("led.lambertian_order", _number, "Lambertian order override"),
-    "pd.position": ("pd_positions", _one_point, "one PD position; excludes sweep.positions"),
     "pd.area": ("pd_template.area", _number, "PD active area in square meters"),
     "pd.fov": ("pd_template.fov", _number, "PD field of view in degrees"),
     "pd.filter_gain": ("pd_template.filter_gain", _number, "PD optical filter gain"),
@@ -422,8 +417,6 @@ def load_config(source: str | Path) -> ScenarioConfig:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
     values = _parse_lines(text)
-    if "pd.position" in values and "sweep.positions" in values:
-        raise ValidationError("pd.position and sweep.positions are mutually exclusive")
 
     # Field overrides per record of the default; "" holds ScenarioConfig's own
     # fields. The LED is rebuilt without an order unless led.lambertian_order
@@ -459,7 +452,7 @@ def serialize_config(config: ScenarioConfig) -> str:
     lines = []
     for key, (field, parse, _) in _CONFIG_KEYS.items():
         value = attrgetter(field)(config)
-        if key == "pd.position" or value is None:
+        if value is None:
             continue
         if key == "led.lambertian_order" and value == derived_order:
             continue

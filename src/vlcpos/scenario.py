@@ -26,15 +26,8 @@ from typing import Sequence
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
-from .estimator import average_error, estimate_position
-from .geometry import (
-    Point3,
-    RoomSpec,
-    diagonal_positions,
-    euclidean_distance,
-    link_columns,
-    link_geometry,
-)
+from .estimator import estimate_position
+from .geometry import Point3, RoomSpec, euclidean_distance, link_columns, link_geometry
 
 __all__ = [
     "ScenarioConfig",
@@ -218,9 +211,9 @@ def default_config() -> ScenarioConfig:
         transmit_power=15.0,
         half_power_angle=60.0,
     )
-    positions = diagonal_positions(
-        room, count=10, start=Point3(2.5, 2.5, 0.0), end=Point3(0.07, 0.07, 0.0)
-    )
+    # Ten points from under the LED to the corner end of the half-diagonal,
+    # the last pinned so that 0.07 is exact.
+    walk = [2.5 + i / 9 * (0.07 - 2.5) for i in range(9)] + [0.07]
     pd = PdSpec(
         area=2.25e-6,
         fov=90.0,
@@ -231,7 +224,7 @@ def default_config() -> ScenarioConfig:
         room=room,
         led=led,
         pd_template=pd,
-        pd_positions=positions,
+        pd_positions=tuple(Point3(c, c, 0.0) for c in walk),
         transmit_powers=(8.0, 10.0, 12.0, 15.0),
         sweep_elevations=(60.0, 70.0, 80.0, 90.0),
         azimuth=225.0,
@@ -272,18 +265,12 @@ def run_position_sweep(config: ScenarioConfig) -> SweepResult:
     for index, position in enumerate(positions, start=1):
         try:
             sample = received_power(led, pd, position)
-            geometry = sample.geometry
             estimate = estimate_position(
-                sample.received_power,
-                led,
-                pd,
-                azimuth=azimuth,
-                actual=position,
-                vertical_separation=geometry.vertical_separation,
+                sample.received_power, led, pd, azimuth=azimuth, actual=position
             )
         except DomainError as exc:
             raise type(exc)(f"position {index}: {exc}") from exc
-        slants.append(geometry.slant_distance)
+        slants.append(sample.slant_distance)
         powers.append(sample.received_power)
         est_x.append(estimate.estimated.x)
         est_y.append(estimate.estimated.y)
@@ -458,8 +445,8 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     if config is None:
         config = default_config()
     sweep = run_position_sweep(config)
-    center = link_geometry(config.led.position, config.pd_positions[0])
-    corner = link_geometry(config.led.position, config.pd_positions[-1])
+    _, _, center_elevation = link_geometry(config.led.position, config.pd_positions[0])
+    _, corner_horizontal, _ = link_geometry(config.led.position, config.pd_positions[-1])
 
     # Reference error column recomputed from the reference coordinate pairs.
     recomputed = [
@@ -469,6 +456,8 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     max_row_gap = max(
         abs(r - published) for r, published in zip(recomputed, REFERENCE_ERRORS)
     )
+    reference_mean = sum(REFERENCE_ERRORS) / len(REFERENCE_ERRORS)
+    first_eight_mean = sum(REFERENCE_ERRORS[:8]) / 8
 
     # Published row-8 estimate as printed, graded against the published error.
     a8 = REFERENCE_ACTUAL_XY[7]
@@ -481,13 +470,9 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
 
     # Estimated coordinates of the reference table vs the estimator pipeline.
     corner_fused = estimate_position(
-        corner_power,
-        config.led,
-        config.pd_template,
-        azimuth=config.azimuth,
-        vertical_separation=corner.vertical_separation,
+        corner_power, config.led, config.pd_template, azimuth=config.azimuth
     ).fused
-    attainable = corner.horizontal_distance * math.sqrt(2.0) / 2.0
+    attainable = corner_horizontal * math.sqrt(2.0) / 2.0
 
     # Trend checks over the implemented pipeline, as violation counts.
     power_rows = run_power_distance_sweep(config)
@@ -521,16 +506,16 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
          _TOL_DISTANCE, None, reproduced, "LED-PD distance at the first position"),
         ("corner_slant_distance", REFERENCE_CORNER_DISTANCE, sweep.slant_distance[-1],
          _TOL_DISTANCE, None, reproduced, "LED-PD distance at the tenth position"),
-        ("center_elevation_angle", 90.0, center.elevation_angle, 1e-9, None, reproduced,
+        ("center_elevation_angle", 90.0, center_elevation, 1e-9, None, reproduced,
          "CSA angles equal 90 degrees directly under the LED"),
         ("reference_error_column", 0.0, max_row_gap, _TOL_TABLE, None, reproduced,
          "max per-row gap between errors recomputed from the reference "
          "coordinate pairs and the published column (4-decimal rounding)"),
-        ("reference_mean_error", REFERENCE_MEAN_ERROR, average_error(REFERENCE_ERRORS),
+        ("reference_mean_error", REFERENCE_MEAN_ERROR, reference_mean,
          _TOL_HEADLINE, None, reproduced,
          "mean of the published error column vs the published 0.042 m headline"),
         ("first_eight_mean_error", REFERENCE_FIRST_EIGHT_MEAN,
-         average_error(REFERENCE_ERRORS[:8]), _TOL_HEADLINE, 2e-3, Verdict.TREND_ONLY,
+         first_eight_mean, _TOL_HEADLINE, 2e-3, Verdict.TREND_ONLY,
          "published headline 3.2 cm for 80% of positions; the column mean "
          "is 0.032925 m, which rounds to 3.3 cm, not 3.2"),
         ("reference_position8_symmetry", REFERENCE_ERRORS[7], row8_as_published,

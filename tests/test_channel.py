@@ -212,7 +212,7 @@ class TestReceivedPower:
         sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
         assert isinstance(sample, ChannelSample)
         assert _close(sample.received_power, CENTER_POWER)
-        assert sample.geometry.slant_distance == 3.0
+        assert sample.slant_distance == 3.0
         assert _close(sample.radiant_intensity, 1.0 / math.pi)
         assert sample.concentrator_gain == 2.25
 
@@ -259,7 +259,7 @@ class TestReceivedPower:
             / (2.0 * math.pi)
         )
         for xy, expected in zip(DIAGONAL_XY, DIAGONAL_POWERS):
-            d = link_geometry(LED.position, Point3(xy, xy, 0.0)).slant_distance
+            d, _, _ = link_geometry(LED.position, Point3(xy, xy, 0.0))
             assert _close(k * 3.0 ** (m + 1.0) / d ** (m + 3.0), expected, 1e-9)
 
 

@@ -286,6 +286,19 @@ class TestConfigHandling:
         assert cli(argv + ["--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_config_path_with_equals_sign(self, tmp_path, capsys):
+        # A path is read as a file even when it contains '='.
+        path = tmp_path / "a=b" / "run.cfg"
+        path.parent.mkdir()
+        path.write_text("sweep.positions = [(1.0, 1.0, 0.0)]\n", encoding="utf-8")
+        assert cli(["position-sweep", "--config", str(path)]) == 0
+        body = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(body) == 2
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert cli(["position-sweep", "--config", str(missing)]) == 2
@@ -309,6 +322,20 @@ class TestUsage:
     def test_bad_format_choice(self, capsys):
         assert cli(["position-sweep", "--format", "yaml"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--power", POWER_AT_3_5_M, "--format", "json"],
+            ["estimate", "--power", POWER_AT_3_5_M, "--samples", "5"],
+            ["position-sweep", "--samples", "5"],
+            ["power-sweep", "--samples", "5"],
+        ],
+        ids=["estimate-format", "estimate-samples", "position-samples", "power-samples"],
+    )
+    def test_option_the_subcommand_does_not_read(self, capsys, argv):
+        assert cli(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_version(self, capsys):
         assert cli(["--version"]) == 0

@@ -8,20 +8,19 @@ from scipy.optimize import brentq
 
 from vlcpos import (
     DomainError,
-    EmptyInput,
     LedSpec,
     NonPositivePower,
     PdSpec,
     Point3,
     PowerTooHigh,
     anchor_estimate,
-    average_error,
     csa_angles,
     estimate_position,
     euclidean_distance,
     invert_power_to_distance,
     offset_estimate,
     received_power,
+    replication_report,
 )
 
 LED = LedSpec(
@@ -228,15 +227,15 @@ class TestPositioningError:
 
 
 class TestAverageError:
+    """The mean errors of the published column, as the replication report takes them."""
+
     def test_published_column_mean(self):
-        assert _close(average_error(PUBLISHED_ERRORS), 0.04207)
+        computed = {check.name: check.computed for check in replication_report().checks}
+        assert _close(computed["reference_mean_error"], 0.04207)
 
     def test_published_first_eight_mean(self):
-        assert _close(average_error(PUBLISHED_ERRORS[:8]), 0.032925)
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInput):
-            average_error(())
+        computed = {check.name: check.computed for check in replication_report().checks}
+        assert _close(computed["first_eight_mean_error"], 0.032925)
 
 
 class TestEstimatePosition:
@@ -257,7 +256,6 @@ class TestEstimatePosition:
         fused = math.sqrt(d * d - 9.0) * (math.sin(theta) + math.cos(theta)) / 2.0
         expected_x = 2.5 + fused * math.cos(math.radians(225.0))
         assert _close(record.estimated.x, expected_x, 1e-9)
-        assert record.actual is None
         assert record.positioning_error is None
 
     def test_under_emitter_is_error_free(self):
@@ -268,10 +266,8 @@ class TestEstimatePosition:
         assert record.positioning_error == 0.0
         assert record.estimated == Point3(2.5, 2.5, 0.0)
 
-    def test_explicit_vertical_separation(self):
-        record = estimate_position(
-            POWER_AT_3_5_M, LED, PD, 225.0, vertical_separation=3.0
-        )
+    def test_vertical_separation_is_the_led_height(self):
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0)
         assert _close(record.inverted_distance, 3.5, 1e-9)
 
     def test_propagates_inversion_failures(self):

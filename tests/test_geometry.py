@@ -8,11 +8,9 @@ import pytest
 from vlcpos import (
     DomainError,
     LedNotAbovePd,
-    OutOfRoom,
     Point3,
     RoomSpec,
-    clip_to_floor,
-    diagonal_positions,
+    default_config,
     euclidean_distance,
     link_geometry,
 )
@@ -43,7 +41,6 @@ DIAGONAL_SLANTS = (
     4.281495065978706,
     4.561775969948546,
 )
-
 
 def _close(a, b, tol=1e-12):
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
@@ -97,36 +94,32 @@ class TestEuclideanDistance:
 
 class TestLinkGeometry:
     def test_center_link(self):
-        g = link_geometry(LED, Point3(2.5, 2.5, 0.0))
-        assert g.slant_distance == 3.0
-        assert g.vertical_separation == 3.0
-        assert g.horizontal_distance == 0.0
-        assert g.elevation_angle == 90.0
-        assert g.normal_angle == 0.0
+        assert link_geometry(LED, Point3(2.5, 2.5, 0.0)) == (3.0, 0.0, 90.0)
 
     def test_corner_link(self):
-        g = link_geometry(LED, CORNER)
-        assert _close(g.slant_distance, CORNER_SLANT)
-        assert _close(g.horizontal_distance, CORNER_HORIZONTAL)
-        assert _close(g.elevation_angle, CORNER_ELEVATION)
-        assert _close(g.normal_angle, CORNER_NORMAL)
+        slant, horizontal, elevation = link_geometry(LED, CORNER)
+        assert _close(slant, CORNER_SLANT)
+        assert _close(horizontal, CORNER_HORIZONTAL)
+        assert _close(elevation, CORNER_ELEVATION)
+        assert _close(90.0 - elevation, CORNER_NORMAL)
 
     def test_angles_are_complementary(self):
+        # The elevation plus the angle from the PD normal, taken from the
+        # coordinates directly, makes a right angle.
         rng = random.Random(11)
         for _ in range(200):
             pd = Point3(rng.uniform(0, 5), rng.uniform(0, 5), 0.0)
-            g = link_geometry(LED, pd)
-            assert _close(g.elevation_angle + g.normal_angle, 90.0, 1e-9)
-            assert 0.0 <= g.elevation_angle <= 90.0
-            assert 0.0 <= g.normal_angle <= 90.0
+            _, _, elevation = link_geometry(LED, pd)
+            from_normal = math.degrees(math.atan2(math.hypot(pd.x - 2.5, pd.y - 2.5), 3.0))
+            assert _close(elevation + from_normal, 90.0, 1e-9)
+            assert 0.0 <= elevation <= 90.0
 
     def test_pythagorean_closure(self):
         rng = random.Random(13)
         for _ in range(200):
             pd = Point3(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 2.5))
-            g = link_geometry(LED, pd)
-            recomputed = math.hypot(g.vertical_separation, g.horizontal_distance)
-            assert _close(g.slant_distance, recomputed, 1e-9)
+            slant, horizontal, _ = link_geometry(LED, pd)
+            assert _close(slant, math.hypot(LED.z - pd.z, horizontal), 1e-9)
 
     def test_led_must_be_above_pd(self):
         with pytest.raises(LedNotAbovePd):
@@ -136,8 +129,10 @@ class TestLinkGeometry:
 
 
 class TestDiagonalPositions:
+    """The default scenario's walk along the half-diagonal."""
+
     def test_matches_reference_grid(self):
-        pts = diagonal_positions(ROOM, 10, Point3(2.5, 2.5, 0.0), CORNER)
+        pts = default_config().pd_positions
         assert len(pts) == 10
         for pt, xy in zip(pts, DIAGONAL_XY):
             assert _close(pt.x, xy)
@@ -145,42 +140,16 @@ class TestDiagonalPositions:
             assert pt.z == 0.0
 
     def test_slants_along_grid(self):
-        pts = diagonal_positions(ROOM, 10, Point3(2.5, 2.5, 0.0), CORNER)
-        for pt, expected in zip(pts, DIAGONAL_SLANTS):
+        for pt, expected in zip(default_config().pd_positions, DIAGONAL_SLANTS):
             assert _close(euclidean_distance(LED, pt), expected)
 
     def test_step_is_uniform(self):
-        pts = diagonal_positions(ROOM, 10, Point3(2.5, 2.5, 0.0), CORNER)
+        pts = default_config().pd_positions
         for a, b in zip(pts, pts[1:]):
             assert _close(a.x - b.x, 0.27)
             assert _close(a.y - b.y, 0.27)
 
     def test_endpoints_exact(self):
-        pts = diagonal_positions(ROOM, 2, Point3(2.5, 2.5, 0.0), CORNER)
+        pts = default_config().pd_positions
         assert pts[0] == Point3(2.5, 2.5, 0.0)
         assert pts[-1] == CORNER
-
-    def test_rejects_short_counts(self):
-        with pytest.raises(DomainError):
-            diagonal_positions(ROOM, 1, Point3(2.5, 2.5, 0.0), CORNER)
-
-    def test_rejects_points_off_floor(self):
-        with pytest.raises(OutOfRoom):
-            diagonal_positions(ROOM, 3, Point3(2.5, 2.5, 0.5), CORNER)
-
-    def test_rejects_points_outside_room(self):
-        with pytest.raises(OutOfRoom):
-            diagonal_positions(ROOM, 3, Point3(2.5, 2.5, 0.0), Point3(6.0, 6.0, 0.0))
-
-
-class TestClipToFloor:
-    def test_inside_unchanged(self):
-        p = Point3(1.0, 4.0, 0.0)
-        clipped, was_clipped = clip_to_floor(p, ROOM)
-        assert clipped == p
-        assert was_clipped is False
-
-    def test_outside_clamped(self):
-        clipped, was_clipped = clip_to_floor(Point3(-0.5, 5.5, 0.0), ROOM)
-        assert clipped == Point3(0.0, 5.0, 0.0)
-        assert was_clipped is True

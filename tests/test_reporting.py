@@ -264,7 +264,7 @@ class TestLoadConfig:
         assert load_config(text).led.transmit_power == 8.0
 
     def test_single_pd_position(self):
-        config = load_config("pd.position = (1.0, 2.0, 0.0)")
+        config = load_config("sweep.positions = [(1.0, 2.0, 0.0)]")
         assert config.pd_positions == (Point3(1.0, 2.0, 0.0),)
 
     def test_sweep_positions(self):
@@ -288,10 +288,12 @@ class TestLoadConfig:
         assert config.distance_range == (2.0, 4.0)
 
     def test_rejects_unknown_key(self):
-        with pytest.raises(ParseError) as info:
-            load_config("foo.bar = 1")
-        assert info.value.line == 1
-        assert "unknown key" in str(info.value)
+        # One detector is sweep.positions = [(x, y, 0.0)]; pd.position is no key.
+        for text in ("foo.bar = 1", "pd.position = (1.0, 2.0, 0.0)"):
+            with pytest.raises(ParseError) as info:
+                load_config(text)
+            assert info.value.line == 1
+            assert "unknown key" in str(info.value)
 
     def test_rejects_malformed_line(self):
         with pytest.raises(ParseError) as info:
@@ -309,12 +311,7 @@ class TestLoadConfig:
 
     def test_rejects_pd_position_off_floor(self):
         with pytest.raises(ValidationError):
-            load_config("pd.position = (2.5, 2.5, 1.0)")
-
-    def test_rejects_conflicting_position_keys(self):
-        text = "pd.position = (1.0, 1.0, 0.0)\nsweep.positions = [(1.0, 1.0, 0.0)]"
-        with pytest.raises(ValidationError):
-            load_config(text)
+            load_config("sweep.positions = [(2.5, 2.5, 1.0)]")
 
     def test_rejects_wrong_point_arity(self):
         with pytest.raises(ValidationError):

@@ -226,26 +226,21 @@ class TestSweepColumnsMatchScalarPath:
         result = run_position_sweep(config)
         pd = config.pd_template
         for i, position in enumerate(positions):
-            geometry = link_geometry(led.position, position)
+            slant, _, elevation = link_geometry(led.position, position)
             sample = received_power(led, pd, position)
             record = estimate_position(
-                sample.received_power,
-                led,
-                pd,
-                azimuth,
-                actual=position,
-                vertical_separation=geometry.vertical_separation,
+                sample.received_power, led, pd, azimuth, actual=position
             )
-            assert result.slant_distance[i] == geometry.slant_distance
+            assert result.slant_distance[i] == slant
             assert result.received_power[i] == sample.received_power
             assert result.est_x[i] == record.estimated.x
             assert result.est_y[i] == record.estimated.y
             assert result.positioning_error[i] == record.positioning_error
 
-            angle = geometry.normal_angle
+            angle = 90.0 - elevation
             power = (
                 led.transmit_power
-                / geometry.slant_distance**2
+                / slant**2
                 * radiant_intensity(angle, order)
                 * effective_area(angle, pd)
             )
@@ -284,7 +279,7 @@ class TestSweepColumnsMatchScalarPath:
                 received_power(led, config.pd_template, position)
                 for position in positions
             ]
-            expected = {s.geometry.slant_distance: s.received_power for s in samples}
+            expected = {s.slant_distance: s.received_power for s in samples}
             assert {row[1]: row[2] for row in rows if row[0] == transmit} == expected
 
     def test_power_outside_the_fov_names_the_position(self):
