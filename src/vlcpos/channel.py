@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .geometry import Point3, link_geometry
@@ -145,8 +145,7 @@ class PdSpec:
             )
 
 
-@dataclass(frozen=True)
-class ChannelSample:
+class ChannelSample(NamedTuple):
     """One channel evaluation with every intermediate factor recorded."""
 
     slant_distance: float

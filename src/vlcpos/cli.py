@@ -162,6 +162,8 @@ def cli(argv: list[str] | None = None) -> int:
             rows = run_angle_sweep(config)
             _emit_table(angle_sweep_table(rows, _metadata(config)), args.format, args.out)
         elif args.command == "estimate":
+            if not math.isfinite(args.power):
+                raise ValidationError(f"--power must be finite, got {args.power}")
             actual = _floor_point(*args.actual, config.room) if args.actual else None
             record = estimate_position(
                 args.power,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import LedSpec, PdSpec, concentrator_gain
 from .errors import DomainError, NonPositivePower, PowerTooHigh
@@ -40,8 +40,7 @@ __all__ = [
 _INVERSION_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class EstimateRecord:
+class EstimateRecord(NamedTuple):
     """One position estimate with every intermediate quantity recorded.
 
     incidence is the elevation angle fed to the CSA construction and fused the

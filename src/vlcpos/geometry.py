@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, LedNotAbovePd
 
@@ -27,18 +27,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A 3-D coordinate in meters in the room frame."""
+class Point3(NamedTuple("_Coordinates", [("x", float), ("y", float), ("z", float)])):
+    """A 3-D coordinate in meters in the room frame.
 
-    x: float
-    y: float
-    z: float
+    A tuple (x, y, z) whose constructor, _make and _replace reject non-finite
+    coordinates.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"Point3.{name} must be finite, got {getattr(self, name)}")
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float) -> Point3:
+        for name, value in zip(cls._fields, (x, y, z)):
+            if not math.isfinite(value):
+                raise DomainError(f"Point3.{name} must be finite, got {value}")
+        return tuple.__new__(cls, (x, y, z))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> Point3:
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ import ast
 import hashlib
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping, Sequence
@@ -295,6 +294,12 @@ def _point(value: Any, key: str) -> Point3:
 def _points(value: Any, key: str) -> tuple[Point3, ...]:
     if not isinstance(value, (tuple, list)) or len(value) == 0:
         raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
+    # 3-sequences of finite floats are checked in bulk and built past Point3's
+    # own check; anything else takes _point, whose messages name the value.
+    if set(map(type, value)) <= {tuple, list} and set(map(len, value)) == {3}:
+        coordinates = list(chain.from_iterable(value))
+        if set(map(type, coordinates)) == {float} and all(map(math.isfinite, coordinates)):
+            return tuple(map(tuple.__new__, repeat(Point3), value))
     return tuple(_point(p, key) for p in value)
 
 
@@ -350,23 +355,29 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, str], Any], str]] = {
 }
 
 
-# serialize_config's spelling of a point list with every number in JSON's
-# grammar, spaces only. json.loads reads such text to the value
-# ast.literal_eval gives (ints stay ints, both round floats correctly) without
-# the syntax tree, which dominates loading a long sweep.positions. re compiles
-# the pattern on first use. No possessive quantifiers: Python 3.10 lacks them.
-_JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_JSON_POINT = rf"\( *{_JSON_NUMBER} *, *{_JSON_NUMBER} *, *{_JSON_NUMBER} *\)"
-_POINT_LIST = rf"\[ *{_JSON_POINT}(?: *, *{_JSON_POINT})* *\]"
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.eE ")
+
+
+def _point_list_skeleton(text: str) -> bool:
+    """True when text without number characters and spaces reads [(,,),...,(,,)]."""
+
+    skeleton = text.translate(_NUMBER_CHARS)
+    return skeleton == "[" + "(,,)," * (skeleton.count("(") - 1) + "(,,)]"
 
 
 def _literal(text: str) -> Any:
-    """ast.literal_eval(text), read by json when text is a point list in JSON numbers."""
+    """ast.literal_eval(text), read by json when text has a point list's skeleton.
 
-    if re.fullmatch(_POINT_LIST, text):
+    The skeleton fixes the brackets and the nesting. json rejects every number
+    Python spells differently (1., .5, +1, 1_0, 01, - 1), which then goes to
+    ast, and reads the rest to the value ast gives (ints stay ints, both round
+    floats correctly) without the syntax tree, which dominates a long list.
+    """
+
+    if _point_list_skeleton(text):
         try:
             return list(map(tuple, json.loads(text.replace("(", "[").replace(")", "]"))))
-        except ValueError:  # an integer past the digit limit: ast reports it
+        except ValueError:  # a token json rejects, or an integer past the digit limit
             pass
     return ast.literal_eval(text)
 

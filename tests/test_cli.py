@@ -127,6 +127,12 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: measured power 5e-324 ")
 
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_power(self, capsys, power):
+        assert cli(["estimate", f"--power={power}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ValidationError: --power must be finite, got {float(power)}\n"
+
     @pytest.mark.parametrize("x", ["1e308", "nan"])
     def test_rejects_actual_off_the_floor(self, capsys, x):
         assert cli(["estimate", "--power", "1.4e-6", "--actual", x, "0"]) == 2

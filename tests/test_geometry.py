@@ -1,12 +1,15 @@
 """Tests for point, room, and link geometry primitives."""
 
 import math
+import pickle
 import random
 
 import pytest
 
 from vlcpos import (
+    ChannelSample,
     DomainError,
+    EstimateRecord,
     LedNotAbovePd,
     Point3,
     RoomSpec,
@@ -57,10 +60,40 @@ class TestPoint3:
         with pytest.raises(DomainError):
             Point3(0.0, math.inf, 0.0)
 
-    def test_frozen(self):
+    def test_unpacks(self):
+        x, y, z = Point3(1.0, 2.0, 3.0)
+        assert (x, y, z) == (1.0, 2.0, 3.0)
+
+    def test_equal_and_hashed_as_its_coordinates(self):
         p = Point3(1.0, 2.0, 3.0)
+        assert p == Point3(*p) == (1.0, 2.0, 3.0)
+        assert hash(p) == hash(Point3(*p)) == hash((1.0, 2.0, 3.0))
+
+    def test_pickle_round_trip(self):
+        p = Point3(1.0, -0.0, 3.0)
+        restored = pickle.loads(pickle.dumps(p))
+        assert type(restored) is Point3
+        assert repr(restored) == repr(p)
+
+    def test_make_and_replace_reject_non_finite(self):
+        p = Point3(1.0, 2.0, 3.0)
+        with pytest.raises(DomainError, match=r"^Point3\.x must be finite, got nan$"):
+            p._replace(x=math.nan)
+        with pytest.raises(DomainError, match=r"^Point3\.x must be finite, got inf$"):
+            Point3._make([math.inf, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            Point3(1.0, 2.0, 3.0),
+            ChannelSample(3.0, 0.16, 2.25, 5.06e-06, 1.27e-06),
+            EstimateRecord(Point3(2.5, 2.5, 0.0), 90.0, 0.0, 1.27e-06, 3.0, None),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_frozen(self, record):
         with pytest.raises(AttributeError):
-            p.x = 5.0
+            setattr(record, record._fields[0], 5.0)
 
 
 class TestRoomSpec:

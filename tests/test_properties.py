@@ -33,7 +33,7 @@ from vlcpos import (
     serialize_config,
 )
 from vlcpos import reporting
-from vlcpos.reporting import _CONFIG_KEYS, _POINT_LIST, _literal
+from vlcpos.reporting import _CONFIG_KEYS, _literal, _point, _point_list_skeleton, _points
 from vlcpos.scenario import _MIN_LED_HEIGHT
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -234,7 +234,7 @@ def point_list_texts(draw):
 @PROPERTY
 @given(point_list_texts())
 def test_point_list_reader_matches_literal_eval(text):
-    assert re.fullmatch(_POINT_LIST, text)  # the text takes the JSON path
+    assert _point_list_skeleton(text)  # the text takes the JSON path
     value, expected = _literal(text), ast.literal_eval(text)
     assert value == expected
     # repr tells a list from a tuple, an int from a float, and -0.0 from 0.0.
@@ -268,6 +268,10 @@ def _outcome(read, text):
         "[(NaN, 1, 2)]",
         "[(1e400, 0, 0)]",
         "[(1" + "0" * 4999 + ", 0, 0)]",
+        "[(1, 2, 3], (4, 5, 6))",
+        "[(1,\t2, 3)]",
+        "[(1, 2, 3) (4, 5, 6)]",
+        "[(1, 2, 3)(4, 5, 6)]",
     ],
 )
 def test_near_miss_point_lists_load_as_literal_eval_reads_them(monkeypatch, value):
@@ -288,3 +292,42 @@ def test_long_point_list_loads_as_literal_eval_reads_it(monkeypatch):
     loaded = load_config(text)
     monkeypatch.setattr(reporting, "_literal", ast.literal_eval)
     assert loaded == load_config(text) == config
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# Points the bulk check accepts, and entries that send a list to the per-point
+# loop, one family per reason: a non-finite float, an int or bool (some past
+# the float range), a wrong length, a non-number, a non-sequence. A Point3 is
+# a tuple subclass, which the loop accepts too.
+FLOAT_POINT = st.tuples(FINITE, FINITE, FINITE) | st.lists(FINITE, min_size=3, max_size=3)
+ODD_COORDINATE = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from([10**400, -(10**401), "1.0", None]),
+)
+ODD_ENTRY = st.one_of(
+    st.tuples(FINITE, NON_FINITE, FINITE),
+    st.lists(NON_FINITE, min_size=3, max_size=3),
+    st.tuples(st.integers() | st.booleans(), FINITE, FINITE),
+    st.tuples(FINITE, FINITE, st.sampled_from([10**400, -(10**401)])),
+    st.lists(FINITE, max_size=5).filter(lambda entry: len(entry) != 3),
+    st.tuples(ODD_COORDINATE, ODD_COORDINATE, ODD_COORDINATE),
+    st.builds(Point3, FINITE, FINITE, FINITE),
+    ODD_COORDINATE,
+)
+
+
+@PROPERTY
+@given(
+    st.lists(FLOAT_POINT, min_size=1),
+    st.lists(st.tuples(st.integers(0), ODD_ENTRY), max_size=3),
+)
+def test_bulk_point_check_matches_the_per_point_loop(points, odd_entries):
+    value = list(points)
+    for index, entry in odd_entries:
+        value.insert(index % (len(value) + 1), entry)
+    key = "sweep.positions"
+    bulk = _outcome(lambda v: _points(v, key), value)
+    assert bulk == _outcome(lambda v: tuple(_point(p, key) for p in v), value)
