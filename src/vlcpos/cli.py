@@ -150,17 +150,16 @@ def cli(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if args.command == "position-sweep":
-            result = run_position_sweep(config)
-            _emit_table(
-                position_sweep_table(result, _metadata(config)), args.format, args.out
-            )
-        elif args.command == "power-sweep":
-            rows = run_power_distance_sweep(config)
-            _emit_table(power_sweep_table(rows, _metadata(config)), args.format, args.out)
-        elif args.command == "angle-sweep":
-            rows = run_angle_sweep(config)
-            _emit_table(angle_sweep_table(rows, _metadata(config)), args.format, args.out)
+        # Looked up per call, not held in a module-level table, so a rebound
+        # module global (a test spy, a tracing wrapper) is the one that runs.
+        sweeps = {
+            "position-sweep": (run_position_sweep, position_sweep_table),
+            "power-sweep": (run_power_distance_sweep, power_sweep_table),
+            "angle-sweep": (run_angle_sweep, angle_sweep_table),
+        }
+        if args.command in sweeps:
+            run, table = sweeps[args.command]
+            _emit_table(table(run(config), _metadata(config)), args.format, args.out)
         elif args.command == "estimate":
             if not math.isfinite(args.power):
                 raise ValidationError(f"--power must be finite, got {args.power}")

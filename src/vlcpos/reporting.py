@@ -32,16 +32,12 @@ from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord, csa_angles
 from .geometry import Point3
-from .scenario import (
-    ReplicationReport,
-    ScenarioConfig,
-    SweepResult,
-    default_config,
-)
+from .scenario import ReplicationReport, ScenarioConfig, default_config
 
 __all__ = [
     "OutputTable",
     "load_config",
+    "parse_config",
     "serialize_config",
     "config_hash",
     "emit",
@@ -166,22 +162,12 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
 
 
 def position_sweep_table(
-    result: SweepResult, metadata: Mapping[str, str]
+    rows: tuple[tuple[Any, ...], ...], metadata: Mapping[str, str]
 ) -> OutputTable:
-    """The position-sweep schema: one row per PD position."""
-
-    columns = {
-        "index": range(1, len(result.est_x) + 1),
-        "actual_x": result.actual_x,
-        "actual_y": result.actual_y,
-        "est_x": result.est_x,
-        "est_y": result.est_y,
-        "slant_d": result.slant_distance,
-        "received_power": result.received_power,
-        "error_m": result.positioning_error,
-    }
-    rows = tuple(zip(*columns.values()))
-    return OutputTable("position_sweep", tuple(columns), rows, metadata)
+    columns = (
+        "index", "actual_x", "actual_y", "est_x", "est_y", "slant_d", "received_power", "error_m"
+    )
+    return OutputTable("position_sweep", columns, tuple(rows), metadata)
 
 
 def power_sweep_table(
@@ -240,7 +226,7 @@ def replication_text(report: ReplicationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[str]:
+def estimate_lines(record: EstimateRecord, clipped: bool) -> list[str]:
     """Human-readable key = value lines for a one-shot estimate."""
 
     complementary, supplementary = csa_angles(record.incidence)
@@ -253,9 +239,8 @@ def estimate_lines(record: EstimateRecord, clipped: bool | None = None) -> list[
         f"fused_offset = {format_number(record.fused)}",
         "estimated = "
         f"({format_number(record.estimated.x)}, {format_number(record.estimated.y)}, 0)",
+        f"clipped_to_room = {str(clipped).lower()}",
     ]
-    if clipped is not None:
-        lines.append(f"clipped_to_room = {str(clipped).lower()}")
     if record.positioning_error is not None:
         lines.append(f"positioning_error = {format_number(record.positioning_error)}")
     return lines
@@ -407,26 +392,35 @@ def _parse_lines(text: str) -> dict[str, Any]:
     return values
 
 
-def load_config(source: str | Path) -> ScenarioConfig:
-    """Build a ScenarioConfig from a file path or inline text.
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Read a config file and build its ScenarioConfig with parse_config.
 
-    A string containing '=' or a newline is treated as inline config text;
-    anything else is read as a path. Unspecified keys keep the default
-    scenario values.
+    The file is UTF-8 text; a leading byte-order mark is dropped.
 
     Raises:
-        ParseError: a file that is not UTF-8 text, malformed lines, unknown or
-            duplicate keys.
+        OSError: the file cannot be read.
+        ParseError: a file that is not UTF-8 text, or any error parse_config
+            raises.
+        ValidationError: as parse_config.
+    """
+
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Build a ScenarioConfig from config text.
+
+    Unspecified keys keep the default scenario values.
+
+    Raises:
+        ParseError: malformed lines, unknown or duplicate keys.
         ValidationError: parsed values violating a scenario invariant.
     """
 
-    if isinstance(source, str) and ("=" in source or "\n" in source or source.strip() == ""):
-        text = source
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
     values = _parse_lines(text)
 
     # Field overrides per record of the default; "" holds ScenarioConfig's own
@@ -452,7 +446,7 @@ def load_config(source: str | Path) -> ScenarioConfig:
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    """Render a config as the text format load_config accepts.
+    """Render a config as the text format parse_config accepts.
 
     Floats are written with repr so loading the result reproduces the exact
     same values. The Lambertian order is written only when it overrides the

@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat, starmap
-from typing import Sequence
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
@@ -31,7 +30,6 @@ from .geometry import Point3, RoomSpec, euclidean_distance, link_columns, link_g
 
 __all__ = [
     "ScenarioConfig",
-    "SweepResult",
     "Verdict",
     "ReplicationCheck",
     "ReplicationReport",
@@ -116,7 +114,7 @@ _TOL_DISTANCE = 5e-3
 
 
 # ---------------------------------------------------------------------------
-# Configuration and sweep results
+# Configuration
 # ---------------------------------------------------------------------------
 
 
@@ -231,21 +229,11 @@ def default_config() -> ScenarioConfig:
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Position-sweep columns, one entry per configured position."""
-
-    actual_x: Sequence[float]
-    actual_y: Sequence[float]
-    est_x: Sequence[float]
-    est_y: Sequence[float]
-    slant_distance: Sequence[float]
-    received_power: Sequence[float]
-    positioning_error: Sequence[float]
-
-
-def run_position_sweep(config: ScenarioConfig) -> SweepResult:
-    """Walk the PD over the configured positions and estimate each one.
+def run_position_sweep(
+    config: ScenarioConfig,
+) -> tuple[tuple[int, float, float, float, float, float, float, float], ...]:
+    """(index, actual_x, actual_y, est_x, est_y, slant_d, received_power, error_m)
+    for each configured position, index 1-based.
 
     Each position is one received_power and one estimate_position call, so a
     sweep row is exactly what the one-shot API reports for that position.
@@ -256,13 +244,8 @@ def run_position_sweep(config: ScenarioConfig) -> SweepResult:
     """
 
     led, pd, azimuth = config.led, config.pd_template, config.azimuth
-    positions = config.pd_positions
-    slants: list[float] = []
-    powers: list[float] = []
-    est_x: list[float] = []
-    est_y: list[float] = []
-    errors: list[float] = []
-    for index, position in enumerate(positions, start=1):
+    rows = []
+    for index, position in enumerate(config.pd_positions, start=1):
         try:
             sample = received_power(led, pd, position)
             estimate = estimate_position(
@@ -270,20 +253,10 @@ def run_position_sweep(config: ScenarioConfig) -> SweepResult:
             )
         except DomainError as exc:
             raise type(exc)(f"position {index}: {exc}") from exc
-        slants.append(sample.slant_distance)
-        powers.append(sample.received_power)
-        est_x.append(estimate.estimated.x)
-        est_y.append(estimate.estimated.y)
-        errors.append(estimate.positioning_error)
-    return SweepResult(
-        actual_x=[p.x for p in positions],
-        actual_y=[p.y for p in positions],
-        est_x=est_x,
-        est_y=est_y,
-        slant_distance=slants,
-        received_power=powers,
-        positioning_error=errors,
-    )
+        estimated = estimate.estimated
+        rows.append((index, position.x, position.y, estimated.x, estimated.y,
+                     sample.slant_distance, sample.received_power, estimate.positioning_error))
+    return tuple(rows)
 
 
 def run_power_distance_sweep(
@@ -444,7 +417,11 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
 
     if config is None:
         config = default_config()
+    # Rows end (slant_d, received_power, error_m).
     sweep = run_position_sweep(config)
+    *_, center_slant, center_power, _ = sweep[0]
+    *_, corner_slant, corner_power, _ = sweep[-1]
+    errors = [error for *_, error in sweep]
     _, _, center_elevation = link_geometry(config.led.position, config.pd_positions[0])
     _, corner_horizontal, _ = link_geometry(config.led.position, config.pd_positions[-1])
 
@@ -464,8 +441,6 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     e8x, e8y = REFERENCE_POSITION8_AS_PUBLISHED
     row8_as_published = euclidean_distance(Point3(a8, a8, 0.0), Point3(e8x, e8y, 0.0))
 
-    center_power = sweep.received_power[0]
-    corner_power = sweep.received_power[-1]
     plotted_center, plotted_corner = REFERENCE_POWER_FAMILIES[15.0]
 
     # Estimated coordinates of the reference table vs the estimator pipeline.
@@ -495,16 +470,15 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
             1 for a, b in zip(families[higher], families[lower]) if not a > b
         )
 
-    errors = sweep.positioning_error
     error_violations = sum(1 for a, b in zip(errors, errors[1:]) if b < a)
 
     reproduced, not_reproducible = Verdict.REPRODUCED, Verdict.NOT_REPRODUCIBLE
     # (name, reference, computed, tol, trend_tol, expected, note); tol None
     # marks a count check.
     rows = (
-        ("center_slant_distance", REFERENCE_CENTER_DISTANCE, sweep.slant_distance[0],
+        ("center_slant_distance", REFERENCE_CENTER_DISTANCE, center_slant,
          _TOL_DISTANCE, None, reproduced, "LED-PD distance at the first position"),
-        ("corner_slant_distance", REFERENCE_CORNER_DISTANCE, sweep.slant_distance[-1],
+        ("corner_slant_distance", REFERENCE_CORNER_DISTANCE, corner_slant,
          _TOL_DISTANCE, None, reproduced, "LED-PD distance at the tenth position"),
         ("center_elevation_angle", 90.0, center_elevation, 1e-9, None, reproduced,
          "CSA angles equal 90 degrees directly under the LED"),

@@ -57,9 +57,9 @@ REFERENCE_FIRST_EIGHT_HEADLINE = 0.0329
 
 def test_criterion_1_diagonal_slant_distances():
     config = default_config()
-    result = run_position_sweep(config)
-    first = result.slant_distance[0]
-    last = result.slant_distance[-1]
+    rows = run_position_sweep(config)
+    first = rows[0][5]  # slant_d
+    last = rows[-1][5]
     assert abs(first - 3.0) <= TOL_SLANT
     assert abs(last - 4.56) <= TOL_SLANT
     assert round(first, 3) == 3.000
@@ -171,7 +171,7 @@ def test_criterion_6_published_trends():
     for low, high in ((60.0, 70.0), (70.0, 80.0), (80.0, 90.0)):
         assert all(a < b for a, b in zip(families[low], families[high]))
 
-    errors = run_position_sweep(config).positioning_error
+    errors = [row[7] for row in run_position_sweep(config)]  # error_m
     assert errors[0] == 0.0
     assert all(a <= b for a, b in zip(errors, errors[1:]))
     print(

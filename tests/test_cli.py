@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import vlcpos.cli
 from vlcpos.cli import cli
 
 POWER_AT_3_5_M = "1.4496953791835698e-06"
@@ -94,6 +95,35 @@ class TestOtherSweeps:
             if line.startswith("# config")
         ]
         assert default_meta != changed_meta
+
+
+class TestSweepDispatch:
+    """The sweep commands call vlcpos.cli's current bindings, not copies taken
+    at import, so a rebound module global (a tracing wrapper) sees every call."""
+
+    @pytest.mark.parametrize(
+        "command, runner, builder",
+        [
+            ("position-sweep", "run_position_sweep", "position_sweep_table"),
+            ("power-sweep", "run_power_distance_sweep", "power_sweep_table"),
+            ("angle-sweep", "run_angle_sweep", "angle_sweep_table"),
+        ],
+    )
+    def test_runner_and_table_builder_resolve_through_module_globals(
+        self, monkeypatch, capsys, command, runner, builder
+    ):
+        called = []
+        for name in (runner, builder):
+            original = getattr(vlcpos.cli, name)
+
+            def spy(*args, _name=name, _original=original):
+                called.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(vlcpos.cli, name, spy)
+        assert cli([command]) == 0
+        assert called == [runner, builder]
+        assert capsys.readouterr().out.count("\n") > 3
 
 
 class TestEstimate:

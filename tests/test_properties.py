@@ -28,7 +28,7 @@ from vlcpos import (
     default_config,
     estimate_position,
     link_geometry,
-    load_config,
+    parse_config,
     received_power,
     serialize_config,
 )
@@ -173,7 +173,7 @@ def configs(draw):
 @PROPERTY
 @given(configs())
 def test_serialized_config_loads_back_equal(config):
-    assert load_config(serialize_config(config)) == config
+    assert parse_config(serialize_config(config)) == config
 
 
 # Python literal text, well-formed or not: numbers of any size, strings, None,
@@ -202,7 +202,7 @@ LITERAL_TEXT = st.recursive(
 def test_config_text_loads_or_is_rejected_at_the_boundary(lines):
     text = "".join(f"{key} = {value}\n" for key, value in lines)
     try:
-        config = load_config(text)
+        config = parse_config(text)
     except (ParseError, ValidationError):
         return
     assert isinstance(config, ScenarioConfig)
@@ -277,9 +277,9 @@ def _outcome(read, text):
 def test_near_miss_point_lists_load_as_literal_eval_reads_them(monkeypatch, value):
     text = f"sweep.positions = {value}\n"
     assert _outcome(_literal, value) == _outcome(ast.literal_eval, value)
-    loaded = _outcome(load_config, text)
+    loaded = _outcome(parse_config, text)
     monkeypatch.setattr(reporting, "_literal", ast.literal_eval)
-    assert loaded == _outcome(load_config, text)
+    assert loaded == _outcome(parse_config, text)
 
 
 def test_long_point_list_loads_as_literal_eval_reads_it(monkeypatch):
@@ -289,9 +289,9 @@ def test_long_point_list_loads_as_literal_eval_reads_it(monkeypatch):
     )
     config = replace(default_config(), pd_positions=positions)
     text = serialize_config(config)
-    loaded = load_config(text)
+    loaded = parse_config(text)
     monkeypatch.setattr(reporting, "_literal", ast.literal_eval)
-    assert loaded == load_config(text) == config
+    assert loaded == parse_config(text) == config
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

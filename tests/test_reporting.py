@@ -24,6 +24,7 @@ from vlcpos import (
     estimate_position,
     format_number,
     load_config,
+    parse_config,
     position_sweep_table,
     replication_table,
     run_position_sweep,
@@ -236,39 +237,38 @@ class TestEstimateLines:
 
     def test_optional_fields_omitted(self):
         record = estimate_position(1.4496953791835698e-06, LED, PD, 225.0)
-        lines = estimate_lines(record)
-        text = "\n".join(lines)
-        assert "clipped_to_room" not in text
-        assert "positioning_error" not in text
+        lines = estimate_lines(record, clipped=True)
+        assert lines[-1] == "clipped_to_room = true"
+        assert "positioning_error" not in "\n".join(lines)
 
 
 class TestLoadConfig:
     def test_empty_text_gives_defaults(self):
-        assert load_config("") == default_config()
+        assert parse_config("") == default_config()
 
     def test_single_override(self):
-        config = load_config("led.transmit_power = 12")
+        config = parse_config("led.transmit_power = 12")
         assert config.led.transmit_power == 12.0
         assert config == replace(default_config(), led=config.led)
 
     def test_half_power_angle_drives_order(self):
-        config = load_config("led.half_power_angle = 60")
+        config = parse_config("led.half_power_angle = 60")
         assert math.isclose(config.led.lambertian_order, 1.0, rel_tol=1e-12)
 
     def test_order_override(self):
-        config = load_config("led.lambertian_order = 1.3")
+        config = parse_config("led.lambertian_order = 1.3")
         assert config.led.lambertian_order == 1.3
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nled.transmit_power = 8  # trailing comment\n"
-        assert load_config(text).led.transmit_power == 8.0
+        assert parse_config(text).led.transmit_power == 8.0
 
     def test_single_pd_position(self):
-        config = load_config("sweep.positions = [(1.0, 2.0, 0.0)]")
+        config = parse_config("sweep.positions = [(1.0, 2.0, 0.0)]")
         assert config.pd_positions == (Point3(1.0, 2.0, 0.0),)
 
     def test_sweep_positions(self):
-        config = load_config("sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]")
+        config = parse_config("sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]")
         assert config.pd_positions == (Point3(1.0, 1.0, 0.0), Point3(2.0, 2.0, 0.0))
 
     def test_from_file(self, tmp_path):
@@ -277,6 +277,21 @@ class TestLoadConfig:
         assert load_config(path).azimuth == 45.0
         assert load_config(str(path)).azimuth == 45.0
 
+    def test_path_with_equals_sign_is_a_file(self, tmp_path):
+        path = tmp_path / "a=b" / "run.cfg"
+        path.parent.mkdir()
+        path.write_text("sweep.azimuth = 45.0\n", encoding="utf-8")
+        assert load_config(str(path)).azimuth == 45.0
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "room.width = 4.0\nsweep.azimuth = 45.0\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain) == parse_config(text)
+        assert load_config(marked).room.width == 4.0
+
     def test_rejects_a_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_bytes(b"room.width = 5\xff\n")
@@ -284,51 +299,51 @@ class TestLoadConfig:
             load_config(path)
 
     def test_distance_range(self):
-        config = load_config("sweep.distance_range = (2.0, 4.0)")
+        config = parse_config("sweep.distance_range = (2.0, 4.0)")
         assert config.distance_range == (2.0, 4.0)
 
     def test_rejects_unknown_key(self):
         # One detector is sweep.positions = [(x, y, 0.0)]; pd.position is no key.
         for text in ("foo.bar = 1", "pd.position = (1.0, 2.0, 0.0)"):
             with pytest.raises(ParseError) as info:
-                load_config(text)
+                parse_config(text)
             assert info.value.line == 1
             assert "unknown key" in str(info.value)
 
     def test_rejects_malformed_line(self):
         with pytest.raises(ParseError) as info:
-            load_config("led.transmit_power = 8\nnot a key value pair\n")
+            parse_config("led.transmit_power = 8\nnot a key value pair\n")
         assert info.value.line == 2
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(ParseError) as info:
-            load_config("pd.area = 1e-6\npd.area = 2e-6")
+            parse_config("pd.area = 1e-6\npd.area = 2e-6")
         assert info.value.line == 2
 
     def test_rejects_unparseable_value(self):
         with pytest.raises(ParseError):
-            load_config("pd.area = not-a-number")
+            parse_config("pd.area = not-a-number")
 
     def test_rejects_pd_position_off_floor(self):
         with pytest.raises(ValidationError):
-            load_config("sweep.positions = [(2.5, 2.5, 1.0)]")
+            parse_config("sweep.positions = [(2.5, 2.5, 1.0)]")
 
     def test_rejects_wrong_point_arity(self):
         with pytest.raises(ValidationError):
-            load_config("led.position = (1.0, 2.0)")
+            parse_config("led.position = (1.0, 2.0)")
 
     def test_rejects_bad_domain_values(self):
         with pytest.raises(ValidationError):
-            load_config("pd.fov = 120")
+            parse_config("pd.fov = 120")
         with pytest.raises(ValidationError):
-            load_config("led.half_power_angle = 90")
+            parse_config("led.half_power_angle = 90")
         for elevations in ("[0]", "[95]"):
             with pytest.raises(ValidationError, match="got " + elevations.strip("[]")):
-                load_config(f"sweep.elevations = {elevations}")
+                parse_config(f"sweep.elevations = {elevations}")
         # The serialized form needs the formula's order even when one is given.
         for order in ("", "\nled.lambertian_order = 2"):
             with pytest.raises(ValidationError, match="angle 1e-09"):
-                load_config("led.half_power_angle = 1e-9" + order)
+                parse_config("led.half_power_angle = 1e-9" + order)
 
     @pytest.mark.parametrize(
         "text",
@@ -341,20 +356,20 @@ class TestLoadConfig:
     )
     def test_rejects_non_finite_and_fractional_values(self, text):
         with pytest.raises(ValidationError, match=text.split(" = ")[0]):
-            load_config(text)
+            parse_config(text)
 
     def test_accepts_integral_float_sample_count(self):
-        assert load_config("sweep.distance_samples = 7.0").distance_samples == 7
+        assert parse_config("sweep.distance_samples = 7.0").distance_samples == 7
 
     def test_rejects_bad_distance_range(self):
         with pytest.raises(ValidationError):
-            load_config("sweep.distance_range = (1.0, 2.0, 3.0)")
+            parse_config("sweep.distance_range = (1.0, 2.0, 3.0)")
 
 
 class TestSerializeConfig:
     def test_default_round_trip(self):
         config = default_config()
-        assert load_config(serialize_config(config)) == config
+        assert parse_config(serialize_config(config)) == config
 
     def test_custom_round_trip(self):
         text = (
@@ -370,11 +385,11 @@ class TestSerializeConfig:
             "sweep.distance_samples = 7\n"
             "sweep.distance_range = (2.5, 3.5)\n"
         )
-        config = load_config(text)
-        assert load_config(serialize_config(config)) == config
+        config = parse_config(text)
+        assert parse_config(serialize_config(config)) == config
 
     def test_order_override_is_preserved(self):
-        config = load_config("led.lambertian_order = 1.3")
+        config = parse_config("led.lambertian_order = 1.3")
         assert "led.lambertian_order = 1.3" in serialize_config(config)
         assert "lambertian_order" not in serialize_config(default_config())
 
@@ -387,5 +402,5 @@ class TestConfigHash:
         assert digest == config_hash(default_config())
 
     def test_sensitivity(self):
-        other = load_config("led.transmit_power = 12")
+        other = parse_config("led.transmit_power = 12")
         assert config_hash(other) != config_hash(default_config())

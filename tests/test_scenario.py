@@ -179,19 +179,21 @@ class TestScenarioConfigValidation:
 class TestPositionSweep:
     def test_rows_follow_reference_grid(self):
         config = default_config()
-        result = run_position_sweep(config)
-        assert result.actual_x == [p.x for p in config.pd_positions]
-        assert result.actual_y == [p.y for p in config.pd_positions]
-        for i, (slant, power, error) in enumerate(
-            zip(DIAGONAL_SLANTS, DIAGONAL_POWERS, PIPELINE_ERRORS)
+        rows = run_position_sweep(config)
+        assert [row[0] for row in rows] == list(range(1, len(config.pd_positions) + 1))
+        assert [row[1] for row in rows] == [p.x for p in config.pd_positions]
+        assert [row[2] for row in rows] == [p.y for p in config.pd_positions]
+        for row, slant, power, error in zip(
+            rows, DIAGONAL_SLANTS, DIAGONAL_POWERS, PIPELINE_ERRORS, strict=True
         ):
-            assert _close(result.slant_distance[i], slant)
-            assert _close(result.received_power[i], power)
+            _, _, _, est_x, est_y, row_slant, row_power, row_error = row
+            assert _close(row_slant, slant)
+            assert _close(row_power, power)
             if error == 0.0:
-                assert result.positioning_error[i] == 0.0
+                assert row_error == 0.0
             else:
-                assert _close(result.positioning_error[i], error)
-            assert abs(result.est_x[i] - result.est_y[i]) < 1e-12
+                assert _close(row_error, error)
+            assert abs(est_x - est_y) < 1e-12
 
     def test_failures_name_the_position(self):
         config = default_config()
@@ -223,19 +225,22 @@ class TestSweepColumnsMatchScalarPath:
         base = default_config()
         led = replace(base.led, lambertian_order=order)
         config = replace(base, led=led, pd_positions=positions, azimuth=azimuth)
-        result = run_position_sweep(config)
+        rows = run_position_sweep(config)
+        assert len(rows) == len(positions)
         pd = config.pd_template
-        for i, position in enumerate(positions):
+        for row, position in zip(rows, positions):
+            _, actual_x, actual_y, est_x, est_y, row_slant, row_power, error = row
+            assert (actual_x, actual_y) == (position.x, position.y)
             slant, _, elevation = link_geometry(led.position, position)
             sample = received_power(led, pd, position)
             record = estimate_position(
                 sample.received_power, led, pd, azimuth, actual=position
             )
-            assert result.slant_distance[i] == slant
-            assert result.received_power[i] == sample.received_power
-            assert result.est_x[i] == record.estimated.x
-            assert result.est_y[i] == record.estimated.y
-            assert result.positioning_error[i] == record.positioning_error
+            assert row_slant == slant
+            assert row_power == sample.received_power
+            assert est_x == record.estimated.x
+            assert est_y == record.estimated.y
+            assert error == record.positioning_error
 
             angle = 90.0 - elevation
             power = (
@@ -244,9 +249,9 @@ class TestSweepColumnsMatchScalarPath:
                 * radiant_intensity(angle, order)
                 * effective_area(angle, pd)
             )
-            assert result.received_power[i] == power
+            assert row_power == power
             unhoisted = self._unhoisted_estimate(power, led, pd, azimuth, position)
-            assert (result.est_x[i], result.est_y[i], result.positioning_error[i]) == unhoisted
+            assert (est_x, est_y, error) == unhoisted
 
     @staticmethod
     def _unhoisted_estimate(power, led, pd, azimuth, actual):
