@@ -37,9 +37,10 @@ class Point3(NamedTuple("_Coordinates", [("x", float), ("y", float), ("z", float
     __slots__ = ()
 
     def __new__(cls, x: float, y: float, z: float) -> Point3:
-        for name, value in zip(cls._fields, (x, y, z)):
-            if not math.isfinite(value):
-                raise DomainError(f"Point3.{name} must be finite, got {value}")
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            for name, value in zip(cls._fields, (x, y, z)):
+                if not math.isfinite(value):
+                    raise DomainError(f"Point3.{name} must be finite, got {value}")
         return tuple.__new__(cls, (x, y, z))
 
     @classmethod

@@ -63,6 +63,8 @@ class OutputTable:
     metadata: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        if not self.columns:
+            raise ValidationError("a table needs at least one column")
         for i, row in enumerate(self.rows, start=1):
             if len(row) != len(self.columns):
                 raise ValidationError(
@@ -90,19 +92,32 @@ def _csv_cell(value: Any) -> str:
 
 def _json_numbers(column: Sequence[float]) -> list[str]:
     # Round through the fixed-digit text form so JSON and CSV agree, then
-    # spell each float the way json.dumps does.
-    rounded = list(map(float, map(format, column, repeat(f".{SIGNIFICANT_DIGITS}g"))))
-    if all(map(math.isfinite, rounded)):
-        return list(map(repr, rounded))
-    return list(map(json.dumps, rounded))
+    # spell each float the way json.dumps does. A text with a point and no
+    # exponent, or with a negative exponent above e-300, already is that
+    # spelling: it reads back to a normal double whose shortest repr has the
+    # same digits, in the notation repr also picks there. The other texts
+    # (integral values, positive exponents, the subnormal range, nan and inf)
+    # are read back once per distinct text. A two-digit exponent ends in
+    # "-05".."-99", which sorts before "300" as a three-digit one below 300 does.
+    texts = list(map(format, column, repeat(f".{SIGNIFICANT_DIGITS}g")))
+    spelled = {
+        text: json.dumps(float(text))
+        for text in set(texts)
+        if not (("." in text and "e" not in text) or ("e-" in text and text[-3:] < "300"))
+    }
+    return list(map(spelled.get, texts, texts)) if spelled else texts
 
 
 def _json_cell(value: Any) -> str:
     return _json_numbers((value,))[0] if isinstance(value, float) else json.dumps(value)
 
 
-def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> list[str]:
-    """Each row's text in one str.format pass; only mixed-type columns go cell by cell."""
+def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> str:
+    """The rows' text without a final newline; mixed-type columns go cell by cell.
+
+    CSV lines take one str.format pass each. The JSON row block is one str.join
+    over the spelled columns.
+    """
 
     columns, cells = [], []
     for column in zip(*rows):
@@ -115,12 +130,19 @@ def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> list[str]:
                 column = _json_numbers(column)
             elif kinds != {int}:
                 column = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
+            elif fmt == "json":
+                column = map(str, column)
         columns.append(column)
     if fmt == "csv":
-        row_format = ",".join(cells)
-    else:
-        row_format = "    [\n      " + ",\n      ".join(cells) + "\n    ]"
-    return list(starmap(row_format.format, zip(*columns)))
+        lines = starmap(",".join(cells).format, zip(*columns))
+        if len(columns) == 1:
+            # csv.writer quotes a lone empty field so the row is not blank.
+            lines = ('""' if line == "" else line for line in lines)
+        return "\n".join(lines)
+    # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".
+    parts = [repeat(",\n      ")] * (2 * len(columns) + 1)
+    parts[0], parts[1::2], parts[-1] = repeat("    [\n      "), columns, repeat("\n    ],\n")
+    return "".join(chain.from_iterable(zip(*parts)))[:-2]
 
 
 def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> int:
@@ -132,11 +154,10 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
 
     metadata = sorted(table.metadata.items())
     if format == "csv":
-        lines = [",".join(map(_csv_cell, table.columns))]
-        lines += _render_rows(table.rows, "csv")
-        if len(table.columns) == 1:
-            # csv.writer quotes a lone empty field so the row is not blank.
-            lines = ['""' if line == "" else line for line in lines]
+        # The header is one more row of text cells.
+        lines = [_render_rows((table.columns,), "csv")]
+        if table.rows:
+            lines.append(_render_rows(table.rows, "csv"))
         comments = [f"# {key} = {value}\n" for key, value in metadata]
         text = "".join(comments) + "\n".join(lines) + "\n"
     elif format == "json":
@@ -144,7 +165,7 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
         text = json.dumps({**frame, "metadata": dict(metadata)}, indent=2) + "\n"
         if table.rows:
             # JSON escapes quotes inside strings, so this is the rows key.
-            rows = ",\n".join(_render_rows(table.rows, "json"))
+            rows = _render_rows(table.rows, "json")
             text = text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)
     else:
         raise UnsupportedFormat(f"unsupported output format: {format!r}")

@@ -60,6 +60,13 @@ class TestPoint3:
         with pytest.raises(DomainError):
             Point3(0.0, math.inf, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["x", "y", "z"])
+    def test_non_finite_message_names_the_coordinate(self, name, value):
+        coordinates = {"x": 1.0, "y": 2.0, "z": 3.0, name: value}
+        with pytest.raises(DomainError, match=rf"^Point3\.{name} must be finite, got {value}$"):
+            Point3(**coordinates)
+
     def test_unpacks(self):
         x, y, z = Point3(1.0, 2.0, 3.0)
         assert (x, y, z) == (1.0, 2.0, 3.0)

@@ -19,6 +19,11 @@ GOLDEN = {
     "power-sweep --format json": "47fb19d55a0b078e79b74de17145a0ff232cd69bb03a5d913fecbaf2bb0653d0",
     "angle-sweep": "d4a60ee41479923567068ca9252e858902de05bf58c3eb1be170b54b08c2632a",
     "angle-sweep --format json": "0a666e357099432673e178c0dd30f213e8cef30e0ccb19b83df52cd55a8dfba3",
+    # 10^4 rows: long enough for columns to repeat values (four elevations),
+    # which is where the JSON number spelling reads a text back only once.
+    "angle-sweep --samples 2500 --format json": (
+        "a44e66666af777ad973d1533a6158c07f84948aa9264502245d8faed4d76b0ed"
+    ),
     "replicate --format csv": "ed5abebdc598e39de981d6683846ccb7e0a9de7e951da8c48ac3f0f08189bb02",
     "replicate --format json": "c4be60645e4aabfcc87af05dc9451a94853af5404d09e04a93084d9b24e210f4",
     "replicate": "f9bb12b299df37672e4d3e6d004346befc47b8d9f02caa11fd2482d59e4687f9",

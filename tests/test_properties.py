@@ -1,5 +1,5 @@
 """Property tests for the identities the per-row records hold by construction,
-and for the config text boundary and its point-list reader.
+for the config text boundary and its point-list reader, and for emission.
 
 The records no longer re-check these on every row, so each test drives one
 producer over its input domain instead. Hypothesis runs derandomized: every
@@ -7,6 +7,9 @@ run draws the same examples.
 """
 
 import ast
+import csv
+import io
+import json
 import math
 import random
 import re
@@ -331,3 +334,88 @@ def test_bulk_point_check_matches_the_per_point_loop(points, odd_entries):
     key = "sweep.positions"
     bulk = _outcome(lambda v: _points(v, key), value)
     assert bulk == _outcome(lambda v: tuple(_point(p, key) for p in v), value)
+
+
+# Emission. Texts at the edges of the spelling rule: around 1e-4 and 1e6,
+# where the rounded text changes notation, 1e16, where repr does, e-300, the
+# smallest normal and subnormal doubles, and -0.0.
+EDGE_NUMBERS = st.sampled_from(
+    [9.999995e-05, 0.0001, 999999.5, 1e16, 1e-300, 9.999995e-301, 1e-299,
+     2.2250738585072014e-308, 5e-324, -0.0]
+)
+JSON_FLOATS = st.floats() | st.integers(10**5, 10**17).map(float) | EDGE_NUMBERS
+
+
+@PROPERTY
+@given(st.lists(JSON_FLOATS, min_size=1))
+def test_json_numbers_spell_the_rounded_float(column):
+    rounded = [float(reporting.format_number(value)) for value in column]
+    # json.dumps writes nan and inf as NaN and Infinity.
+    spell = repr if all(map(math.isfinite, rounded)) else json.dumps
+    assert reporting._json_numbers(column) == list(map(spell, rounded))
+
+
+@st.composite
+def tables(draw):
+    """A table of 1-4 columns and up to 6 rows, with non-ASCII text throughout.
+
+    A column holds floats, ints, None, text or bools, or a mix of all five, so
+    both the per-column and the cell-by-cell renderings run.
+    """
+
+    mixed = st.one_of(JSON_FLOATS, st.integers(), st.none(), st.text(), st.booleans())
+    kinds = [JSON_FLOATS, st.integers(), st.none(), st.text(), st.booleans(), mixed]
+    width = draw(st.integers(1, 4))
+    cells = [draw(st.sampled_from(kinds)) for _ in range(width)]
+    columns = tuple(draw(st.lists(st.text(), min_size=width, max_size=width)))
+    rows = tuple(draw(st.lists(st.tuples(*cells), max_size=6)))
+    metadata = draw(st.dictionaries(st.text(), st.text(), max_size=3))
+    return reporting.OutputTable("t\u00e5ble", columns, rows, metadata)
+
+
+def _csv_reference(table):
+    buffer = io.StringIO()
+    buffer.writelines(f"# {key} = {value}\n" for key, value in sorted(table.metadata.items()))
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow(
+            [
+                ""
+                if c is None
+                else str(c).lower()
+                if isinstance(c, bool)
+                else reporting.format_number(c)
+                if isinstance(c, float)
+                else c
+                for c in row
+            ]
+        )
+    return buffer.getvalue()
+
+
+def _json_reference(table):
+    payload = {
+        "name": table.name,
+        "columns": list(table.columns),
+        "rows": [
+            [float(reporting.format_number(c)) if isinstance(c, float) else c for c in row]
+            for row in table.rows
+        ],
+        "metadata": dict(sorted(table.metadata.items())),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@PROPERTY
+@given(tables())
+def test_emit_matches_the_csv_and_json_modules(tmp_path_factory, table):
+    # emit returns the UTF-8 size of what it wrote; the benchmark's tracer
+    # reports that count as reporting.emit.<format>.bytes.
+    target = tmp_path_factory.getbasetemp() / "emitted"
+    for fmt, expected in (("csv", _csv_reference(table)), ("json", _json_reference(table))):
+        buffer = io.StringIO()
+        assert reporting.emit(table, fmt, buffer) == len(expected.encode("utf-8"))
+        assert buffer.getvalue() == expected
+        assert reporting.emit(table, fmt, target) == target.stat().st_size
+        assert target.read_bytes().decode("utf-8") == expected

@@ -79,6 +79,10 @@ class TestOutputTable:
         with pytest.raises(ValidationError):
             OutputTable(name="bad", columns=("a", "b"), rows=((1,),), metadata={})
 
+    def test_rejects_a_table_without_columns(self):
+        with pytest.raises(ValidationError, match="at least one column"):
+            OutputTable(name="bad", columns=(), rows=((),), metadata={})
+
 
 class TestEmit:
     def test_csv_layout(self):
