@@ -1,9 +1,9 @@
 """CSA-RSS positioning from a single LED and a single PD.
 
-Pipeline: invert the measured power to the slant distance, derive the
-elevation angle and horizontal distance, build the complementary and
-supplementary angles (90 - theta and 90 + theta), project the horizontal
-distance through each, average the two projections into the fused offset, and
+Pipeline: invert the measured power to the slant distance d, take the
+horizontal distance d_hor, project it through the complementary and
+supplementary angles (90 - theta and 90 + theta), whose cosine and sine are
+V/d and d_hor/d, average the two projections into the fused offset, and
 anchor that offset at the LED's floor projection along a configured azimuth.
 
 The angle fed to the CSA construction is the elevation angle (90 degrees when
@@ -38,6 +38,7 @@ __all__ = [
 # Allowance for one rounding step when the inverted distance lands a hair
 # under the vertical separation at the on-axis maximum.
 _INVERSION_SLACK = 1e-9
+_TWO_PI, _FLOAT_MIN = 2.0 * math.pi, sys.float_info.min
 
 
 class EstimateRecord(NamedTuple):
@@ -84,13 +85,13 @@ def invert_power_to_distance(
         )
     m = led.lambertian_order
     gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
-    k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
+    k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / _TWO_PI
     try:
         lifted = vertical_separation ** (m + 1.0)
     except OverflowError:  # V ** (m + 1) past the float range
         lifted = math.inf
-    quotient = k * lifted / measured_power
-    if lifted < math.inf and min(lifted, quotient) >= sys.float_info.min:
+    quotient = k * lifted / measured_power  # inf / inf is NaN, which takes the direct path
+    if _FLOAT_MIN <= lifted < math.inf and not quotient < _FLOAT_MIN:
         distance = quotient ** (1.0 / (m + 3.0))
     else:
         log_v, log_p = math.log(vertical_separation), math.log(measured_power)
@@ -107,7 +108,7 @@ def invert_power_to_distance(
             f"measured power {measured_power} implies distance {distance} below "
             f"the vertical separation {vertical_separation}"
         )
-    return max(distance, vertical_separation)
+    return vertical_separation if distance < vertical_separation else distance
 
 
 def csa_angles(incidence_elevation: float) -> tuple[float, float]:
@@ -138,10 +139,13 @@ def offset_estimate(d_hor: float, incidence_elevation: float) -> float:
 
     if d_hor < 0.0:
         raise DomainError(f"horizontal distance must be >= 0, got {d_hor}")
-    complementary, supplementary = csa_angles(incidence_elevation)
-    comp = d_hor * math.cos(math.radians(complementary))
-    supp = d_hor * math.sin(math.radians(supplementary))
-    return (comp + supp) / 2.0
+    complementary, supplementary = map(math.radians, csa_angles(incidence_elevation))
+    return _fuse(d_hor, math.cos(complementary), math.sin(supplementary))
+
+
+def _fuse(d_hor: float, cos_complementary: float, sin_supplementary: float) -> float:
+    """The fused offset: the mean of d_hor projected through both CSA angles."""
+    return d_hor * (cos_complementary + sin_supplementary) / 2.0
 
 
 def anchor_estimate(
@@ -156,17 +160,18 @@ def anchor_estimate(
     corner.
 
     Raises:
-        DomainError: when the azimuth is outside [0, 360).
+        DomainError: when the azimuth is outside [0, 360) or the estimate is not finite.
     """
 
     if not 0.0 <= azimuth < 360.0:
         raise DomainError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
     led_x, led_y = led_floor_projection
-    return Point3(
-        led_x + fused * math.cos(math.radians(azimuth)),
-        led_y + fused * math.sin(math.radians(azimuth)),
-        0.0,
-    )
+    angle = math.radians(azimuth)
+    x = led_x + fused * math.cos(angle)
+    y = led_y + fused * math.sin(angle)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"fused offset {fused} anchors to a non-finite estimate ({x}, {y})")
+    return tuple.__new__(Point3, (x, y, 0.0))
 
 
 def estimate_position(
@@ -182,18 +187,13 @@ def estimate_position(
     When the actual position is supplied the positioning error is filled in.
     """
 
-    vertical_separation = led.position.z
-    distance = invert_power_to_distance(measured_power, led, pd, vertical_separation)
-    elevation = math.degrees(math.asin(min(vertical_separation / distance, 1.0)))
-    d_hor = math.sqrt(max(distance**2 - vertical_separation**2, 0.0))
-    fused = offset_estimate(d_hor, elevation)
-    estimated = anchor_estimate(fused, (led.position.x, led.position.y), azimuth)
+    led_x, led_y, vertical = led.position
+    distance = invert_power_to_distance(measured_power, led, pd, vertical)
+    # d >= V, so V/d <= 1 and d^2 - V^2 >= 0 (or inf/NaN past the float range).
+    sin_theta = vertical / distance
+    d_hor = math.sqrt(distance * distance - vertical * vertical)
+    fused = _fuse(d_hor, sin_theta, d_hor / distance)
+    estimated = anchor_estimate(fused, (led_x, led_y), azimuth)
     error = None if actual is None else euclidean_distance(actual, estimated)
-    return EstimateRecord(
-        estimated=estimated,
-        incidence=elevation,
-        fused=fused,
-        measured_power=measured_power,
-        inverted_distance=distance,
-        positioning_error=error,
-    )
+    elevation = math.degrees(math.asin(sin_theta))
+    return EstimateRecord(estimated, elevation, fused, measured_power, distance, error)

@@ -65,11 +65,11 @@ class OutputTable:
     def __post_init__(self) -> None:
         if not self.columns:
             raise ValidationError("a table needs at least one column")
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != len(self.columns):
-                raise ValidationError(
-                    f"row {i} has {len(row)} cells for {len(self.columns)} columns"
-                )
+        width = len(self.columns)
+        if not set(map(len, self.rows)) <= {width}:
+            # Only a ragged table pays for the pass that finds its first bad row.
+            i, row = next((i, r) for i, r in enumerate(self.rows, 1) if len(r) != width)
+            raise ValidationError(f"row {i} has {len(row)} cells for {width} columns")
 
 
 def format_number(value: float) -> str:

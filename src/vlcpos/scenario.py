@@ -122,6 +122,9 @@ _TOL_DISTANCE = 5e-3
 # Below it the slant distance of a PD under the LED can round to 0, and the
 # link geometry divides by it.
 _MIN_LED_HEIGHT = math.sqrt(sys.float_info.min)
+# The largest room side, and figure-sweep distance, whose squared link
+# distances stay finite: a slant distance squares three such sides.
+_MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,8 @@ class ScenarioConfig:
 
     pd_template is the one detector the sweeps place at each of pd_positions,
     the floor points the position sweep visits. The LED must lie inside the
-    room, at least _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor.
+    room, at least _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor. No room
+    side, and no distance_range end, may exceed _MAX_ROOM_SIZE (about 7.7e153 m).
     distance_range is the span for the figure-style sweeps; None derives it
     from the configured positions.
     """
@@ -146,6 +150,12 @@ class ScenarioConfig:
     distance_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("width", "length", "height"):
+            if getattr(self.room, name) > _MAX_ROOM_SIZE:
+                raise ValidationError(
+                    f"room {name} {getattr(self.room, name)} is above "
+                    f"{_MAX_ROOM_SIZE:.3g} m, where the squared link distances overflow"
+                )
         led = self.led.position
         if not (self.room.contains_floor_point(led) and 0.0 < led.z <= self.room.height):
             raise ValidationError(
@@ -192,6 +202,11 @@ class ScenarioConfig:
             if not 0.0 < lo <= hi:
                 raise ValidationError(
                     f"distance_range must satisfy 0 < low <= high, got ({lo}, {hi})"
+                )
+            if hi > _MAX_ROOM_SIZE:
+                raise ValidationError(
+                    f"distance_range high end {hi} is above {_MAX_ROOM_SIZE:.3g} m, "
+                    "where the squared distances overflow"
                 )
 
 

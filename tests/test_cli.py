@@ -313,6 +313,36 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(f"error: {error}")
 
     @pytest.mark.parametrize(
+        "command, text, error",
+        [
+            pytest.param(
+                "position-sweep",
+                "room.height = 1e300\nled.position = (2.5, 2.5, 1e200)\n"
+                "sweep.positions = [(0.0, 0.0, 0.0)]",
+                "room height 1e+300 is above 7.74e+153 m",
+                id="height",
+            ),
+            pytest.param(
+                "power-sweep",
+                "room.width = 1e200\nsweep.positions = [(1e200, 0.0, 0.0)]",
+                "room width 1e+200 is above 7.74e+153 m",
+                id="width",
+            ),
+            pytest.param(
+                "angle-sweep",
+                "sweep.distance_range = (1.0, 1e200)",
+                "distance_range high end 1e+200 is above 7.74e+153 m",
+                id="distance-range",
+            ),
+        ],
+    )
+    def test_sizes_whose_squares_overflow_exit_2(self, tmp_path, capsys, command, text, error):
+        path = tmp_path / "huge.cfg"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert cli([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ValidationError: {error}, where")
+
+    @pytest.mark.parametrize(
         "argv", [["estimate", "--power", "1e-9"], ["position-sweep"]], ids=["estimate", "sweep"]
     )
     def test_large_lambertian_order_exits_0(self, tmp_path, capsys, argv):

@@ -203,6 +203,18 @@ class TestAnchorEstimate:
         away = anchor_estimate(fused, (2.5, 2.5), 45.0)
         assert _close(away.x, 2.5 + fused * math.cos(math.radians(45.0)))
 
+    @pytest.mark.parametrize("fused", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_estimate_naming_the_offset(self, fused):
+        with pytest.raises(DomainError, match=rf"^fused offset {fused} anchors to a non-finite"):
+            anchor_estimate(fused, (2.5, 2.5), 225.0)
+
+    def test_finite_estimate_is_a_floor_point(self):
+        p = anchor_estimate(1.0, (2.5, 2.5), 10.0)
+        assert type(p) is Point3
+        assert p.z == 0.0
+        angle = math.radians(10.0)
+        assert p == Point3(2.5 + math.cos(angle), 2.5 + math.sin(angle), 0.0)
+
     def test_rejects_azimuth_out_of_range(self):
         fused = offset_estimate(1.0, 45.0)
         with pytest.raises(DomainError):

@@ -31,6 +31,7 @@ from vlcpos import (
     default_config,
     estimate_position,
     link_geometry,
+    offset_estimate,
     parse_config,
     received_power,
     serialize_config,
@@ -130,6 +131,42 @@ def test_estimate_lies_on_the_floor(data, room, azimuth):
     assert record.positioning_error >= 0.0
     # The inversion recovers the slant distance the reading was made at.
     assert math.isclose(record.inverted_distance, sample.slant_distance, rel_tol=1e-9)
+
+
+@st.composite
+def offsets(draw):
+    """LED height V, and a PD's horizontal offset h >= V/10 in direction phi.
+
+    Closer to the LED, d_hor = sqrt(d^2 - V^2) amplifies the rounding of the
+    inverted d by (d/h)^2, so the estimate leaves 1e-12 of the closed form.
+    """
+
+    v = draw(st.floats(0.5, 20.0))
+    return v, v * draw(st.floats(0.1, 100.0)), draw(st.floats(0.0, 2.0 * math.pi))
+
+
+@PROPERTY
+@given(st.data(), offsets(), st.floats(0.0, 360.0, exclude_max=True))
+def test_estimate_matches_the_closed_form_of_the_fusion(data, offset, azimuth):
+    # With cos(90 - theta) = V/d and sin(90 + theta) = h/d the fused offset is
+    # f = h (V + h) / (2 d); the estimate lies f from the LED's floor
+    # projection along the azimuth, the PD h from it along phi.
+    v, h, phi = offset
+    led, pd = data.draw(transceivers(Point3(0.0, 0.0, v)))
+    # A FOV that sees the PD, so few draws read 0 W.
+    pd = replace(pd, fov=data.draw(st.floats(math.degrees(math.atan2(h, v)), 90.0)))
+    actual = Point3(h * math.cos(phi), h * math.sin(phi), 0.0)
+    power = received_power(led, pd, actual).received_power
+    assume(power > 0.0)
+    record = estimate_position(power, led, pd, azimuth, actual=actual)
+    f = h * (v + h) / (2.0 * math.hypot(v, h))
+    error = math.sqrt(h * h + f * f - 2.0 * h * f * math.cos(phi - math.radians(azimuth)))
+    assert math.isclose(record.positioning_error, error, rel_tol=1e-12)
+    # The same fusion through the literal CSA angles, in degrees.
+    distance = record.inverted_distance
+    d_hor = math.sqrt(distance * distance - v * v)
+    trig = offset_estimate(d_hor, record.incidence)
+    assert math.isclose(record.fused, trig, rel_tol=1e-12)
 
 
 @st.composite

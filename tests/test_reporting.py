@@ -79,6 +79,11 @@ class TestOutputTable:
         with pytest.raises(ValidationError):
             OutputTable(name="bad", columns=("a", "b"), rows=((1,),), metadata={})
 
+    def test_names_the_first_ragged_row(self):
+        rows = [(1, 2)] * 5 + [(1, 2, 3), (1,)] + [(1, 2)] * 5
+        with pytest.raises(ValidationError, match=r"^row 6 has 3 cells for 2 columns$"):
+            OutputTable(name="bad", columns=("a", "b"), rows=tuple(rows), metadata={})
+
     def test_rejects_a_table_without_columns(self):
         with pytest.raises(ValidationError, match="at least one column"):
             OutputTable(name="bad", columns=(), rows=((),), metadata={})

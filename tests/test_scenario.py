@@ -20,7 +20,6 @@ from vlcpos import (
     estimate_position,
     euclidean_distance,
     link_geometry,
-    offset_estimate,
     radiant_intensity,
     received_power,
     replication_report,
@@ -260,9 +259,9 @@ class TestSweepColumnsMatchScalarPath:
         gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
         k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
         distance = max((k * vertical ** (m + 1.0) / power) ** (1.0 / (m + 3.0)), vertical)
-        elevation = math.degrees(math.asin(min(vertical / distance, 1.0)))
-        d_hor = math.sqrt(max(distance**2 - vertical**2, 0.0))
-        fused = offset_estimate(d_hor, elevation)
+        d_hor = math.sqrt(distance * distance - vertical * vertical)
+        # cos(90 - theta) = V/d and sin(90 + theta) = d_hor/d on the coupled path.
+        fused = d_hor * (vertical / distance + d_hor / distance) / 2.0
         estimated = anchor_estimate(fused, (led.position.x, led.position.y), azimuth)
         return estimated.x, estimated.y, euclidean_distance(actual, estimated)
 
