@@ -8,7 +8,8 @@ with irradiance angle phi at the LED, incidence angle theta from the PD
 normal, optical filter gain h, and concentrator gain g = n^2 / sin^2(FOV)
 inside the field of view (0 beyond it). For the coplanar ceiling/floor
 geometry here the LED normal points down and the PD normal up, so phi equals
-theta and both equal the from-normal angle of the link.
+theta and both equal the from-normal angle of the link. power_columns is the
+one place that evaluates this product; the scalar functions are one-row views.
 
 The gain equations use the from-normal convention throughout: cos(0) = 1 is
 the on-axis maximum directly under the LED. Elevation-labelled sweeps are
@@ -29,9 +30,7 @@ __all__ = [
     "PdSpec",
     "ChannelSample",
     "lambertian_order",
-    "radiant_intensity",
     "concentrator_gain",
-    "effective_area",
     "power_columns",
     "received_power",
     "received_power_at",
@@ -55,22 +54,6 @@ def lambertian_order(half_power_angle: float) -> float:
     if log_cos == 0.0:  # cos rounds to 1 below about 6e-7 degrees
         raise DomainError(f"half-power angle {half_power_angle} gives an infinite order")
     return -math.log(2.0) / log_cos
-
-
-def radiant_intensity(irradiance_angle: float, m: float) -> float:
-    """LED radiation pattern ((m+1)/2pi) * cos^m(angle), per steradian.
-
-    Raises:
-        DomainError: when the angle is outside [0, 90] degrees or m <= 0.
-    """
-
-    if not 0.0 <= irradiance_angle <= 90.0:
-        raise DomainError(
-            f"irradiance angle must lie in [0, 90] degrees, got {irradiance_angle}"
-        )
-    if not m > 0.0:
-        raise DomainError(f"Lambertian order must be > 0, got {m}")
-    return (m + 1.0) / (2.0 * math.pi) * math.cos(math.radians(irradiance_angle)) ** m
 
 
 def concentrator_gain(normal_angle: float, n: float, fov: float) -> float:
@@ -146,43 +129,29 @@ class PdSpec:
 
 
 class ChannelSample(NamedTuple):
-    """One channel evaluation with every intermediate factor recorded."""
+    """One channel evaluation: slant distance, concentrator gain at the link
+    angle, and received power."""
 
     slant_distance: float
-    radiant_intensity: float
     concentrator_gain: float
-    effective_area: float
     received_power: float
-
-
-def effective_area(normal_angle: float, pd: PdSpec) -> float:
-    """Effective collection area A * h * g(angle) * cos(angle), 0 beyond the FOV.
-
-    Raises:
-        DomainError: when the angle is negative.
-    """
-
-    if normal_angle < 0.0:
-        raise DomainError(f"incidence angle must be >= 0 degrees, got {normal_angle}")
-    if normal_angle > pd.fov:
-        return 0.0
-    gain = concentrator_gain(normal_angle, pd.refractive_index, pd.fov)
-    return pd.area * pd.filter_gain * gain * math.cos(math.radians(normal_angle))
 
 
 def power_columns(
     led: LedSpec,
     pd: PdSpec,
     distances: Sequence[float],
-    irradiance_angles: Sequence[float],
-    normal_angles: Sequence[float],
+    angles: Sequence[float],
 ) -> list[float]:
-    """Received power P_t / d^2 * f(phi) * A_eff(theta) for each row, 0 beyond the FOV.
+    """Received power P_t / d^2 * f(angle) * A_eff(angle) for each row, 0 beyond the FOV.
 
-    (m+1)/2pi and A*h*g are computed once; each row checks its inputs.
+    Each angle is the link's from-normal angle, which is both the irradiance
+    angle at the LED and the incidence angle at the PD, so one cosine serves
+    both factors. (m+1)/2pi and A*h*g are computed once; each row checks its
+    inputs.
 
     Raises:
-        DomainError: when a distance is not > 0 or an angle is out of range.
+        DomainError: when a distance is not > 0 or an angle is negative or NaN.
     """
 
     m = led.lambertian_order
@@ -194,43 +163,36 @@ def power_columns(
     transmit = led.transmit_power
     cos, radians = math.cos, math.radians
     powers: list[float] = []
-    for distance, irradiance, normal in zip(distances, irradiance_angles, normal_angles):
+    for distance, angle in zip(distances, angles):
         if not distance > 0.0:
             raise DomainError(f"distance must be > 0, got {distance}")
-        if normal > fov:
+        if angle > fov:
             powers.append(0.0)
             continue
-        if not 0.0 <= irradiance <= 90.0 or normal < 0.0:
-            raise DomainError(
-                f"angles must lie in [0, 90] degrees, got {irradiance} and {normal}"
-            )
-        pattern = intensity_scale * cos(radians(irradiance)) ** m
-        area = area_gain * cos(radians(normal))
-        powers.append(transmit / distance**2 * pattern * area)
+        if not angle >= 0.0:
+            raise DomainError(f"link angle must be >= 0 degrees, got {angle}")
+        c = cos(radians(angle))
+        powers.append(transmit / distance**2 * (intensity_scale * c**m) * (area_gain * c))
     return powers
 
 
-def received_power_at(
-    led: LedSpec,
-    pd: PdSpec,
-    distance: float,
-    irradiance_angle: float,
-    normal_angle: float,
-) -> float:
-    """Received power with both angles and the distance given explicitly.
+def received_power_at(led: LedSpec, pd: PdSpec, distance: float, angle: float) -> float:
+    """Received power with the distance and the from-normal link angle given explicitly.
 
-    A one-row view of power_columns; received_power couples the angles to the
+    A one-row view of power_columns; received_power takes both from the
     geometry instead.
     """
 
-    return power_columns(led, pd, (distance,), (irradiance_angle,), (normal_angle,))[0]
+    return power_columns(led, pd, (distance,), (angle,))[0]
 
 
 def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
     """Evaluate the channel for the LED and the detector placed at position.
 
-    The irradiance and incidence angles both equal the link's from-normal
-    angle because the LED faces straight down and the PD straight up.
+    A one-row view of power_columns at the link's from-normal angle. The
+    sample's concentrator_gain is the gain at that angle, 0 exactly when the
+    PD sees the LED from beyond its FOV; it tells such a FOV cut apart from a
+    power that underflowed to 0.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
@@ -238,16 +200,6 @@ def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
 
     slant, _, elevation = link_geometry(led.position, position)
     angle = 90.0 - elevation
-    pattern = radiant_intensity(angle, led.lambertian_order)
-    # Both gain factors are already 0 beyond the FOV, which zeroes the power.
+    (power,) = power_columns(led, pd, (slant,), (angle,))
     gain = concentrator_gain(angle, pd.refractive_index, pd.fov)
-    area = effective_area(angle, pd)
-    # Same product, in the same order, as power_columns.
-    power = led.transmit_power / slant**2 * pattern * area
-    return ChannelSample(
-        slant_distance=slant,
-        radiant_intensity=pattern,
-        concentrator_gain=gain,
-        effective_area=area,
-        received_power=power,
-    )
+    return ChannelSample(slant, gain, power)

@@ -294,7 +294,7 @@ def run_power_distance_sweep(
     rows: list[tuple[float, float, float]] = []
     for power in config.transmit_powers:
         powers = power_columns(
-            replace(led, transmit_power=power), config.pd_template, slants, normals, normals
+            replace(led, transmit_power=power), config.pd_template, slants, normals
         )
         rows.extend(zip(repeat(power), slants, powers))
     return tuple(rows)
@@ -322,7 +322,7 @@ def run_angle_sweep(
     rows: list[tuple[float, float, float]] = []
     for elevation in config.sweep_elevations:
         normals = [90.0 - elevation] * len(distances)
-        powers = power_columns(config.led, config.pd_template, distances, normals, normals)
+        powers = power_columns(config.led, config.pd_template, distances, normals)
         rows.extend(zip(repeat(elevation), distances, powers))
     return tuple(rows)
 
@@ -465,10 +465,13 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     attainable = corner_horizontal * math.sqrt(2.0) / 2.0
 
     # Trend checks over the implemented pipeline, as violation counts.
+    # One family per configured power, each a run of len(pd_positions) rows;
+    # grouping by power value would join the walks of a repeated power.
     power_rows = run_power_distance_sweep(config)
+    walk = len(config.pd_positions)
     power_violations = 0
-    for power in config.transmit_powers:
-        family = [p for tp, _, p in power_rows if tp == power]
+    for start in range(0, len(power_rows), walk):
+        family = [p for _, _, p in power_rows[start:start + walk]]
         power_violations += sum(
             1 for a, b in zip(family, family[1:]) if not b < a
         )

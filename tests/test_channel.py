@@ -12,10 +12,8 @@ from vlcpos import (
     PdSpec,
     Point3,
     concentrator_gain,
-    effective_area,
     lambertian_order,
     link_geometry,
-    radiant_intensity,
     received_power,
     received_power_at,
 )
@@ -65,6 +63,25 @@ def _close(a, b, tol=1e-12):
     return math.isclose(a, b, rel_tol=tol, abs_tol=1e-300)
 
 
+# A detector with A * h * g = 1: unit area and filter gain, n = 1 and a
+# 90-degree FOV. At 1 m from a 1 W emitter it reads the emitter pattern
+# (m+1)/2pi cos^m times the cos of the incidence angle.
+UNIT_PD = PdSpec(area=1.0, fov=90.0, filter_gain=1.0, refractive_index=1.0)
+
+
+def _intensity(angle, m):
+    """(m+1)/2pi cos^m(angle), read off the one channel path."""
+    led = LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=m)
+    return received_power_at(led, UNIT_PD, 1.0, angle) / math.cos(math.radians(angle))
+
+
+def _effective_area(angle, pd):
+    """A * h * g(angle) * cos(angle), read off the one channel path at 1 m
+    from a 1 W first-order emitter, whose pattern is cos(angle) / pi."""
+    led = LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=1.0)
+    return received_power_at(led, pd, 1.0, angle) / (math.cos(math.radians(angle)) / math.pi)
+
+
 class TestLambertianOrder:
     def test_reference_values(self):
         for angle, m in ORDER_BY_HALF_ANGLE.items():
@@ -92,26 +109,28 @@ class TestLambertianOrder:
 
 class TestRadiantIntensity:
     def test_on_axis_first_order(self):
-        assert _close(radiant_intensity(0.0, 1.0), 1.0 / math.pi)
+        assert _close(_intensity(0.0, 1.0), 1.0 / math.pi)
 
     def test_reference_values(self):
-        assert _close(radiant_intensity(60.0, 1.0), 0.15915494309189535)
-        assert _close(radiant_intensity(45.0, 3.0), 0.22507907903927651)
-        assert _close(radiant_intensity(48.87997267609269, 1.0), CORNER_INTENSITY)
+        assert _close(_intensity(60.0, 1.0), 0.15915494309189535)
+        assert _close(_intensity(45.0, 3.0), 0.22507907903927651)
+        assert _close(_intensity(48.87997267609269, 1.0), CORNER_INTENSITY)
 
     def test_vanishes_at_grazing(self):
         # cos(radians(90)) is ~6e-17 in floats, so the intensity is a
         # residue rather than an exact zero.
-        assert 0.0 <= radiant_intensity(90.0, 1.0) < 1e-15
-        assert 0.0 <= radiant_intensity(90.0, 3.0) < 1e-15
+        assert 0.0 <= _intensity(90.0, 1.0) < 1e-15
+        assert 0.0 <= _intensity(90.0, 3.0) < 1e-15
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got -1.0$"):
+            received_power_at(LED, PD, 3.0, -1.0)
+        with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got nan$"):
+            received_power_at(LED, PD, 3.0, math.nan)
         with pytest.raises(DomainError):
-            radiant_intensity(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            radiant_intensity(91.0, 1.0)
-        with pytest.raises(DomainError):
-            radiant_intensity(30.0, 0.0)
+            LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=0.0)
+        # Beyond every FOV (at most 90 degrees) the power is 0, not an error.
+        assert received_power_at(LED, PD, 3.0, 91.0) == 0.0
 
 
 class TestConcentratorGain:
@@ -135,13 +154,13 @@ class TestConcentratorGain:
 
 class TestEffectiveArea:
     def test_normal_incidence(self):
-        assert _close(effective_area(0.0, PD), 2.25e-6 * 1.0 * 2.25)
+        assert _close(_effective_area(0.0, PD), 2.25e-6 * 1.0 * 2.25)
 
     def test_corner_incidence(self):
-        assert _close(effective_area(48.87997267609269, PD), CORNER_EFFECTIVE_AREA)
+        assert _close(_effective_area(48.87997267609269, PD), CORNER_EFFECTIVE_AREA)
 
     def test_reference_value_at_30_degrees(self):
-        assert _close(effective_area(30.0, PD), 4.384253606658721e-06)
+        assert _close(_effective_area(30.0, PD), 4.384253606658721e-06)
 
     def test_zero_beyond_fov(self):
         narrow = PdSpec(
@@ -150,10 +169,10 @@ class TestEffectiveArea:
             filter_gain=1.0,
             refractive_index=1.5,
         )
-        assert effective_area(50.0, narrow) == 0.0
+        assert received_power_at(LED, narrow, 3.0, 50.0) == 0.0
 
     def test_non_increasing_within_fov(self):
-        values = [effective_area(0.1 * k, PD) for k in range(900)]
+        values = [_effective_area(0.1 * k, PD) for k in range(900)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -213,14 +232,18 @@ class TestReceivedPower:
         assert isinstance(sample, ChannelSample)
         assert _close(sample.received_power, CENTER_POWER)
         assert sample.slant_distance == 3.0
-        assert _close(sample.radiant_intensity, 1.0 / math.pi)
         assert sample.concentrator_gain == 2.25
+        # On axis the pattern is 1/pi and the effective area A * h * g.
+        assert _close(sample.received_power, 15.0 / 9.0 / math.pi * 2.25e-6 * 2.25)
 
     def test_corner_link(self):
         sample = received_power(LED, PD, Point3(0.07, 0.07, 0.0))
         assert _close(sample.received_power, CORNER_POWER)
-        assert _close(sample.effective_area, CORNER_EFFECTIVE_AREA)
-        assert _close(sample.radiant_intensity, CORNER_INTENSITY)
+        assert sample.concentrator_gain == 2.25
+        expected = (
+            LED.transmit_power / sample.slant_distance**2 * CORNER_INTENSITY * CORNER_EFFECTIVE_AREA
+        )
+        assert _close(sample.received_power, expected)
 
     def test_diagonal_grid(self):
         for xy, expected in zip(DIAGONAL_XY, DIAGONAL_POWERS):
@@ -236,9 +259,9 @@ class TestReceivedPower:
             refractive_index=1.5,
         )
         sample = received_power(LED, pd, Point3(0.07, 0.07, 0.0))
+        # The zero gain marks a FOV cut, not a power that underflowed.
         assert sample.received_power == 0.0
         assert sample.concentrator_gain == 0.0
-        assert sample.effective_area == 0.0
 
     def test_scales_linearly_with_transmit_power(self):
         led8 = LedSpec(Point3(2.5, 2.5, 3.0), transmit_power=8.0, half_power_angle=60.0)
@@ -265,8 +288,8 @@ class TestReceivedPower:
 
 class TestReceivedPowerAt:
     def test_inverse_square_at_fixed_angles(self):
-        p1 = received_power_at(LED, PD, 2.0, 30.0, 30.0)
-        p2 = received_power_at(LED, PD, 4.0, 30.0, 30.0)
+        p1 = received_power_at(LED, PD, 2.0, 30.0)
+        p2 = received_power_at(LED, PD, 4.0, 30.0)
         assert _close(p1 / p2, 4.0)
 
     def test_elevation_family_values_at_center_distance(self):
@@ -279,7 +302,7 @@ class TestReceivedPowerAt:
         }
         for elevation, power in expected.items():
             angle = 90.0 - elevation
-            assert _close(received_power_at(LED, PD, 3.0, angle, angle), power)
+            assert _close(received_power_at(LED, PD, 3.0, angle), power)
 
     def test_zero_beyond_fov(self):
         narrow = PdSpec(
@@ -288,11 +311,37 @@ class TestReceivedPowerAt:
             filter_gain=1.0,
             refractive_index=1.5,
         )
-        assert received_power_at(LED, narrow, 3.0, 10.0, 75.0) == 0.0
+        assert received_power_at(LED, narrow, 3.0, 75.0) == 0.0
 
     def test_rejects_non_positive_distance(self):
         with pytest.raises(DomainError):
-            received_power_at(LED, PD, 0.0, 0.0, 0.0)
+            received_power_at(LED, PD, 0.0, 0.0)
+
+
+class TestFovEdge:
+    """The FOV is closed: angle == fov is inside, the next float above is outside."""
+
+    @pytest.mark.parametrize(
+        "fov, gain, power",
+        [
+            # cos(60 deg) = 1/2 in both factors; sin^2(60 deg) = 3/4.
+            (60.0, 3.0, 15.0 / 9.0 / math.pi * 0.5 * 2.25e-6 * 3.0 * 0.5),
+            # cos(radians(90)) is a ~6e-17 residue, so the edge reads ~1e-38 W, not 0.
+            (
+                90.0,
+                2.25,
+                15.0 / 9.0 / math.pi * math.cos(math.radians(90.0)) ** 2 * 2.25e-6 * 2.25,
+            ),
+        ],
+        ids=("fov-60", "fov-90"),
+    )
+    def test_edge_is_inside_and_the_next_float_is_outside(self, fov, gain, power):
+        pd = PdSpec(area=2.25e-6, fov=fov, filter_gain=1.0, refractive_index=1.5)
+        beyond = math.nextafter(fov, math.inf)
+        assert _close(received_power_at(LED, pd, 3.0, fov), power)
+        assert received_power_at(LED, pd, 3.0, beyond) == 0.0
+        assert _close(concentrator_gain(fov, 1.5, fov), gain)
+        assert concentrator_gain(beyond, 1.5, fov) == 0.0
 
 
 class TestRandomizedConsistency:

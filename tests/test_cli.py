@@ -214,6 +214,12 @@ class TestReplicate:
         verdicts = {row[4] for row in rows}
         assert verdicts == {"REPRODUCED", "TREND-ONLY", "NOT-REPRODUCIBLE"}
 
+    def test_repeated_transmit_power_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("sweep.transmit_powers = [8, 8]\n", encoding="utf-8")
+        assert cli(["replicate", "--config", str(path)]) == 0
+        assert "0 regressions" in capsys.readouterr().out
+
     def test_json_format(self, capsys):
         assert cli(["replicate", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -93,7 +93,7 @@ class TestPoint3:
         "record",
         [
             Point3(1.0, 2.0, 3.0),
-            ChannelSample(3.0, 0.16, 2.25, 5.06e-06, 1.27e-06),
+            ChannelSample(3.0, 2.25, 1.27e-06),
             EstimateRecord(Point3(2.5, 2.5, 0.0), 90.0, 0.0, 1.27e-06, 3.0, None),
         ],
         ids=lambda record: type(record).__name__,

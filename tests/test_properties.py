@@ -101,10 +101,31 @@ def test_received_power_factors_are_non_negative(data, link):
     led_position, pd_position = link
     led, pd = data.draw(transceivers(led_position))
     sample = received_power(led, pd, pd_position)
-    assert sample.radiant_intensity >= 0.0
     assert sample.concentrator_gain >= 0.0
-    assert sample.effective_area >= 0.0
     assert sample.received_power >= 0.0
+
+
+@PROPERTY
+@given(st.data(), links())
+def test_received_power_matches_the_textbook_product(data, link):
+    # P = P_t (m+1) / (2 pi d^2) cos^m(phi) A h g cos(theta) with phi = theta,
+    # both at the link's own from-normal angle, and g = n^2 / sin^2(FOV)
+    # inside the closed FOV, 0 beyond it.
+    led_position, pd_position = link
+    led, pd = data.draw(transceivers(led_position))
+    sample = received_power(led, pd, pd_position)
+    d, _, elevation = link_geometry(led_position, pd_position)
+    angle = 90.0 - elevation
+    m, n = led.lambertian_order, pd.refractive_index
+    gain = n**2 / math.sin(math.radians(pd.fov)) ** 2 if angle <= pd.fov else 0.0
+    cos_angle = math.cos(math.radians(angle))
+    expected = (
+        led.transmit_power * (m + 1.0) / (2.0 * math.pi * d**2) * cos_angle**m
+        * pd.area * pd.filter_gain * gain * cos_angle
+    )
+    assert sample.slant_distance == d
+    assert math.isclose(sample.concentrator_gain, gain, rel_tol=1e-12, abs_tol=0.0)
+    assert math.isclose(sample.received_power, expected, rel_tol=1e-12, abs_tol=0.0)
 
 
 @st.composite

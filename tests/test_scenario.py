@@ -16,11 +16,9 @@ from vlcpos import (
     anchor_estimate,
     concentrator_gain,
     default_config,
-    effective_area,
     estimate_position,
     euclidean_distance,
     link_geometry,
-    radiant_intensity,
     received_power,
     replication_report,
     run_angle_sweep,
@@ -210,8 +208,8 @@ class TestPositionSweep:
 class TestSweepColumnsMatchScalarPath:
     """Sweep columns against the one-shot API and the unhoisted formulas.
 
-    Equality is exact: power_columns hoists only whole subexpressions and
-    keeps the evaluation order of received_power.
+    Equality is exact: received_power is a one-row view of power_columns, and
+    the unhoisted formulas keep its evaluation order.
     """
 
     @pytest.mark.parametrize("order", [1.0, 7.5])
@@ -242,11 +240,13 @@ class TestSweepColumnsMatchScalarPath:
             assert error == record.positioning_error
 
             angle = 90.0 - elevation
+            cos_angle = math.cos(math.radians(angle))
+            gain = concentrator_gain(angle, pd.refractive_index, pd.fov)
             power = (
                 led.transmit_power
                 / slant**2
-                * radiant_intensity(angle, order)
-                * effective_area(angle, pd)
+                * ((order + 1.0) / (2.0 * math.pi) * cos_angle**order)
+                * (pd.area * pd.filter_gain * gain * cos_angle)
             )
             assert row_power == power
             unhoisted = self._unhoisted_estimate(power, led, pd, azimuth, position)
@@ -418,6 +418,14 @@ class TestReplicationReport:
             "pipeline_error_spread",
         ]
         assert not report.ok
+
+    def test_repeated_transmit_power_grades_each_walk_alone(self):
+        # Two walks at the same power are two families; joining them would
+        # count the corner-to-center seam as a violation.
+        report = replication_report(replace(default_config(), transmit_powers=(8.0, 8.0)))
+        check = next(c for c in report.checks if c.name == "power_monotonic_decrease")
+        assert (check.verdict, check.computed) == (Verdict.REPRODUCED, 0.0)
+        assert report.ok
 
     def test_quantified_gaps(self):
         report = replication_report()
