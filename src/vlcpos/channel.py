@@ -7,13 +7,12 @@ Received power for a downward-facing LED and an upward-facing PD:
 with irradiance angle phi at the LED, incidence angle theta from the PD
 normal, optical filter gain h, and concentrator gain g = n^2 / sin^2(FOV)
 inside the field of view (0 beyond it). For the coplanar ceiling/floor
-geometry here the LED normal points down and the PD normal up, so phi equals
-theta and both equal the from-normal angle of the link. power_columns is the
-one place that evaluates this product; the scalar functions are one-row views.
-
-The gain equations use the from-normal convention throughout: cos(0) = 1 is
-the on-axis maximum directly under the LED. Elevation-labelled sweeps are
-translated to this convention by the scenario layer.
+geometry here the LED normal points down and the PD normal up, so both
+cosines equal the link cosine c = V/d, and P = K c^(m+1) / d^2 with
+K = P_trans*(m+1)*A*h*g/(2*pi), the constant the estimator's inversion shares.
+power_columns is the one place that evaluates it; the scalar functions are
+one-row views. A link is inside the FOV iff c >= cos(FOV), one rule that
+concentrator_gain and power_columns share.
 """
 
 from __future__ import annotations
@@ -56,20 +55,28 @@ def lambertian_order(half_power_angle: float) -> float:
     return -math.log(2.0) / log_cos
 
 
-def concentrator_gain(normal_angle: float, n: float, fov: float) -> float:
-    """Optical concentrator gain n^2 / sin^2(fov) inside the FOV, else 0.
+def _fov_cosine(fov: float) -> float:
+    """cos(fov), exactly 0.0 at 90 degrees: cos(radians(90)) = 6.1e-17 would cut
+    every grazing link."""
+    return 0.0 if fov == 90.0 else math.cos(math.radians(fov))
+
+
+def concentrator_gain(c: float, n: float, fov: float) -> float:
+    """Optical concentrator gain n^2 / sin^2(fov) for a link of cosine c inside
+    the FOV (c >= cos(fov)), else 0.
 
     Raises:
-        DomainError: when fov <= 0, n < 1, or the angle is negative.
+        DomainError: when fov <= 0, n < 1, or c is above 1 or NaN.
     """
 
     if not fov > 0.0:
         raise DomainError(f"field of view must be > 0 degrees, got {fov}")
     if not n >= 1.0:
         raise DomainError(f"refractive index must be >= 1, got {n}")
-    if normal_angle < 0.0:
-        raise DomainError(f"incidence angle must be >= 0 degrees, got {normal_angle}")
-    if normal_angle > fov:
+    if not c <= 1.0:
+        raise DomainError(f"link cosine must be <= 1, got {c}")
+    # On axis (c = 1, where K takes the gain) every FOV sees the LED.
+    if c < 1.0 and c < _fov_cosine(fov):
         return 0.0
     return n * n / math.sin(math.radians(fov)) ** 2
 
@@ -128,9 +135,15 @@ class PdSpec:
             )
 
 
+def _gain_constant(led: LedSpec, pd: PdSpec) -> float:
+    """K = P_t (m+1) A h g(0) / (2 pi), so that P = K c^(m+1) / d^2."""
+    gain, m = concentrator_gain(1.0, pd.refractive_index, pd.fov), led.lambertian_order
+    return led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / math.tau
+
+
 class ChannelSample(NamedTuple):
     """One channel evaluation: slant distance, concentrator gain at the link
-    angle, and received power."""
+    cosine, and received power."""
 
     slant_distance: float
     concentrator_gain: float
@@ -141,65 +154,54 @@ def power_columns(
     led: LedSpec,
     pd: PdSpec,
     distances: Sequence[float],
-    angles: Sequence[float],
+    cosines: Sequence[float],
 ) -> list[float]:
-    """Received power P_t / d^2 * f(angle) * A_eff(angle) for each row, 0 beyond the FOV.
+    """Received power K c^(m+1) / d^2 for each row's distance d and link
+    cosine c, 0 beyond the FOV (c < cos(fov)).
 
-    Each angle is the link's from-normal angle, which is both the irradiance
-    angle at the LED and the incidence angle at the PD, so one cosine serves
-    both factors. (m+1)/2pi and A*h*g are computed once; each row checks its
-    inputs.
+    One cosine serves as both the irradiance and the incidence factor. K and
+    cos(fov) are computed once; each row checks its inputs.
 
     Raises:
-        DomainError: when a distance is not > 0 or an angle is negative or NaN.
+        DomainError: when a distance is not > 0 or a cosine is above 1 or NaN.
     """
 
     m = led.lambertian_order
     if not m > 0.0:
         raise DomainError(f"Lambertian order must be > 0, got {m}")
-    fov = pd.fov
-    intensity_scale = (m + 1.0) / (2.0 * math.pi)
-    area_gain = pd.area * pd.filter_gain * concentrator_gain(0.0, pd.refractive_index, fov)
-    transmit = led.transmit_power
-    cos, radians = math.cos, math.radians
+    k, exponent, cos_fov = _gain_constant(led, pd), m + 1.0, _fov_cosine(pd.fov)
     powers: list[float] = []
-    for distance, angle in zip(distances, angles):
+    for distance, c in zip(distances, cosines):
         if not distance > 0.0:
             raise DomainError(f"distance must be > 0, got {distance}")
-        if angle > fov:
-            powers.append(0.0)
-            continue
-        if not angle >= 0.0:
-            raise DomainError(f"link angle must be >= 0 degrees, got {angle}")
-        c = cos(radians(angle))
-        powers.append(transmit / distance**2 * (intensity_scale * c**m) * (area_gain * c))
+        if not c <= 1.0:
+            raise DomainError(f"link cosine must be <= 1, got {c}")
+        powers.append(k * c**exponent / distance**2 if c >= cos_fov else 0.0)
     return powers
 
 
 def received_power_at(led: LedSpec, pd: PdSpec, distance: float, angle: float) -> float:
-    """Received power with the distance and the from-normal link angle given explicitly.
+    """Received power at a distance and a from-normal link angle in degrees,
+    given explicitly: a one-row view of power_columns at cos(angle). A
+    negative or NaN angle raises DomainError."""
 
-    A one-row view of power_columns; received_power takes both from the
-    geometry instead.
-    """
-
-    return power_columns(led, pd, (distance,), (angle,))[0]
+    if not angle >= 0.0:
+        raise DomainError(f"link angle must be >= 0 degrees, got {angle}")
+    return power_columns(led, pd, (distance,), (math.cos(math.radians(angle)),))[0]
 
 
 def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
     """Evaluate the channel for the LED and the detector placed at position.
 
-    A one-row view of power_columns at the link's from-normal angle. The
-    sample's concentrator_gain is the gain at that angle, 0 exactly when the
-    PD sees the LED from beyond its FOV; it tells such a FOV cut apart from a
-    power that underflowed to 0.
+    A one-row view of power_columns at the link cosine V/d. The sample's
+    concentrator_gain is the gain at that cosine, 0 exactly when the PD sees
+    the LED from beyond its FOV; it tells such a FOV cut apart from a power
+    that underflowed to 0.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
     """
 
-    slant, _, elevation = link_geometry(led.position, position)
-    angle = 90.0 - elevation
-    (power,) = power_columns(led, pd, (slant,), (angle,))
-    gain = concentrator_gain(angle, pd.refractive_index, pd.fov)
-    return ChannelSample(slant, gain, power)
+    slant, _, c = link_geometry(led.position, position)
+    (power,) = power_columns(led, pd, (slant,), (c,))
+    return ChannelSample(slant, concentrator_gain(c, pd.refractive_index, pd.fov), power)

@@ -7,8 +7,9 @@ V/d and d_hor/d, average the two projections into the fused offset, and
 anchor that offset at the LED's floor projection along a configured azimuth.
 
 The angle fed to the CSA construction is the elevation angle (90 degrees when
-the PD sits directly under the LED), not the from-normal angle used by the
-channel gains; the conversion between the two is explicit.
+the PD sits directly under the LED). Its sine is the channel's link cosine
+V/d, so estimate_position fuses from V/d and d_hor/d and takes asin only for
+the recorded incidence.
 
 The fused values are radial displacement magnitudes, not room coordinates: at
 the center position they are zero. Anchoring turns them into coordinates, and
@@ -22,7 +23,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .channel import LedSpec, PdSpec, concentrator_gain
+from .channel import LedSpec, PdSpec, _gain_constant
 from .errors import DomainError, NonPositivePower, PowerTooHigh
 from .geometry import Point3, euclidean_distance
 
@@ -38,7 +39,7 @@ __all__ = [
 # Allowance for one rounding step when the inverted distance lands a hair
 # under the vertical separation at the on-axis maximum.
 _INVERSION_SLACK = 1e-9
-_TWO_PI, _FLOAT_MIN = 2.0 * math.pi, sys.float_info.min
+_FLOAT_MIN = sys.float_info.min
 
 
 class EstimateRecord(NamedTuple):
@@ -62,19 +63,19 @@ def invert_power_to_distance(
 ) -> float:
     """Invert the coplanar channel model to the slant distance.
 
-    With cos(theta) = V/d the received power collapses to
-    P = K * V^(m+1) / d^(m+3) with K = P_trans*(m+1)*A*h*g/(2*pi), so
-    d = (K * V^(m+1) / P) ^ (1/(m+3)), the unique solution with d >= V.
-    Where V^(m+1) leaves the normal float range (a large order or a small
-    separation), or K * V^(m+1) / P falls below it, the same formula is taken
-    in logarithms, d = exp((ln K + (m+1) ln V - ln P) / (m+3)).
+    With the channel's P = K c^(m+1) / d^2 and c = V/d, the received power is
+    P = K * V^(m+1) / d^(m+3), so d = (K * V^(m+1) / P) ^ (1/(m+3)), the
+    unique solution with d >= V; K is the channel's own constant. Where
+    V^(m+1) or K * V^(m+1) / P leaves the normal float range (a large order,
+    a small separation, a tall room or a tiny power), the same formula is
+    taken in logarithms, d = exp((ln K + (m+1) ln V - ln P) / (m+3)).
 
     Raises:
         NonPositivePower: when measured_power <= 0.
         PowerTooHigh: when the implied distance falls below the vertical
             separation, i.e. the power exceeds the on-axis maximum.
-        DomainError: when vertical_separation <= 0, or when the power is so
-            small that the implied distance overflows.
+        DomainError: when vertical_separation <= 0, or when K or the implied
+            distance leaves the float range.
     """
 
     if not measured_power > 0.0:
@@ -83,15 +84,13 @@ def invert_power_to_distance(
         raise DomainError(
             f"vertical separation must be > 0, got {vertical_separation}"
         )
-    m = led.lambertian_order
-    gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
-    k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / _TWO_PI
+    m, k = led.lambertian_order, _gain_constant(led, pd)
     try:
         lifted = vertical_separation ** (m + 1.0)
     except OverflowError:  # V ** (m + 1) past the float range
         lifted = math.inf
-    quotient = k * lifted / measured_power  # inf / inf is NaN, which takes the direct path
-    if _FLOAT_MIN <= lifted < math.inf and not quotient < _FLOAT_MIN:
+    quotient = k * lifted / measured_power  # not finite when lifted is inf
+    if lifted >= _FLOAT_MIN and _FLOAT_MIN <= quotient < math.inf:
         distance = quotient ** (1.0 / (m + 3.0))
     else:
         log_v, log_p = math.log(vertical_separation), math.log(measured_power)

@@ -4,10 +4,10 @@ Conventions:
 - The room origin is a floor corner, z points up, all lengths in meters.
 - Angles are degrees at API boundaries and converted to radians only inside
   trigonometric evaluation.
-- Two angle conventions coexist: elevation (angle between the LED-to-PD ray
-  and the floor plane, 90 degrees directly under the LED) and normal (angle
-  between the ray and the PD surface normal). They always sum to 90 degrees;
-  the link geometry reports the elevation and callers take 90 - elevation.
+- A link is described by one quantity, its cosine c = V/d (vertical
+  separation over slant distance): the cosine of the angle between the ray
+  and the PD normal, 1 directly under the LED. The channel takes it as it is;
+  the elevation asin(c) is computed only where a report prints it.
 """
 
 from __future__ import annotations
@@ -76,16 +76,16 @@ def euclidean_distance(a: Point3, b: Point3) -> float:
 def link_columns(
     led_pos: Point3, points: Sequence[Point3]
 ) -> tuple[list[float], list[float], list[float]]:
-    """Slant distance, horizontal distance and elevation columns, one row per PD point.
+    """Slant distance, horizontal distance and link cosine columns, one row per PD point.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above a PD point.
     """
 
     lx, ly, lz = led_pos.x, led_pos.y, led_pos.z
-    sqrt, asin, degrees = math.sqrt, math.asin, math.degrees
+    sqrt = math.sqrt
     columns: tuple[list[float], list[float], list[float]] = ([], [], [])
-    slants, horizontals, elevations = columns
+    slants, horizontals, cosines = columns
     for point in points:
         x, y, z = point.x, point.y, point.z
         if not lz > z:
@@ -95,23 +95,22 @@ def link_columns(
         # max() guards the radicand against rounding when the PD sits
         # directly under the LED and d == V up to one ulp.
         horizontal = sqrt(max(slant**2 - vertical**2, 0.0))
-        elevation = degrees(asin(min(vertical / slant, 1.0)))
         slants.append(slant)
         horizontals.append(horizontal)
-        elevations.append(elevation)
+        cosines.append(min(vertical / slant, 1.0))
     return columns
 
 
 def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float, float]:
-    """(slant, horizontal, elevation) for an LED strictly above the PD plane.
+    """(slant, horizontal, cosine) for an LED strictly above the PD plane.
 
     A one-point view of link_columns: with vertical separation V = led.z - pd.z,
-    slant distance d, horizontal distance sqrt(d^2 - V^2) and elevation
-    arcsin(V/d); the from-normal angle is 90 - elevation.
+    slant distance d, horizontal distance sqrt(d^2 - V^2) and link cosine
+    min(V/d, 1); the elevation is asin of the cosine.
 
     Raises:
         LedNotAbovePd: when led_pos.z <= pd_pos.z.
     """
 
-    (slant,), (horizontal,), (elevation,) = link_columns(led_pos, (pd_pos,))
-    return slant, horizontal, elevation
+    (slant,), (horizontal,), (c,) = link_columns(led_pos, (pd_pos,))
+    return slant, horizontal, c

@@ -289,12 +289,11 @@ def run_power_distance_sweep(
         config.pd_positions,
         key=lambda pos: (pos.x - led.position.x) ** 2 + (pos.y - led.position.y) ** 2,
     )
-    slants, _, elevations = link_columns(led.position, by_distance)
-    normals = [90.0 - elevation for elevation in elevations]
+    slants, _, cosines = link_columns(led.position, by_distance)
     rows: list[tuple[float, float, float]] = []
     for power in config.transmit_powers:
         powers = power_columns(
-            replace(led, transmit_power=power), config.pd_template, slants, normals
+            replace(led, transmit_power=power), config.pd_template, slants, cosines
         )
         rows.extend(zip(repeat(power), slants, powers))
     return tuple(rows)
@@ -307,8 +306,8 @@ def run_angle_sweep(
 
     This is the figure parameterization: each family keeps its labelled
     elevation across the whole distance axis, so only the inverse-square term
-    varies within a family. Elevation e maps to the from-normal angle 90 - e
-    for both channel gains. Without a configured distance_range the span runs
+    varies within a family. Elevation e maps to the link cosine cos(90 - e),
+    taken once per family. Without a configured distance_range the span runs
     from the nearest to the farthest configured position.
     """
 
@@ -321,8 +320,8 @@ def run_angle_sweep(
     distances = [low + i * (high - low) / (count - 1) for i in range(count)]
     rows: list[tuple[float, float, float]] = []
     for elevation in config.sweep_elevations:
-        normals = [90.0 - elevation] * len(distances)
-        powers = power_columns(config.led, config.pd_template, distances, normals)
+        cosines = [math.cos(math.radians(90.0 - elevation))] * count
+        powers = power_columns(config.led, config.pd_template, distances, cosines)
         rows.extend(zip(repeat(elevation), distances, powers))
     return tuple(rows)
 
@@ -437,7 +436,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     *_, center_slant, center_power, _ = sweep[0]
     *_, corner_slant, corner_power, _ = sweep[-1]
     errors = [error for *_, error in sweep]
-    _, _, center_elevation = link_geometry(config.led.position, config.pd_positions[0])
+    _, _, center_cosine = link_geometry(config.led.position, config.pd_positions[0])
     _, corner_horizontal, _ = link_geometry(config.led.position, config.pd_positions[-1])
 
     # Reference error column recomputed from the reference coordinate pairs.
@@ -498,8 +497,8 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
          _TOL_DISTANCE, None, reproduced, "LED-PD distance at the first position"),
         ("corner_slant_distance", REFERENCE_CORNER_DISTANCE, corner_slant,
          _TOL_DISTANCE, None, reproduced, "LED-PD distance at the tenth position"),
-        ("center_elevation_angle", 90.0, center_elevation, 1e-9, None, reproduced,
-         "CSA angles equal 90 degrees directly under the LED"),
+        ("center_elevation_angle", 90.0, math.degrees(math.asin(center_cosine)), 1e-9, None,
+         reproduced, "CSA angles equal 90 degrees directly under the LED"),
         ("reference_error_column", 0.0, max_row_gap, _TOL_TABLE, None, reproduced,
          "max per-row gap between errors recomputed from the reference "
          "coordinate pairs and the published column (4-decimal rounding)"),

@@ -133,23 +133,38 @@ class TestRadiantIntensity:
         assert received_power_at(LED, PD, 3.0, 91.0) == 0.0
 
 
+def _cos(angle):
+    return math.cos(math.radians(angle))
+
+
 class TestConcentratorGain:
+    """The gain takes the link cosine: inside the FOV iff c >= cos(fov)."""
+
     def test_full_hemisphere_fov(self):
         # sin(90 deg) = 1, so the gain is n^2 everywhere inside.
-        assert concentrator_gain(0.0, 1.5, 90.0) == 2.25
-        assert concentrator_gain(89.9, 1.5, 90.0) == 2.25
+        assert concentrator_gain(1.0, 1.5, 90.0) == 2.25
+        assert concentrator_gain(_cos(89.9), 1.5, 90.0) == 2.25
 
     def test_narrow_fov(self):
-        assert _close(concentrator_gain(30.0, 1.5, 60.0), 3.0)
-        assert concentrator_gain(60.5, 1.5, 60.0) == 0.0
+        assert _close(concentrator_gain(_cos(30.0), 1.5, 60.0), 3.0)
+        assert concentrator_gain(_cos(60.5), 1.5, 60.0) == 0.0
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError, match=r"^link cosine must be <= 1, got 1.5$"):
+            concentrator_gain(1.5, 1.5, 90.0)
+        with pytest.raises(DomainError, match=r"^link cosine must be <= 1, got nan$"):
+            concentrator_gain(math.nan, 1.5, 90.0)
         with pytest.raises(DomainError):
-            concentrator_gain(-1.0, 1.5, 90.0)
+            concentrator_gain(1.0, 1.5, 0.0)
         with pytest.raises(DomainError):
-            concentrator_gain(0.0, 1.5, 0.0)
-        with pytest.raises(DomainError):
-            concentrator_gain(0.0, 0.5, 90.0)
+            concentrator_gain(1.0, 0.5, 90.0)
+
+    def test_grazing_link_is_inside_a_90_degree_fov(self):
+        # cos(90 deg) is taken as exactly 0, not the 6.1e-17 of
+        # cos(radians(90)), so a link at c = 1e-100 is seen.
+        assert concentrator_gain(1e-100, 1.5, 90.0) == 2.25
+        assert concentrator_gain(0.0, 1.5, 90.0) == 2.25
+        assert concentrator_gain(-1e-100, 1.5, 90.0) == 0.0
 
 
 class TestEffectiveArea:
@@ -319,7 +334,9 @@ class TestReceivedPowerAt:
 
 
 class TestFovEdge:
-    """The FOV is closed: angle == fov is inside, the next float above is outside."""
+    """The FOV is closed: angle == fov is inside, the next float above is
+    outside (at these FOVs; the rule is c >= cos(fov), so elsewhere an angle a
+    few ulps above the FOV can share its cosine and read inside)."""
 
     @pytest.mark.parametrize(
         "fov, gain, power",
@@ -340,8 +357,26 @@ class TestFovEdge:
         beyond = math.nextafter(fov, math.inf)
         assert _close(received_power_at(LED, pd, 3.0, fov), power)
         assert received_power_at(LED, pd, 3.0, beyond) == 0.0
-        assert _close(concentrator_gain(fov, 1.5, fov), gain)
-        assert concentrator_gain(beyond, 1.5, fov) == 0.0
+        assert _close(concentrator_gain(_cos(fov), 1.5, fov), gain)
+        assert concentrator_gain(_cos(beyond), 1.5, fov) == 0.0
+
+
+class TestGrazingLink:
+    """An LED 1e-100 m above the floor: every off-axis link grazes the PD at
+    c = V/d near 2.6e-100, and the channel keeps that cosine exactly."""
+
+    LOW_LED = LedSpec(Point3(2.5, 2.5, 1e-100), transmit_power=15.0, half_power_angle=60.0)
+
+    def test_power_is_the_closed_form_at_the_link_cosine(self):
+        position = Point3(2.23, 2.23, 0.0)
+        sample = received_power(self.LOW_LED, PD, position)
+        d = math.hypot(2.5 - 2.23, 2.5 - 2.23, 1e-100)
+        c = 1e-100 / d
+        # K = P_t (m+1) A h n^2 / (2 pi) with m = 1, n = 1.5 and sin(90 deg) = 1.
+        k = 15.0 * 2.0 * 2.25e-6 * 1.0 * 2.25 / (2.0 * math.pi)
+        assert math.isclose(sample.received_power, k * c**2 / d**2, rel_tol=1e-12)
+        assert math.isclose(sample.received_power, 1.137e-203, rel_tol=1e-3)
+        assert sample.concentrator_gain == 2.25
 
 
 class TestRandomizedConsistency:

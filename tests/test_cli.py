@@ -58,6 +58,15 @@ class TestPositionSweep:
         assert cli(["position-sweep", "--out", str(second)]) == 0
         assert _strip_metadata(first.read_bytes()) == _strip_metadata(second.read_bytes())
 
+    def test_tall_room_exits_0(self, tmp_path, capsys):
+        # V^2 is near the float maximum, so K V^2 / P overflows for the
+        # subnormal on-axis reading; the inversion runs in logarithms.
+        path = tmp_path / "tall.cfg"
+        path.write_text("room.height = 7e153\nled.position = (2.5, 2.5, 7e153)\n",
+                        encoding="utf-8")
+        assert cli(["position-sweep", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestOtherSweeps:
     def test_power_sweep(self, tmp_path):
@@ -152,10 +161,12 @@ class TestEstimate:
         assert cli(["estimate", "--power", "0.0"]) == 1
         assert "error: NonPositivePower:" in capsys.readouterr().err
 
-    def test_power_too_small_to_invert(self, capsys):
-        assert cli(["estimate", "--power", "5e-324"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: DomainError: measured power 5e-324 ")
+    def test_power_at_the_float_floor_inverts_far_outside_the_room(self, capsys):
+        # K V^(m+1) / P overflows, and the inversion runs in logarithms.
+        assert cli(["estimate", "--power", "5e-324"]) == 0
+        out = capsys.readouterr().out
+        assert "inverted_distance = 8.14594e+79\n" in out
+        assert "clipped_to_room = true\n" in out
 
     @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_power(self, capsys, power):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from scipy.optimize import brentq
@@ -139,9 +140,33 @@ class TestInvertPowerToDistance:
         power = received_power(led, PD, Point3(*point, 0.0)).received_power
         assert _close(invert_power_to_distance(power, led, PD, height), distance, 1e-9)
 
-    def test_power_below_the_float_range_still_fails(self):
+    @pytest.mark.parametrize(
+        "power, height",
+        [
+            # K * V^2 / P overflows: the smallest subnormal reading at 3 m.
+            pytest.param(5e-324, 3.0, id="tiny-power"),
+            # V^2 is near the float maximum and the on-axis reading subnormal.
+            pytest.param(None, 7e153, id="tall-room"),
+        ],
+    )
+    def test_overflowing_quotient_inverts_in_logarithms(self, power, height):
+        led = LedSpec(Point3(2.5, 2.5, height), transmit_power=15.0, half_power_angle=60.0)
+        if power is None:
+            power = received_power(led, PD, Point3(2.5, 2.5, 0.0)).received_power
+        # d^4 = K V^2 / P for a first-order LED, in exact decimal arithmetic.
+        with localcontext() as context:
+            context.prec = 40
+            k = Decimal(15.0 * 2.0 * 2.25e-6 * 1.0 * 2.25) / (2 * Decimal(math.pi))
+            expected = float((k * Decimal(height) ** 2 / Decimal(power)).sqrt().sqrt())
+        assert math.isclose(invert_power_to_distance(power, led, PD, height), expected,
+                            rel_tol=1e-12)
+
+    def test_gain_constant_past_the_float_range_still_fails(self):
+        # K = P_t (m+1) A h g / (2 pi) overflows to inf.
+        led = LedSpec(LED.position, transmit_power=1e308, half_power_angle=60.0)
+        pd = PdSpec(area=1e308, fov=90.0, filter_gain=1.0, refractive_index=1.5)
         with pytest.raises(DomainError, match="non-finite distance"):
-            invert_power_to_distance(5e-324, LED, PD, 3.0)
+            invert_power_to_distance(1e-6, led, pd, 3.0)
 
 
 class TestCsaAngles:

@@ -134,25 +134,28 @@ class TestEuclideanDistance:
 
 class TestLinkGeometry:
     def test_center_link(self):
-        assert link_geometry(LED, Point3(2.5, 2.5, 0.0)) == (3.0, 0.0, 90.0)
+        assert link_geometry(LED, Point3(2.5, 2.5, 0.0)) == (3.0, 0.0, 1.0)
 
     def test_corner_link(self):
-        slant, horizontal, elevation = link_geometry(LED, CORNER)
+        slant, horizontal, c = link_geometry(LED, CORNER)
         assert _close(slant, CORNER_SLANT)
         assert _close(horizontal, CORNER_HORIZONTAL)
+        assert c == 3.0 / slant
+        elevation = math.degrees(math.asin(c))
         assert _close(elevation, CORNER_ELEVATION)
         assert _close(90.0 - elevation, CORNER_NORMAL)
 
     def test_angles_are_complementary(self):
-        # The elevation plus the angle from the PD normal, taken from the
-        # coordinates directly, makes a right angle.
+        # The elevation asin(c) plus the angle from the PD normal, taken from
+        # the coordinates directly, makes a right angle.
         rng = random.Random(11)
         for _ in range(200):
             pd = Point3(rng.uniform(0, 5), rng.uniform(0, 5), 0.0)
-            _, _, elevation = link_geometry(LED, pd)
+            _, _, c = link_geometry(LED, pd)
+            elevation = math.degrees(math.asin(c))
             from_normal = math.degrees(math.atan2(math.hypot(pd.x - 2.5, pd.y - 2.5), 3.0))
             assert _close(elevation + from_normal, 90.0, 1e-9)
-            assert 0.0 <= elevation <= 90.0
+            assert 0.0 < c <= 1.0
 
     def test_pythagorean_closure(self):
         rng = random.Random(13)

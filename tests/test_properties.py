@@ -34,6 +34,7 @@ from vlcpos import (
     offset_estimate,
     parse_config,
     received_power,
+    run_position_sweep,
     serialize_config,
 )
 from vlcpos import reporting
@@ -88,11 +89,11 @@ def transceivers(draw, led_position):
 @given(links())
 def test_link_geometry_closes(link):
     led, pd = link
-    d, h, elevation = link_geometry(led, pd)
+    d, h, c = link_geometry(led, pd)
     v = led.z - pd.z
     assert d >= v >= 0.0
     assert abs(h**2 + v**2 - d**2) <= 1e-9 * max(d**2, 1.0)
-    assert 0.0 <= elevation <= 90.0
+    assert 0.0 < c <= 1.0
 
 
 @PROPERTY
@@ -109,16 +110,16 @@ def test_received_power_factors_are_non_negative(data, link):
 @given(st.data(), links())
 def test_received_power_matches_the_textbook_product(data, link):
     # P = P_t (m+1) / (2 pi d^2) cos^m(phi) A h g cos(theta) with phi = theta,
-    # both at the link's own from-normal angle, and g = n^2 / sin^2(FOV)
-    # inside the closed FOV, 0 beyond it.
+    # both cosines equal to V/d, and g = n^2 / sin^2(FOV) inside the closed
+    # FOV (cos(theta) >= cos(FOV), with cos(90 deg) = 0), 0 beyond it.
     led_position, pd_position = link
     led, pd = data.draw(transceivers(led_position))
     sample = received_power(led, pd, pd_position)
-    d, _, elevation = link_geometry(led_position, pd_position)
-    angle = 90.0 - elevation
+    d, _, _ = link_geometry(led_position, pd_position)
+    cos_angle = min((led_position.z - pd_position.z) / d, 1.0)
     m, n = led.lambertian_order, pd.refractive_index
-    gain = n**2 / math.sin(math.radians(pd.fov)) ** 2 if angle <= pd.fov else 0.0
-    cos_angle = math.cos(math.radians(angle))
+    inside = pd.fov == 90.0 or cos_angle >= math.cos(math.radians(pd.fov))
+    gain = n**2 / math.sin(math.radians(pd.fov)) ** 2 if inside else 0.0
     expected = (
         led.transmit_power * (m + 1.0) / (2.0 * math.pi * d**2) * cos_angle**m
         * pd.area * pd.filter_gain * gain * cos_angle
@@ -188,6 +189,50 @@ def test_estimate_matches_the_closed_form_of_the_fusion(data, offset, azimuth):
     d_hor = math.sqrt(distance * distance - v * v)
     trig = offset_estimate(d_hor, record.incidence)
     assert math.isclose(record.fused, trig, rel_tol=1e-12)
+
+
+@st.composite
+def visible_sweeps(draw):
+    """A room with a FOV-90 PD template and up to 20 floor points at least V/10
+    from the LED's floor projection; the azimuth is 225 degrees or random."""
+
+    width, length = draw(st.floats(0.5, 100.0)), draw(st.floats(0.5, 100.0))
+    v = draw(st.floats(0.5, 20.0))
+    led_position = Point3(draw(st.floats(0.0, width)), draw(st.floats(0.0, length)), v)
+    led, pd = draw(transceivers(led_position))
+    floor_point = st.builds(Point3, st.floats(0.0, width), st.floats(0.0, length), st.just(0.0))
+    points = [
+        point for point in draw(st.lists(floor_point, min_size=1, max_size=20))
+        if math.hypot(point.x - led_position.x, point.y - led_position.y) >= v / 10.0
+    ]
+    assume(points)
+    return ScenarioConfig(
+        room=RoomSpec(width, length, v),
+        led=led,
+        pd_template=replace(pd, fov=90.0),
+        pd_positions=tuple(points),
+        transmit_powers=(1.0,),
+        sweep_elevations=(90.0,),
+        azimuth=draw(st.just(225.0) | st.floats(0.0, 360.0, exclude_max=True)),
+    )
+
+
+@PROPERTY
+@given(visible_sweeps())
+def test_position_sweep_error_matches_the_closed_form(config):
+    # A PD h from the LED's floor projection in direction phi is estimated
+    # f = h (V + h) / (2 d) out along the azimuth alpha, so
+    # error^2 = h^2 + f^2 - 2 h f cos(phi - alpha).
+    led = config.led.position
+    alpha = math.radians(config.azimuth)
+    for row, point in zip(run_position_sweep(config), config.pd_positions, strict=True):
+        dx, dy = point.x - led.x, point.y - led.y
+        h = math.hypot(dx, dy)
+        d = math.hypot(h, led.z)
+        f = h * (led.z + h) / (2.0 * d)
+        cos_gap = (dx * math.cos(alpha) + dy * math.sin(alpha)) / h
+        error = math.sqrt(h * h + f * f - 2.0 * h * f * cos_gap)
+        assert math.isclose(row[7], error, rel_tol=1e-12)
 
 
 @st.composite

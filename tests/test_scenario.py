@@ -205,6 +205,39 @@ class TestPositionSweep:
             replace(config, led=grounded)
 
 
+    def test_grazing_row_matches_the_closed_form(self):
+        # The LED 1e-100 m above the floor: position 2 sits h = 0.27 sqrt(2)
+        # from its floor projection along the 225-degree azimuth, so the
+        # estimate lies f = h (V + h) / (2 d) out and the error is h - f.
+        config = default_config()
+        led = replace(config.led, position=Point3(2.5, 2.5, 1e-100))
+        row = run_position_sweep(replace(config, led=led))[1]
+        h, v = math.hypot(0.27, 0.27), 1e-100
+        d = math.hypot(h, v)
+        f = h * (v + h) / (2.0 * d)
+        assert math.isclose(row[7], h - f, rel_tol=1e-12)
+        assert math.isclose(row[6], 1.137e-203, rel_tol=1e-3)
+
+    def test_tall_room_inverts_row_1_to_the_led_height(self):
+        # The on-axis reading K / V^2 is subnormal (about 37 significant
+        # bits); K V^2 / P overflows and the inversion runs in logarithms.
+        height = 7e153
+        config = default_config()
+        config = replace(
+            config,
+            room=replace(config.room, height=height),
+            led=replace(config.led, position=Point3(2.5, 2.5, height)),
+        )
+        _, _, _, est_x, est_y, slant, power, error = run_position_sweep(config)[0]
+        assert slant == height
+        record = estimate_position(power, config.led, config.pd_template, config.azimuth)
+        assert math.isclose(record.inverted_distance, height, rel_tol=1e-12)
+        # The reading's rounding leaves d - V near 4.4e-13 V, which puts the
+        # estimate within a microradian of the LED's axis.
+        assert error < 1e-6 * height
+        assert math.isclose(est_x, est_y)
+
+
 class TestSweepColumnsMatchScalarPath:
     """Sweep columns against the one-shot API and the unhoisted formulas.
 
@@ -228,7 +261,7 @@ class TestSweepColumnsMatchScalarPath:
         for row, position in zip(rows, positions):
             _, actual_x, actual_y, est_x, est_y, row_slant, row_power, error = row
             assert (actual_x, actual_y) == (position.x, position.y)
-            slant, _, elevation = link_geometry(led.position, position)
+            slant, _, c = link_geometry(led.position, position)
             sample = received_power(led, pd, position)
             record = estimate_position(
                 sample.received_power, led, pd, azimuth, actual=position
@@ -239,25 +272,25 @@ class TestSweepColumnsMatchScalarPath:
             assert est_y == record.estimated.y
             assert error == record.positioning_error
 
-            angle = 90.0 - elevation
-            cos_angle = math.cos(math.radians(angle))
-            gain = concentrator_gain(angle, pd.refractive_index, pd.fov)
-            power = (
-                led.transmit_power
-                / slant**2
-                * ((order + 1.0) / (2.0 * math.pi) * cos_angle**order)
-                * (pd.area * pd.filter_gain * gain * cos_angle)
-            )
+            # P = K c^(m+1) / d^2 at the link cosine c = V/d.
+            cos_link = min(led.position.z / slant, 1.0)
+            assert c == cos_link
+            power = self._gain_constant(led, pd) * cos_link ** (order + 1.0) / slant**2
             assert row_power == power
             unhoisted = self._unhoisted_estimate(power, led, pd, azimuth, position)
             assert (est_x, est_y, error) == unhoisted
 
     @staticmethod
-    def _unhoisted_estimate(power, led, pd, azimuth, actual):
+    def _gain_constant(led, pd):
+        m = led.lambertian_order
+        gain = concentrator_gain(1.0, pd.refractive_index, pd.fov)
+        return led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
+
+    @classmethod
+    def _unhoisted_estimate(cls, power, led, pd, azimuth, actual):
         m = led.lambertian_order
         vertical = led.position.z
-        gain = concentrator_gain(0.0, pd.refractive_index, pd.fov)
-        k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
+        k = cls._gain_constant(led, pd)
         distance = max((k * vertical ** (m + 1.0) / power) ** (1.0 / (m + 3.0)), vertical)
         d_hor = math.sqrt(distance * distance - vertical * vertical)
         # cos(90 - theta) = V/d and sin(90 + theta) = d_hor/d on the coupled path.
