@@ -202,6 +202,6 @@ def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
     """
 
-    slant, _, c = link_geometry(led.position, position)
+    slant, c = link_geometry(led.position, position)
     (power,) = power_columns(led, pd, (slant,), (c,))
     return ChannelSample(slant, concentrator_gain(c, pd.refractive_index, pd.fov), power)

@@ -174,20 +174,21 @@ def cli(argv: list[str] | None = None) -> int:
             clipped = not config.room.contains_floor_point(record.estimated)
             _write("\n".join(estimate_lines(record, clipped=clipped)) + "\n", args.out)
         elif args.command == "replicate":
-            report = replication_report(config)
+            checks = replication_report(config)
             if args.format is None:
-                _write(replication_text(report), args.out)
+                _write(replication_text(checks), args.out)
             else:
                 _emit_table(
-                    replication_table(report, _metadata(config)), args.format, args.out
+                    replication_table(checks, _metadata(config)), args.format, args.out
                 )
-            if not report.ok:
-                for check in report.regressions:
-                    print(
-                        f"error: ReplicationRegression: {check.name} graded "
-                        f"{check.verdict.value}, expected {check.expected.value}",
-                        file=sys.stderr,
-                    )
+            regressions = [check for check in checks if check.regressed]
+            for check in regressions:
+                print(
+                    f"error: ReplicationRegression: {check.name} graded "
+                    f"{check.verdict}, expected {check.expected}",
+                    file=sys.stderr,
+                )
+            if regressions:
                 return 1
     except (UnsupportedFormat, ValidationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ anchor that offset at the LED's floor projection along a configured azimuth.
 
 The angle fed to the CSA construction is the elevation angle (90 degrees when
 the PD sits directly under the LED). Its sine is the channel's link cosine
-V/d, so estimate_position fuses from V/d and d_hor/d and takes asin only for
-the recorded incidence.
+V/d, so estimate_position fuses from V/d and d_hor/d, records that cosine and
+takes no inverse trigonometric function.
 
 The fused values are radial displacement magnitudes, not room coordinates: at
 the center position they are zero. Anchoring turns them into coordinates, and
@@ -45,13 +45,14 @@ _FLOAT_MIN = sys.float_info.min
 class EstimateRecord(NamedTuple):
     """One position estimate with every intermediate quantity recorded.
 
-    incidence is the elevation angle fed to the CSA construction and fused the
-    mean of its two projections. positioning_error is None for one-shot
-    estimates where the true position is unknown.
+    cosine is the link cosine V/d at the inverted distance, the sine of the
+    elevation angle fed to the CSA construction, and fused the mean of its two
+    projections. positioning_error is None for one-shot estimates where the
+    true position is unknown.
     """
 
     estimated: Point3
-    incidence: float
+    cosine: float
     fused: float
     measured_power: float
     inverted_distance: float
@@ -194,5 +195,4 @@ def estimate_position(
     fused = _fuse(d_hor, sin_theta, d_hor / distance)
     estimated = anchor_estimate(fused, (led_x, led_y), azimuth)
     error = None if actual is None else euclidean_distance(actual, estimated)
-    elevation = math.degrees(math.asin(sin_theta))
-    return EstimateRecord(estimated, elevation, fused, measured_power, distance, error)
+    return EstimateRecord(estimated, sin_theta, fused, measured_power, distance, error)

@@ -4,10 +4,11 @@ Conventions:
 - The room origin is a floor corner, z points up, all lengths in meters.
 - Angles are degrees at API boundaries and converted to radians only inside
   trigonometric evaluation.
-- A link is described by one quantity, its cosine c = V/d (vertical
-  separation over slant distance): the cosine of the angle between the ray
-  and the PD normal, 1 directly under the LED. The channel takes it as it is;
-  the elevation asin(c) is computed only where a report prints it.
+- A link is its slant distance d and one angle quantity, its cosine c = V/d
+  (vertical separation over slant distance): the cosine of the angle between
+  the ray and the PD normal, 1 directly under the LED. link_columns gives
+  both per PD point; the channel takes c as it is, and the elevation asin(c)
+  is computed only where a report prints it.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def euclidean_distance(a: Point3, b: Point3) -> float:
 
 def link_columns(
     led_pos: Point3, points: Sequence[Point3]
-) -> tuple[list[float], list[float], list[float]]:
-    """Slant distance, horizontal distance and link cosine columns, one row per PD point.
+) -> tuple[list[float], list[float]]:
+    """Slant distance and link cosine columns, one row per PD point.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above a PD point.
@@ -84,33 +85,28 @@ def link_columns(
 
     lx, ly, lz = led_pos.x, led_pos.y, led_pos.z
     sqrt = math.sqrt
-    columns: tuple[list[float], list[float], list[float]] = ([], [], [])
-    slants, horizontals, cosines = columns
+    columns: tuple[list[float], list[float]] = ([], [])
+    slants, cosines = columns
     for point in points:
         x, y, z = point.x, point.y, point.z
         if not lz > z:
             raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
-        vertical = lz - z
         slant = sqrt((lx - x) ** 2 + (ly - y) ** 2 + (lz - z) ** 2)
-        # max() guards the radicand against rounding when the PD sits
-        # directly under the LED and d == V up to one ulp.
-        horizontal = sqrt(max(slant**2 - vertical**2, 0.0))
         slants.append(slant)
-        horizontals.append(horizontal)
-        cosines.append(min(vertical / slant, 1.0))
+        cosines.append(min((lz - z) / slant, 1.0))
     return columns
 
 
-def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float, float]:
-    """(slant, horizontal, cosine) for an LED strictly above the PD plane.
+def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
+    """(slant, cosine) for an LED strictly above the PD plane.
 
     A one-point view of link_columns: with vertical separation V = led.z - pd.z,
-    slant distance d, horizontal distance sqrt(d^2 - V^2) and link cosine
-    min(V/d, 1); the elevation is asin of the cosine.
+    slant distance d and link cosine min(V/d, 1); the elevation is asin of the
+    cosine.
 
     Raises:
         LedNotAbovePd: when led_pos.z <= pd_pos.z.
     """
 
-    (slant,), (horizontal,), (c,) = link_columns(led_pos, (pd_pos,))
-    return slant, horizontal, c
+    (slant,), (c,) = link_columns(led_pos, (pd_pos,))
+    return slant, c

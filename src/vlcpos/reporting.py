@@ -32,7 +32,9 @@ from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord, csa_angles
 from .geometry import Point3
-from .scenario import ReplicationReport, ScenarioConfig, default_config
+from .scenario import (
+    ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
+)
 
 __all__ = [
     "OutputTable",
@@ -206,28 +208,19 @@ def angle_sweep_table(
 
 
 def replication_table(
-    report: ReplicationReport, metadata: Mapping[str, str]
+    checks: Sequence[ReplicationCheck], metadata: Mapping[str, str]
 ) -> OutputTable:
-    # Column name -> ReplicationCheck attribute.
-    fields = {
-        "check": "name",
-        "reference": "reference",
-        "computed": "computed",
-        "abs_diff": "difference",
-        "verdict": "verdict.value",
-        "expected": "expected.value",
-        "note": "note",
-    }
-    rows = tuple(map(attrgetter(*fields.values()), report.checks))
-    return OutputTable("replication_report", tuple(fields), rows, metadata)
+    # The checks are the rows: ReplicationCheck's fields are in column order.
+    columns = ("check", "reference", "computed", "abs_diff", "verdict", "expected", "note")
+    return OutputTable("replication_report", columns, tuple(checks), metadata)
 
 
-def replication_text(report: ReplicationReport) -> str:
+def replication_text(checks: Sequence[ReplicationCheck]) -> str:
     """The plain-text replication report: assumptions, one line per check, totals."""
 
-    lines = [f"# reference dataset version {report.dataset_version}"]
-    lines += [f"# assumption: {assumption}" for assumption in report.assumptions]
-    for check in report.checks:
+    lines = [f"# reference dataset version {REFERENCE_DATASET_VERSION}"]
+    lines += [f"# assumption: {assumption}" for assumption in ASSUMPTIONS]
+    for check in checks:
         diff = (
             ""
             if check.difference is None
@@ -235,14 +228,14 @@ def replication_text(report: ReplicationReport) -> str:
         )
         lines.append(
             f"{check.name}: computed {format_number(check.computed)} vs reference "
-            f"{format_number(check.reference)}{diff}: {check.verdict.value} "
+            f"{format_number(check.reference)}{diff}: {check.verdict} "
             f"[{check.note}]"
         )
-    counts = Counter(check.verdict.value for check in report.checks)
+    counts = Counter(check.verdict for check in checks)
     lines.append(
-        f"checks: {len(report.checks)} total, {counts['REPRODUCED']} reproduced, "
+        f"checks: {len(checks)} total, {counts['REPRODUCED']} reproduced, "
         f"{counts['TREND-ONLY']} trend-only, {counts['NOT-REPRODUCIBLE']} "
-        f"not-reproducible, {len(report.regressions)} regressions"
+        f"not-reproducible, {sum(check.regressed for check in checks)} regressions"
     )
     return "\n".join(lines) + "\n"
 
@@ -250,11 +243,12 @@ def replication_text(report: ReplicationReport) -> str:
 def estimate_lines(record: EstimateRecord, clipped: bool) -> list[str]:
     """Human-readable key = value lines for a one-shot estimate."""
 
-    complementary, supplementary = csa_angles(record.incidence)
+    incidence = math.degrees(math.asin(record.cosine))
+    complementary, supplementary = csa_angles(incidence)
     lines = [
         f"measured_power = {format_number(record.measured_power)}",
         f"inverted_distance = {format_number(record.inverted_distance)}",
-        f"incidence_elevation = {format_number(record.incidence)}",
+        f"incidence_elevation = {format_number(incidence)}",
         f"complementary = {format_number(complementary)}",
         f"supplementary = {format_number(supplementary)}",
         f"fused_offset = {format_number(record.fused)}",

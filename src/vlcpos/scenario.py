@@ -9,10 +9,11 @@ impossible for one fixed LED, but that is how the published families are
 drawn; both modes exist and are named).
 
 replication_report compares computed values against the embedded reference
-dataset and grades each check REPRODUCED, TREND-ONLY, or NOT-REPRODUCIBLE.
-Every check carries the grade it is expected to earn; a report regresses only
-when a check's actual grade differs from the expected one, so documented
-defects of the reference data stay visible without failing the run.
+dataset and returns its checks, one row each, graded REPRODUCED, TREND-ONLY,
+or NOT-REPRODUCIBLE. Every check carries the grade it is expected to earn; a
+check regresses only when its actual grade differs from the expected one, so
+documented defects of the reference data stay visible without failing the
+run. The modeling assumptions the checks rest on are ASSUMPTIONS.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
 from itertools import repeat, starmap
+from typing import NamedTuple
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
@@ -30,15 +31,14 @@ from .geometry import Point3, RoomSpec, euclidean_distance, link_columns, link_g
 
 __all__ = [
     "ScenarioConfig",
-    "Verdict",
     "ReplicationCheck",
-    "ReplicationReport",
     "default_config",
     "run_position_sweep",
     "run_power_distance_sweep",
     "run_angle_sweep",
     "replication_report",
     "REFERENCE_DATASET_VERSION",
+    "ASSUMPTIONS",
 ]
 
 # ---------------------------------------------------------------------------
@@ -48,6 +48,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 REFERENCE_DATASET_VERSION = "1.0.0"
+
+# The modeling assumptions every check rests on, printed with the report.
+ASSUMPTIONS = (
+    "vertical separation V in the horizontal-distance relation is read as "
+    "the LED-PD height difference (3.0 m in the default room)",
+    "figure-mode sweeps hold the angle factor fixed across the distance "
+    "axis as the published families do; the position sweep couples the "
+    "angles to the true geometry",
+    "a single-LED intensity measurement cannot disambiguate direction, so "
+    "estimates are anchored along the configured azimuth (225 degrees for "
+    "the published half-diagonal)",
+    "the position sweep runs at 15 W; positioning results are "
+    "power-independent in this noiseless model",
+    "position-8 estimated coordinates of the reference table use the "
+    "symmetric reading, see reference_position8_symmetry",
+)
 
 # Actual PD coordinates (x = y on the half-diagonal), positions 1..10.
 REFERENCE_ACTUAL_XY = (2.50, 2.23, 1.96, 1.69, 1.42, 1.15, 0.88, 0.61, 0.34, 0.07)
@@ -285,11 +301,9 @@ def run_power_distance_sweep(
     """
 
     led = config.led
-    by_distance = sorted(
-        config.pd_positions,
-        key=lambda pos: (pos.x - led.position.x) ** 2 + (pos.y - led.position.y) ** 2,
-    )
-    slants, _, cosines = link_columns(led.position, by_distance)
+    # (slant, cosine) pairs by distance: floor points share V, so equal slants
+    # carry equal cosines and give equal rows.
+    slants, cosines = zip(*sorted(zip(*link_columns(led.position, config.pd_positions))))
     rows: list[tuple[float, float, float]] = []
     for power in config.transmit_powers:
         powers = power_columns(
@@ -312,7 +326,7 @@ def run_angle_sweep(
     """
 
     if config.distance_range is None:
-        slants = [euclidean_distance(config.led.position, p) for p in config.pd_positions]
+        slants, _ = link_columns(config.led.position, config.pd_positions)
         low, high = min(slants), max(slants)
     else:
         low, high = config.distance_range
@@ -331,51 +345,27 @@ def run_angle_sweep(
 # ---------------------------------------------------------------------------
 
 
-class Verdict(str, Enum):
-    """Grade of one replication check."""
-
-    REPRODUCED = "REPRODUCED"
-    TREND_ONLY = "TREND-ONLY"
-    NOT_REPRODUCIBLE = "NOT-REPRODUCIBLE"
-
-
-@dataclass(frozen=True)
-class ReplicationCheck:
-    """One graded comparison between a computed and a reference value.
+class ReplicationCheck(NamedTuple):
+    """One graded comparison between a computed and a reference value, its
+    fields in the replication table's column order.
 
     difference is the absolute gap for value checks and None for checks whose
-    computed column is already a violation count. expected is the grade the
-    check is known to earn; verdict != expected marks a regression.
+    computed column is already a violation count. verdict is the grade earned,
+    "REPRODUCED", "TREND-ONLY" or "NOT-REPRODUCIBLE", and expected the grade
+    the check is known to earn; verdict != expected marks a regression.
     """
 
     name: str
     reference: float
     computed: float
     difference: float | None
-    verdict: Verdict
-    expected: Verdict
+    verdict: str
+    expected: str
     note: str
 
     @property
     def regressed(self) -> bool:
         return self.verdict != self.expected
-
-
-@dataclass(frozen=True)
-class ReplicationReport:
-    """All checks plus the modeling assumptions they rest on."""
-
-    dataset_version: str
-    checks: tuple[ReplicationCheck, ...]
-    assumptions: tuple[str, ...]
-
-    @property
-    def regressions(self) -> tuple[ReplicationCheck, ...]:
-        return tuple(check for check in self.checks if check.regressed)
-
-    @property
-    def ok(self) -> bool:
-        return len(self.regressions) == 0
 
 
 def _grade(
@@ -384,7 +374,7 @@ def _grade(
     computed: float,
     tol: float | None,
     trend_tol: float | None,
-    expected: Verdict,
+    expected: str,
     note: str,
 ) -> ReplicationCheck:
     """REPRODUCED within tol, else TREND-ONLY within trend_tol when given, else
@@ -396,33 +386,17 @@ def _grade(
 
     difference = abs(computed - reference)
     if difference <= (0.0 if tol is None else tol):
-        verdict = Verdict.REPRODUCED
+        verdict = "REPRODUCED"
     elif trend_tol is not None and difference <= trend_tol:
-        verdict = Verdict.TREND_ONLY
+        verdict = "TREND-ONLY"
     else:
-        verdict = Verdict.NOT_REPRODUCIBLE
+        verdict = "NOT-REPRODUCIBLE"
     if tol is None:
         difference = None
     return ReplicationCheck(name, reference, computed, difference, verdict, expected, note)
 
 
-_ASSUMPTIONS = (
-    "vertical separation V in the horizontal-distance relation is read as "
-    "the LED-PD height difference (3.0 m in the default room)",
-    "figure-mode sweeps hold the angle factor fixed across the distance "
-    "axis as the published families do; the position sweep couples the "
-    "angles to the true geometry",
-    "a single-LED intensity measurement cannot disambiguate direction, so "
-    "estimates are anchored along the configured azimuth (225 degrees for "
-    "the published half-diagonal)",
-    "the position sweep runs at 15 W; positioning results are "
-    "power-independent in this noiseless model",
-    "position-8 estimated coordinates of the reference table use the "
-    "symmetric reading, see reference_position8_symmetry",
-)
-
-
-def replication_report(config: ScenarioConfig | None = None) -> ReplicationReport:
+def replication_report(config: ScenarioConfig | None = None) -> tuple[ReplicationCheck, ...]:
     """Compare computed results against the embedded reference dataset.
 
     Designed for the default configuration; the reference values only
@@ -436,8 +410,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     *_, center_slant, center_power, _ = sweep[0]
     *_, corner_slant, corner_power, _ = sweep[-1]
     errors = [error for *_, error in sweep]
-    _, _, center_cosine = link_geometry(config.led.position, config.pd_positions[0])
-    _, corner_horizontal, _ = link_geometry(config.led.position, config.pd_positions[-1])
+    _, center_cosine = link_geometry(config.led.position, config.pd_positions[0])
 
     # Reference error column recomputed from the reference coordinate pairs.
     recomputed = [
@@ -461,7 +434,8 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
     corner_fused = estimate_position(
         corner_power, config.led, config.pd_template, azimuth=config.azimuth
     ).fused
-    attainable = corner_horizontal * math.sqrt(2.0) / 2.0
+    (led_x, led_y, _), (x, y, _) = config.led.position, config.pd_positions[-1]
+    attainable = math.hypot(led_x - x, led_y - y) * math.sqrt(2.0) / 2.0
 
     # Trend checks over the implemented pipeline, as violation counts.
     # One family per configured power, each a run of len(pd_positions) rows;
@@ -489,7 +463,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
 
     error_violations = sum(1 for a, b in zip(errors, errors[1:]) if b < a)
 
-    reproduced, not_reproducible = Verdict.REPRODUCED, Verdict.NOT_REPRODUCIBLE
+    reproduced, not_reproducible = "REPRODUCED", "NOT-REPRODUCIBLE"
     # (name, reference, computed, tol, trend_tol, expected, note); tol None
     # marks a count check.
     rows = (
@@ -506,7 +480,7 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
          _TOL_HEADLINE, None, reproduced,
          "mean of the published error column vs the published 0.042 m headline"),
         ("first_eight_mean_error", REFERENCE_FIRST_EIGHT_MEAN,
-         first_eight_mean, _TOL_HEADLINE, 2e-3, Verdict.TREND_ONLY,
+         first_eight_mean, _TOL_HEADLINE, 2e-3, "TREND-ONLY",
          "published headline 3.2 cm for 80% of positions; the column mean "
          "is 0.032925 m, which rounds to 3.3 cm, not 3.2"),
         ("reference_position8_symmetry", REFERENCE_ERRORS[7], row8_as_published,
@@ -541,13 +515,9 @@ def replication_report(config: ScenarioConfig | None = None) -> ReplicationRepor
         # Off the published value, the spread still shows the trend while the
         # errors grow monotonically.
         ("pipeline_error_spread", REFERENCE_ERROR_SPREAD, max(errors) - min(errors),
-         _TOL_HEADLINE, math.inf if error_violations == 0 else None, Verdict.TREND_ONLY,
+         _TOL_HEADLINE, math.inf if error_violations == 0 else None, "TREND-ONLY",
          "difference between the tenth and first position errors; the "
          "published 0.0784 m is not recoverable from the equations, the "
          "growth trend is"),
     )
-    return ReplicationReport(
-        dataset_version=REFERENCE_DATASET_VERSION,
-        checks=tuple(starmap(_grade, rows)),
-        assumptions=_ASSUMPTIONS,
-    )
+    return tuple(starmap(_grade, rows))

@@ -297,7 +297,7 @@ class TestReceivedPower:
             / (2.0 * math.pi)
         )
         for xy, expected in zip(DIAGONAL_XY, DIAGONAL_POWERS):
-            d, _, _ = link_geometry(LED.position, Point3(xy, xy, 0.0))
+            d, _ = link_geometry(LED.position, Point3(xy, xy, 0.0))
             assert _close(k * 3.0 ** (m + 1.0) / d ** (m + 3.0), expected, 1e-9)
 
 

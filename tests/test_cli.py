@@ -6,6 +6,7 @@ import json
 import pytest
 
 import vlcpos.cli
+from vlcpos import default_config
 from vlcpos.cli import cli
 
 POWER_AT_3_5_M = "1.4496953791835698e-06"
@@ -236,6 +237,31 @@ class TestReplicate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "replication_report"
         assert len(payload["rows"]) == 14
+
+    def test_regressions_exit_1_with_one_line_each(self, tmp_path, capsys):
+        # The default walk reversed: corner first, center last.
+        walk = default_config().pd_positions[::-1]
+        points = ", ".join(f"({p.x!r}, {p.y!r}, {p.z!r})" for p in walk)
+        path = tmp_path / "reversed.cfg"
+        path.write_text(f"sweep.positions = [{points}]\n", encoding="utf-8")
+        assert cli(["replicate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith(
+            "checks: 14 total, 4 reproduced, 1 trend-only, 9 not-reproducible, "
+            "5 regressions\n"
+        )
+        graded = "graded NOT-REPRODUCIBLE, expected"
+        assert captured.err.splitlines() == [
+            f"error: ReplicationRegression: center_slant_distance {graded} REPRODUCED",
+            f"error: ReplicationRegression: corner_slant_distance {graded} REPRODUCED",
+            f"error: ReplicationRegression: center_elevation_angle {graded} REPRODUCED",
+            f"error: ReplicationRegression: pipeline_error_monotonic {graded} REPRODUCED",
+            f"error: ReplicationRegression: pipeline_error_spread {graded} TREND-ONLY",
+        ]
+        target = tmp_path / "reversed.csv"
+        assert cli(["replicate", "--config", str(path), "--format", "csv",
+                    "--out", str(target)]) == 1
+        assert len(_read_csv(target)[1]) == 14
 
 
 class TestConfigHandling:

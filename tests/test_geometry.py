@@ -12,6 +12,7 @@ from vlcpos import (
     EstimateRecord,
     LedNotAbovePd,
     Point3,
+    ReplicationCheck,
     RoomSpec,
     default_config,
     euclidean_distance,
@@ -94,7 +95,8 @@ class TestPoint3:
         [
             Point3(1.0, 2.0, 3.0),
             ChannelSample(3.0, 2.25, 1.27e-06),
-            EstimateRecord(Point3(2.5, 2.5, 0.0), 90.0, 0.0, 1.27e-06, 3.0, None),
+            EstimateRecord(Point3(2.5, 2.5, 0.0), 1.0, 0.0, 1.27e-06, 3.0, None),
+            ReplicationCheck("check", 3.0, 3.0, 0.0, "REPRODUCED", "REPRODUCED", "note"),
         ],
         ids=lambda record: type(record).__name__,
     )
@@ -134,12 +136,12 @@ class TestEuclideanDistance:
 
 class TestLinkGeometry:
     def test_center_link(self):
-        assert link_geometry(LED, Point3(2.5, 2.5, 0.0)) == (3.0, 0.0, 1.0)
+        assert link_geometry(LED, Point3(2.5, 2.5, 0.0)) == (3.0, 1.0)
 
     def test_corner_link(self):
-        slant, horizontal, c = link_geometry(LED, CORNER)
+        slant, c = link_geometry(LED, CORNER)
         assert _close(slant, CORNER_SLANT)
-        assert _close(horizontal, CORNER_HORIZONTAL)
+        assert _close(slant * math.sqrt(1.0 - c * c), CORNER_HORIZONTAL)
         assert c == 3.0 / slant
         elevation = math.degrees(math.asin(c))
         assert _close(elevation, CORNER_ELEVATION)
@@ -151,7 +153,7 @@ class TestLinkGeometry:
         rng = random.Random(11)
         for _ in range(200):
             pd = Point3(rng.uniform(0, 5), rng.uniform(0, 5), 0.0)
-            _, _, c = link_geometry(LED, pd)
+            _, c = link_geometry(LED, pd)
             elevation = math.degrees(math.asin(c))
             from_normal = math.degrees(math.atan2(math.hypot(pd.x - 2.5, pd.y - 2.5), 3.0))
             assert _close(elevation + from_normal, 90.0, 1e-9)
@@ -161,8 +163,10 @@ class TestLinkGeometry:
         rng = random.Random(13)
         for _ in range(200):
             pd = Point3(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 2.5))
-            slant, horizontal, _ = link_geometry(LED, pd)
+            slant, c = link_geometry(LED, pd)
+            horizontal = math.hypot(LED.x - pd.x, LED.y - pd.y)
             assert _close(slant, math.hypot(LED.z - pd.z, horizontal), 1e-9)
+            assert _close(c * slant, LED.z - pd.z, 1e-9)
 
     def test_led_must_be_above_pd(self):
         with pytest.raises(LedNotAbovePd):

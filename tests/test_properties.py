@@ -89,7 +89,8 @@ def transceivers(draw, led_position):
 @given(links())
 def test_link_geometry_closes(link):
     led, pd = link
-    d, h, c = link_geometry(led, pd)
+    d, c = link_geometry(led, pd)
+    h = math.hypot(led.x - pd.x, led.y - pd.y)
     v = led.z - pd.z
     assert d >= v >= 0.0
     assert abs(h**2 + v**2 - d**2) <= 1e-9 * max(d**2, 1.0)
@@ -115,7 +116,7 @@ def test_received_power_matches_the_textbook_product(data, link):
     led_position, pd_position = link
     led, pd = data.draw(transceivers(led_position))
     sample = received_power(led, pd, pd_position)
-    d, _, _ = link_geometry(led_position, pd_position)
+    d, _ = link_geometry(led_position, pd_position)
     cos_angle = min((led_position.z - pd_position.z) / d, 1.0)
     m, n = led.lambertian_order, pd.refractive_index
     inside = pd.fov == 90.0 or cos_angle >= math.cos(math.radians(pd.fov))
@@ -187,7 +188,7 @@ def test_estimate_matches_the_closed_form_of_the_fusion(data, offset, azimuth):
     # The same fusion through the literal CSA angles, in degrees.
     distance = record.inverted_distance
     d_hor = math.sqrt(distance * distance - v * v)
-    trig = offset_estimate(d_hor, record.incidence)
+    trig = offset_estimate(d_hor, math.degrees(math.asin(record.cosine)))
     assert math.isclose(record.fused, trig, rel_tol=1e-12)
 
 

@@ -30,7 +30,7 @@ from vlcpos import (
     run_position_sweep,
     serialize_config,
 )
-from vlcpos.scenario import replication_report
+from vlcpos.scenario import ReplicationCheck, replication_report
 
 LED = LedSpec(
     position=Point3(2.5, 2.5, 3.0),
@@ -209,7 +209,8 @@ class TestSweepTables:
         assert first[7] == 0.0
 
     def test_replication_table_schema(self):
-        table = replication_table(replication_report(), {})
+        checks = replication_report()
+        table = replication_table(checks, {})
         assert table.columns == (
             "check",
             "reference",
@@ -219,6 +220,16 @@ class TestSweepTables:
             "expected",
             "note",
         )
+        assert table.rows == checks
+        assert list(zip(table.columns, ReplicationCheck._fields)) == [
+            ("check", "name"),
+            ("reference", "reference"),
+            ("computed", "computed"),
+            ("abs_diff", "difference"),
+            ("verdict", "verdict"),
+            ("expected", "expected"),
+            ("note", "note"),
+        ]
         verdicts = {row[4] for row in table.rows}
         assert "REPRODUCED" in verdicts
         assert "NOT-REPRODUCIBLE" in verdicts

@@ -12,7 +12,6 @@ from vlcpos import (
     Point3,
     ScenarioConfig,
     ValidationError,
-    Verdict,
     anchor_estimate,
     concentrator_gain,
     default_config,
@@ -21,11 +20,13 @@ from vlcpos import (
     link_geometry,
     received_power,
     replication_report,
+    replication_text,
     run_angle_sweep,
     run_position_sweep,
     run_power_distance_sweep,
 )
 from vlcpos.scenario import (
+    ASSUMPTIONS,
     REFERENCE_ACTUAL_XY,
     REFERENCE_DATASET_VERSION,
     REFERENCE_ERRORS,
@@ -89,20 +90,20 @@ CENTER_POWER_BY_ELEVATION = {
 }
 
 EXPECTED_VERDICTS = {
-    "center_slant_distance": Verdict.REPRODUCED,
-    "corner_slant_distance": Verdict.REPRODUCED,
-    "center_elevation_angle": Verdict.REPRODUCED,
-    "reference_error_column": Verdict.REPRODUCED,
-    "reference_mean_error": Verdict.REPRODUCED,
-    "first_eight_mean_error": Verdict.TREND_ONLY,
-    "reference_position8_symmetry": Verdict.NOT_REPRODUCIBLE,
-    "published_absolute_power": Verdict.NOT_REPRODUCIBLE,
-    "published_power_decay_ratio": Verdict.NOT_REPRODUCIBLE,
-    "published_estimated_coordinates": Verdict.NOT_REPRODUCIBLE,
-    "power_monotonic_decrease": Verdict.REPRODUCED,
-    "angle_family_ordering": Verdict.REPRODUCED,
-    "pipeline_error_monotonic": Verdict.REPRODUCED,
-    "pipeline_error_spread": Verdict.TREND_ONLY,
+    "center_slant_distance": "REPRODUCED",
+    "corner_slant_distance": "REPRODUCED",
+    "center_elevation_angle": "REPRODUCED",
+    "reference_error_column": "REPRODUCED",
+    "reference_mean_error": "REPRODUCED",
+    "first_eight_mean_error": "TREND-ONLY",
+    "reference_position8_symmetry": "NOT-REPRODUCIBLE",
+    "published_absolute_power": "NOT-REPRODUCIBLE",
+    "published_power_decay_ratio": "NOT-REPRODUCIBLE",
+    "published_estimated_coordinates": "NOT-REPRODUCIBLE",
+    "power_monotonic_decrease": "REPRODUCED",
+    "angle_family_ordering": "REPRODUCED",
+    "pipeline_error_monotonic": "REPRODUCED",
+    "pipeline_error_spread": "TREND-ONLY",
 }
 
 
@@ -261,7 +262,7 @@ class TestSweepColumnsMatchScalarPath:
         for row, position in zip(rows, positions):
             _, actual_x, actual_y, est_x, est_y, row_slant, row_power, error = row
             assert (actual_x, actual_y) == (position.x, position.y)
-            slant, _, c = link_geometry(led.position, position)
+            slant, c = link_geometry(led.position, position)
             sample = received_power(led, pd, position)
             record = estimate_position(
                 sample.received_power, led, pd, azimuth, actual=position
@@ -399,26 +400,25 @@ class TestAngleSweep:
 
 class TestReplicationReport:
     def test_all_checks_match_expectations(self):
-        report = replication_report()
-        assert report.dataset_version == REFERENCE_DATASET_VERSION
-        names = [check.name for check in report.checks]
+        checks = replication_report()
+        assert replication_text(checks).startswith(
+            f"# reference dataset version {REFERENCE_DATASET_VERSION}\n"
+        )
+        names = [check.name for check in checks]
         assert names == list(EXPECTED_VERDICTS)
-        for check in report.checks:
+        for check in checks:
             assert check.verdict == EXPECTED_VERDICTS[check.name], check.name
             assert check.expected == check.verdict, check.name
             assert not check.regressed, check.name
-        assert report.regressions == ()
-        assert report.ok
+        assert [check for check in checks if check.regressed] == []
 
     def test_reversed_positions_fail_the_trend_checks(self):
         # The sweep walks from the corner to the center, so the geometry and
         # error-trend checks fail: the count check reports its violations
         # without a difference, and the spread is no longer a trend.
         config = default_config()
-        report = replication_report(replace(config, pd_positions=config.pd_positions[::-1]))
-        reproduced, trend, failed = (
-            Verdict.REPRODUCED, Verdict.TREND_ONLY, Verdict.NOT_REPRODUCIBLE
-        )
+        checks = replication_report(replace(config, pd_positions=config.pd_positions[::-1]))
+        reproduced, trend, failed = "REPRODUCED", "TREND-ONLY", "NOT-REPRODUCIBLE"
         verdicts = {
             "center_slant_distance": failed,
             "corner_slant_distance": failed,
@@ -435,34 +435,32 @@ class TestReplicationReport:
             "pipeline_error_monotonic": failed,
             "pipeline_error_spread": failed,
         }
-        assert {check.name: check.verdict for check in report.checks} == verdicts
-        by_name = {check.name: check for check in report.checks}
+        assert {check.name: check.verdict for check in checks} == verdicts
+        by_name = {check.name: check for check in checks}
         monotonic = by_name["pipeline_error_monotonic"]
         assert (monotonic.reference, monotonic.computed) == (0.0, 9.0)
         assert monotonic.difference is None
         spread = by_name["pipeline_error_spread"]
         assert _close(spread.computed, 1.0121085356718664)
         assert _close(spread.difference, 0.9337085356718664)
-        assert [check.name for check in report.regressions] == [
+        assert [check.name for check in checks if check.regressed] == [
             "center_slant_distance",
             "corner_slant_distance",
             "center_elevation_angle",
             "pipeline_error_monotonic",
             "pipeline_error_spread",
         ]
-        assert not report.ok
 
     def test_repeated_transmit_power_grades_each_walk_alone(self):
         # Two walks at the same power are two families; joining them would
         # count the corner-to-center seam as a violation.
-        report = replication_report(replace(default_config(), transmit_powers=(8.0, 8.0)))
-        check = next(c for c in report.checks if c.name == "power_monotonic_decrease")
-        assert (check.verdict, check.computed) == (Verdict.REPRODUCED, 0.0)
-        assert report.ok
+        checks = replication_report(replace(default_config(), transmit_powers=(8.0, 8.0)))
+        check = next(c for c in checks if c.name == "power_monotonic_decrease")
+        assert (check.verdict, check.computed) == ("REPRODUCED", 0.0)
+        assert not any(c.regressed for c in checks)
 
     def test_quantified_gaps(self):
-        report = replication_report()
-        by_name = {check.name: check for check in report.checks}
+        by_name = {check.name: check for check in replication_report()}
         power = by_name["published_absolute_power"]
         assert _close(power.computed, DIAGONAL_POWERS[0])
         assert power.reference == 4.5
@@ -474,9 +472,8 @@ class TestReplicationReport:
         assert coords.reference == 2.4864
 
     def test_assumptions_are_stated(self):
-        report = replication_report()
-        assert len(report.assumptions) >= 3
-        assert all(isinstance(a, str) and a for a in report.assumptions)
+        assert len(ASSUMPTIONS) >= 3
+        assert all(isinstance(a, str) and a for a in ASSUMPTIONS)
 
     def test_reference_column_is_self_consistent(self):
         assert len(REFERENCE_ERRORS) == 10
