@@ -18,11 +18,10 @@ concentrator_gain and power_columns share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .geometry import Point3, link_geometry
+from .geometry import Point3, _record, link_geometry
 
 __all__ = [
     "LedSpec",
@@ -81,58 +80,65 @@ def concentrator_gain(c: float, n: float, fov: float) -> float:
     return n * n / math.sin(math.radians(fov)) ** 2
 
 
-@dataclass(frozen=True)
-class LedSpec:
+# LedSpec's field of the same name shadows the function inside its __new__.
+_order_from_angle = lambertian_order
+
+
+class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order")):
     """Transmitter: position, optical power, half-power angle, Lambertian order.
 
-    lambertian_order defaults to the half-power-angle formula; passing an
-    explicit value overrides it (some published configurations pair an order
-    with an inconsistent half-power angle, and the override reproduces them).
+    lambertian_order None derives the order from the half-power-angle formula;
+    passing an explicit value overrides it (some published configurations pair
+    an order with an inconsistent half-power angle, and the override reproduces
+    them). _replace(lambertian_order=None) derives the order again.
     """
 
-    position: Point3
-    transmit_power: float
-    half_power_angle: float
-    lambertian_order: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.transmit_power > 0.0:
-            raise DomainError(f"transmit_power must be > 0, got {self.transmit_power}")
+    def __new__(cls, position: Point3, transmit_power: float, half_power_angle: float,
+                lambertian_order: float | None = None) -> LedSpec:
+        if not transmit_power > 0.0:
+            raise DomainError(f"transmit_power must be > 0, got {transmit_power}")
         # The formula checks the angle even when an explicit order overrides it.
-        derived = lambertian_order(self.half_power_angle)
-        if self.lambertian_order is None:
-            # Frozen dataclass: the derived default is filled in here.
-            object.__setattr__(self, "lambertian_order", derived)
-        elif not self.lambertian_order > 0.0:
-            raise DomainError(f"lambertian_order must be > 0, got {self.lambertian_order}")
+        derived = _order_from_angle(half_power_angle)
+        if lambertian_order is None:
+            lambertian_order = derived
+        elif not lambertian_order > 0.0:
+            raise DomainError(f"lambertian_order must be > 0, got {lambertian_order}")
+        fields = (position, transmit_power, half_power_angle, lambertian_order)
+        for name, value in zip(cls._fields[1:], fields[1:]):
+            if not math.isfinite(value):
+                raise DomainError(f"LedSpec.{name} must be finite, got {value}")
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class PdSpec:
+class PdSpec(_record("_Pd", "area fov filter_gain refractive_index")):
     """Receiver: area, field of view, filter gain, refractive index; placed per call."""
 
-    area: float
-    fov: float
-    filter_gain: float
-    refractive_index: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.area > 0.0:
-            raise DomainError(f"area must be > 0, got {self.area}")
-        if not 0.0 < self.fov <= 90.0:
-            raise DomainError(f"fov must lie in (0, 90] degrees, got {self.fov}")
-        if not self.filter_gain > 0.0:
-            raise DomainError(f"filter_gain must be > 0, got {self.filter_gain}")
-        if not self.refractive_index >= 1.0:
-            raise DomainError(
-                f"refractive_index must be >= 1, got {self.refractive_index}"
-            )
+    def __new__(
+        cls, area: float, fov: float, filter_gain: float, refractive_index: float
+    ) -> PdSpec:
+        if not area > 0.0:
+            raise DomainError(f"area must be > 0, got {area}")
+        if not 0.0 < fov <= 90.0:
+            raise DomainError(f"fov must lie in (0, 90] degrees, got {fov}")
+        if not filter_gain > 0.0:
+            raise DomainError(f"filter_gain must be > 0, got {filter_gain}")
+        if not refractive_index >= 1.0:
+            raise DomainError(f"refractive_index must be >= 1, got {refractive_index}")
+        fields = (area, fov, filter_gain, refractive_index)
+        for name, value in zip(cls._fields, fields):
+            if not math.isfinite(value):
+                raise DomainError(f"PdSpec.{name} must be finite, got {value}")
         # n^2 / sin^2(fov) overflows for a fov below about 1e-152 degrees.
-        sin_squared, n = math.sin(math.radians(self.fov)) ** 2, self.refractive_index
+        sin_squared, n = math.sin(math.radians(fov)) ** 2, refractive_index
         if not (sin_squared > 0.0 and math.isfinite(n * n / sin_squared)):
             raise DomainError(
-                f"fov {self.fov} with refractive_index {n} gives an infinite concentrator gain"
+                f"fov {fov} with refractive_index {n} gives an infinite concentrator gain"
             )
+        return tuple.__new__(cls, fields)
 
 
 def _gain_constant(led: LedSpec, pd: PdSpec) -> float:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__
@@ -108,7 +107,7 @@ def _metadata(config: ScenarioConfig) -> dict[str, str]:
     return {
         "config": config_hash(config),
         "version": __version__,
-        "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "generated": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
 
 
@@ -144,7 +143,7 @@ def cli(argv: list[str] | None = None) -> int:
     try:
         config = load_config(Path(args.config)) if args.config else default_config()
         if getattr(args, "samples", None) is not None:
-            config = replace(config, distance_samples=args.samples)
+            config = config._replace(distance_samples=args.samples)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Any, Sequence
 
 from .errors import DomainError, LedNotAbovePd
 
@@ -28,12 +28,21 @@ __all__ = [
 ]
 
 
-class Point3(NamedTuple("_Coordinates", [("x", float), ("y", float), ("z", float)])):
-    """A 3-D coordinate in meters in the room frame.
+def _record(name: str, fields: str) -> Any:
+    """A named-tuple base for a record that validates in its own __new__.
 
-    A tuple (x, y, z) whose constructor, _make and _replace reject non-finite
-    coordinates.
+    The record is a tuple of its fields, equal to any tuple of the same values.
+    The base's _make, which _replace calls, goes through that __new__ (the
+    namedtuple one skips it), so no copy of a record escapes its checks.
     """
+
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Point3(_record("_Coordinates", "x y z")):
+    """A 3-D coordinate in meters in the room frame; each must be finite."""
 
     __slots__ = ()
 
@@ -44,24 +53,17 @@ class Point3(NamedTuple("_Coordinates", [("x", float), ("y", float), ("z", float
                     raise DomainError(f"Point3.{name} must be finite, got {value}")
         return tuple.__new__(cls, (x, y, z))
 
-    @classmethod
-    def _make(cls, iterable: Iterable[float]) -> Point3:
-        # The inherited _make, which _replace calls, skips __new__.
-        return cls(*iterable)
 
+class RoomSpec(_record("_Room", "width length height")):
+    """Rectangular room dimensions in meters, each > 0."""
 
-@dataclass(frozen=True)
-class RoomSpec:
-    """Rectangular room dimensions in meters."""
+    __slots__ = ()
 
-    width: float
-    length: float
-    height: float
-
-    def __post_init__(self) -> None:
-        for name in ("width", "length", "height"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"RoomSpec.{name} must be > 0, got {getattr(self, name)}")
+    def __new__(cls, width: float, length: float, height: float) -> RoomSpec:
+        for name, value in zip(cls._fields, (width, length, height)):
+            if not value > 0:
+                raise DomainError(f"RoomSpec.{name} must be > 0, got {value}")
+        return tuple.__new__(cls, (width, length, height))
 
     def contains_floor_point(self, point: Point3) -> bool:
         """True when the point lies on the floor rectangle (z ignored)."""

@@ -18,11 +18,9 @@ guarantees.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import chain, repeat, starmap
 from operator import attrgetter
 from pathlib import Path
@@ -31,7 +29,7 @@ from typing import IO, Any, Callable, Mapping, Sequence
 from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord, csa_angles
-from .geometry import Point3
+from .geometry import Point3, _record
 from .scenario import (
     ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
 )
@@ -55,23 +53,21 @@ __all__ = [
 SIGNIFICANT_DIGITS = 6
 
 
-@dataclass(frozen=True)
-class OutputTable:
+class OutputTable(_record("_Table", "name columns rows metadata")):
     """A named table with column headers, rows, and free-form metadata."""
 
-    name: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[Any, ...], ...]
-    metadata: Mapping[str, str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.columns:
+    def __new__(cls, name: str, columns: tuple[str, ...], rows: tuple[tuple[Any, ...], ...],
+                metadata: Mapping[str, str]) -> OutputTable:
+        if not columns:
             raise ValidationError("a table needs at least one column")
-        width = len(self.columns)
-        if not set(map(len, self.rows)) <= {width}:
+        width = len(columns)
+        if not set(map(len, rows)) <= {width}:
             # Only a ragged table pays for the pass that finds its first bad row.
-            i, row = next((i, r) for i, r in enumerate(self.rows, 1) if len(r) != width)
+            i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
             raise ValidationError(f"row {i} has {len(row)} cells for {width} columns")
+        return tuple.__new__(cls, (name, columns, rows, metadata))
 
 
 def format_number(value: float) -> str:
@@ -172,11 +168,12 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
     else:
         raise UnsupportedFormat(f"unsupported output format: {format!r}")
 
+    data = text.encode("utf-8")
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
-    return len(text.encode("utf-8"))
+        Path(destination).write_bytes(data)
+    return len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +449,8 @@ def parse_config(text: str) -> ScenarioConfig:
     fields = changes.pop("")
     try:
         for record, overrides in changes.items():
-            fields[record] = replace(getattr(base, record), **overrides)
-        return replace(base, **fields)
+            fields[record] = getattr(base, record)._replace(**overrides)
+        return base._replace(**fields)
     except DomainError as exc:
         # Constructor-level domain violations become config validation errors
         # so the CLI maps them to the usage exit code.
@@ -483,5 +480,6 @@ def serialize_config(config: ScenarioConfig) -> str:
 def config_hash(config: ScenarioConfig) -> str:
     """Short stable digest identifying a configuration."""
 
+    import hashlib  # here, not at the top: most commands never hash a config
     digest = hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()
     return digest[:12]

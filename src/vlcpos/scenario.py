@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from itertools import repeat, starmap
 from typing import NamedTuple
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, RoomSpec, euclidean_distance, link_columns, link_geometry
+from .geometry import Point3, RoomSpec, _record, euclidean_distance, link_columns, link_geometry
 
 __all__ = [
     "ScenarioConfig",
@@ -143,8 +142,8 @@ _MIN_LED_HEIGHT = math.sqrt(sys.float_info.min)
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions transmit_powers "
+                             "sweep_elevations azimuth distance_samples distance_range")):
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
@@ -155,66 +154,57 @@ class ScenarioConfig:
     from the configured positions.
     """
 
-    room: RoomSpec
-    led: LedSpec
-    pd_template: PdSpec
-    pd_positions: tuple[Point3, ...]
-    transmit_powers: tuple[float, ...]
-    sweep_elevations: tuple[float, ...]
-    azimuth: float
-    distance_samples: int = 50
-    distance_range: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("width", "length", "height"):
-            if getattr(self.room, name) > _MAX_ROOM_SIZE:
+    def __new__(cls, room: RoomSpec, led: LedSpec, pd_template: PdSpec,
+                pd_positions: tuple[Point3, ...], transmit_powers: tuple[float, ...],
+                sweep_elevations: tuple[float, ...], azimuth: float, distance_samples: int = 50,
+                distance_range: tuple[float, float] | None = None) -> ScenarioConfig:
+        for name, side in zip(room._fields, room):
+            if side > _MAX_ROOM_SIZE:
                 raise ValidationError(
-                    f"room {name} {getattr(self.room, name)} is above "
-                    f"{_MAX_ROOM_SIZE:.3g} m, where the squared link distances overflow"
+                    f"room {name} {side} is above {_MAX_ROOM_SIZE:.3g} m, "
+                    "where the squared link distances overflow"
                 )
-        led = self.led.position
-        if not (self.room.contains_floor_point(led) and 0.0 < led.z <= self.room.height):
+        source = led.position
+        if not (room.contains_floor_point(source) and 0.0 < source.z <= room.height):
             raise ValidationError(
-                f"led position ({led.x}, {led.y}, {led.z}) is outside the room"
+                f"led position ({source.x}, {source.y}, {source.z}) is outside the room"
             )
-        if led.z < _MIN_LED_HEIGHT:
+        if source.z < _MIN_LED_HEIGHT:
             raise ValidationError(
-                f"led height {led.z} is below {_MIN_LED_HEIGHT:.3g} m, where the "
+                f"led height {source.z} is below {_MIN_LED_HEIGHT:.3g} m, where the "
                 "squared link distances underflow"
             )
-        if len(self.pd_positions) == 0:
+        if len(pd_positions) == 0:
             raise ValidationError("pd_positions must not be empty")
-        for i, pos in enumerate(self.pd_positions, start=1):
+        for i, pos in enumerate(pd_positions, start=1):
             if pos.z != 0.0:
                 raise ValidationError(
                     f"pd position {i} must lie on the floor plane (z = 0), got z={pos.z}"
                 )
-            if not self.room.contains_floor_point(pos):
+            if not room.contains_floor_point(pos):
                 raise ValidationError(
                     f"pd position {i} at ({pos.x}, {pos.y}) is outside the room floor"
                 )
-        if len(self.transmit_powers) == 0:
+        if len(transmit_powers) == 0:
             raise ValidationError("transmit_powers must not be empty")
-        for p in self.transmit_powers:
+        for p in transmit_powers:
             if not p > 0.0:
                 raise ValidationError(f"transmit power must be > 0, got {p}")
-        if len(self.sweep_elevations) == 0:
+        if len(sweep_elevations) == 0:
             raise ValidationError("sweep_elevations must not be empty")
-        for elevation in self.sweep_elevations:
+        for elevation in sweep_elevations:
             if not 0.0 < elevation <= 90.0:
                 raise ValidationError(
                     f"sweep elevation must lie in (0, 90] degrees, got {elevation}"
                 )
-        if not 0.0 <= self.azimuth < 360.0:
-            raise ValidationError(
-                f"azimuth must lie in [0, 360) degrees, got {self.azimuth}"
-            )
-        if self.distance_samples < 2:
-            raise ValidationError(
-                f"distance_samples must be >= 2, got {self.distance_samples}"
-            )
-        if self.distance_range is not None:
-            lo, hi = self.distance_range
+        if not 0.0 <= azimuth < 360.0:
+            raise ValidationError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
+        if distance_samples < 2:
+            raise ValidationError(f"distance_samples must be >= 2, got {distance_samples}")
+        if distance_range is not None:
+            lo, hi = distance_range
             if not 0.0 < lo <= hi:
                 raise ValidationError(
                     f"distance_range must satisfy 0 < low <= high, got ({lo}, {hi})"
@@ -224,6 +214,8 @@ class ScenarioConfig:
                     f"distance_range high end {hi} is above {_MAX_ROOM_SIZE:.3g} m, "
                     "where the squared distances overflow"
                 )
+        return tuple.__new__(cls, (room, led, pd_template, pd_positions, transmit_powers,
+                                   sweep_elevations, azimuth, distance_samples, distance_range))
 
 
 def default_config() -> ScenarioConfig:
@@ -307,7 +299,7 @@ def run_power_distance_sweep(
     rows: list[tuple[float, float, float]] = []
     for power in config.transmit_powers:
         powers = power_columns(
-            replace(led, transmit_power=power), config.pd_template, slants, cosines
+            led._replace(transmit_power=power), config.pd_template, slants, cosines
         )
         rows.extend(zip(repeat(power), slants, powers))
     return tuple(rows)

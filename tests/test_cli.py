@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -449,3 +454,36 @@ class TestUsage:
     def test_version(self, capsys):
         assert cli(["--version"]) == 0
         assert capsys.readouterr().out.startswith("vlcpos ")
+
+
+class TestStartup:
+    @staticmethod
+    def _modules_after(code):
+        # A fresh interpreter that imports vlcpos from the tree under test.
+        source = str(Path(vlcpos.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        listing = f"{code}; import sys; print(' '.join(sys.modules))"
+        result = subprocess.run(
+            [sys.executable, "-c", listing],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        return set(result.stdout.split())
+
+    def test_import_loads_no_module_it_does_not_need(self):
+        # dataclasses (with inspect, which it pulls in) and datetime cost about
+        # 15 ms of start-up, hashlib 3 ms; only config_hash imports hashlib.
+        unwanted = {"dataclasses", "inspect", "hashlib", "datetime"}
+        bare = self._modules_after("pass")
+        loaded = self._modules_after("import vlcpos.cli")
+        assert "vlcpos.cli" in loaded
+        assert (loaded & unwanted) <= bare
+
+    def test_generated_stamp_is_the_utc_iso_time(self):
+        before = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        stamp = vlcpos.cli._metadata(default_config())["generated"]
+        after = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        assert stamp in {before, after}

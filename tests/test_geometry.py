@@ -11,6 +11,7 @@ from vlcpos import (
     DomainError,
     EstimateRecord,
     LedNotAbovePd,
+    OutputTable,
     Point3,
     ReplicationCheck,
     RoomSpec,
@@ -97,6 +98,11 @@ class TestPoint3:
             ChannelSample(3.0, 2.25, 1.27e-06),
             EstimateRecord(Point3(2.5, 2.5, 0.0), 1.0, 0.0, 1.27e-06, 3.0, None),
             ReplicationCheck("check", 3.0, 3.0, 0.0, "REPRODUCED", "REPRODUCED", "note"),
+            ROOM,
+            default_config().led,
+            default_config().pd_template,
+            default_config(),
+            OutputTable("demo", ("a",), ((1,),), {}),
         ],
         ids=lambda record: type(record).__name__,
     )

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -177,7 +176,7 @@ def test_estimate_matches_the_closed_form_of_the_fusion(data, offset, azimuth):
     v, h, phi = offset
     led, pd = data.draw(transceivers(Point3(0.0, 0.0, v)))
     # A FOV that sees the PD, so few draws read 0 W.
-    pd = replace(pd, fov=data.draw(st.floats(math.degrees(math.atan2(h, v)), 90.0)))
+    pd = pd._replace(fov=data.draw(st.floats(math.degrees(math.atan2(h, v)), 90.0)))
     actual = Point3(h * math.cos(phi), h * math.sin(phi), 0.0)
     power = received_power(led, pd, actual).received_power
     assume(power > 0.0)
@@ -210,7 +209,7 @@ def visible_sweeps(draw):
     return ScenarioConfig(
         room=RoomSpec(width, length, v),
         led=led,
-        pd_template=replace(pd, fov=90.0),
+        pd_template=pd._replace(fov=90.0),
         pd_positions=tuple(points),
         transmit_powers=(1.0,),
         sweep_elevations=(90.0,),
@@ -394,7 +393,7 @@ def test_long_point_list_loads_as_literal_eval_reads_it(monkeypatch):
     positions = tuple(
         Point3(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0) for _ in range(20_000)
     )
-    config = replace(default_config(), pd_positions=positions)
+    config = default_config()._replace(pd_positions=positions)
     text = serialize_config(config)
     loaded = parse_config(text)
     monkeypatch.setattr(reporting, "_literal", ast.literal_eval)

@@ -1,0 +1,135 @@
+"""Tests for the validated named-tuple records: every way of building one checks it."""
+
+import math
+
+import pytest
+
+from vlcpos import (
+    DomainError,
+    LedSpec,
+    OutputTable,
+    PdSpec,
+    Point3,
+    ScenarioConfig,
+    ValidationError,
+    default_config,
+    lambertian_order,
+)
+
+CONFIG = default_config()
+TABLE = OutputTable("demo", ("a", "b"), ((1, 2.5),), {"k": "v"})
+
+# (a valid record, a field, a value that field rejects, the error, its message)
+INVALID_FIELDS = [
+    pytest.param(*case, id=f"{type(case[0]).__name__}.{case[1]}")
+    for case in (
+        (Point3(1.0, 2.0, 3.0), "y", math.nan, DomainError, r"^Point3\.y must be finite, got nan$"),
+        (CONFIG.room, "height", 0.0, DomainError, r"^RoomSpec\.height must be > 0, got 0\.0$"),
+        (CONFIG.led, "transmit_power", -1.0, DomainError,
+         r"^transmit_power must be > 0, got -1\.0$"),
+        (CONFIG.led, "half_power_angle", 90.0, DomainError,
+         r"^half-power angle must lie in \(0, 90\) degrees, got 90\.0$"),
+        (CONFIG.led, "lambertian_order", 0.0, DomainError,
+         r"^lambertian_order must be > 0, got 0\.0$"),
+        (CONFIG.pd_template, "fov", 120.0, DomainError,
+         r"^fov must lie in \(0, 90\] degrees, got 120\.0$"),
+        (CONFIG.pd_template, "refractive_index", 0.5, DomainError,
+         r"^refractive_index must be >= 1, got 0\.5$"),
+        (CONFIG, "azimuth", 360.0, ValidationError,
+         r"^azimuth must lie in \[0, 360\) degrees, got 360\.0$"),
+        (CONFIG, "transmit_powers", (), ValidationError, r"^transmit_powers must not be empty$"),
+        (TABLE, "columns", (), ValidationError, r"^a table needs at least one column$"),
+        (TABLE, "rows", ((1,),), ValidationError, r"^row 1 has 1 cells for 2 columns$"),
+    )
+]
+
+
+def _with(record, field, value):
+    """The record's field values with one replaced, as a plain tuple."""
+    return tuple(value if name == field else v for name, v in zip(record._fields, record))
+
+
+@pytest.mark.parametrize("record, field, bad, error, message", INVALID_FIELDS)
+class TestEveryConstructionValidates:
+    def test_constructor(self, record, field, bad, error, message):
+        values = _with(record, field, bad)
+        with pytest.raises(error, match=message):
+            type(record)(*values)
+        with pytest.raises(error, match=message):
+            type(record)(**dict(zip(record._fields, values)))
+
+    def test_make(self, record, field, bad, error, message):
+        with pytest.raises(error, match=message):
+            type(record)._make(_with(record, field, bad))
+
+    def test_replace(self, record, field, bad, error, message):
+        with pytest.raises(error, match=message):
+            record._replace(**{field: bad})
+
+
+RECORDS = [Point3(1.0, 2.0, 3.0), CONFIG.room, CONFIG.led, CONFIG.pd_template, CONFIG, TABLE]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+class TestTupleSemantics:
+    def test_copies_keep_type_and_values(self, record):
+        for copy in (record._replace(), type(record)._make(record), type(record)(*record)):
+            assert type(copy) is type(record)
+            assert copy == record
+
+    def test_equal_to_the_tuple_of_its_fields(self, record):
+        assert record == tuple(record)
+
+    def test_takes_no_attribute_beyond_its_fields(self, record):
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+
+class TestScenarioConfig:
+    def test_defaults(self):
+        config = ScenarioConfig(*CONFIG[:7])
+        assert (config.distance_samples, config.distance_range) == (50, None)
+
+    def test_hashed_as_the_tuple_of_its_fields(self):
+        # The room, LED and PD records inside are hashed the same way.
+        assert hash(CONFIG) == hash(tuple(CONFIG))
+
+
+class TestLambertianOrder:
+    def test_derived_when_none(self):
+        led = LedSpec(Point3(0.0, 0.0, 3.0), 15.0, 30.0)
+        assert led.lambertian_order == lambertian_order(30.0)
+
+    def test_replace_with_none_derives_it_again(self):
+        led = LedSpec(Point3(0.0, 0.0, 3.0), 15.0, 60.0, lambertian_order=7.5)
+        assert led._replace(half_power_angle=30.0).lambertian_order == 7.5
+        rederived = led._replace(half_power_angle=30.0, lambertian_order=None)
+        assert rederived.lambertian_order == lambertian_order(30.0)
+        assert led._replace(lambertian_order=None).lambertian_order == lambertian_order(60.0)
+
+
+NON_FINITE_FIELDS = [
+    pytest.param(record, field, id=f"{type(record).__name__}.{field}")
+    for record, fields in (
+        (CONFIG.led, ("transmit_power", "lambertian_order")),
+        # fov's own range, (0, 90], already excludes every non-finite value.
+        (CONFIG.pd_template, ("area", "filter_gain", "refractive_index")),
+    )
+    for field in fields
+]
+
+
+@pytest.mark.parametrize("record, field", NON_FINITE_FIELDS)
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejected_naming_the_field_and_the_value(self, record, field, value):
+        # nan and -inf fail the range check, whose message names both too.
+        with pytest.raises(DomainError, match=rf"\b{field} must .*, got {value}$"):
+            record._replace(**{field: value})
+
+    def test_positive_infinity_is_not_finite(self, record, field):
+        # An infinite power, area or gain would give inf W, an infinite order
+        # nan W off axis.
+        name = type(record).__name__
+        with pytest.raises(DomainError, match=rf"^{name}\.{field} must be finite, got inf$"):
+            type(record)(**{**record._asdict(), field: math.inf})

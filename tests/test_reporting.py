@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -109,6 +108,15 @@ class TestEmit:
         assert target.read_text(encoding="utf-8").startswith("# alpha = first\n")
         emit(_table(), "csv", str(target))
         assert target.read_text(encoding="utf-8").startswith("# alpha = first\n")
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_path_gets_the_stream_bytes_and_their_count(self, tmp_path, format):
+        table = OutputTable("démo", ("a", "µ"), ((1, "ü"),), {"note": "±1 °C"})
+        stream = io.StringIO()
+        count = emit(table, format, stream)
+        target = tmp_path / f"out.{format}"
+        assert emit(table, format, target) == count == len(target.read_bytes())
+        assert target.read_bytes() == stream.getvalue().encode("utf-8")
 
     def test_json_layout(self):
         buffer = io.StringIO()
@@ -269,7 +277,7 @@ class TestLoadConfig:
     def test_single_override(self):
         config = parse_config("led.transmit_power = 12")
         assert config.led.transmit_power == 12.0
-        assert config == replace(default_config(), led=config.led)
+        assert config == default_config()._replace(led=config.led)
 
     def test_half_power_angle_drives_order(self):
         config = parse_config("led.half_power_angle = 60")

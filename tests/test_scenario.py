@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -145,33 +144,33 @@ class TestScenarioConfigValidation:
         config = default_config()
         bad = config.pd_positions[:9] + (Point3(1.0, 1.0, 0.5),)
         with pytest.raises(ValidationError, match="floor"):
-            replace(config, pd_positions=bad)
+            config._replace(pd_positions=bad)
 
     def test_rejects_position_outside_room(self):
         config = default_config()
         bad = (Point3(5.5, 1.0, 0.0),)
         with pytest.raises(ValidationError):
-            replace(config, pd_positions=bad)
+            config._replace(pd_positions=bad)
 
     def test_rejects_empty_axes(self):
         config = default_config()
         with pytest.raises(ValidationError):
-            replace(config, transmit_powers=())
+            config._replace(transmit_powers=())
         with pytest.raises(ValidationError):
-            replace(config, sweep_elevations=())
+            config._replace(sweep_elevations=())
         with pytest.raises(ValidationError):
-            replace(config, pd_positions=())
+            config._replace(pd_positions=())
 
     def test_rejects_bad_scalars(self):
         config = default_config()
         with pytest.raises(ValidationError):
-            replace(config, azimuth=360.0)
+            config._replace(azimuth=360.0)
         with pytest.raises(ValidationError):
-            replace(config, distance_samples=1)
+            config._replace(distance_samples=1)
         with pytest.raises(ValidationError):
-            replace(config, distance_range=(4.0, 3.0))
+            config._replace(distance_range=(4.0, 3.0))
         with pytest.raises(ValidationError):
-            replace(config, transmit_powers=(8.0, 0.0))
+            config._replace(transmit_powers=(8.0, 0.0))
 
 
 class TestPositionSweep:
@@ -203,7 +202,7 @@ class TestPositionSweep:
         # An LED on the floor is outside the room, so the config rejects it
         # before a sweep could fail at position 1.
         with pytest.raises(ValidationError, match=r"led position \(2.5, 2.5, 0.0\)"):
-            replace(config, led=grounded)
+            config._replace(led=grounded)
 
 
     def test_grazing_row_matches_the_closed_form(self):
@@ -211,8 +210,8 @@ class TestPositionSweep:
         # from its floor projection along the 225-degree azimuth, so the
         # estimate lies f = h (V + h) / (2 d) out and the error is h - f.
         config = default_config()
-        led = replace(config.led, position=Point3(2.5, 2.5, 1e-100))
-        row = run_position_sweep(replace(config, led=led))[1]
+        led = config.led._replace(position=Point3(2.5, 2.5, 1e-100))
+        row = run_position_sweep(config._replace(led=led))[1]
         h, v = math.hypot(0.27, 0.27), 1e-100
         d = math.hypot(h, v)
         f = h * (v + h) / (2.0 * d)
@@ -224,10 +223,9 @@ class TestPositionSweep:
         # bits); K V^2 / P overflows and the inversion runs in logarithms.
         height = 7e153
         config = default_config()
-        config = replace(
-            config,
-            room=replace(config.room, height=height),
-            led=replace(config.led, position=Point3(2.5, 2.5, height)),
+        config = config._replace(
+            room=config.room._replace(height=height),
+            led=config.led._replace(position=Point3(2.5, 2.5, height)),
         )
         _, _, _, est_x, est_y, slant, power, error = run_position_sweep(config)[0]
         assert slant == height
@@ -254,8 +252,8 @@ class TestSweepColumnsMatchScalarPath:
             Point3(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0) for _ in range(200)
         )
         base = default_config()
-        led = replace(base.led, lambertian_order=order)
-        config = replace(base, led=led, pd_positions=positions, azimuth=azimuth)
+        led = base.led._replace(lambertian_order=order)
+        config = base._replace(led=led, pd_positions=positions, azimuth=azimuth)
         rows = run_position_sweep(config)
         assert len(rows) == len(positions)
         pd = config.pd_template
@@ -306,13 +304,13 @@ class TestSweepColumnsMatchScalarPath:
             Point3(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0) for _ in range(50)
         )
         base = default_config()
-        config = replace(
-            base, led=replace(base.led, lambertian_order=order), pd_positions=positions
+        config = base._replace(
+            led=base.led._replace(lambertian_order=order), pd_positions=positions
         )
         rows = run_power_distance_sweep(config)
         assert len(rows) == len(positions) * len(config.transmit_powers)
         for transmit in config.transmit_powers:
-            led = replace(config.led, transmit_power=transmit)
+            led = config.led._replace(transmit_power=transmit)
             samples = [
                 received_power(led, config.pd_template, position)
                 for position in positions
@@ -322,7 +320,7 @@ class TestSweepColumnsMatchScalarPath:
 
     def test_power_outside_the_fov_names_the_position(self):
         config = default_config()
-        narrow = replace(config, pd_template=replace(config.pd_template, fov=30.0))
+        narrow = config._replace(pd_template=config.pd_template._replace(fov=30.0))
         with pytest.raises(NonPositivePower, match="^position 6:"):
             run_position_sweep(narrow)
 
@@ -384,8 +382,7 @@ class TestAngleSweep:
             assert _close(p0 / p, (d / d0) ** 2, 1e-9)
 
     def test_respects_distance_range_and_samples(self):
-        config = replace(
-            default_config(),
+        config = default_config()._replace(
             distance_range=(2.0, 4.0),
             distance_samples=5,
             sweep_elevations=(90.0,),
@@ -395,7 +392,7 @@ class TestAngleSweep:
 
     def test_rejects_out_of_range_elevation(self):
         with pytest.raises(ValidationError):
-            replace(default_config(), sweep_elevations=(0.0,))
+            default_config()._replace(sweep_elevations=(0.0,))
 
 
 class TestReplicationReport:
@@ -417,7 +414,7 @@ class TestReplicationReport:
         # error-trend checks fail: the count check reports its violations
         # without a difference, and the spread is no longer a trend.
         config = default_config()
-        checks = replication_report(replace(config, pd_positions=config.pd_positions[::-1]))
+        checks = replication_report(config._replace(pd_positions=config.pd_positions[::-1]))
         reproduced, trend, failed = "REPRODUCED", "TREND-ONLY", "NOT-REPRODUCIBLE"
         verdicts = {
             "center_slant_distance": failed,
@@ -454,7 +451,7 @@ class TestReplicationReport:
     def test_repeated_transmit_power_grades_each_walk_alone(self):
         # Two walks at the same power are two families; joining them would
         # count the corner-to-center seam as a violation.
-        checks = replication_report(replace(default_config(), transmit_powers=(8.0, 8.0)))
+        checks = replication_report(default_config()._replace(transmit_powers=(8.0, 8.0)))
         check = next(c for c in checks if c.name == "power_monotonic_decrease")
         assert (check.verdict, check.computed) == ("REPRODUCED", 0.0)
         assert not any(c.regressed for c in checks)
