@@ -30,9 +30,6 @@ from .geometry import Point3, euclidean_distance
 __all__ = [
     "EstimateRecord",
     "invert_power_to_distance",
-    "csa_angles",
-    "offset_estimate",
-    "anchor_estimate",
     "estimate_position",
 ]
 
@@ -111,69 +108,6 @@ def invert_power_to_distance(
     return vertical_separation if distance < vertical_separation else distance
 
 
-def csa_angles(incidence_elevation: float) -> tuple[float, float]:
-    """Complementary (90 - theta) and supplementary (90 + theta) angles.
-
-    Raises:
-        DomainError: when the elevation is outside [0, 90] degrees.
-    """
-
-    if not 0.0 <= incidence_elevation <= 90.0:
-        raise DomainError(
-            f"incidence must lie in [0, 90] degrees, got {incidence_elevation}"
-        )
-    return 90.0 - incidence_elevation, 90.0 + incidence_elevation
-
-
-def offset_estimate(d_hor: float, incidence_elevation: float) -> float:
-    """Project the horizontal distance through both CSA angles and fuse the results.
-
-    The complementary projection goes through cos(90 - theta), the
-    supplementary one through sin(90 + theta), so the fused mean equals
-    d_hor * (sin(theta) + cos(theta)) / 2. It is a radial displacement
-    magnitude from the LED's floor projection.
-
-    Raises:
-        DomainError: when d_hor < 0 or the elevation is outside [0, 90] degrees.
-    """
-
-    if d_hor < 0.0:
-        raise DomainError(f"horizontal distance must be >= 0, got {d_hor}")
-    complementary, supplementary = map(math.radians, csa_angles(incidence_elevation))
-    return _fuse(d_hor, math.cos(complementary), math.sin(supplementary))
-
-
-def _fuse(d_hor: float, cos_complementary: float, sin_supplementary: float) -> float:
-    """The fused offset: the mean of d_hor projected through both CSA angles."""
-    return d_hor * (cos_complementary + sin_supplementary) / 2.0
-
-
-def anchor_estimate(
-    fused: float, led_floor_projection: tuple[float, float], azimuth: float
-) -> Point3:
-    """Place the fused offset at the LED's floor projection along an azimuth.
-
-    The per-axis displacements are fused*cos(azimuth) and fused*sin(azimuth),
-    so the radial displacement magnitude equals the fused offset
-    (cos^2 + sin^2 = 1) and no extra normalization factor is needed. For the
-    225-degree diagonal each axis moves by fused/sqrt(2) toward the origin
-    corner.
-
-    Raises:
-        DomainError: when the azimuth is outside [0, 360) or the estimate is not finite.
-    """
-
-    if not 0.0 <= azimuth < 360.0:
-        raise DomainError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
-    led_x, led_y = led_floor_projection
-    angle = math.radians(azimuth)
-    x = led_x + fused * math.cos(angle)
-    y = led_y + fused * math.sin(angle)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"fused offset {fused} anchors to a non-finite estimate ({x}, {y})")
-    return tuple.__new__(Point3, (x, y, 0.0))
-
-
 def estimate_position(
     measured_power: float,
     led: LedSpec,
@@ -185,15 +119,28 @@ def estimate_position(
 
     The PD lies on the floor, so the vertical separation is the LED height.
     When the actual position is supplied the positioning error is filled in.
+
+    Raises:
+        DomainError: when the azimuth is outside [0, 360) or the estimate is
+            not finite, besides the errors of invert_power_to_distance.
     """
 
     led_x, led_y, vertical = led.position
     distance = invert_power_to_distance(measured_power, led, pd, vertical)
-    # d >= V, so V/d <= 1 and d^2 - V^2 >= 0 (or inf/NaN past the float range).
-    sin_theta = vertical / distance
-    d_hor = math.sqrt(distance * distance - vertical * vertical)
-    fused = _fuse(d_hor, sin_theta, d_hor / distance)
-    estimated = anchor_estimate(fused, (led_x, led_y), azimuth)
+    # d >= V, so c = V/d <= 1; where d^2 overflows, d_hor = d sqrt((1 - c)(1 + c)).
+    cosine, squared = vertical / distance, distance * distance
+    d_hor = (math.sqrt(squared - vertical * vertical) if squared < math.inf
+             else distance * math.sqrt((1.0 - cosine) * (1.0 + cosine)))
+    # The mean of d_hor projected through cos(90 - theta) = c and sin(90 + theta) = d_hor/d.
+    fused = d_hor * (cosine + d_hor / distance) / 2.0
+    if not 0.0 <= azimuth < 360.0:
+        raise DomainError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
+    angle = math.radians(azimuth)
+    x = led_x + fused * math.cos(angle)
+    y = led_y + fused * math.sin(angle)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"fused offset {fused} anchors to a non-finite estimate ({x}, {y})")
+    estimated = tuple.__new__(Point3, (x, y, 0.0))
     error = None if actual is None else euclidean_distance(actual, estimated)
-    record = (estimated, sin_theta, fused, measured_power, distance, error)
+    record = (estimated, cosine, fused, measured_power, distance, error)
     return tuple.__new__(EstimateRecord, record)  # skips the generated __new__'s Python call

@@ -55,7 +55,7 @@ class Point3(_record("_Coordinates", "x y z")):
 
 
 class RoomSpec(_record("_Room", "width length height")):
-    """Rectangular room dimensions in meters, each > 0."""
+    """Rectangular room dimensions in meters, each finite and > 0."""
 
     __slots__ = ()
 
@@ -63,6 +63,8 @@ class RoomSpec(_record("_Room", "width length height")):
         for name, value in zip(cls._fields, (width, length, height)):
             if not value > 0:
                 raise DomainError(f"RoomSpec.{name} must be > 0, got {value}")
+            if value == math.inf:
+                raise DomainError(f"RoomSpec.{name} must be finite, got {value}")
         return tuple.__new__(cls, (width, length, height))
 
     def contains_floor_point(self, point: Point3) -> bool:
@@ -73,7 +75,12 @@ class RoomSpec(_record("_Room", "width length height")):
 def euclidean_distance(a: Point3, b: Point3) -> float:
     """3-D Euclidean distance between two points, in meters."""
 
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    try:  # where a square or their sum overflows, hypot still gives the distance
+        distance = math.sqrt(dx**2 + dy**2 + dz**2)
+    except OverflowError:
+        distance = math.inf
+    return distance if distance < math.inf else math.hypot(dx, dy, dz)
 
 
 def link_columns(

@@ -28,7 +28,7 @@ from typing import IO, Any, Callable, Mapping, Sequence
 
 from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
-from .estimator import EstimateRecord, csa_angles
+from .estimator import EstimateRecord
 from .geometry import Point3, _record
 from .scenario import (
     ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
@@ -240,14 +240,13 @@ def replication_text(checks: Sequence[ReplicationCheck]) -> str:
 def estimate_lines(record: EstimateRecord, clipped: bool) -> list[str]:
     """Human-readable key = value lines for a one-shot estimate."""
 
-    incidence = math.degrees(math.asin(record.cosine))
-    complementary, supplementary = csa_angles(incidence)
+    incidence = math.degrees(math.asin(record.cosine))  # the elevation theta
     lines = [
         f"measured_power = {format_number(record.measured_power)}",
         f"inverted_distance = {format_number(record.inverted_distance)}",
         f"incidence_elevation = {format_number(incidence)}",
-        f"complementary = {format_number(complementary)}",
-        f"supplementary = {format_number(supplementary)}",
+        f"complementary = {format_number(90.0 - incidence)}",
+        f"supplementary = {format_number(90.0 + incidence)}",
         f"fused_offset = {format_number(record.fused)}",
         "estimated = "
         f"({format_number(record.estimated.x)}, {format_number(record.estimated.y)}, 0)",

@@ -423,7 +423,7 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
     plotted_center, plotted_corner = REFERENCE_POWER_FAMILIES[15.0]
 
     # Estimated coordinates of the reference table vs the estimator pipeline.
-    corner_fused = estimate_position(
+    corner_offset = estimate_position(
         corner_power, config.led, config.pd_template, azimuth=config.azimuth
     ).fused
     (led_x, led_y, _), (x, y, _) = config.led.position, config.pd_positions[-1]
@@ -491,10 +491,10 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
          "published curves decay by ~2.34x over the diagonal, matching pure "
          "inverse-square; the modelled decay is d^-(m+3), a 5.35x drop"),
         ("published_estimated_coordinates", REFERENCE_IMPLIED_CORNER_DISPLACEMENT,
-         corner_fused, _TOL_TABLE, None, not_reproducible,
+         corner_offset, _TOL_TABLE, None, not_reproducible,
          "the published corner estimate implies a 2.4864 m per-axis "
          "displacement; the equations yield a fused offset of "
-         f"{corner_fused:.4f} m and cannot exceed {attainable:.4f} m, so "
+         f"{corner_offset:.4f} m and cannot exceed {attainable:.4f} m, so "
          "the published coordinate generation procedure is unknown"),
         ("power_monotonic_decrease", 0.0, float(power_violations), None, None, reproduced,
          "received power strictly decreases over positions 1 to 10 for "

@@ -16,12 +16,10 @@ from vlcpos import (
     LedSpec,
     PdSpec,
     Point3,
-    csa_angles,
     default_config,
     euclidean_distance,
     invert_power_to_distance,
     lambertian_order,
-    offset_estimate,
     received_power,
     run_angle_sweep,
     run_position_sweep,
@@ -33,6 +31,8 @@ from vlcpos.scenario import (
     REFERENCE_ERRORS,
     REFERENCE_ESTIMATED_XY,
 )
+
+from csa_oracle import csa_angles, offset_estimate
 
 # Criterion tolerances. Each value is pinned; loosening one is a contract
 # change, not a test fix.

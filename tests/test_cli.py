@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,24 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "inverted_distance = 8.14594e+79\n" in out
         assert "clipped_to_room = true\n" in out
+
+    @pytest.mark.parametrize("actual", [[], ["--actual", "1", "1"]], ids=["one-shot", "actual"])
+    def test_tall_room_at_the_float_floor_exits_0(self, tmp_path, capsys, actual):
+        # d^2 overflows for the 3.9e156 m slant; d_hor is d sqrt(1 - c^2), and
+        # the positioning error is a hypot past the range of the squares.
+        path = tmp_path / "tall.cfg"
+        path.write_text("room.height = 7e153\nled.position = (2.5, 2.5, 7e153)\n",
+                        encoding="utf-8")
+        assert cli(["estimate", "--power", "5e-324", "--config", str(path), *actual]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = dict(line.split(" = ") for line in captured.out.splitlines())
+        assert lines["inverted_distance"] == "3.93486e+156"
+        assert lines["clipped_to_room"] == "true"
+        numbers = [v for k, v in lines.items() if k not in ("estimated", "clipped_to_room")]
+        numbers += lines["estimated"].strip("()").split(", ")
+        assert all(math.isfinite(float(number)) for number in numbers)
+        assert ("positioning_error" in lines) == bool(actual)
 
     @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_power(self, capsys, power):

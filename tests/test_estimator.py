@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -14,15 +15,15 @@ from vlcpos import (
     PdSpec,
     Point3,
     PowerTooHigh,
-    anchor_estimate,
-    csa_angles,
+    estimate_lines,
     estimate_position,
     euclidean_distance,
     invert_power_to_distance,
-    offset_estimate,
     received_power,
     replication_report,
 )
+
+from csa_oracle import csa_angles, offset_estimate
 
 LED = LedSpec(
     position=Point3(2.5, 2.5, 3.0),
@@ -169,14 +170,44 @@ class TestInvertPowerToDistance:
             invert_power_to_distance(1e-6, led, pd, 3.0)
 
 
+def _lines(record):
+    """estimate_lines as a key -> text mapping."""
+    return dict(line.split(" = ") for line in estimate_lines(record, clipped=False))
+
+
+def _reading_at(d_hor, elevation):
+    """An LED seen from the floor origin at the elevation, d_hor away, and the PD's reading."""
+    vertical = d_hor * math.tan(math.radians(elevation))
+    led = LedSpec(Point3(d_hor, 0.0, vertical), transmit_power=15.0, half_power_angle=60.0)
+    return led, received_power(led, PD, Point3(0.0, 0.0, 0.0)).received_power
+
+
+# Readings from a hair above the on-axis maximum down to the smallest subnormal.
+READINGS = (CENTER_POWER * (1.0 + 1e-12), CENTER_POWER, POWER_AT_3_5_M, 1e-8, 1e-100, 5e-324)
+FLOAT_MAX = sys.float_info.max
+
+
 class TestCsaAngles:
+    """The angle pair estimate_lines prints, and the literal oracle's.
+
+    theta = 0 is an infinite distance, out of estimate_position's reach, so the
+    grid that starts there is checked on the oracle alone.
+    """
+
     def test_under_emitter(self):
         assert csa_angles(90.0) == (0.0, 180.0)
+        sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
+        lines = _lines(estimate_position(sample.received_power, LED, PD, 225.0))
+        assert (lines["complementary"], lines["supplementary"]) == ("0", "180")
 
     def test_reference_incidence(self):
         complementary, supplementary = csa_angles(41.123)
         assert abs(complementary - 48.877) < 1e-12
         assert abs(supplementary - 131.123) < 1e-12
+        led, power = _reading_at(3.4365, 41.123)
+        lines = _lines(estimate_position(power, led, PD, 225.0))
+        assert abs(float(lines["complementary"]) - 48.877) < 1e-12
+        assert abs(float(lines["supplementary"]) - 131.123) < 1e-12
 
     def test_pair_sums_to_straight_angle_exactly(self):
         for k in range(1801):
@@ -188,11 +219,20 @@ class TestCsaAngles:
             csa_angles(-0.1)
         with pytest.raises(DomainError):
             csa_angles(90.1)
+        # The estimator cannot leave the range: its cosine V/d lies in (0, 1].
+        for power in READINGS:
+            lines = _lines(estimate_position(power, LED, PD, 225.0))
+            assert 0.0 <= float(lines["complementary"]) <= 90.0
+            assert 90.0 <= float(lines["supplementary"]) <= 180.0
 
 
 class TestOffsetEstimate:
+    """The fused offset of estimate_position, held to the literal oracle."""
+
     def test_reference_offsets(self):
         assert _close(offset_estimate(3.4365, 41.123), 2.4244114653242295)
+        led, power = _reading_at(3.4365, 41.123)
+        assert _close(estimate_position(power, led, PD, 225.0).fused, 2.4244114653242295)
 
     def test_fused_closed_form(self):
         for d_hor in (0.5, 1.0, 3.4365):
@@ -204,48 +244,72 @@ class TestOffsetEstimate:
                 assert abs(fused - expected) < 1e-12
 
     def test_zero_horizontal_distance(self):
-        assert offset_estimate(0.0, 90.0) == 0.0
+        sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
+        assert estimate_position(sample.received_power, LED, PD, 225.0).fused == 0.0
 
     def test_rejects_negative_distance(self):
         with pytest.raises(DomainError):
             offset_estimate(-0.1, 45.0)
+        # d_hor is a square root, so the estimator's offset is never negative.
+        for power in READINGS:
+            assert estimate_position(power, LED, PD, 225.0).fused >= 0.0
 
     def test_rejects_elevation_out_of_range(self):
         with pytest.raises(DomainError):
             offset_estimate(1.0, 90.1)
+        # A reading above the on-axis maximum is rejected, not taken past 90 degrees.
+        with pytest.raises(PowerTooHigh):
+            estimate_position(CENTER_POWER * 1.01, LED, PD, 225.0)
+        assert estimate_position(CENTER_POWER * (1.0 + 1e-12), LED, PD, 225.0).cosine == 1.0
 
 
 class TestAnchorEstimate:
+    """estimate_position places the fused offset at the LED's floor projection."""
+
     def test_zero_offset_lands_under_emitter(self):
-        p = anchor_estimate(0.0, (2.5, 2.5), 225.0)
+        sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
+        p = estimate_position(sample.received_power, LED, PD, 225.0).estimated
         assert (p.x, p.y, p.z) == (2.5, 2.5, 0.0)
 
     def test_reference_anchor(self):
-        fused = offset_estimate(3.4365, 41.123)
-        toward_origin = anchor_estimate(fused, (2.5, 2.5), 225.0)
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0)
+        toward_origin, fused = record.estimated, record.fused
         assert _close(toward_origin.x, 2.5 + fused * math.cos(math.radians(225.0)))
         assert abs(toward_origin.x - toward_origin.y) < 1e-12
-        away = anchor_estimate(fused, (2.5, 2.5), 45.0)
+        away = estimate_position(POWER_AT_3_5_M, LED, PD, 45.0).estimated
         assert _close(away.x, 2.5 + fused * math.cos(math.radians(45.0)))
 
-    @pytest.mark.parametrize("fused", [math.inf, -math.inf, math.nan])
-    def test_rejects_a_non_finite_estimate_naming_the_offset(self, fused):
-        with pytest.raises(DomainError, match=rf"^fused offset {fused} anchors to a non-finite"):
-            anchor_estimate(fused, (2.5, 2.5), 225.0)
+    @pytest.mark.parametrize(
+        "led_xy, height, power, azimuth, offset",
+        [
+            # d lands near the largest float, and d_hor * (V/d + d_hor/d) overflows.
+            pytest.param((2.5, 2.5), 1e308, 1e-312, 225.0, "inf", id="inf"),
+            # A finite offset moves an LED at the float extremes past them.
+            pytest.param((-FLOAT_MAX, 0.0), 1e300, 1e-300, 180.0, r"\d\.\d+e\+300", id="-inf"),
+            pytest.param((FLOAT_MAX, 0.0), 1e300, 1e-300, 0.0, r"\d\.\d+e\+300", id="max-x"),
+        ],
+    )
+    def test_rejects_a_non_finite_estimate_naming_the_offset(
+        self, led_xy, height, power, azimuth, offset
+    ):
+        led = LedSpec(Point3(*led_xy, height), transmit_power=1e300, half_power_angle=60.0)
+        pd = PD._replace(area=1e5)
+        with pytest.raises(DomainError, match=rf"^fused offset {offset} anchors to a non-finite"):
+            estimate_position(power, led, pd, azimuth)
 
     def test_finite_estimate_is_a_floor_point(self):
-        p = anchor_estimate(1.0, (2.5, 2.5), 10.0)
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 10.0)
+        p, fused = record.estimated, record.fused
         assert type(p) is Point3
         assert p.z == 0.0
         angle = math.radians(10.0)
-        assert p == Point3(2.5 + math.cos(angle), 2.5 + math.sin(angle), 0.0)
+        assert p == Point3(2.5 + fused * math.cos(angle), 2.5 + fused * math.sin(angle), 0.0)
 
     def test_rejects_azimuth_out_of_range(self):
-        fused = offset_estimate(1.0, 45.0)
-        with pytest.raises(DomainError):
-            anchor_estimate(fused, (2.5, 2.5), 360.0)
-        with pytest.raises(DomainError):
-            anchor_estimate(fused, (2.5, 2.5), -1.0)
+        with pytest.raises(DomainError, match=r"^azimuth must lie in \[0, 360\) degrees"):
+            estimate_position(POWER_AT_3_5_M, LED, PD, 360.0)
+        with pytest.raises(DomainError, match=r"^azimuth must lie in \[0, 360\) degrees"):
+            estimate_position(POWER_AT_3_5_M, LED, PD, -1.0)
 
 
 class TestPositioningError:
@@ -312,3 +376,28 @@ class TestEstimatePosition:
             estimate_position(1.0, LED, PD, 225.0)
         with pytest.raises(NonPositivePower):
             estimate_position(0.0, LED, PD, 225.0)
+
+    @pytest.mark.parametrize(
+        "height, power, transmit_power, area",
+        [
+            pytest.param(7e153, 5e-324, 15.0, 2.25e-6, id="tall-room"),
+            pytest.param(5e307, 1e-312, 1e300, 1e5, id="near-float-max"),
+        ],
+    )
+    def test_slant_whose_square_overflows_keeps_its_horizontal_part(
+        self, height, power, transmit_power, area
+    ):
+        # d * d overflows (and V * V too near the float maximum), so d_hor is
+        # taken as d sqrt((1 - c)(1 + c)) with c = V/d; here it is checked in
+        # exact decimal arithmetic.
+        led = LedSpec(Point3(2.5, 2.5, height), transmit_power, half_power_angle=60.0)
+        pd = PD._replace(area=area)
+        record = estimate_position(power, led, pd, 225.0, actual=Point3(1.0, 1.0, 0.0))
+        assert record.inverted_distance * record.inverted_distance == math.inf
+        with localcontext() as context:
+            context.prec = 40
+            d, v = Decimal(record.inverted_distance), Decimal(height)
+            d_hor = (d * d - v * v).sqrt()
+            fused = float(d_hor * (v / d + d_hor / d) / 2)
+        assert math.isclose(record.fused, fused, rel_tol=1e-12)
+        assert math.isfinite(record.estimated.x) and math.isfinite(record.positioning_error)

@@ -138,6 +138,25 @@ class TestEuclideanDistance:
             b = Point3(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 3))
             assert euclidean_distance(a, b) == euclidean_distance(b, a)
             assert euclidean_distance(a, a) == 0.0
+            # In range it is the root of the summed squares, bit for bit.
+            squares = (a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2
+            assert euclidean_distance(a, b) == math.sqrt(squares)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # (1e200) ** 2 raises OverflowError.
+            pytest.param(Point3(1e200, 0.0, 0.0), Point3(0.0, 0.0, 0.0), 1e200, id="square"),
+            # Each square is finite, their sum is not.
+            pytest.param(Point3(1e154, 1e154, 1e154), Point3(0.0, 0.0, 0.0),
+                         math.sqrt(3.0) * 1e154, id="sum"),
+            # The difference itself overflows.
+            pytest.param(Point3(-1e308, 0.0, 0.0), Point3(1e308, 0.0, 0.0), math.inf,
+                         id="difference"),
+        ],
+    )
+    def test_finite_points_past_the_range_of_the_squares(self, a, b, expected):
+        assert _close(euclidean_distance(a, b), expected)
 
 
 class TestLinkGeometry:

@@ -30,7 +30,6 @@ from vlcpos import (
     default_config,
     estimate_position,
     link_geometry,
-    offset_estimate,
     parse_config,
     received_power,
     run_position_sweep,
@@ -39,6 +38,8 @@ from vlcpos import (
 from vlcpos import reporting
 from vlcpos.reporting import _CONFIG_KEYS, _literal, _point, _point_list_skeleton, _points
 from vlcpos.scenario import _MIN_LED_HEIGHT
+
+from csa_oracle import offset_estimate
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 

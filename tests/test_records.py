@@ -114,6 +114,7 @@ NON_FINITE_FIELDS = [
         (CONFIG.led, ("transmit_power", "lambertian_order")),
         # fov's own range, (0, 90], already excludes every non-finite value.
         (CONFIG.pd_template, ("area", "filter_gain", "refractive_index")),
+        (CONFIG.room, ("width", "length", "height")),
     )
     for field in fields
 ]
@@ -129,7 +130,7 @@ class TestNonFiniteFields:
 
     def test_positive_infinity_is_not_finite(self, record, field):
         # An infinite power, area or gain would give inf W, an infinite order
-        # nan W off axis.
+        # nan W off axis, and an infinite room side would hold every floor point.
         name = type(record).__name__
         with pytest.raises(DomainError, match=rf"^{name}\.{field} must be finite, got inf$"):
             type(record)(**{**record._asdict(), field: math.inf})

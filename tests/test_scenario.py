@@ -11,7 +11,6 @@ from vlcpos import (
     Point3,
     ScenarioConfig,
     ValidationError,
-    anchor_estimate,
     concentrator_gain,
     default_config,
     estimate_position,
@@ -294,8 +293,10 @@ class TestSweepColumnsMatchScalarPath:
         d_hor = math.sqrt(distance * distance - vertical * vertical)
         # cos(90 - theta) = V/d and sin(90 + theta) = d_hor/d on the coupled path.
         fused = d_hor * (vertical / distance + d_hor / distance) / 2.0
-        estimated = anchor_estimate(fused, (led.position.x, led.position.y), azimuth)
-        return estimated.x, estimated.y, euclidean_distance(actual, estimated)
+        angle = math.radians(azimuth)
+        x = led.position.x + fused * math.cos(angle)
+        y = led.position.y + fused * math.sin(angle)
+        return x, y, euclidean_distance(actual, Point3(x, y, 0.0))
 
     @pytest.mark.parametrize("order", [1.0, 7.5])
     def test_power_sweep_equals_received_power(self, order):
