@@ -144,7 +144,11 @@ class PdSpec(_record("_Pd", "area fov filter_gain refractive_index")):
 def _gain_constant(led: LedSpec, pd: PdSpec) -> float:
     """K = P_t (m+1) A h g(0) / (2 pi), so that P = K c^(m+1) / d^2."""
     gain, m = concentrator_gain(1.0, pd.refractive_index, pd.fov), led.lambertian_order
-    return led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / math.tau
+    k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / math.tau
+    if not 0.0 < k < math.inf:  # each factor is in range, their product need not be
+        raise DomainError(f"K = P_t (m+1) A h g(0) / (2 pi) is {k} for P_t {led.transmit_power}"
+                          f", m {m}, A {pd.area}, h {pd.filter_gain}, g(0) {gain}")
+    return k
 
 
 class ChannelSample(NamedTuple):
@@ -169,13 +173,11 @@ def power_columns(
     cos(fov) are computed once; each row checks its inputs.
 
     Raises:
-        DomainError: when a distance is not > 0 or a cosine is above 1 or NaN.
+        DomainError: when K is 0 or infinite, a distance is not > 0 or a cosine
+            is above 1 or NaN.
     """
 
-    m = led.lambertian_order
-    if not m > 0.0:
-        raise DomainError(f"Lambertian order must be > 0, got {m}")
-    k, exponent, cos_fov = _gain_constant(led, pd), m + 1.0, _fov_cosine(pd.fov)
+    k, exponent, cos_fov = _gain_constant(led, pd), led.lambertian_order + 1.0, _fov_cosine(pd.fov)
     powers: list[float] = []
     for distance, c in zip(distances, cosines):
         if not distance > 0.0:

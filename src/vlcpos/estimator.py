@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .channel import LedSpec, PdSpec, _gain_constant
 from .errors import DomainError, NonPositivePower, PowerTooHigh
-from .geometry import Point3, euclidean_distance
+from .geometry import Point3
 
 __all__ = [
     "EstimateRecord",
@@ -94,7 +94,7 @@ def invert_power_to_distance(
         log_v, log_p = math.log(vertical_separation), math.log(measured_power)
         try:
             distance = math.exp((math.log(k) + (m + 1.0) * log_v - log_p) / (m + 3.0))
-        except (OverflowError, ValueError):  # past the float range, or K == 0
+        except OverflowError:  # past the float range
             distance = math.inf
     if not math.isfinite(distance):
         raise DomainError(
@@ -141,6 +141,6 @@ def estimate_position(
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"fused offset {fused} anchors to a non-finite estimate ({x}, {y})")
     estimated = tuple.__new__(Point3, (x, y, 0.0))
-    error = None if actual is None else euclidean_distance(actual, estimated)
+    error = None if actual is None else math.dist(actual, estimated)
     record = (estimated, cosine, fused, measured_power, distance, error)
     return tuple.__new__(EstimateRecord, record)  # skips the generated __new__'s Python call

@@ -9,6 +9,8 @@ Conventions:
   the ray and the PD normal, 1 directly under the LED. link_columns gives
   both per PD point; the channel takes c as it is, and the elevation asin(c)
   is computed only where a report prints it.
+- Every distance between two points is math.dist, which squares nothing: under
+  the LED d is exactly V. What leaves the float range is the channel's d^2.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import DomainError, LedNotAbovePd
 __all__ = [
     "Point3",
     "RoomSpec",
-    "euclidean_distance",
     "link_columns",
     "link_geometry",
 ]
@@ -72,17 +73,6 @@ class RoomSpec(_record("_Room", "width length height")):
         return 0.0 <= point.x <= self.width and 0.0 <= point.y <= self.length
 
 
-def euclidean_distance(a: Point3, b: Point3) -> float:
-    """3-D Euclidean distance between two points, in meters."""
-
-    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
-    try:  # where a square or their sum overflows, hypot still gives the distance
-        distance = math.sqrt(dx**2 + dy**2 + dz**2)
-    except OverflowError:
-        distance = math.inf
-    return distance if distance < math.inf else math.hypot(dx, dy, dz)
-
-
 def link_columns(
     led_pos: Point3, points: Sequence[Point3]
 ) -> tuple[list[float], list[float]]:
@@ -92,15 +82,14 @@ def link_columns(
         LedNotAbovePd: when the LED is not strictly above a PD point.
     """
 
-    lx, ly, lz = led_pos.x, led_pos.y, led_pos.z
-    sqrt = math.sqrt
+    lz, dist = led_pos.z, math.dist
     columns: tuple[list[float], list[float]] = ([], [])
     slants, cosines = columns
     for point in points:
-        x, y, z = point.x, point.y, point.z
+        z = point.z
         if not lz > z:
             raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
-        slant = sqrt((lx - x) ** 2 + (ly - y) ** 2 + (lz - z) ** 2)
+        slant = dist(led_pos, point)
         slants.append(slant)
         cosines.append(min((lz - z) / slant, 1.0))
     return columns

@@ -378,8 +378,9 @@ def _literal(text: str) -> Any:
     return ast.literal_eval(text)
 
 
-def _parse_lines(text: str) -> dict[str, Any]:
-    values: dict[str, Any] = {}
+def _parse_lines(text: str) -> dict[str, tuple[Any, int]]:
+    """Each key's literal value and the line number it was read from."""
+    values: dict[str, tuple[Any, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -394,7 +395,7 @@ def _parse_lines(text: str) -> dict[str, Any]:
             raise ParseError(f"duplicate key {key!r}", lineno)
         # Every error ast.literal_eval documents for malformed input.
         try:
-            values[key] = _literal(value_text)
+            values[key] = _literal(value_text), lineno
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
             raise ParseError(
                 f"invalid value {value_text!r} for {key} ({_CONFIG_KEYS[key][2]}): {exc}",
@@ -429,7 +430,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Raises:
         ParseError: malformed lines, unknown or duplicate keys.
-        ValidationError: parsed values violating a scenario invariant.
+        ValidationError: parsed values violating a scenario invariant; a value
+            that its one key's reader rejects names its line, "line N: ...".
     """
 
     values = _parse_lines(text)
@@ -440,10 +442,13 @@ def parse_config(text: str) -> ScenarioConfig:
     changes: dict[str, dict[str, Any]] = {
         "room": {}, "led": {"lambertian_order": None}, "pd_template": {}, "": {}
     }
-    for key, value in values.items():
+    for key, (value, lineno) in values.items():
         field, parse, _ = _CONFIG_KEYS[key]
         record, _, name = field.rpartition(".")
-        changes[record][name] = parse(value, key)
+        try:  # a reader's error is one key's, so it names that key's line
+            changes[record][name] = parse(value, key)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
     base = default_config()
     fields = changes.pop("")
     try:

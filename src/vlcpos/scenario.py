@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, RoomSpec, _record, euclidean_distance, link_columns, link_geometry
+from .geometry import Point3, RoomSpec, _record, link_columns, link_geometry
 
 __all__ = [
     "ScenarioConfig",
@@ -134,11 +134,11 @@ _TOL_DISTANCE = 5e-3
 
 
 # The lowest LED whose squared height above the floor is a normal float.
-# Below it the slant distance of a PD under the LED can round to 0, and the
-# link geometry divides by it.
+# Below it the channel's d^2 for a PD under the LED (where d = V) can round
+# to 0, and the channel divides by it.
 _MIN_LED_HEIGHT = math.sqrt(sys.float_info.min)
 # The largest room side, and figure-sweep distance, whose squared link
-# distances stay finite: a slant distance squares three such sides.
+# distances stay finite: the channel's d^2 sums the squares of three such sides.
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
@@ -406,8 +406,7 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
 
     # Reference error column recomputed from the reference coordinate pairs.
     recomputed = [
-        euclidean_distance(Point3(a, a, 0.0), Point3(e, e, 0.0))
-        for a, e in zip(REFERENCE_ACTUAL_XY, REFERENCE_ESTIMATED_XY)
+        math.dist((a, a), (e, e)) for a, e in zip(REFERENCE_ACTUAL_XY, REFERENCE_ESTIMATED_XY)
     ]
     max_row_gap = max(
         abs(r - published) for r, published in zip(recomputed, REFERENCE_ERRORS)
@@ -417,8 +416,7 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
 
     # Published row-8 estimate as printed, graded against the published error.
     a8 = REFERENCE_ACTUAL_XY[7]
-    e8x, e8y = REFERENCE_POSITION8_AS_PUBLISHED
-    row8_as_published = euclidean_distance(Point3(a8, a8, 0.0), Point3(e8x, e8y, 0.0))
+    row8_as_published = math.dist((a8, a8), REFERENCE_POSITION8_AS_PUBLISHED)
 
     plotted_center, plotted_corner = REFERENCE_POWER_FAMILIES[15.0]
 
@@ -427,7 +425,7 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
         corner_power, config.led, config.pd_template, azimuth=config.azimuth
     ).fused
     (led_x, led_y, _), (x, y, _) = config.led.position, config.pd_positions[-1]
-    attainable = math.hypot(led_x - x, led_y - y) * math.sqrt(2.0) / 2.0
+    attainable = math.dist((led_x, led_y), (x, y)) * math.sqrt(2.0) / 2.0
 
     # Trend checks over the implemented pipeline, as violation counts.
     # One family per configured power, each a run of len(pd_positions) rows;

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from vlcpos import (
     concentrator_gain,
     lambertian_order,
     link_geometry,
+    power_columns,
     received_power,
     received_power_at,
 )
@@ -331,6 +333,31 @@ class TestReceivedPowerAt:
     def test_rejects_non_positive_distance(self):
         with pytest.raises(DomainError):
             received_power_at(LED, PD, 0.0, 0.0)
+
+
+class TestPowerColumns:
+    @pytest.mark.parametrize("cosine", [1.5, math.nan], ids=["above-one", "nan"])
+    def test_rejects_a_cosine_above_one_or_nan(self, cosine):
+        with pytest.raises(DomainError, match=rf"^link cosine must be <= 1, got {cosine}$"):
+            power_columns(LED, PD, (3.0,), (cosine,))
+
+    @pytest.mark.parametrize(
+        "led, pd, k",
+        [
+            # Each factor is in range; their product overflows.
+            pytest.param(LED._replace(transmit_power=1e300), PD._replace(area=1e100), "inf",
+                         id="inf"),
+            # Each factor is in range; their product underflows.
+            pytest.param(LED, PD._replace(area=1e-300, filter_gain=1e-300), "0.0", id="zero"),
+        ],
+    )
+    def test_gain_constant_outside_the_float_range_names_k(self, led, pd, k):
+        message = (f"K = P_t (m+1) A h g(0) / (2 pi) is {k} for P_t {led.transmit_power}, "
+                   f"m {led.lambertian_order}, A {pd.area}, h {pd.filter_gain}, g(0) 2.25")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            power_columns(led, pd, (3.0,), (1.0,))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            received_power(led, pd, Point3(2.5, 2.5, 0.0))
 
 
 class TestFovEdge:

@@ -178,7 +178,7 @@ class TestEstimate:
     @pytest.mark.parametrize("actual", [[], ["--actual", "1", "1"]], ids=["one-shot", "actual"])
     def test_tall_room_at_the_float_floor_exits_0(self, tmp_path, capsys, actual):
         # d^2 overflows for the 3.9e156 m slant; d_hor is d sqrt(1 - c^2), and
-        # the positioning error is a hypot past the range of the squares.
+        # the positioning error is a math.dist past the range of the squares.
         path = tmp_path / "tall.cfg"
         path.write_text("room.height = 7e153\nled.position = (2.5, 2.5, 7e153)\n",
                         encoding="utf-8")
@@ -333,23 +333,28 @@ class TestConfigHandling:
             ),
             pytest.param(
                 'led.position = ("a", 1, 2)',
-                "ValidationError: led.position must be a number, got 'a'",
+                "ValidationError: line 1: led.position must be a number, got 'a'",
                 id="text-coordinate",
             ),
             pytest.param(
                 "sweep.positions = [(1, 2, None)]",
-                "ValidationError: sweep.positions must be a number, got None",
+                "ValidationError: line 1: sweep.positions must be a number, got None",
                 id="none-coordinate",
             ),
             pytest.param(
                 "room.width = 1" + "0" * 400,
-                "ValidationError: room.width must be finite, got 1000",
+                "ValidationError: line 1: room.width must be finite, got 1000",
                 id="huge-int",
             ),
             pytest.param(
                 'sweep.distance_samples = "7.0"',
-                "ValidationError: sweep.distance_samples must be a number, got '7.0'",
+                "ValidationError: line 1: sweep.distance_samples must be a number, got '7.0'",
                 id="text-count",
+            ),
+            pytest.param(
+                "# a comment\nroom.length = 5.0\nroom.width = 'a'",
+                "ValidationError: line 3: room.width must be a number, got 'a'\n",
+                id="text-number-on-line-3",
             ),
             pytest.param(
                 "led.position = (2.5, 2.5, 1e200)",
@@ -418,6 +423,32 @@ class TestConfigHandling:
         path.write_text("led.lambertian_order = 650\n", encoding="utf-8")
         assert cli(argv + ["--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, text, k",
+        [
+            pytest.param(["angle-sweep"], "led.transmit_power = 1e300\npd.area = 1e100", "inf",
+                         id="angle-sweep-inf"),
+            pytest.param(["position-sweep"], "led.transmit_power = 1e300\npd.area = 1e100",
+                         "inf", id="position-sweep-inf"),
+            pytest.param(["replicate"], "led.transmit_power = 1e300\npd.area = 1e100", "inf",
+                         id="replicate-inf"),
+            pytest.param(["estimate", "--power", "1e-9"],
+                         "pd.area = 1e-300\npd.filter_gain = 1e-300", "0.0", id="estimate-zero"),
+        ],
+    )
+    def test_gain_constant_outside_the_float_range_exits_1_naming_k(
+        self, tmp_path, capsys, argv, text, k
+    ):
+        # Each field is in range, so the config loads; K, their product, is not.
+        path, out = tmp_path / "k.cfg", tmp_path / "out.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert cli(argv + ["--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, out.exists()) == ("", False)
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: DomainError: ")
+        assert f"K = P_t (m+1) A h g(0) / (2 pi) is {k} for P_t " in line
 
     def test_config_path_with_equals_sign(self, tmp_path, capsys):
         # A path is read as a file even when it contains '='.

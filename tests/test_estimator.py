@@ -17,7 +17,6 @@ from vlcpos import (
     PowerTooHigh,
     estimate_lines,
     estimate_position,
-    euclidean_distance,
     invert_power_to_distance,
     received_power,
     replication_report,
@@ -163,11 +162,21 @@ class TestInvertPowerToDistance:
                             rel_tol=1e-12)
 
     def test_gain_constant_past_the_float_range_still_fails(self):
-        # K = P_t (m+1) A h g / (2 pi) overflows to inf.
+        # K = P_t (m+1) A h g / (2 pi) overflows to inf, and the channel's K
+        # names itself before the inversion runs.
         led = LedSpec(LED.position, transmit_power=1e308, half_power_angle=60.0)
         pd = PdSpec(area=1e308, fov=90.0, filter_gain=1.0, refractive_index=1.5)
-        with pytest.raises(DomainError, match="non-finite distance"):
+        with pytest.raises(DomainError, match=r"^K = P_t \(m\+1\) A h g\(0\) / \(2 pi\) is inf"):
             invert_power_to_distance(1e-6, led, pd, 3.0)
+
+    def test_distance_past_the_float_range_in_logarithms_fails(self):
+        # V^(m+1) overflows, so the inversion takes logarithms, and there
+        # (ln K + (m+1) ln V - ln P) / (m+3) is about 720, past exp's range.
+        led = LedSpec(Point3(0.0, 0.0, 1e308), 1e300, 60.0, lambertian_order=1e-3)
+        pd = PdSpec(1e7, 90.0, 1.0, 1.5)
+        with pytest.raises(DomainError, match=r"^measured power 5e-324 inverts to a non-finite "
+                                              r"distance inf$"):
+            invert_power_to_distance(5e-324, led, pd, 1e308)
 
 
 def _lines(record):
@@ -320,11 +329,13 @@ class TestPositioningError:
             1.1149, 0.8363, 0.5591, 0.2851, 0.0136,
         )
         for a, e, published in zip(actual, estimated, PUBLISHED_ERRORS):
-            err = euclidean_distance(Point3(a, a, 0.0), Point3(e, e, 0.0))
+            err = math.dist((a, a), (e, e))
             assert abs(err - published) < 5e-4
 
     def test_zero_for_identical_points(self):
-        assert euclidean_distance(Point3(1, 2, 0), Point3(1, 2, 0)) == 0.0
+        estimated = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0).estimated
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0, actual=estimated)
+        assert record.positioning_error == 0.0
 
 
 class TestAverageError:

@@ -16,8 +16,9 @@ from vlcpos import (
     ReplicationCheck,
     RoomSpec,
     default_config,
-    euclidean_distance,
+    estimate_position,
     link_geometry,
+    received_power,
 )
 
 # Reference layout: 5 x 5 x 3 m room, emitter centered on the ceiling.
@@ -125,38 +126,52 @@ class TestRoomSpec:
 
 
 class TestEuclideanDistance:
+    """The Euclidean distance between two points: link_geometry's slant and
+    estimate_position's positioning error, both math.dist."""
+
     def test_center_link_is_vertical(self):
-        assert euclidean_distance(LED, Point3(2.5, 2.5, 0.0)) == 3.0
+        assert link_geometry(LED, Point3(2.5, 2.5, 0.0))[0] == 3.0
 
     def test_corner_link(self):
-        assert _close(euclidean_distance(LED, CORNER), CORNER_SLANT)
+        assert _close(link_geometry(LED, CORNER)[0], CORNER_SLANT)
 
     def test_symmetry_and_identity(self):
         rng = random.Random(7)
+        config = default_config()
+        led, pd = config.led, config.pd_template
         for _ in range(50):
-            a = Point3(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 3))
-            b = Point3(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 3))
-            assert euclidean_distance(a, b) == euclidean_distance(b, a)
-            assert euclidean_distance(a, a) == 0.0
-            # In range it is the root of the summed squares, bit for bit.
-            squares = (a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2
-            assert euclidean_distance(a, b) == math.sqrt(squares)
+            low, high = sorted((rng.uniform(0, 3), rng.uniform(0, 3)))
+            a = Point3(rng.uniform(0, 5), rng.uniform(0, 5), high)
+            b = Point3(rng.uniform(0, 5), rng.uniform(0, 5), low)
+            # The slant is math.dist of the two points, in either order, bit for bit.
+            assert link_geometry(a, b)[0] == math.dist(a, b) == math.dist(b, a)
+            floor = b._replace(z=0.0)
+            power = received_power(led, pd, floor).received_power
+            record = estimate_position(power, led, pd, config.azimuth, actual=floor)
+            estimated = record.estimated
+            assert record.positioning_error == math.dist(floor, estimated)
+            assert record.positioning_error == math.dist(estimated, floor)
+            again = estimate_position(power, led, pd, config.azimuth, actual=estimated)
+            assert again.positioning_error == 0.0
 
     @pytest.mark.parametrize(
-        "a, b, expected",
+        "led, pd, expected, cosine",
         [
             # (1e200) ** 2 raises OverflowError.
-            pytest.param(Point3(1e200, 0.0, 0.0), Point3(0.0, 0.0, 0.0), 1e200, id="square"),
+            pytest.param(Point3(0.0, 0.0, 1e200), Point3(0.0, 0.0, 0.0), 1e200, 1.0,
+                         id="square"),
             # Each square is finite, their sum is not.
             pytest.param(Point3(1e154, 1e154, 1e154), Point3(0.0, 0.0, 0.0),
-                         math.sqrt(3.0) * 1e154, id="sum"),
+                         math.sqrt(3.0) * 1e154, 1.0 / math.sqrt(3.0), id="sum"),
             # The difference itself overflows.
-            pytest.param(Point3(-1e308, 0.0, 0.0), Point3(1e308, 0.0, 0.0), math.inf,
+            pytest.param(Point3(-1e308, 0.0, 1.0), Point3(1e308, 0.0, 0.0), math.inf, 0.0,
                          id="difference"),
         ],
     )
-    def test_finite_points_past_the_range_of_the_squares(self, a, b, expected):
-        assert _close(euclidean_distance(a, b), expected)
+    def test_finite_points_past_the_range_of_the_squares(self, led, pd, expected, cosine):
+        slant, c = link_geometry(led, pd)
+        assert _close(slant, expected)
+        assert _close(c, cosine)
 
 
 class TestLinkGeometry:
@@ -213,7 +228,7 @@ class TestDiagonalPositions:
 
     def test_slants_along_grid(self):
         for pt, expected in zip(default_config().pd_positions, DIAGONAL_SLANTS):
-            assert _close(euclidean_distance(LED, pt), expected)
+            assert _close(link_geometry(LED, pt)[0], expected)
 
     def test_step_is_uniform(self):
         pts = default_config().pd_positions

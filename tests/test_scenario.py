@@ -14,7 +14,6 @@ from vlcpos import (
     concentrator_gain,
     default_config,
     estimate_position,
-    euclidean_distance,
     link_geometry,
     received_power,
     replication_report,
@@ -296,7 +295,7 @@ class TestSweepColumnsMatchScalarPath:
         angle = math.radians(azimuth)
         x = led.position.x + fused * math.cos(angle)
         y = led.position.y + fused * math.sin(angle)
-        return x, y, euclidean_distance(actual, Point3(x, y, 0.0))
+        return x, y, math.dist(actual, Point3(x, y, 0.0))
 
     @pytest.mark.parametrize("order", [1.0, 7.5])
     def test_power_sweep_equals_received_power(self, order):
