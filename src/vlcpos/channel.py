@@ -145,7 +145,13 @@ def _gain_constant(led: LedSpec, pd: PdSpec) -> float:
     """K = P_t (m+1) A h g(0) / (2 pi), so that P = K c^(m+1) / d^2."""
     gain, m = concentrator_gain(1.0, pd.refractive_index, pd.fov), led.lambertian_order
     k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / math.tau
-    if not 0.0 < k < math.inf:  # each factor is in range, their product need not be
+    if not 0.0 < k < math.inf:  # each factor is in range; a partial product need not be
+        factors = (led.transmit_power, m + 1.0, pd.area, pd.filter_gain, gain)
+        try:
+            k = math.exp(math.fsum(map(math.log, factors)) - math.log(math.tau))
+        except OverflowError:  # K itself is past the float range
+            k = math.inf
+    if not 0.0 < k < math.inf:
         raise DomainError(f"K = P_t (m+1) A h g(0) / (2 pi) is {k} for P_t {led.transmit_power}"
                           f", m {m}, A {pd.area}, h {pd.filter_gain}, g(0) {gain}")
     return k

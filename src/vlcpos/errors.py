@@ -2,7 +2,8 @@
 
 All domain violations raise DomainError subclasses so callers can catch one
 family; configuration and emission problems have their own types because the
-CLI maps them to a different exit code.
+CLI maps them to a different exit code. A configuration error tied to one line
+carries it only in its message, "line N: ...".
 """
 
 from __future__ import annotations
@@ -35,18 +36,7 @@ class PowerTooHigh(DomainError):
 
 
 class ParseError(ValueError):
-    """A configuration line could not be parsed.
-
-    Attributes:
-        line: 1-based line number of the offending input line, or None when
-            the failure is not tied to a specific line.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A configuration line could not be parsed; parse_config names its line."""
 
 
 class ValidationError(ValueError):

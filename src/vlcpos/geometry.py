@@ -80,18 +80,22 @@ def link_columns(
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above a PD point.
+        DomainError: when their heights lie further apart than the float range.
     """
 
-    lz, dist = led_pos.z, math.dist
+    lz, dist, inf = led_pos.z, math.dist, math.inf
     columns: tuple[list[float], list[float]] = ([], [])
     slants, cosines = columns
     for point in points:
         z = point.z
-        if not lz > z:
-            raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
+        separation = lz - z
+        if not 0.0 < separation < inf:  # lz > z gives lz - z > 0; only overflow gives inf
+            if not lz > z:
+                raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
+            raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
         slant = dist(led_pos, point)
         slants.append(slant)
-        cosines.append(min((lz - z) / slant, 1.0))
+        cosines.append(min(separation / slant, 1.0))
     return columns
 
 
@@ -103,7 +107,7 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
     cosine.
 
     Raises:
-        LedNotAbovePd: when led_pos.z <= pd_pos.z.
+        LedNotAbovePd, DomainError: as link_columns.
     """
 
     (slant,), (c,) = link_columns(led_pos, (pd_pos,))

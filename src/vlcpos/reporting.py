@@ -378,32 +378,6 @@ def _literal(text: str) -> Any:
     return ast.literal_eval(text)
 
 
-def _parse_lines(text: str) -> dict[str, tuple[Any, int]]:
-    """Each key's literal value and the line number it was read from."""
-    values: dict[str, tuple[Any, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, _, value_text = line.partition("=")
-        key, value_text = key.strip(), value_text.strip()
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown key {key!r}", lineno)
-        if key in values:
-            raise ParseError(f"duplicate key {key!r}", lineno)
-        # Every error ast.literal_eval documents for malformed input.
-        try:
-            values[key] = _literal(value_text), lineno
-        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
-            raise ParseError(
-                f"invalid value {value_text!r} for {key} ({_CONFIG_KEYS[key][2]}): {exc}",
-                lineno,
-            ) from exc
-    return values
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read a config file and build its ScenarioConfig with parse_config.
 
@@ -426,29 +400,44 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def parse_config(text: str) -> ScenarioConfig:
     """Build a ScenarioConfig from config text.
 
-    Unspecified keys keep the default scenario values.
+    Unspecified keys keep the default scenario values. The first bad line
+    raises, its message starting "line N: ".
 
     Raises:
-        ParseError: malformed lines, unknown or duplicate keys.
-        ValidationError: parsed values violating a scenario invariant; a value
-            that its one key's reader rejects names its line, "line N: ...".
+        ParseError: malformed lines, unknown or duplicate keys, unreadable values.
+        ValidationError: a value its key's reader rejects, or parsed values
+            violating a scenario invariant (which name no line).
     """
 
-    values = _parse_lines(text)
-
-    # Field overrides per record of the default; "" holds ScenarioConfig's own
-    # fields. The LED is rebuilt without an order unless led.lambertian_order
-    # sets one, so the order follows the half-power angle.
-    changes: dict[str, dict[str, Any]] = {
-        "room": {}, "led": {"lambertian_order": None}, "pd_template": {}, "": {}
-    }
-    for key, (value, lineno) in values.items():
-        field, parse, _ = _CONFIG_KEYS[key]
-        record, _, name = field.rpartition(".")
-        try:  # a reader's error is one key's, so it names that key's line
+    # Field overrides per record of the default; "" holds ScenarioConfig's own fields.
+    changes: dict[str, dict[str, Any]] = {"room": {}, "led": {}, "pd_template": {}, "": {}}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if "=" not in line:
+                raise ParseError(f"expected 'key = value', got {raw.strip()!r}")
+            key, _, value_text = line.partition("=")
+            key, value_text = key.strip(), value_text.strip()
+            if key not in _CONFIG_KEYS:
+                raise ParseError(f"unknown key {key!r}")
+            field, parse, description = _CONFIG_KEYS[key]
+            record, _, name = field.rpartition(".")
+            if name in changes[record]:
+                raise ParseError(f"duplicate key {key!r}")
+            # Every error ast.literal_eval documents for malformed input.
+            try:
+                value = _literal(value_text)
+            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
+                raise ParseError(
+                    f"invalid value {value_text!r} for {key} ({description}): {exc}"
+                ) from exc
             changes[record][name] = parse(value, key)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
+    # Unless led.lambertian_order is set, the order follows the half-power angle.
+    changes["led"].setdefault("lambertian_order", None)
     base = default_config()
     fields = changes.pop("")
     try:

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -358,6 +359,15 @@ class TestPowerColumns:
             power_columns(led, pd, (3.0,), (1.0,))
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             received_power(led, pd, Point3(2.5, 2.5, 0.0))
+
+    def test_gain_constant_in_range_past_an_overflowing_partial_product(self):
+        # P_t (m+1) overflows before A = 1e-100 brings K back to about 3.6e209.
+        led = LED._replace(transmit_power=1e300, lambertian_order=1e10)
+        pd = PD._replace(area=1e-100)
+        factors = (led.transmit_power, 1e10 + 1.0, pd.area, pd.filter_gain, 2.25)
+        exact = float(math.prod(map(Fraction, factors)) / Fraction(math.tau))
+        (power,) = power_columns(led, pd, (1.0,), (1.0,))
+        assert power == pytest.approx(exact, rel=1e-12)
 
 
 class TestFovEdge:

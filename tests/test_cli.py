@@ -356,6 +356,17 @@ class TestConfigHandling:
                 "ValidationError: line 3: room.width must be a number, got 'a'\n",
                 id="text-number-on-line-3",
             ),
+            # The first bad line is reported, whichever kind of error it is.
+            pytest.param(
+                "room.width = 'a'\nfoo = 1",
+                "ValidationError: line 1: room.width must be a number",
+                id="bad-value-before-unknown-key",
+            ),
+            pytest.param(
+                "foo = 1\nroom.width = 'a'",
+                "ParseError: line 1: unknown key",
+                id="unknown-key-before-bad-value",
+            ),
             pytest.param(
                 "led.position = (2.5, 2.5, 1e200)",
                 "ValidationError: led position (2.5, 2.5, 1e+200) is outside the room",
@@ -449,6 +460,16 @@ class TestConfigHandling:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: DomainError: ")
         assert f"K = P_t (m+1) A h g(0) / (2 pi) is {k} for P_t " in line
+
+    def test_gain_constant_past_an_overflowing_partial_product_exits_0(self, tmp_path, capsys):
+        # P_t (m+1) overflows; K itself is about 3.6e209, and 3.9e208 W is below K / V^2.
+        path = tmp_path / "k.cfg"
+        path.write_text(
+            "led.transmit_power = 1e300\nled.lambertian_order = 1e10\npd.area = 1e-100\n",
+            encoding="utf-8",
+        )
+        assert cli(["estimate", "--power", "3.9e208", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_config_path_with_equals_sign(self, tmp_path, capsys):
         # A path is read as a file even when it contains '='.

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -213,6 +214,13 @@ class TestLinkGeometry:
             link_geometry(Point3(2.5, 2.5, 0.0), Point3(2.5, 2.5, 0.0))
         with pytest.raises(LedNotAbovePd):
             link_geometry(Point3(2.5, 2.5, 1.0), Point3(2.5, 2.5, 2.0))
+
+    def test_separation_past_the_float_range_names_both_heights(self):
+        # lz - z and the slant both overflow; their quotient would be a NaN cosine.
+        message = "LED z=1e+308 and PD z=-1e+308 are further apart than the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
+            link_geometry(Point3(0.0, 0.0, 1e308), Point3(0.0, 0.0, -1e308))
+        assert not isinstance(info.value, LedNotAbovePd)
 
 
 class TestDiagonalPositions:

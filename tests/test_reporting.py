@@ -335,18 +335,32 @@ class TestLoadConfig:
         for text in ("foo.bar = 1", "pd.position = (1.0, 2.0, 0.0)"):
             with pytest.raises(ParseError) as info:
                 parse_config(text)
-            assert info.value.line == 1
+            assert str(info.value).startswith("line 1: ")
             assert "unknown key" in str(info.value)
 
     def test_rejects_malformed_line(self):
         with pytest.raises(ParseError) as info:
             parse_config("led.transmit_power = 8\nnot a key value pair\n")
-        assert info.value.line == 2
+        assert str(info.value).startswith("line 2: ")
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(ParseError) as info:
             parse_config("pd.area = 1e-6\npd.area = 2e-6")
-        assert info.value.line == 2
+        assert str(info.value).startswith("line 2: ")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("room.width = 'a'\nfoo = 1", ValidationError, "line 1: room.width must be a number"),
+            ("foo = 1\nroom.width = 'a'", ParseError, "line 1: unknown key"),
+        ],
+        ids=["bad-value-first", "unknown-key-first"],
+    )
+    def test_reports_the_first_bad_line(self, text, error, message):
+        with pytest.raises(ValueError) as info:
+            parse_config(text)
+        assert type(info.value) is error
+        assert str(info.value).startswith(message)
 
     def test_rejects_unparseable_value(self):
         with pytest.raises(ParseError):
