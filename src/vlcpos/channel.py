@@ -18,6 +18,7 @@ concentrator_gain and power_columns share.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
@@ -141,11 +142,20 @@ class PdSpec(_record("_Pd", "area fov filter_gain refractive_index")):
         return tuple.__new__(cls, fields)
 
 
+_TINY = sys.float_info.min  # the smallest normal double
+
+
 def _gain_constant(led: LedSpec, pd: PdSpec) -> float:
     """K = P_t (m+1) A h g(0) / (2 pi), so that P = K c^(m+1) / d^2."""
     gain, m = concentrator_gain(1.0, pd.refractive_index, pd.fov), led.lambertian_order
-    k = led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / math.tau
-    if not 0.0 < k < math.inf:  # each factor is in range; a partial product need not be
+    radiated = led.transmit_power * (m + 1.0)
+    collected = radiated * pd.area
+    filtered = collected * pd.filter_gain
+    k = filtered * gain / math.tau
+    # Each factor is in range; a partial product need not be, and one that left
+    # the normal range lost bits (g(0) >= 1 cannot take filtered below it), so
+    # K is then taken from the logarithms; else it keeps the product's bits.
+    if not (radiated >= _TINY and collected >= _TINY and filtered >= _TINY and k < math.inf):
         factors = (led.transmit_power, m + 1.0, pd.area, pd.filter_gain, gain)
         try:
             k = math.exp(math.fsum(map(math.log, factors)) - math.log(math.tau))

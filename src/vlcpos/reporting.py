@@ -21,7 +21,8 @@ import ast
 import json
 import math
 from collections import Counter
-from itertools import chain, repeat, starmap
+from contextlib import nullcontext
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping, Sequence
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 SIGNIFICANT_DIGITS = 6
+_NUMBER = f"%.{SIGNIFICANT_DIGITS}g"  # every emitted number's spelling, as a %-format
+_CHUNK_ROWS = 2048  # emit holds one chunk's text at a time, not the table's
 
 
 class OutputTable(_record("_Table", "name columns rows metadata")):
@@ -73,7 +76,7 @@ class OutputTable(_record("_Table", "name columns rows metadata")):
 def format_number(value: float) -> str:
     """Fixed-significant-digit rendering used for every emitted numeric cell."""
 
-    return format(value, f".{SIGNIFICANT_DIGITS}g")
+    return _NUMBER % value
 
 
 def _csv_cell(value: Any) -> str:
@@ -93,11 +96,16 @@ def _json_numbers(column: Sequence[float]) -> list[str]:
     # spell each float the way json.dumps does. A text with a point and no
     # exponent, or with a negative exponent above e-300, already is that
     # spelling: it reads back to a normal double whose shortest repr has the
-    # same digits, in the notation repr also picks there. The other texts
-    # (integral values, positive exponents, the subnormal range, nan and inf)
-    # are read back once per distinct text. A two-digit exponent ends in
-    # "-05".."-99", which sorts before "300" as a three-digit one below 300 does.
-    texts = list(map(format, column, repeat(f".{SIGNIFICANT_DIGITS}g")))
+    # same digits, in the notation repr also picks there. So a column whose
+    # texts all have a point (nan and inf have none) and no "e+" or "e-3" is
+    # returned as it is. Otherwise the other texts (integral values, positive
+    # exponents, the subnormal range, nan and inf) are read back once per
+    # distinct text. A two-digit exponent ends in "-05".."-99", which sorts
+    # before "300" as a three-digit one below 300 does.
+    joined = "\n".join(repeat(_NUMBER, len(column))) % tuple(column)
+    texts = joined.split("\n") if column else []
+    if joined.count(".") == len(texts) and "e+" not in joined and "e-3" not in joined:
+        return texts
     spelled = {
         text: json.dumps(float(text))
         for text in set(texts)
@@ -111,69 +119,70 @@ def _json_cell(value: Any) -> str:
 
 
 def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> str:
-    """The rows' text without a final newline; mixed-type columns go cell by cell.
+    """The rows' text without a final newline, from one % call over a row template.
 
-    CSV lines take one str.format pass each. The JSON row block is one str.join
-    over the spelled columns.
+    A float column in CSV takes the number spec; every other cell takes %s,
+    after _json_numbers, _csv_cell or _json_cell unless its column holds ints.
     """
 
-    columns, cells = [], []
+    cells, columns = [], []
     for column in zip(*rows):
         kinds = set(map(type, column))
         if kinds == {float} and fmt == "csv":
-            cells.append(f"{{:.{SIGNIFICANT_DIGITS}g}}")
+            cells.append(_NUMBER)
         else:
-            cells.append("{}")
+            cells.append("%s")
             if kinds == {float}:
                 column = _json_numbers(column)
             elif kinds != {int}:
                 column = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
-            elif fmt == "json":
-                column = map(str, column)
         columns.append(column)
     if fmt == "csv":
-        lines = starmap(",".join(cells).format, zip(*columns))
-        if len(columns) == 1:
+        if len(columns) == 1 and "" in columns[0]:
             # csv.writer quotes a lone empty field so the row is not blank.
-            lines = ('""' if line == "" else line for line in lines)
-        return "\n".join(lines)
-    # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".
-    parts = [repeat(",\n      ")] * (2 * len(columns) + 1)
-    parts[0], parts[1::2], parts[-1] = repeat("    [\n      "), columns, repeat("\n    ],\n")
-    return "".join(chain.from_iterable(zip(*parts)))[:-2]
+            columns[0] = ['""' if cell == "" else cell for cell in columns[0]]
+        template, separator = ",".join(cells), "\n"
+    else:
+        # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".
+        template, separator = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
+    return separator.join(repeat(template, len(rows))) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> int:
-    """Write the table to a path or text stream; returns bytes written.
+    """Write the table to a path or text stream, _CHUNK_ROWS rows at a time;
+    returns the UTF-8 bytes written.
 
     Raises:
-        UnsupportedFormat: for formats other than "csv" and "json".
+        UnsupportedFormat: for formats other than "csv" and "json", before the
+            destination is opened.
     """
 
-    metadata = sorted(table.metadata.items())
+    rows, metadata = table.rows, sorted(table.metadata.items())
+    # The text is head, each chunk after "\n" (the first) or joint, then tail.
     if format == "csv":
         # The header is one more row of text cells.
-        lines = [_render_rows((table.columns,), "csv")]
-        if table.rows:
-            lines.append(_render_rows(table.rows, "csv"))
-        comments = [f"# {key} = {value}\n" for key, value in metadata]
-        text = "".join(comments) + "\n".join(lines) + "\n"
+        head = "".join(f"# {key} = {value}\n" for key, value in metadata)
+        head, joint, tail = head + _render_rows((table.columns,), "csv"), "\n", "\n"
     elif format == "json":
         frame = {"name": table.name, "columns": list(table.columns), "rows": []}
-        text = json.dumps({**frame, "metadata": dict(metadata)}, indent=2) + "\n"
-        if table.rows:
-            # JSON escapes quotes inside strings, so this is the rows key.
-            rows = _render_rows(table.rows, "json")
-            text = text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)
+        text = json.dumps({**frame, "metadata": dict(metadata)}, indent=2)
+        # JSON escapes quotes inside strings, so this is the rows key.
+        head, _, tail = text.partition('"rows": []')
+        head, joint, tail = head + '"rows": [', ",\n", ("\n  ]" if rows else "]") + tail + "\n"
     else:
         raise UnsupportedFormat(f"unsupported output format: {format!r}")
 
-    data = text.encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_bytes(data)
-    return len(data)
+    chunks = (
+        ("\n" if start == 0 else joint) + _render_rows(rows[start:start + _CHUNK_ROWS], format)
+        for start in range(0, len(rows), _CHUNK_ROWS)
+    )
+    size = 0
+    with (nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w", encoding="utf-8", newline="")) as stream:
+        for piece in chain((head,), chunks, (tail,)):
+            stream.write(piece)
+            size += len(piece.encode("utf-8"))
+    return size
 
 
 # ---------------------------------------------------------------------------

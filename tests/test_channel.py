@@ -369,6 +369,17 @@ class TestPowerColumns:
         (power,) = power_columns(led, pd, (1.0,), (1.0,))
         assert power == pytest.approx(exact, rel=1e-12)
 
+    def test_gain_constant_in_range_past_a_subnormal_partial_product(self):
+        # P_t (m+1) A is about 2e-320, a subnormal with few bits left, before
+        # h = 1e300 brings K back to about 7.2e-21.
+        led = LED._replace(transmit_power=1e-300)
+        pd = PD._replace(area=1e-20, filter_gain=1e300)
+        factors = (led.transmit_power, led.lambertian_order + 1.0, pd.area, pd.filter_gain, 2.25)
+        exact = float(math.prod(map(Fraction, factors)) / Fraction(math.tau))
+        (power,) = power_columns(led, pd, (1.0,), (1.0,))
+        # approx's default absolute tolerance of 1e-12 would hide the whole of K.
+        assert power == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
 class TestFovEdge:
     """The FOV is closed: angle == fov is inside, the next float above is

@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import vlcpos.cli
-from vlcpos import default_config
+from vlcpos import default_config, format_number, link_geometry, load_config
 from vlcpos.cli import cli
 
 POWER_AT_3_5_M = "1.4496953791835698e-06"
@@ -470,6 +471,26 @@ class TestConfigHandling:
         )
         assert cli(["estimate", "--power", "3.9e208", "--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_gain_constant_past_a_subnormal_partial_product_keeps_six_digits(self, tmp_path):
+        # P_t (m+1) A is a subnormal about 2e-320; h = 1e300 brings K back to
+        # about 7.2e-21. Each power is K c^(m+1) / d^2 with K taken exactly.
+        text = "led.transmit_power = 1e-300\npd.area = 1e-20\npd.filter_gain = 1e300\n"
+        path, out = tmp_path / "k.cfg", tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        assert cli(["position-sweep", "--config", str(path), "--out", str(out)]) == 0
+        config = load_config(path)
+        led, pd = config.led, config.pd_template
+        factors = (led.transmit_power, led.lambertian_order + 1.0, pd.area, pd.filter_gain, 2.25)
+        k = math.prod(map(Fraction, factors)) / Fraction(math.tau)
+        expected = []
+        for position in config.pd_positions:
+            slant, c = link_geometry(led.position, position)
+            power = k * Fraction(c ** (led.lambertian_order + 1.0)) / Fraction(slant) ** 2
+            expected.append(format_number(float(power)))
+        header, rows = _read_csv(out)
+        column = header.index("received_power")
+        assert [row[column] for row in rows] == expected
 
     def test_config_path_with_equals_sign(self, tmp_path, capsys):
         # A path is read as a file even when it contains '='.

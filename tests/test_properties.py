@@ -523,3 +523,40 @@ def test_emit_matches_the_csv_and_json_modules(tmp_path_factory, table):
         assert buffer.getvalue() == expected
         assert reporting.emit(table, fmt, target) == target.stat().st_size
         assert target.read_bytes().decode("utf-8") == expected
+
+
+# Chunk boundaries: tables around one and two chunks of rows. The float
+# column's texts that JSON spells otherwise (0, -0, an integral value, a
+# positive exponent that repr spells without one, a subnormal, nan) sit in
+# the first chunk only, so a later chunk returns its pointed texts as they are.
+CHUNK = reporting._CHUNK_ROWS
+RESPELLED_FLOATS = (0.0, -0.0, 60.0, 1234567.0, 5e-324, math.nan)
+
+
+def _chunk_tables(count):
+    rows = tuple(
+        (
+            RESPELLED_FLOATS[i] if i < len(RESPELLED_FLOATS) else i + 0.5,
+            i,
+            None if i % 2 else f'r\u00f6w, "{i}"',
+        )
+        for i in range(count)
+    )
+    lone = tuple((None if i % 3 == 0 else "" if i % 3 == 1 else "\u00e9",) for i in range(count))
+    metadata = {"k": "v"}
+    return (
+        reporting.OutputTable("chunks", ("float", "int", "text"), rows, metadata),
+        reporting.OutputTable("lone", ("",), lone, metadata),
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_emit_across_chunk_boundaries_matches_the_csv_and_json_modules(tmp_path, count):
+    target = tmp_path / "emitted"
+    for table in _chunk_tables(count):
+        for fmt, expected in (("csv", _csv_reference(table)), ("json", _json_reference(table))):
+            buffer = io.StringIO()
+            assert reporting.emit(table, fmt, buffer) == len(expected.encode("utf-8"))
+            assert buffer.getvalue() == expected
+            assert reporting.emit(table, fmt, target) == len(expected.encode("utf-8"))
+            assert target.read_bytes() == expected.encode("utf-8")

@@ -131,6 +131,15 @@ class TestEmit:
         with pytest.raises(UnsupportedFormat):
             emit(_table(), "yaml", io.StringIO())
 
+    def test_unknown_format_leaves_the_path_alone(self, tmp_path):
+        existing, missing = tmp_path / "existing.csv", tmp_path / "missing.csv"
+        existing.write_bytes(b"kept\n")
+        for target in (existing, missing):
+            with pytest.raises(UnsupportedFormat):
+                emit(_table(), "yaml", target)
+        assert existing.read_bytes() == b"kept\n"
+        assert not missing.exists()
+
     @pytest.mark.parametrize(
         "rows",
         [
