@@ -54,9 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="scenario config file")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     table = argparse.ArgumentParser(add_help=False)
-    table.add_argument(
-        "--format", choices=("csv", "json"), help="output format (default csv)"
-    )
+    table.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument(
         "--samples", type=int, metavar="N", help="figure-sweep distance sample count"
@@ -65,26 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the options it reads: --format where a table
     # is written, --samples where the figure sweep runs.
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "position-sweep",
-        parents=[common, table],
-        help="walk the PD over the configured positions and estimate each one",
-    )
-    sub.add_parser(
-        "power-sweep",
-        parents=[common, table],
-        help="received power over positions for each configured transmit power",
-    )
-    sub.add_parser(
-        "angle-sweep",
-        parents=[common, table, samples],
-        help="figure-style families with the angle factor held fixed",
-    )
-    estimate = sub.add_parser(
-        "estimate",
-        parents=[common],
-        help="one-shot estimate from a measured power",
-    )
+    commands = {
+        "position-sweep": ([common, table],
+                           "walk the PD over the configured positions and estimate each one"),
+        "power-sweep": ([common, table],
+                        "received power over positions for each configured transmit power"),
+        "angle-sweep": ([common, table, samples],
+                        "figure-style families with the angle factor held fixed"),
+        "estimate": ([common], "one-shot estimate from a measured power"),
+        "replicate": ([common, table, samples],
+                      "grade computed results against the embedded reference dataset"),
+    }
+    for name, (parents, summary) in commands.items():
+        sub.add_parser(name, parents=parents, help=summary)
+    estimate = sub.choices["estimate"]
     estimate.add_argument(
         "--power", type=float, required=True, help="measured received power in watts"
     )
@@ -94,11 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("X", "Y"),
         help="true floor position, fills in the positioning error",
-    )
-    sub.add_parser(
-        "replicate",
-        parents=[common, table, samples],
-        help="grade computed results against the embedded reference dataset",
     )
     return parser
 

@@ -20,10 +20,9 @@ direction.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from .channel import LedSpec, PdSpec, _gain_constant
+from .channel import _TINY, LedSpec, PdSpec, _gain_constant
 from .errors import DomainError, NonPositivePower, PowerTooHigh
 from .geometry import Point3
 
@@ -36,7 +35,6 @@ __all__ = [
 # Allowance for one rounding step when the inverted distance lands a hair
 # under the vertical separation at the on-axis maximum.
 _INVERSION_SLACK = 1e-9
-_FLOAT_MIN = sys.float_info.min
 
 
 class EstimateRecord(NamedTuple):
@@ -88,7 +86,7 @@ def invert_power_to_distance(
     except OverflowError:  # V ** (m + 1) past the float range
         lifted = math.inf
     quotient = k * lifted / measured_power  # not finite when lifted is inf
-    if lifted >= _FLOAT_MIN and _FLOAT_MIN <= quotient < math.inf:
+    if lifted >= _TINY and _TINY <= quotient < math.inf:
         distance = quotient ** (1.0 / (m + 3.0))
     else:
         log_v, log_p = math.log(vertical_separation), math.log(measured_power)

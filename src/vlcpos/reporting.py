@@ -150,7 +150,9 @@ def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> str:
 
 def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> int:
     """Write the table to a path or text stream, _CHUNK_ROWS rows at a time;
-    returns the UTF-8 bytes written.
+    returns the UTF-8 bytes written. A path is written as chunks render, so a
+    cell that cannot render leaves the chunks before it in the file; a caller's
+    own errors leave the file alone when it builds every row before emit.
 
     Raises:
         UnsupportedFormat: for formats other than "csv" and "json", before the

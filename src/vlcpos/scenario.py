@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat, starmap
+from itertools import pairwise, repeat, starmap
 from typing import NamedTuple
 
-from .channel import LedSpec, PdSpec, power_columns, received_power
+from .channel import _TINY, LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import estimate_position
 from .geometry import Point3, RoomSpec, _record, link_columns, link_geometry
@@ -136,7 +136,7 @@ _TOL_DISTANCE = 5e-3
 # The lowest LED whose squared height above the floor is a normal float.
 # Below it the channel's d^2 for a PD under the LED (where d = V) can round
 # to 0, and the channel divides by it.
-_MIN_LED_HEIGHT = math.sqrt(sys.float_info.min)
+_MIN_LED_HEIGHT = math.sqrt(_TINY)
 # The largest room side, and figure-sweep distance, whose squared link
 # distances stay finite: the channel's d^2 sums the squares of three such sides.
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
@@ -388,6 +388,12 @@ def _grade(
     return ReplicationCheck(name, reference, computed, difference, verdict, expected, note)
 
 
+def _families(rows: tuple[tuple[float, float, float], ...], size: int) -> list[list[float]]:
+    """A figure runner's power column, one list per family: a block of size rows."""
+
+    return [[p for _, _, p in rows[start:start + size]] for start in range(0, len(rows), size)]
+
+
 def replication_report(config: ScenarioConfig | None = None) -> tuple[ReplicationCheck, ...]:
     """Compare computed results against the embedded reference dataset.
 
@@ -427,31 +433,16 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
     (led_x, led_y, _), (x, y, _) = config.led.position, config.pd_positions[-1]
     attainable = math.dist((led_x, led_y), (x, y)) * math.sqrt(2.0) / 2.0
 
-    # Trend checks over the implemented pipeline, as violation counts.
-    # One family per configured power, each a run of len(pd_positions) rows;
-    # grouping by power value would join the walks of a repeated power.
-    power_rows = run_power_distance_sweep(config)
-    walk = len(config.pd_positions)
-    power_violations = 0
-    for start in range(0, len(power_rows), walk):
-        family = [p for _, _, p in power_rows[start:start + walk]]
-        power_violations += sum(
-            1 for a, b in zip(family, family[1:]) if not b < a
-        )
-
-    angle_rows = run_angle_sweep(config)
-    ordered = sorted(set(config.sweep_elevations), reverse=True)
-    families = {
-        elevation: [p for e, _, p in angle_rows if e == elevation]
-        for elevation in ordered
-    }
-    angle_violations = 0
-    for higher, lower in zip(ordered, ordered[1:]):
-        angle_violations += sum(
-            1 for a, b in zip(families[higher], families[lower]) if not a > b
-        )
-
-    error_violations = sum(1 for a, b in zip(errors, errors[1:]) if b < a)
+    # Trend checks over the implemented pipeline, as violation counts. Each
+    # family is read as its runner's block: grouping by value would join the
+    # walks of a repeated power. A repeated elevation's identical blocks key as one.
+    walks = _families(run_power_distance_sweep(config), len(config.pd_positions))
+    power_violations = sum(not b < a for walk in walks for a, b in pairwise(walk))
+    curves = dict(zip(config.sweep_elevations,
+                      _families(run_angle_sweep(config), config.distance_samples)))
+    ordered = [curves[elevation] for elevation in sorted(curves, reverse=True)]
+    angle_violations = sum(not a > b for high, low in pairwise(ordered) for a, b in zip(high, low))
+    error_violations = sum(b < a for a, b in pairwise(errors))
 
     reproduced, not_reproducible = "REPRODUCED", "NOT-REPRODUCIBLE"
     # (name, reference, computed, tol, trend_tol, expected, note); tol None

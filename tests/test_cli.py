@@ -515,6 +515,29 @@ class TestConfigHandling:
         assert cli(["position-sweep", "--out", str(target)]) == 1
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, text, error",
+        [
+            pytest.param(["position-sweep"], "pd.fov = 30",
+                         "error: NonPositivePower: position 6: ", id="fov-30"),
+            pytest.param(["angle-sweep", "--format", "json"],
+                         "led.transmit_power = 1e300\npd.area = 1e100",
+                         "error: DomainError: K = ", id="k-inf"),
+        ],
+    )
+    def test_failing_run_leaves_an_existing_out_file_as_it_was(
+        self, tmp_path, capsys, argv, text, error
+    ):
+        # emit streams to --out, so every command builds all its rows, and
+        # meets every error, before the file is opened.
+        path, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        out.write_bytes(b"kept\r\nas it was\n")
+        assert cli(argv + ["--config", str(path), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(error)
+        assert out.read_bytes() == b"kept\r\nas it was\n"
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -542,6 +565,22 @@ class TestUsage:
     def test_option_the_subcommand_does_not_read(self, capsys, argv):
         assert cli(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["position-sweep", "power-sweep", "angle-sweep", "estimate", "replicate"]
+    )
+    def test_help_lists_exactly_the_options_the_subcommand_reads(self, capsys, command):
+        assert cli([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        expected = {
+            "--config": True,
+            "--out": True,
+            "--format": command != "estimate",
+            "--samples": command in ("angle-sweep", "replicate"),
+            "--power": command == "estimate",
+            "--actual": command == "estimate",
+        }
+        assert {option: option in text for option in expected} == expected
 
     def test_version(self, capsys):
         assert cli(["--version"]) == 0

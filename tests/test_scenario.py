@@ -456,6 +456,16 @@ class TestReplicationReport:
         assert (check.verdict, check.computed) == ("REPRODUCED", 0.0)
         assert not any(c.regressed for c in checks)
 
+    def test_repeated_elevation_grades_as_one_family(self):
+        # A repeated elevation writes an identical block; comparing that block
+        # with itself would count every point as a violation.
+        config = default_config()._replace(sweep_elevations=(90.0, 60.0, 90.0))
+        checks = replication_report(config)
+        check = next(c for c in checks if c.name == "angle_family_ordering")
+        assert (check.verdict, check.computed) == ("REPRODUCED", 0.0)
+        assert len(checks) == 14
+        assert not any(c.regressed for c in checks)
+
     def test_quantified_gaps(self):
         by_name = {check.name: check for check in replication_report()}
         power = by_name["published_absolute_power"]
