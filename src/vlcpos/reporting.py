@@ -39,7 +39,6 @@ __all__ = [
     "OutputTable",
     "load_config",
     "parse_config",
-    "serialize_config",
     "config_hash",
     "emit",
     "format_number",
@@ -323,22 +322,7 @@ def _span(value: Any, key: str) -> tuple[float, ...]:
     return span
 
 
-def _point_text(point: Point3) -> str:
-    return f"({point.x!r}, {point.y!r}, {point.z!r})"
-
-
-# The text serialize_config writes for what each parser returns (repr keeps
-# floats exact).
-_TEXT_FORMS: dict[Callable[[Any, str], Any], Callable[[Any], str]] = {
-    _number: repr,
-    _count: repr,
-    _point: _point_text,
-    _points: lambda points: "[" + ", ".join(map(_point_text, points)) + "]",
-    _floats: lambda values: "[" + ", ".join(map(repr, values)) + "]",
-    _span: lambda span: "(" + ", ".join(map(repr, span)) + ")",
-}
-
-# Every accepted dotted key, in serialization order: the ScenarioConfig field
+# Every accepted dotted key, in config_hash's order: the ScenarioConfig field
 # it sets ("record.field" inside the room, LED and detector records), its
 # parser, and a short description used in errors.
 _CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, str], Any], str]] = {
@@ -461,29 +445,32 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ValidationError(str(exc)) from exc
 
 
-def serialize_config(config: ScenarioConfig) -> str:
-    """Render a config as the text format parse_config accepts.
+def config_hash(config: ScenarioConfig) -> str:
+    """Short stable digest identifying a configuration by its values' bits.
 
-    Floats are written with repr so loading the result reproduces the exact
-    same values. The Lambertian order is written only when it overrides the
-    half-power-angle formula, and the distance range only when it is set.
+    The first 12 hex digits of a sha256 over each key in _CONFIG_KEYS order,
+    the Lambertian order only when it overrides the half-power-angle formula
+    and the distance range only when it is set. Each key is followed by a
+    newline, a count and the values: little-endian IEEE doubles, or for the
+    sample count that many bytes of its two's complement. Two configs hash
+    equal exactly when they hold the same ints and floats, 0.0 and -0.0 apart.
     """
 
+    import hashlib, struct  # here, not at the top: most commands never hash a config
     derived_order = lambertian_order(config.led.half_power_angle)
-    lines = []
+    digest = hashlib.sha256()
     for key, (field, parse, _) in _CONFIG_KEYS.items():
         value = attrgetter(field)(config)
-        if value is None:
+        if value is None or (key == "led.lambertian_order" and value == derived_order):
             continue
-        if key == "led.lambertian_order" and value == derived_order:
-            continue
-        lines.append(f"{key} = {_TEXT_FORMS[parse](value)}")
-    return "\n".join(lines) + "\n"
-
-
-def config_hash(config: ScenarioConfig) -> str:
-    """Short stable digest identifying a configuration."""
-
-    import hashlib  # here, not at the top: most commands never hash a config
-    digest = hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()
-    return digest[:12]
+        if parse is _count:
+            count = value.bit_length() // 8 + 1
+            data = value.to_bytes(count, "little", signed=True)
+        else:
+            if parse is _number:
+                value = (value,)
+            elif parse is _points:
+                value = tuple(chain.from_iterable(value))
+            count, data = len(value), struct.pack(f"<{len(value)}d", *value)
+        digest.update(key.encode() + b"\n" + struct.pack("<Q", count) + data)
+    return digest.hexdigest()[:12]

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -27,18 +28,19 @@ from vlcpos import (
     RoomSpec,
     ScenarioConfig,
     ValidationError,
+    config_hash,
     default_config,
     estimate_position,
     link_geometry,
     parse_config,
     received_power,
     run_position_sweep,
-    serialize_config,
 )
 from vlcpos import reporting
 from vlcpos.reporting import _CONFIG_KEYS, _literal, _point, _point_list_skeleton, _points
 from vlcpos.scenario import _MIN_LED_HEIGHT
 
+from config_text import serialize_config
 from csa_oracle import offset_estimate
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -281,6 +283,39 @@ def configs(draw):
 @given(configs())
 def test_serialized_config_loads_back_equal(config):
     assert parse_config(serialize_config(config)) == config
+
+
+@st.composite
+def config_pairs(draw):
+    """Two configs: one draw and itself reloaded from its text, one draw with one
+    key's value taken from a second, or two draws."""
+
+    first = draw(configs())
+    how = draw(st.sampled_from(["reloaded", "one key", "two draws"]))
+    if how == "reloaded":
+        return first, parse_config(serialize_config(first))
+    second = draw(configs())
+    if how == "one key":
+        field = draw(st.sampled_from([field for field, _, _ in _CONFIG_KEYS.values()]))
+        record, _, name = field.rpartition(".")
+        value = attrgetter(field)(second)
+        try:
+            if record:
+                value = getattr(first, record)._replace(**{name: value})
+            return first, first._replace(**{record or name: value})
+        except (DomainError, ValidationError):  # the value does not fit the first config
+            reject()
+    return first, second
+
+
+# Half PROPERTY's examples: each draws up to two configs, and the suite has a
+# time budget.
+@settings(PROPERTY, max_examples=150)
+@given(config_pairs())
+def test_configs_hash_equal_exactly_when_their_texts_are_equal(pair):
+    first, second = pair
+    same_text = serialize_config(first) == serialize_config(second)
+    assert (config_hash(first) == config_hash(second)) == same_text
 
 
 # Python literal text, well-formed or not: numbers of any size, strings, None,

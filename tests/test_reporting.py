@@ -22,14 +22,16 @@ from vlcpos import (
     estimate_lines,
     estimate_position,
     format_number,
+    lambertian_order,
     load_config,
     parse_config,
     position_sweep_table,
     replication_table,
     run_position_sweep,
-    serialize_config,
 )
 from vlcpos.scenario import ReplicationCheck, replication_report
+
+from config_text import serialize_config
 
 LED = LedSpec(
     position=Point3(2.5, 2.5, 3.0),
@@ -455,3 +457,44 @@ class TestConfigHash:
     def test_sensitivity(self):
         other = parse_config("led.transmit_power = 12")
         assert config_hash(other) != config_hash(default_config())
+
+    @pytest.mark.parametrize(
+        "first, second, equal",
+        [
+            # The same values spelled as ints and as floats.
+            (
+                "room.width = 5\nsweep.positions = [(1, 1, 0)]",
+                "room.width = 5.0e0\nsweep.positions = [(1.0, 1.0, 0.0)]",
+                True,
+            ),
+            # An override equal to the derived order reads as no override.
+            (f"led.lambertian_order = {lambertian_order(60.0)!r}", "", True),
+            ("sweep.positions = [(1.0, 1.0, -0.0)]", "sweep.positions = [(1.0, 1.0, 0.0)]", False),
+            (f"led.transmit_power = {math.nextafter(15.0, math.inf)!r}", "", False),
+            (f"led.transmit_power = {math.nextafter(15.0, 0.0)!r}", "", False),
+            # The same doubles in the same order, one moved to the next key.
+            (
+                "sweep.transmit_powers = [8.0, 10.0]\nsweep.elevations = [60.0, 90.0]",
+                "sweep.transmit_powers = [8.0]\nsweep.elevations = [10.0, 60.0, 90.0]",
+                False,
+            ),
+            # Both read as the float 2**63.
+            (
+                f"sweep.distance_samples = {2**63}",
+                "sweep.distance_samples = 9.2233720368547758e18",
+                True,
+            ),
+            ("sweep.distance_samples = 1e300", f"sweep.distance_samples = {2**63}", False),
+        ],
+    )
+    def test_near_collisions_hash_equal_exactly_when_their_texts_are(self, first, second, equal):
+        first, second = parse_config(first), parse_config(second)
+        assert (serialize_config(first) == serialize_config(second)) == equal
+        assert (config_hash(first) == config_hash(second)) == equal
+
+    @pytest.mark.parametrize("samples", [2**63, int(1e300)])
+    def test_a_sample_count_past_eight_bytes_hashes_apart_from_its_neighbour(self, samples):
+        config = default_config()._replace(distance_samples=samples)
+        neighbour = config._replace(distance_samples=samples + 1)
+        assert serialize_config(config) != serialize_config(neighbour)
+        assert config_hash(config) != config_hash(neighbour)
