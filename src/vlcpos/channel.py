@@ -186,7 +186,9 @@ def power_columns(
     cosine c, 0 beyond the FOV (c < cos(fov)).
 
     One cosine serves as both the irradiance and the incidence factor. K and
-    cos(fov) are computed once; each row checks its inputs.
+    cos(fov) are computed once, and K c^(m+1) once per run of rows holding one
+    cosine object (an angle-sweep family). A row keeps the per-row form's bits,
+    since K * c**(m+1) / d**2 evaluates left to right. Each row checks its inputs.
 
     Raises:
         DomainError: when K is 0 or infinite, a distance is not > 0 or a cosine
@@ -195,12 +197,15 @@ def power_columns(
 
     k, exponent, cos_fov = _gain_constant(led, pd), led.lambertian_order + 1.0, _fov_cosine(pd.fov)
     powers: list[float] = []
+    last, kc = object(), None  # the run's cosine, and its K c^(m+1) (None beyond the FOV)
     for distance, c in zip(distances, cosines):
         if not distance > 0.0:
             raise DomainError(f"distance must be > 0, got {distance}")
-        if not c <= 1.0:
-            raise DomainError(f"link cosine must be <= 1, got {c}")
-        powers.append(k * c**exponent / distance**2 if c >= cos_fov else 0.0)
+        if c is not last:
+            if not c <= 1.0:
+                raise DomainError(f"link cosine must be <= 1, got {c}")
+            last, kc = c, k * c**exponent if c >= cos_fov else None
+        powers.append(0.0 if kc is None else kc / distance**2)
     return powers
 
 

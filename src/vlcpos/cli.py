@@ -9,6 +9,7 @@ parse, or config validation errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -119,8 +120,21 @@ def _floor_point(x: float, y: float, room: RoomSpec) -> Point3:
 
 
 def cli(argv: list[str] | None = None) -> int:
-    """Run the CLI; returns the process exit code."""
+    """Run the CLI; returns the process exit code. The cyclic garbage collector
+    is paused for the run, as a sweep's acyclic rows would only trigger
+    collections that trace every row and free nothing, and then left as found.
+    """
 
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

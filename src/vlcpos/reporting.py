@@ -95,16 +95,12 @@ def _json_numbers(column: Sequence[float]) -> list[str]:
     # spell each float the way json.dumps does. A text with a point and no
     # exponent, or with a negative exponent above e-300, already is that
     # spelling: it reads back to a normal double whose shortest repr has the
-    # same digits, in the notation repr also picks there. So a column whose
-    # texts all have a point (nan and inf have none) and no "e+" or "e-3" is
-    # returned as it is. Otherwise the other texts (integral values, positive
-    # exponents, the subnormal range, nan and inf) are read back once per
-    # distinct text. A two-digit exponent ends in "-05".."-99", which sorts
-    # before "300" as a three-digit one below 300 does.
+    # same digits, in the notation repr also picks there. The other texts
+    # (integral values, positive exponents, the subnormal range, nan and inf)
+    # are read back once per distinct text. A two-digit exponent ends in
+    # "-05".."-99", which sorts before "300" as a three-digit one below 300 does.
     joined = "\n".join(repeat(_NUMBER, len(column))) % tuple(column)
     texts = joined.split("\n") if column else []
-    if joined.count(".") == len(texts) and "e+" not in joined and "e-3" not in joined:
-        return texts
     spelled = {
         text: json.dumps(float(text))
         for text in set(texts)
@@ -117,24 +113,34 @@ def _json_cell(value: Any) -> str:
     return _json_numbers((value,))[0] if isinstance(value, float) else json.dumps(value)
 
 
-def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> str:
+def _whole(column: Sequence[float]) -> bool:
+    # Whole values below 1e6 in magnitude: %.1f spells them as JSON does (60.0, -0.0).
+    return column[0].is_integer() and all(v.is_integer() and -1e6 < v < 1e6 for v in set(column))
+
+
+def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str, respell: bool = False) -> str:
     """The rows' text without a final newline, from one % call over a row template.
 
-    A float column in CSV takes the number spec; every other cell takes %s,
-    after _json_numbers, _csv_cell or _json_cell unless its column holds ints.
+    A float column takes %.6g in place, or in JSON %.1f where _whole holds;
+    every other cell takes %s, after _csv_cell or _json_cell unless its column
+    holds ints. A %.6g text is JSON's spelling when _json_numbers keeps it, so
+    a JSON text where a float cell has no point, or "e+" or "e-3" appears, is
+    rendered again with respell: float columns then take _json_numbers.
     """
 
-    cells, columns = [], []
+    cells, columns, dots = [], [], 0  # dots: the count the text has when every float cell has one
     for column in zip(*rows):
         kinds = set(map(type, column))
-        if kinds == {float} and fmt == "csv":
-            cells.append(_NUMBER)
+        if kinds == {float} and not respell:
+            cells.append("%.1f" if fmt == "json" and _whole(column) else _NUMBER)
+            dots += len(column)
         else:
             cells.append("%s")
             if kinds == {float}:
                 column = _json_numbers(column)
             elif kinds != {int}:
                 column = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
+                dots += "".join(column).count(".")
         columns.append(column)
     if fmt == "csv":
         if len(columns) == 1 and "" in columns[0]:
@@ -144,7 +150,11 @@ def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str) -> str:
     else:
         # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".
         template, separator = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
-    return separator.join(repeat(template, len(rows))) % tuple(chain.from_iterable(zip(*columns)))
+    text = separator.join(repeat(template, len(rows))) % tuple(chain.from_iterable(zip(*columns)))
+    if fmt == "json" and not respell:
+        if text.count(".") != dots or "e+" in text or "e-3" in text:
+            return _render_rows(rows, fmt, respell=True)
+    return text
 
 
 def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> int:
@@ -288,7 +298,7 @@ def _count(value: Any, key: str) -> int:
     number = _number(value, key)
     if not number.is_integer():
         raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(number)
+    return value if type(value) is int else int(number)  # an int past 2**53 loads exactly
 
 
 def _point(value: Any, key: str) -> Point3:

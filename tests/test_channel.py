@@ -337,6 +337,21 @@ class TestReceivedPowerAt:
 
 
 class TestPowerColumns:
+    @pytest.mark.parametrize("order", [1.0, 1.7])
+    def test_runs_of_one_cosine_match_the_one_row_views(self, order):
+        # K c^(m+1) is taken once per run of rows holding one cosine object:
+        # a run broken by rows beyond a 60-degree FOV, then a new cosine.
+        led, pd = LED._replace(lambertian_order=order), PD._replace(fov=60.0)
+        inside, beyond, other = (math.cos(math.radians(a)) for a in (30.0, 75.0, 10.0))
+        cosines = [inside] * 3 + [beyond, inside, beyond, beyond, inside] + [other] * 3
+        distances = [2.0 + i / 7 for i in range(len(cosines))]
+        column = power_columns(led, pd, distances, cosines)
+        rows = [power_columns(led, pd, (d,), (c,))[0] for d, c in zip(distances, cosines)]
+        assert column == rows
+        assert [power == 0.0 for power in column] == [c is beyond for c in cosines]
+        with pytest.raises(DomainError, match=r"^distance must be > 0, got 0.0$"):
+            power_columns(led, pd, (3.0, 0.0), (inside, inside))
+
     @pytest.mark.parametrize("cosine", [1.5, math.nan], ids=["above-one", "nan"])
     def test_rejects_a_cosine_above_one_or_nan(self, cosine):
         with pytest.raises(DomainError, match=rf"^link cosine must be <= 1, got {cosine}$"):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -585,6 +586,46 @@ class TestUsage:
     def test_version(self, capsys):
         assert cli(["--version"]) == 0
         assert capsys.readouterr().out.startswith("vlcpos ")
+
+
+class TestCollectorPause:
+    """cli() pauses the cyclic garbage collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["estimate", "--power", POWER_AT_3_5_M], 0),
+            (["estimate", "--power", "1.0"], 1),
+            (["estimate", "--power", "nan"], 2),
+            (["position-sweep", "--format", "yaml"], 2),
+            (["estimate", "--help"], 0),
+        ],
+        ids=["ok", "runtime-error", "validation-error", "usage-error", "help"],
+    )
+    def test_the_collector_is_left_as_it_was_found(self, capsys, enabled, argv, code):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert cli(argv) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_the_garbage_a_run_leaves_does_not_grow_with_its_rows(self, tmp_path):
+        # Rows are acyclic, so what a paused run leaves for the collector is
+        # the same set of objects at 2 positions as at 3000.
+        found = []
+        for count in (2, 3000, 2, 3000):
+            points = ", ".join(f"({1.0 + i / count!r}, 1.0, 0.0)" for i in range(count))
+            config = tmp_path / "sweep.cfg"
+            config.write_text(f"sweep.positions = [{points}]\n", encoding="utf-8")
+            gc.collect()
+            argv = ["position-sweep", "--config", str(config), "--out", str(tmp_path / "rows")]
+            assert cli(argv) == 0
+            found.append(gc.collect())
+        assert found[2:] == [found[2]] * 2
 
 
 class TestStartup:

@@ -477,12 +477,20 @@ def test_bulk_point_check_matches_the_per_point_loop(points, odd_entries):
 
 # Emission. Texts at the edges of the spelling rule: around 1e-4 and 1e6,
 # where the rounded text changes notation, 1e16, where repr does, e-300, the
-# smallest normal and subnormal doubles, and -0.0.
+# smallest normal and subnormal doubles, and -0.0. A single-digit mantissa
+# (2e-06) rounds to a text with an exponent and no point. Whole values below
+# 1e6 in magnitude render in place with %.1f; from 1e6 up they take an
+# exponent, which JSON spells out.
 EDGE_NUMBERS = st.sampled_from(
     [9.999995e-05, 0.0001, 999999.5, 1e16, 1e-300, 9.999995e-301, 1e-299,
-     2.2250738585072014e-308, 5e-324, -0.0]
+     2.2250738585072014e-308, 5e-324, -0.0, 2e-06]
 )
-JSON_FLOATS = st.floats() | st.integers(10**5, 10**17).map(float) | EDGE_NUMBERS
+SINGLE_DIGIT = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 9), st.integers(-323, 308))
+WHOLE_FLOATS = st.integers(-2 * 10**6, 2 * 10**6).map(float) | st.just(-0.0)
+JSON_FLOATS = (
+    st.floats() | st.integers(10**5, 10**17).map(float) | EDGE_NUMBERS | SINGLE_DIGIT
+    | WHOLE_FLOATS
+)
 
 
 @PROPERTY
@@ -498,12 +506,16 @@ def test_json_numbers_spell_the_rounded_float(column):
 def tables(draw):
     """A table of 1-4 columns and up to 6 rows, with non-ASCII text throughout.
 
-    A column holds floats, ints, None, text or bools, or a mix of all five, so
-    both the per-column and the cell-by-cell renderings run.
+    A column holds floats (any, or whole values only), ints, None, text or
+    bools, numbers of all three types, or a mix of all five, so both the
+    per-column and the cell-by-cell renderings run. A bool %-formats as a
+    number, so a float column with a bool in it must not render in place.
     """
 
-    mixed = st.one_of(JSON_FLOATS, st.integers(), st.none(), st.text(), st.booleans())
-    kinds = [JSON_FLOATS, st.integers(), st.none(), st.text(), st.booleans(), mixed]
+    numbers = st.one_of(JSON_FLOATS, st.integers(), st.booleans())
+    mixed = st.one_of(numbers, st.none(), st.text())
+    kinds = [JSON_FLOATS, WHOLE_FLOATS, st.integers(), st.none(), st.text(), st.booleans(),
+             numbers, mixed]
     width = draw(st.integers(1, 4))
     cells = [draw(st.sampled_from(kinds)) for _ in range(width)]
     columns = tuple(draw(st.lists(st.text(), min_size=width, max_size=width)))
@@ -563,9 +575,23 @@ def test_emit_matches_the_csv_and_json_modules(tmp_path_factory, table):
 # Chunk boundaries: tables around one and two chunks of rows. The float
 # column's texts that JSON spells otherwise (0, -0, an integral value, a
 # positive exponent that repr spells without one, a subnormal, nan) sit in
-# the first chunk only, so a later chunk returns its pointed texts as they are.
+# the first chunk only, so a later chunk renders its floats in place. In the
+# "middle" table they sit in the second chunk, which falls back between two
+# chunks rendered in place, beside a whole-valued column that renders in
+# place with %.1f.
 CHUNK = reporting._CHUNK_ROWS
 RESPELLED_FLOATS = (0.0, -0.0, 60.0, 1234567.0, 5e-324, math.nan)
+
+
+def _middle_table(count):
+    rows = tuple(
+        (
+            RESPELLED_FLOATS[i - CHUNK] if 0 <= i - CHUNK < len(RESPELLED_FLOATS) else i + 0.5,
+            float(i // 100 - 10),
+        )
+        for i in range(count)
+    )
+    return reporting.OutputTable("middle", ("float", "whole"), rows, {"k": "v"})
 
 
 def _chunk_tables(count):
@@ -582,6 +608,7 @@ def _chunk_tables(count):
     return (
         reporting.OutputTable("chunks", ("float", "int", "text"), rows, metadata),
         reporting.OutputTable("lone", ("",), lone, metadata),
+        _middle_table(count),
     )
 
 
@@ -595,3 +622,16 @@ def test_emit_across_chunk_boundaries_matches_the_csv_and_json_modules(tmp_path,
             assert buffer.getvalue() == expected
             assert reporting.emit(table, fmt, target) == len(expected.encode("utf-8"))
             assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_only_a_chunk_with_a_respelled_text_falls_back(monkeypatch):
+    # Each chunk renders once in place; the middle one renders again respelled.
+    render, calls = reporting._render_rows, []
+
+    def spy(rows, fmt, respell=False):
+        calls.append((rows[0][0], respell))
+        return render(rows, fmt, respell)
+
+    monkeypatch.setattr(reporting, "_render_rows", spy)
+    reporting.emit(_middle_table(3 * CHUNK), "json", io.StringIO())
+    assert calls == [(0.5, False), (0.0, False), (0.0, True), (2 * CHUNK + 0.5, False)]

@@ -414,6 +414,11 @@ class TestLoadConfig:
     def test_accepts_integral_float_sample_count(self):
         assert parse_config("sweep.distance_samples = 7.0").distance_samples == 7
 
+    def test_an_int_sample_count_past_two_to_the_53_loads_exactly(self):
+        config = parse_config(f"sweep.distance_samples = {2**53 + 1}")
+        assert config.distance_samples == 2**53 + 1
+        assert parse_config(serialize_config(config)) == config
+
     def test_rejects_bad_distance_range(self):
         with pytest.raises(ValidationError):
             parse_config("sweep.distance_range = (1.0, 2.0, 3.0)")
@@ -478,12 +483,14 @@ class TestConfigHash:
                 "sweep.transmit_powers = [8.0]\nsweep.elevations = [10.0, 60.0, 90.0]",
                 False,
             ),
-            # Both read as the float 2**63.
+            # Both read as 2**63: the int exactly, the float text rounded to it.
             (
                 f"sweep.distance_samples = {2**63}",
                 "sweep.distance_samples = 9.2233720368547758e18",
                 True,
             ),
+            # An int count is not read through a float, which rounds 2**63 - 1 up.
+            (f"sweep.distance_samples = {2**63 - 1}", f"sweep.distance_samples = {2**63}", False),
             ("sweep.distance_samples = 1e300", f"sweep.distance_samples = {2**63}", False),
         ],
     )
