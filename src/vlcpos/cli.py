@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -149,6 +150,7 @@ def _run(argv: list[str] | None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
+    code = 0
     try:
         # Looked up per call, not held in a module-level table, so a rebound
         # module global (a test spy, a tracing wrapper) is the one that runs.
@@ -188,15 +190,22 @@ def _run(argv: list[str] | None) -> int:
                     f"{check.verdict}, expected {check.expected}",
                     file=sys.stderr,
                 )
-            if regressions:
-                return 1
+            code = 1 if regressions else 0
+        if args.out is None:
+            sys.stdout.flush()  # so a closed pipe raises here, not at exit
     except (UnsupportedFormat, ValidationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # stdout's reader has gone: exit 1 quietly, with stdout pointed at
+            # devnull so that its flush at exit cannot raise again (the
+            # SIGPIPE note in the documentation of Python's signal module).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 def main() -> None:

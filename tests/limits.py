@@ -1,0 +1,308 @@
+"""Behaviour at the limits, as one table: each row is a config and a command
+line, with the exit code, first stderr line and output cells they give.
+
+Tier-1 runs every row in-process through cli() (test_limits.py). As a script,
+with no options, it runs every row against the vlcpos script on PATH, under
+PYTHONDEVMODE=1 PYTHONWARNINGS=error; it uses only the standard library and
+imports nothing from vlcpos:
+
+    python tests/limits.py
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+
+class Row(NamedTuple):
+    """One limit case. argv is split on spaces; a --config or --out value in
+    it names a file in a fresh directory, and config, unless None, is written
+    there and passed as --config. err is a prefix of stderr's first line and
+    its newline (argparse's message line, after its usage block); "" means
+    stderr is empty. cells maps a CSV cell (row from 1, column) or the key of
+    a `key = value` or `# key = value` line to its text, or to None where
+    there is no such cell. out_kept: an existing --out file stays as it was.
+    """
+
+    name: str
+    config: str | None
+    argv: str
+    code: int
+    err: str
+    cells: dict = {}
+    out_kept: bool = False
+
+
+POWER_AT_3_5_M = "1.4496953791835698e-06"
+TALL_ROOM = "room.height = 7e153\nled.position = (2.5, 2.5, 7e153)"
+GRAZING_LED = "led.position = (2.5, 2.5, 1e-100)"
+# Every value finite, though d^2 overflows for the 3.9e156 m slant.
+TALL_ESTIMATE = {
+    "measured_power": "4.94066e-324", "inverted_distance": "3.93486e+156",
+    "incidence_elevation": "0.101928", "complementary": "89.8981", "supplementary": "90.1019",
+    "fused_offset": "1.97092e+156", "estimated": "(-1.39365e+156, -1.39365e+156, 0)",
+    "clipped_to_room": "true",
+}
+K_INF = "led.transmit_power = 1e300\npd.area = 1e100"
+K_INF_IS = ("K = P_t (m+1) A h g(0) / (2 pi) is inf for P_t 1e+300, m 1.0000000000000002, "
+            "A 1e+100, h 1.0, g(0) 2.25\n")
+# Ints and floats of the same values identify one config; a -0.0 another.
+BY_VALUE_HASH = "c541c3281021"
+NO_FILE = "error: FileNotFoundError: [Errno 2] No such file or directory: '"
+UNSEEN = "measured power must be > 0, got 0.0\n"
+INVALID = "ValidationError: line 1: "
+OVERFLOW = "error: ValidationError: {} is above 7.74e+153 m, where"
+
+ROWS = (
+    # Usage: argparse's message line, exit 2.
+    Row("no-subcommand", None, "", 2,
+        "vlcpos: error: the following arguments are required: command\n"),
+    Row("unknown-subcommand", None, "frobnicate", 2,
+        "vlcpos: error: argument command: invalid choice: 'frobnicate'"),
+    Row("bad-format", None, "position-sweep --format yaml", 2,
+        "vlcpos position-sweep: error: argument --format: invalid choice: 'yaml'"),
+    *(Row(name, None, f"{argv} {option}", 2, f"vlcpos: error: unrecognized arguments: {option}\n")
+      for name, argv, option in (
+          ("estimate-format", f"estimate --power {POWER_AT_3_5_M}", "--format json"),
+          ("estimate-samples", f"estimate --power {POWER_AT_3_5_M}", "--samples 5"),
+          ("position-samples", "position-sweep", "--samples 5"),
+          ("power-samples", "power-sweep", "--samples 5"))),
+    *(Row(f"help-{command}", None, f"{command} --help", 0, "")
+      for command in ("position-sweep", "power-sweep", "angle-sweep", "estimate", "replicate")),
+    *(Row(f"samples-{n}", None, f"angle-sweep --samples {n}", 2,
+          f"error: ValidationError: distance_samples must be >= 2, got {n}\n")
+      for n in ("1", "0", "-3")),
+
+    # estimate: the on-axis maximum (the power received 3 m under the LED),
+    # the float floor and non-finite input.
+    Row("on-axis-maximum", None, "estimate --power 2.685739664675734e-06", 0, "",
+        {"inverted_distance": "3", "estimated": "(2.5, 2.5, 0)", "clipped_to_room": "false"}),
+    # ROADMAP item 3: a reading just above the maximum is an error, not saturated.
+    Row("above-on-axis-maximum", None, "estimate --power 2.6857396915331302e-06", 1,
+        "error: PowerTooHigh: measured power 2.6857396915331302e-06 implies distance "
+        "2.9999999925000003 below the vertical separation 3.0\n"),
+    Row("power-too-high", None, "estimate --power 1.0", 1,
+        "error: PowerTooHigh: measured power 1.0 implies distance "),
+    Row("zero-power", None, "estimate --power 0.0", 1, "error: NonPositivePower: " + UNSEEN),
+    # K V^(m+1) / P overflows, and the inversion runs in logarithms.
+    Row("float-floor-power", None, "estimate --power 5e-324", 0, "",
+        {"inverted_distance": "8.14594e+79", "clipped_to_room": "true"}),
+    Row("tall-room-estimate", TALL_ROOM, "estimate --power 5e-324", 0, "",
+        {**TALL_ESTIMATE, "positioning_error": None}),
+    Row("tall-room-estimate-actual", TALL_ROOM, "estimate --power 5e-324 --actual 1 1", 0, "",
+        {**TALL_ESTIMATE, "positioning_error": "1.97092e+156"}),
+    *(Row(f"power-{text}", None, f"estimate --power={text}", 2,
+          f"error: ValidationError: --power must be finite, got {float(text)}\n")
+      for text in ("nan", "inf", "-inf")),
+    *(Row(f"actual-{x}", None, f"estimate --power 1.4e-6 --actual {x} 0", 2,
+          f"error: ValidationError: --actual ({float(x)}, 0.0) is not a point on the room floor\n")
+      for x in ("1e308", "nan")),
+
+    # The position sweep at the physical limits. pd.fov = 90 is the default
+    # config, so its hash is the published one.
+    Row("fov-90", "pd.fov = 90", "position-sweep", 0, "",
+        {"config": "1a036cb8c79a", (10, "received_power"): "5.02358e-07"}),
+    # ROADMAP item 3: a position outside the field of view aborts the sweep,
+    # and the failing run leaves an existing --out file as it was.
+    Row("fov-30", "pd.fov = 30", "position-sweep --out out.csv", 1,
+        "error: NonPositivePower: position 6: " + UNSEEN, out_kept=True),
+    Row("grazing-incidence", GRAZING_LED, "position-sweep", 0, "", {(10, "est_x"): "1.285"}),
+    # ROADMAP item 3: c^(m+1) underflows to 0 and aborts the sweep.
+    Row("cosine-power-underflow", GRAZING_LED + "\nled.lambertian_order = 7.5", "position-sweep",
+        1, "error: NonPositivePower: position 2: " + UNSEEN),
+    # ROADMAP item 3: every estimate lands far off the floor, with no flag.
+    Row("tall-room-sweep", TALL_ROOM, "position-sweep", 0, "",
+        {(1, "est_x"): "-2.35233e+147", (10, "est_x"): "-2.35233e+147"}),
+    Row("led-height-at-bound", "room.height = 1.4916681462400413e-154\n"
+        "led.position = (2.5, 2.5, 1.4916681462400413e-154)", "position-sweep", 0, "",
+        {(1, "slant_d"): "1.49167e-154", (10, "est_x"): "1.285"}),
+    Row("led-height-below-bound", "room.height = 1.4916681462400412e-154\n"
+        "led.position = (2.5, 2.5, 1.4916681462400412e-154)", "position-sweep", 2,
+        "error: ValidationError: led height 1.4916681462400412e-154 is below 1.49e-154 m, "),
+    Row("room-side-at-bound", "room.width = 7.741001517595157e+153", "position-sweep", 0, "",
+        {(10, "est_x"): "0.785669"}),
+    Row("room-side-above-bound", "room.width = 7.741001517595158e+153", "position-sweep", 2,
+        OVERFLOW.format("room width 7.741001517595158e+153")),
+    Row("height-overflows", "room.height = 1e300\nled.position = (2.5, 2.5, 1e200)\n"
+        "sweep.positions = [(0.0, 0.0, 0.0)]", "position-sweep", 2,
+        OVERFLOW.format("room height 1e+300")),
+    Row("width-overflows", "room.width = 1e200\nsweep.positions = [(1e200, 0.0, 0.0)]",
+        "power-sweep", 2, OVERFLOW.format("room width 1e+200")),
+    Row("distance-range-overflows", "sweep.distance_range = (1.0, 1e200)", "angle-sweep", 2,
+        OVERFLOW.format("distance_range high end 1e+200")),
+    # 3.0 ** 651 overflows a float; the inversion then runs in logarithms.
+    Row("large-order-estimate", "led.lambertian_order = 650", "estimate --power 1e-9", 0, "",
+        {"inverted_distance": "3.06352"}),
+    Row("large-order-sweep", "led.lambertian_order = 650", "position-sweep", 0, ""),
+
+    # K = P_t (m+1) A h g(0) / (2 pi): each factor in range, the product not.
+    # ROADMAP item 3: checked at the first channel call (exit 1), not at load.
+    Row("k-inf-angle-sweep", K_INF, "angle-sweep --out out.txt", 1,
+        "error: DomainError: " + K_INF_IS),
+    *(Row(f"k-inf-{command}", K_INF, f"{command} --out out.txt", 1,
+          "error: DomainError: position 1: " + K_INF_IS)
+      for command in ("position-sweep", "replicate")),
+    Row("k-inf-stdout", K_INF, "angle-sweep", 1, "error: DomainError: " + K_INF_IS),
+    Row("k-inf-out-kept", K_INF, "angle-sweep --format json --out out.txt", 1,
+        "error: DomainError: " + K_INF_IS, out_kept=True),
+    Row("k-zero-estimate", "pd.area = 1e-300\npd.filter_gain = 1e-300",
+        "estimate --power 1e-9 --out out.txt", 1,
+        "error: DomainError: K = P_t (m+1) A h g(0) / (2 pi) is 0.0 for P_t 15.0, "
+        "m 1.0000000000000002, A 1e-300, h 1e-300, g(0) 2.25\n"),
+    # P_t (m+1) overflows; K itself is about 3.6e209, and 3.9e208 W is below K / V^2.
+    Row("k-past-partial-overflow",
+        "led.transmit_power = 1e300\nled.lambertian_order = 1e10\npd.area = 1e-100",
+        "estimate --power 3.9e208", 0, "", {"inverted_distance": "3"}),
+
+    # The config boundary names the first bad line and exits 2.
+    *(Row(name, text, "position-sweep", 2, "error: " + error) for name, text, error in (
+        ("unknown-key", "foo.bar = 1", "ParseError: line 1: unknown key"),
+        ("unknown-key-line-2", "room.width = 5.0\nfoo = 1", "ParseError: line 2: unknown key"),
+        ("text-width", "room.width = 'a'", INVALID),
+        ("fov-120", "pd.fov = 120",
+         "ValidationError: fov must lie in (0, 90] degrees, got 120.0\n"),
+        ("width-1e999", "room.width = 1e999", INVALID + "room.width must be finite, got inf\n"),
+        ("power-1e999", "led.transmit_power = 1e999",
+         INVALID + "led.transmit_power must be finite, got inf\n"),
+        ("fractional-samples", "sweep.distance_samples = 2.7",
+         INVALID + "sweep.distance_samples must be an integer, got 2.7\n"),
+        ("unhashable", "room.width = {[]: 1}", "ParseError: line 1: invalid value '{[]: 1}'"),
+        ("text-coordinate", 'led.position = ("a", 1, 2)',
+         INVALID + "led.position must be a number, got 'a'"),
+        ("none-coordinate", "sweep.positions = [(1, 2, None)]",
+         INVALID + "sweep.positions must be a number, got None"),
+        ("huge-int", "room.width = 1" + "0" * 400, INVALID + "room.width must be finite, got 1000"),
+        ("text-count", 'sweep.distance_samples = "7.0"',
+         INVALID + "sweep.distance_samples must be a number, got '7.0'"),
+        ("text-number-on-line-3", "# a comment\nroom.length = 5.0\nroom.width = 'a'",
+         "ValidationError: line 3: room.width must be a number, got 'a'\n"),
+        ("bad-value-before-unknown-key", "room.width = 'a'\nfoo = 1",
+         INVALID + "room.width must be a number"),
+        ("unknown-key-before-bad-value", "foo = 1\nroom.width = 'a'",
+         "ParseError: line 1: unknown key"),
+        ("led-above-ceiling", "led.position = (2.5, 2.5, 1e200)",
+         "ValidationError: led position (2.5, 2.5, 1e+200) is outside the room"),
+        ("led-off-floor", "led.position = (90.0, 2.5, 3.0)",
+         "ValidationError: led position (90.0, 2.5, 3.0) is outside the room"),
+        ("led-height-underflows", "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
+         "ValidationError: led height 1e-200 is below 1.49e-154 m"),
+        ("negative-width", "room.width = -1",
+         "ValidationError: RoomSpec.width must be > 0, got -1.0"),
+    )),
+    Row("missing-config", None, "position-sweep --config nope.cfg", 2, NO_FILE),
+    Row("unwritable-out", None, "position-sweep --out missing/out.csv", 1, NO_FILE),
+
+    # Configs that run: repeated families, the hash by value, --config and --out.
+    Row("repeated-transmit-power", "sweep.transmit_powers = [8, 8]", "replicate", 0, ""),
+    Row("repeated-families", "sweep.elevations = [90, 60, 90]\nsweep.transmit_powers = [8, 8]",
+        "replicate", 0, ""),
+    *(Row(f"hash-{name}", f"room.width = {width}\nsweep.positions = [{point}]",
+          "position-sweep --out rows.csv", 0, "", {"config": digest})
+      for name, width, point, digest in (
+          ("ints", "5", "(1, 1, 0)", BY_VALUE_HASH),
+          ("floats", "5.0e0", "(1.0, 1.0, 0.0)", BY_VALUE_HASH),
+          ("signed", "5.0e0", "(1.0, 1.0, -0.0)", "3cd02d5e3402"))),
+    # A sample count past eight bytes still hashes.
+    Row("samples-1e300", "sweep.distance_samples = 1e300", "position-sweep", 0, "",
+        {"config": "992a8d296163"}),
+    Row("config-and-out", "sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]",
+        "position-sweep --out rows.csv", 0, "",
+        {(1, "actual_x"): "1", (2, "actual_x"): "2", (3, "actual_x"): None}),
+)
+
+_KEPT = b"kept\r\nas it was\n"
+
+
+def _cells(text: str) -> dict:
+    """Each `key = value` line by key, with or without a `# ` prefix, and each
+    cell of the CSV table by (row, column)."""
+
+    cells, table = {}, []
+    for line in text.splitlines():
+        key, sep, value = line.removeprefix("# ").partition(" = ")
+        if sep:
+            cells[key] = value
+        elif not line.startswith("#"):
+            table.append(line)
+    header, *rows = csv.reader(table or [""])
+    for number, row in enumerate(rows, 1):
+        cells.update(((number, column), cell) for column, cell in zip(header, row))
+    return cells
+
+
+def check(row: Row, run: Callable[[list], tuple]) -> None:
+    """Run ``row`` through ``run(argv) -> (exit code, stdout, stderr)``.
+
+    Raises AssertionError naming each way the run differs from the row. A run
+    that fails with an ``error:`` line other than ReplicationRegression must
+    also keep the error contract: that one stderr line, nothing on stdout,
+    and no new ``--out`` file.
+    """
+
+    with tempfile.TemporaryDirectory() as work:
+        argv = row.argv.split()
+        if row.config is not None:
+            Path(work, "run.cfg").write_text(row.config + "\n", encoding="utf-8")
+            argv += ["--config", "run.cfg"]
+        for i, arg in enumerate(argv[:-1]):
+            if arg in ("--config", "--out"):
+                argv[i + 1] = os.path.join(work, argv[i + 1])
+        out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        if row.out_kept:
+            out.write_bytes(_KEPT)
+        code, stdout, stderr = run(argv)
+        problems = []
+        if code != row.code:
+            problems.append(f"exit code {code}, expected {row.code}")
+        lines = stderr.splitlines(keepends=True)
+        message = lines[-1] if lines and lines[0].startswith("usage:") else stderr
+        if not (message.startswith(row.err) if row.err else stderr == ""):
+            problems.append(f"stderr {stderr!r}, expected {row.err!r}")
+        if row.err.startswith("error:") and "ReplicationRegression" not in row.err:
+            if len(lines) != 1:
+                problems.append(f"{len(lines)} stderr lines, expected 1")
+            if stdout:
+                problems.append(f"stdout {stdout[:200]!r} from a failing run")
+            if out is not None and out.exists() and not row.out_kept:
+                problems.append("a failing run wrote --out")
+        if row.out_kept and out.read_bytes() != _KEPT:
+            problems.append("the existing --out file changed")
+        if row.cells:
+            cells = _cells(out.read_text(encoding="utf-8") if out and out.exists() else stdout)
+            problems += [
+                f"cell {key!r} is {cells.get(key)!r}, expected {value!r}"
+                for key, value in row.cells.items()
+                if cells.get(key) != value
+            ]
+    if problems:
+        raise AssertionError("; ".join(problems))
+
+
+def _installed(argv: list) -> tuple:
+    env = {**os.environ, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
+    done = subprocess.run(
+        ["vlcpos", *argv], env=env, capture_output=True, encoding="utf-8", timeout=300
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def main() -> int:
+    failed = 0
+    for row in ROWS:
+        try:
+            check(row, _installed)
+        except AssertionError as exc:
+            failed += 1
+            print(f"FAILED {row.name}: {exc}", file=sys.stderr)
+    print(f"{len(ROWS) - failed} of {len(ROWS)} rows hold")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,15 +67,6 @@ class TestPositionSweep:
         assert cli(["position-sweep", "--out", str(second)]) == 0
         assert _strip_metadata(first.read_bytes()) == _strip_metadata(second.read_bytes())
 
-    def test_tall_room_exits_0(self, tmp_path, capsys):
-        # V^2 is near the float maximum, so K V^2 / P overflows for the
-        # subnormal on-axis reading; the inversion runs in logarithms.
-        path = tmp_path / "tall.cfg"
-        path.write_text("room.height = 7e153\nled.position = (2.5, 2.5, 7e153)\n",
-                        encoding="utf-8")
-        assert cli(["position-sweep", "--config", str(path)]) == 0
-        assert capsys.readouterr().err == ""
-
 
 class TestOtherSweeps:
     def test_power_sweep(self, tmp_path):
@@ -91,13 +82,6 @@ class TestOtherSweeps:
         header, rows = _read_csv(target)
         assert header == ["elevation", "distance", "received_power"]
         assert len(rows) == 20
-
-    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
-    def test_samples_below_two_exit_2(self, capsys, samples):
-        assert cli(["angle-sweep", "--samples", samples]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: ValidationError: distance_samples must be >= 2, got {samples}\n"
-        )
 
     def test_samples_change_config_hash(self, capsys):
         assert cli(["angle-sweep"]) == 0
@@ -161,53 +145,6 @@ class TestEstimate:
         assert cli(["estimate", "--power", "1e-8"]) == 0
         assert "clipped_to_room = true" in capsys.readouterr().out
 
-    def test_power_too_high(self, capsys):
-        assert cli(["estimate", "--power", "1.0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: PowerTooHigh:")
-
-    def test_non_positive_power(self, capsys):
-        assert cli(["estimate", "--power", "0.0"]) == 1
-        assert "error: NonPositivePower:" in capsys.readouterr().err
-
-    def test_power_at_the_float_floor_inverts_far_outside_the_room(self, capsys):
-        # K V^(m+1) / P overflows, and the inversion runs in logarithms.
-        assert cli(["estimate", "--power", "5e-324"]) == 0
-        out = capsys.readouterr().out
-        assert "inverted_distance = 8.14594e+79\n" in out
-        assert "clipped_to_room = true\n" in out
-
-    @pytest.mark.parametrize("actual", [[], ["--actual", "1", "1"]], ids=["one-shot", "actual"])
-    def test_tall_room_at_the_float_floor_exits_0(self, tmp_path, capsys, actual):
-        # d^2 overflows for the 3.9e156 m slant; d_hor is d sqrt(1 - c^2), and
-        # the positioning error is a math.dist past the range of the squares.
-        path = tmp_path / "tall.cfg"
-        path.write_text("room.height = 7e153\nled.position = (2.5, 2.5, 7e153)\n",
-                        encoding="utf-8")
-        assert cli(["estimate", "--power", "5e-324", "--config", str(path), *actual]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        lines = dict(line.split(" = ") for line in captured.out.splitlines())
-        assert lines["inverted_distance"] == "3.93486e+156"
-        assert lines["clipped_to_room"] == "true"
-        numbers = [v for k, v in lines.items() if k not in ("estimated", "clipped_to_room")]
-        numbers += lines["estimated"].strip("()").split(", ")
-        assert all(math.isfinite(float(number)) for number in numbers)
-        assert ("positioning_error" in lines) == bool(actual)
-
-    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
-    def test_rejects_non_finite_power(self, capsys, power):
-        assert cli(["estimate", f"--power={power}"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: ValidationError: --power must be finite, got {float(power)}\n"
-
-    @pytest.mark.parametrize("x", ["1e308", "nan"])
-    def test_rejects_actual_off_the_floor(self, capsys, x):
-        assert cli(["estimate", "--power", "1.4e-6", "--actual", x, "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValidationError: --actual (")
-        assert f"({float(x)}, 0.0)" in err
-
 
 class TestReplicate:
     def test_text_report(self, capsys):
@@ -251,12 +188,6 @@ class TestReplicate:
         assert len(rows) == 14
         verdicts = {row[4] for row in rows}
         assert verdicts == {"REPRODUCED", "TREND-ONLY", "NOT-REPRODUCIBLE"}
-
-    def test_repeated_transmit_power_exits_0(self, tmp_path, capsys):
-        path = tmp_path / "scenario.cfg"
-        path.write_text("sweep.transmit_powers = [8, 8]\n", encoding="utf-8")
-        assert cli(["replicate", "--config", str(path)]) == 0
-        assert "0 regressions" in capsys.readouterr().out
 
     def test_json_format(self, capsys):
         assert cli(["replicate", "--format", "json"]) == 0
@@ -302,177 +233,6 @@ class TestConfigHandling:
         ]
         assert len(body) == 11
 
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("foo.bar = 1\n", encoding="utf-8")
-        assert cli(["position-sweep", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ParseError:")
-        assert "line 1" in err
-
-    def test_invalid_value_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("pd.fov = 120\n", encoding="utf-8")
-        assert cli(["position-sweep", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ValidationError:")
-
-    @pytest.mark.parametrize(
-        "text",
-        ["room.width = 1e999", "led.transmit_power = 1e999", "sweep.distance_samples = 2.7"],
-    )
-    def test_non_finite_or_fractional_value_exits_2(self, tmp_path, capsys, text):
-        path = tmp_path / "bad.cfg"
-        path.write_text(text + "\n", encoding="utf-8")
-        assert cli(["position-sweep", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ValidationError:")
-
-    @pytest.mark.parametrize(
-        "text, error",
-        [
-            pytest.param(
-                "room.width = {[]: 1}", "ParseError: line 1: invalid value '{[]: 1}'",
-                id="unhashable",
-            ),
-            pytest.param(
-                'led.position = ("a", 1, 2)',
-                "ValidationError: line 1: led.position must be a number, got 'a'",
-                id="text-coordinate",
-            ),
-            pytest.param(
-                "sweep.positions = [(1, 2, None)]",
-                "ValidationError: line 1: sweep.positions must be a number, got None",
-                id="none-coordinate",
-            ),
-            pytest.param(
-                "room.width = 1" + "0" * 400,
-                "ValidationError: line 1: room.width must be finite, got 1000",
-                id="huge-int",
-            ),
-            pytest.param(
-                'sweep.distance_samples = "7.0"',
-                "ValidationError: line 1: sweep.distance_samples must be a number, got '7.0'",
-                id="text-count",
-            ),
-            pytest.param(
-                "# a comment\nroom.length = 5.0\nroom.width = 'a'",
-                "ValidationError: line 3: room.width must be a number, got 'a'\n",
-                id="text-number-on-line-3",
-            ),
-            # The first bad line is reported, whichever kind of error it is.
-            pytest.param(
-                "room.width = 'a'\nfoo = 1",
-                "ValidationError: line 1: room.width must be a number",
-                id="bad-value-before-unknown-key",
-            ),
-            pytest.param(
-                "foo = 1\nroom.width = 'a'",
-                "ParseError: line 1: unknown key",
-                id="unknown-key-before-bad-value",
-            ),
-            pytest.param(
-                "led.position = (2.5, 2.5, 1e200)",
-                "ValidationError: led position (2.5, 2.5, 1e+200) is outside the room",
-                id="led-above-ceiling",
-            ),
-            pytest.param(
-                "led.position = (90.0, 2.5, 3.0)",
-                "ValidationError: led position (90.0, 2.5, 3.0) is outside the room",
-                id="led-off-floor",
-            ),
-            pytest.param(
-                "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
-                "ValidationError: led height 1e-200 is below 1.49e-154 m",
-                id="led-height-underflows",
-            ),
-            pytest.param(
-                "room.width = -1",
-                "ValidationError: RoomSpec.width must be > 0, got -1.0",
-                id="negative-width",
-            ),
-        ],
-    )
-    def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys, text, error):
-        path = tmp_path / "bad.cfg"
-        path.write_text(text + "\n", encoding="utf-8")
-        assert cli(["position-sweep", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {error}")
-
-    @pytest.mark.parametrize(
-        "command, text, error",
-        [
-            pytest.param(
-                "position-sweep",
-                "room.height = 1e300\nled.position = (2.5, 2.5, 1e200)\n"
-                "sweep.positions = [(0.0, 0.0, 0.0)]",
-                "room height 1e+300 is above 7.74e+153 m",
-                id="height",
-            ),
-            pytest.param(
-                "power-sweep",
-                "room.width = 1e200\nsweep.positions = [(1e200, 0.0, 0.0)]",
-                "room width 1e+200 is above 7.74e+153 m",
-                id="width",
-            ),
-            pytest.param(
-                "angle-sweep",
-                "sweep.distance_range = (1.0, 1e200)",
-                "distance_range high end 1e+200 is above 7.74e+153 m",
-                id="distance-range",
-            ),
-        ],
-    )
-    def test_sizes_whose_squares_overflow_exit_2(self, tmp_path, capsys, command, text, error):
-        path = tmp_path / "huge.cfg"
-        path.write_text(text + "\n", encoding="utf-8")
-        assert cli([command, "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: ValidationError: {error}, where")
-
-    @pytest.mark.parametrize(
-        "argv", [["estimate", "--power", "1e-9"], ["position-sweep"]], ids=["estimate", "sweep"]
-    )
-    def test_large_lambertian_order_exits_0(self, tmp_path, capsys, argv):
-        # 3.0 ** 651 overflows a float; the inversion then runs in logarithms.
-        path = tmp_path / "order.cfg"
-        path.write_text("led.lambertian_order = 650\n", encoding="utf-8")
-        assert cli(argv + ["--config", str(path)]) == 0
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize(
-        "argv, text, k",
-        [
-            pytest.param(["angle-sweep"], "led.transmit_power = 1e300\npd.area = 1e100", "inf",
-                         id="angle-sweep-inf"),
-            pytest.param(["position-sweep"], "led.transmit_power = 1e300\npd.area = 1e100",
-                         "inf", id="position-sweep-inf"),
-            pytest.param(["replicate"], "led.transmit_power = 1e300\npd.area = 1e100", "inf",
-                         id="replicate-inf"),
-            pytest.param(["estimate", "--power", "1e-9"],
-                         "pd.area = 1e-300\npd.filter_gain = 1e-300", "0.0", id="estimate-zero"),
-        ],
-    )
-    def test_gain_constant_outside_the_float_range_exits_1_naming_k(
-        self, tmp_path, capsys, argv, text, k
-    ):
-        # Each field is in range, so the config loads; K, their product, is not.
-        path, out = tmp_path / "k.cfg", tmp_path / "out.txt"
-        path.write_text(text + "\n", encoding="utf-8")
-        assert cli(argv + ["--config", str(path), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, out.exists()) == ("", False)
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: DomainError: ")
-        assert f"K = P_t (m+1) A h g(0) / (2 pi) is {k} for P_t " in line
-
-    def test_gain_constant_past_an_overflowing_partial_product_exits_0(self, tmp_path, capsys):
-        # P_t (m+1) overflows; K itself is about 3.6e209, and 3.9e208 W is below K / V^2.
-        path = tmp_path / "k.cfg"
-        path.write_text(
-            "led.transmit_power = 1e300\nled.lambertian_order = 1e10\npd.area = 1e-100\n",
-            encoding="utf-8",
-        )
-        assert cli(["estimate", "--power", "3.9e208", "--config", str(path)]) == 0
-        assert capsys.readouterr().err == ""
-
     def test_gain_constant_past_a_subnormal_partial_product_keeps_six_digits(self, tmp_path):
         # P_t (m+1) A is a subnormal about 2e-320; h = 1e300 brings K back to
         # about 7.2e-21. Each power is K c^(m+1) / d^2 with K taken exactly.
@@ -506,67 +266,8 @@ class TestConfigHandling:
         ]
         assert len(body) == 2
 
-    def test_missing_config_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "nope.cfg"
-        assert cli(["position-sweep", "--config", str(missing)]) == 2
-        assert "error: FileNotFoundError:" in capsys.readouterr().err
-
-    def test_unwritable_out_exits_1(self, tmp_path, capsys):
-        target = tmp_path / "missing-dir" / "out.csv"
-        assert cli(["position-sweep", "--out", str(target)]) == 1
-        assert "error: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv, text, error",
-        [
-            pytest.param(["position-sweep"], "pd.fov = 30",
-                         "error: NonPositivePower: position 6: ", id="fov-30"),
-            pytest.param(["angle-sweep", "--format", "json"],
-                         "led.transmit_power = 1e300\npd.area = 1e100",
-                         "error: DomainError: K = ", id="k-inf"),
-        ],
-    )
-    def test_failing_run_leaves_an_existing_out_file_as_it_was(
-        self, tmp_path, capsys, argv, text, error
-    ):
-        # emit streams to --out, so every command builds all its rows, and
-        # meets every error, before the file is opened.
-        path, out = tmp_path / "run.cfg", tmp_path / "out.txt"
-        path.write_text(text + "\n", encoding="utf-8")
-        out.write_bytes(b"kept\r\nas it was\n")
-        assert cli(argv + ["--config", str(path), "--out", str(out)]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(error)
-        assert out.read_bytes() == b"kept\r\nas it was\n"
-
 
 class TestUsage:
-    def test_no_subcommand(self, capsys):
-        assert cli([]) == 2
-        capsys.readouterr()
-
-    def test_unknown_subcommand(self, capsys):
-        assert cli(["frobnicate"]) == 2
-        capsys.readouterr()
-
-    def test_bad_format_choice(self, capsys):
-        assert cli(["position-sweep", "--format", "yaml"]) == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["estimate", "--power", POWER_AT_3_5_M, "--format", "json"],
-            ["estimate", "--power", POWER_AT_3_5_M, "--samples", "5"],
-            ["position-sweep", "--samples", "5"],
-            ["power-sweep", "--samples", "5"],
-        ],
-        ids=["estimate-format", "estimate-samples", "position-samples", "power-samples"],
-    )
-    def test_option_the_subcommand_does_not_read(self, capsys, argv):
-        assert cli(argv) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command", ["position-sweep", "power-sweep", "angle-sweep", "estimate", "replicate"]
     )
@@ -628,16 +329,36 @@ class TestCollectorPause:
         assert found[2:] == [found[2]] * 2
 
 
+def _source_env():
+    """The environment of a fresh interpreter that imports vlcpos from the
+    tree under test."""
+
+    source = str(Path(vlcpos.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr():
+    # The reader takes one line and closes its end. The sweep writes about
+    # 300 kB, more than a pipe holds, so the CLI meets the closed pipe
+    # mid-write; at exit, its flush of stdout must not raise again.
+    argv = ["-X", "dev", "-W", "error", "-m", "vlcpos.cli", "angle-sweep", "--samples", "3000"]
+    with subprocess.Popen(
+        [sys.executable, *argv], env=_source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"# config = ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 class TestStartup:
     @staticmethod
     def _modules_after(code):
-        # A fresh interpreter that imports vlcpos from the tree under test.
-        source = str(Path(vlcpos.cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
         listing = f"{code}; import sys; print(' '.join(sys.modules))"
         result = subprocess.run(
             [sys.executable, "-c", listing],
-            env={**os.environ, "PYTHONPATH": path},
+            env=_source_env(),
             capture_output=True,
             text=True,
             check=True,
