@@ -10,9 +10,10 @@ inside the field of view (0 beyond it). For the coplanar ceiling/floor
 geometry here the LED normal points down and the PD normal up, so both
 cosines equal the link cosine c = V/d, and P = K c^(m+1) / d^2 with
 K = P_trans*(m+1)*A*h*g/(2*pi), the constant the estimator's inversion shares.
-power_columns is the one place that evaluates it; the scalar functions are
-one-row views. A link is inside the FOV iff c >= cos(FOV), one rule that
-concentrator_gain and power_columns share.
+_kc is the one place that evaluates K c^(m+1) and applies the FOV rule, a
+link being inside the FOV iff c >= cos(FOV) as concentrator_gain also reads
+it; power_columns calls it once per run of one cosine object and
+received_power once. received_power_at is a one-row view of power_columns.
 """
 
 from __future__ import annotations
@@ -176,6 +177,15 @@ class ChannelSample(NamedTuple):
     received_power: float
 
 
+def _kc(k: float, exponent: float, cos_fov: float, c: float) -> float | None:
+    """K c^(m+1), exponent being m + 1, for a link of cosine c inside the FOV
+    (c >= cos(fov)), else None. A cosine above 1 or NaN raises DomainError."""
+
+    if not c <= 1.0:
+        raise DomainError(f"link cosine must be <= 1, got {c}")
+    return k * c**exponent if c >= cos_fov else None
+
+
 def power_columns(
     led: LedSpec,
     pd: PdSpec,
@@ -202,9 +212,7 @@ def power_columns(
         if not distance > 0.0:
             raise DomainError(f"distance must be > 0, got {distance}")
         if c is not last:
-            if not c <= 1.0:
-                raise DomainError(f"link cosine must be <= 1, got {c}")
-            last, kc = c, k * c**exponent if c >= cos_fov else None
+            last, kc = c, _kc(k, exponent, cos_fov, c)
         powers.append(0.0 if kc is None else kc / distance**2)
     return powers
 
@@ -222,15 +230,19 @@ def received_power_at(led: LedSpec, pd: PdSpec, distance: float, angle: float) -
 def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
     """Evaluate the channel for the LED and the detector placed at position.
 
-    A one-row view of power_columns at the link cosine V/d. The sample's
-    concentrator_gain is the gain at that cosine, 0 exactly when the PD sees
-    the LED from beyond its FOV; it tells such a FOV cut apart from a power
-    that underflowed to 0.
+    power_columns' row for link_geometry's slant and link cosine V/d. The
+    sample's concentrator_gain is the gain at that cosine, 0 exactly when the
+    PD sees the LED from beyond its FOV; it tells such a FOV cut apart from a
+    power that underflowed to 0.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD plane.
+        DomainError: when their heights lie further apart than the float
+            range, or K is 0 or infinite.
     """
 
     slant, c = link_geometry(led.position, position)
-    (power,) = power_columns(led, pd, (slant,), (c,))
-    return ChannelSample(slant, concentrator_gain(c, pd.refractive_index, pd.fov), power)
+    kc = _kc(_gain_constant(led, pd), led.lambertian_order + 1.0, _fov_cosine(pd.fov), c)
+    power = 0.0 if kc is None else kc / slant**2
+    gain = concentrator_gain(c, pd.refractive_index, pd.fov)
+    return tuple.__new__(ChannelSample, (slant, gain, power))

@@ -35,6 +35,7 @@ __all__ = [
 # Allowance for one rounding step when the inverted distance lands a hair
 # under the vertical separation at the on-axis maximum.
 _INVERSION_SLACK = 1e-9
+_new = tuple.__new__  # a record from checked fields, past its __new__'s Python call
 
 
 class EstimateRecord(NamedTuple):
@@ -138,7 +139,6 @@ def estimate_position(
     y = led_y + fused * math.sin(angle)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"fused offset {fused} anchors to a non-finite estimate ({x}, {y})")
-    estimated = tuple.__new__(Point3, (x, y, 0.0))
+    estimated = _new(Point3, (x, y, 0.0))
     error = None if actual is None else math.dist(actual, estimated)
-    record = (estimated, cosine, fused, measured_power, distance, error)
-    return tuple.__new__(EstimateRecord, record)  # skips the generated __new__'s Python call
+    return _new(EstimateRecord, (estimated, cosine, fused, measured_power, distance, error))

@@ -73,6 +73,19 @@ class RoomSpec(_record("_Room", "width length height")):
         return 0.0 <= point.x <= self.width and 0.0 <= point.y <= self.length
 
 
+def _link(led_pos: Point3, point: Point3) -> tuple[float, float]:
+    """(slant, cosine) of one PD point, the row link_columns and link_geometry share."""
+
+    lz, z = led_pos.z, point.z
+    separation = lz - z
+    if not 0.0 < separation < math.inf:  # lz > z gives lz - z > 0; only overflow gives inf
+        if not lz > z:
+            raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
+        raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
+    slant = math.dist(led_pos, point)
+    return slant, min(separation / slant, 1.0)
+
+
 def link_columns(
     led_pos: Point3, points: Sequence[Point3]
 ) -> tuple[list[float], list[float]]:
@@ -83,32 +96,20 @@ def link_columns(
         DomainError: when their heights lie further apart than the float range.
     """
 
-    lz, dist, inf = led_pos.z, math.dist, math.inf
-    columns: tuple[list[float], list[float]] = ([], [])
-    slants, cosines = columns
-    for point in points:
-        z = point.z
-        separation = lz - z
-        if not 0.0 < separation < inf:  # lz > z gives lz - z > 0; only overflow gives inf
-            if not lz > z:
-                raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
-            raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
-        slant = dist(led_pos, point)
-        slants.append(slant)
-        cosines.append(min(separation / slant, 1.0))
-    return columns
+    rows = [_link(led_pos, point) for point in points]
+    return [slant for slant, _ in rows], [c for _, c in rows]
 
 
 def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
     """(slant, cosine) for an LED strictly above the PD plane.
 
-    A one-point view of link_columns: with vertical separation V = led.z - pd.z,
-    slant distance d and link cosine min(V/d, 1); the elevation is asin of the
-    cosine.
+    With vertical separation V = led.z - pd.z, slant distance d and link
+    cosine min(V/d, 1); the elevation is asin of the cosine. The row is
+    link_columns' row for the point, from the same per-point helper.
 
     Raises:
-        LedNotAbovePd, DomainError: as link_columns.
+        LedNotAbovePd: when the LED is not strictly above the PD.
+        DomainError: when their heights lie further apart than the float range.
     """
 
-    (slant,), (c,) = link_columns(led_pos, (pd_pos,))
-    return slant, c
+    return _link(led_pos, pd_pos)

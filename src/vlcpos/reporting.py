@@ -310,11 +310,12 @@ def _point(value: Any, key: str) -> Point3:
 def _points(value: Any, key: str) -> tuple[Point3, ...]:
     if not isinstance(value, (tuple, list)) or len(value) == 0:
         raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
-    # 3-sequences of finite floats are checked in bulk and built past Point3's
-    # own check; anything else takes _point, whose messages name the value.
+    # 3-sequences of floats with a finite sum (so each is finite) are checked in
+    # bulk and built past Point3's own check; anything else takes _point, whose
+    # messages name the value.
     if set(map(type, value)) <= {tuple, list} and set(map(len, value)) == {3}:
         coordinates = list(chain.from_iterable(value))
-        if set(map(type, coordinates)) == {float} and all(map(math.isfinite, coordinates)):
+        if set(map(type, coordinates)) == {float} and math.isfinite(sum(coordinates)):
             return tuple(map(tuple.__new__, repeat(Point3), value))
     return tuple(_point(p, key) for p in value)
 

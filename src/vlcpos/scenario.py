@@ -270,15 +270,14 @@ def run_position_sweep(
     rows = []
     for index, position in enumerate(config.pd_positions, start=1):
         try:
-            sample = received_power(led, pd, position)
-            estimate = estimate_position(
-                sample.received_power, led, pd, azimuth=azimuth, actual=position
+            slant, _, power = received_power(led, pd, position)
+            (est_x, est_y, _), _, _, _, _, error = estimate_position(
+                power, led, pd, azimuth, position
             )
         except DomainError as exc:
             raise type(exc)(f"position {index}: {exc}") from exc
-        estimated = estimate.estimated
-        rows.append((index, position.x, position.y, estimated.x, estimated.y,
-                     sample.slant_distance, sample.received_power, estimate.positioning_error))
+        x, y, _ = position
+        rows.append((index, x, y, est_x, est_y, slant, power, error))
     return tuple(rows)
 
 

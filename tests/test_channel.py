@@ -15,6 +15,7 @@ from vlcpos import (
     Point3,
     concentrator_gain,
     lambertian_order,
+    link_columns,
     link_geometry,
     power_columns,
     received_power,
@@ -440,6 +441,53 @@ class TestGrazingLink:
         assert math.isclose(sample.received_power, k * c**2 / d**2, rel_tol=1e-12)
         assert math.isclose(sample.received_power, 1.137e-203, rel_tol=1e-3)
         assert sample.concentrator_gain == 2.25
+
+
+def _columns_row(led, pd, position):
+    """received_power's fields from the column functions: link_columns' and
+    power_columns' one row, and the gain at its cosine."""
+    (slant,), (c,) = link_columns(led.position, (position,))
+    (power,) = power_columns(led, pd, (slant,), (c,))
+    return slant, concentrator_gain(c, pd.refractive_index, pd.fov), power
+
+
+class TestReceivedPowerIsTheColumnsRow:
+    """received_power gives the column functions' one row: the same bits
+    (float.hex), or the same exception type and message."""
+
+    LOW_LED = TestGrazingLink.LOW_LED
+
+    @pytest.mark.parametrize(
+        "led, pd, position, power, gain",
+        [
+            # c = min(V/d, 1) is 1 under the LED: P = K / V^2 at the on-axis gain.
+            pytest.param(LED, PD, Point3(2.5, 2.5, 0.0), CENTER_POWER, 2.25, id="on-axis"),
+            # The corner link is 41 degrees above the floor, 49 from the PD normal.
+            pytest.param(LED, PD._replace(fov=30.0), Point3(0.07, 0.07, 0.0), 0.0, 0.0,
+                         id="beyond-fov-30"),
+            pytest.param(LOW_LED, PD, Point3(2.23, 2.23, 0.0), 1.137e-203, 2.25,
+                         id="grazing"),
+            # c near 2.6e-100 to the power 8.5 underflows; the link is in the FOV.
+            pytest.param(LOW_LED._replace(lambertian_order=7.5), PD, Point3(2.23, 2.23, 0.0),
+                         0.0, 2.25, id="cosine-power-underflow"),
+        ],
+    )
+    def test_received_power_is_the_row(self, led, pd, position, power, gain):
+        sample = received_power(led, pd, position)
+        row = _columns_row(led, pd, position)
+        assert tuple(map(float.hex, sample)) == tuple(map(float.hex, row))
+        assert math.isclose(sample.received_power, power, rel_tol=1e-3)
+        assert sample.concentrator_gain == gain
+
+    def test_k_past_the_float_range_raises_as_the_row(self):
+        led, pd = LED._replace(transmit_power=1e300), PD._replace(area=1e100)
+        with pytest.raises(DomainError) as row:
+            _columns_row(led, pd, Point3(2.5, 2.5, 0.0))
+        with pytest.raises(DomainError) as scalar:
+            received_power(led, pd, Point3(2.5, 2.5, 0.0))
+        assert type(scalar.value) is type(row.value) is DomainError
+        assert str(scalar.value) == str(row.value)
+        assert str(scalar.value).startswith("K = P_t (m+1) A h g(0) / (2 pi) is inf")
 
 
 class TestRandomizedConsistency:

@@ -18,6 +18,7 @@ from vlcpos import (
     RoomSpec,
     default_config,
     estimate_position,
+    link_columns,
     link_geometry,
     received_power,
 )
@@ -248,3 +249,42 @@ class TestDiagonalPositions:
         pts = default_config().pd_positions
         assert pts[0] == Point3(2.5, 2.5, 0.0)
         assert pts[-1] == CORNER
+
+
+class TestLinkGeometryIsLinkColumnsRow:
+    """link_geometry gives link_columns' row for its one point: the same bits
+    (float.hex tells -0.0 and each last bit apart), or the same exception type
+    and message."""
+
+    @pytest.mark.parametrize(
+        "led, pd",
+        [
+            pytest.param(LED, Point3(2.5, 2.5, 0.0), id="on-axis"),
+            pytest.param(LED, CORNER, id="corner"),
+            pytest.param(Point3(2.5, 2.5, 1e-100), Point3(2.23, 2.23, 0.0), id="grazing"),
+            pytest.param(Point3(0.0, 0.0, 1e200), Point3(0.0, 0.0, 0.0), id="square"),
+            pytest.param(Point3(-1e308, 0.0, 1.0), Point3(1e308, 0.0, 0.0), id="difference"),
+        ],
+    )
+    def test_same_bits(self, led, pd):
+        (slant,), (c,) = link_columns(led, (pd,))
+        assert tuple(map(float.hex, link_geometry(led, pd))) == (slant.hex(), c.hex())
+
+    @pytest.mark.parametrize(
+        "led, pd, error",
+        [
+            pytest.param(Point3(2.5, 2.5, 0.0), Point3(2.5, 2.5, 0.0), LedNotAbovePd,
+                         id="level"),
+            pytest.param(Point3(2.5, 2.5, 1.0), Point3(2.5, 2.5, 2.0), LedNotAbovePd,
+                         id="below"),
+            pytest.param(Point3(0.0, 0.0, 1e308), Point3(0.0, 0.0, -1e308), DomainError,
+                         id="past-the-float-range"),
+        ],
+    )
+    def test_same_exception(self, led, pd, error):
+        with pytest.raises(DomainError) as row:
+            link_columns(led, (pd,))
+        with pytest.raises(DomainError) as scalar:
+            link_geometry(led, pd)
+        assert type(scalar.value) is type(row.value) is error
+        assert str(scalar.value) == str(row.value)

@@ -414,6 +414,14 @@ def _outcome(read, text):
         "[(1,\t2, 3)]",
         "[(1, 2, 3) (4, 5, 6)]",
         "[(1, 2, 3)(4, 5, 6)]",
+        # A number on the other side of a parenthesis from its point.
+        "[1(2, 3, 4)]",
+        "[(1, 2, 3)4]",
+        "[(1, 2,)3]",
+        "[1(, 2, 3)]",
+        "[(1, 2, 3), (4, 5,)6]",
+        "[(1, 2, 3)4, (5, 6, 7)]",
+        "[(1, 2, 3), 4(5, 6, 7)]",
     ],
 )
 def test_near_miss_point_lists_load_as_literal_eval_reads_them(monkeypatch, value):

@@ -238,8 +238,10 @@ class TestPositionSweep:
 class TestSweepColumnsMatchScalarPath:
     """Sweep columns against the one-shot API and the unhoisted formulas.
 
-    Equality is exact: received_power is a one-row view of power_columns, and
-    the unhoisted formulas keep its evaluation order.
+    Equality is exact: each sweep row is one received_power and one
+    estimate_position call, received_power evaluates K c^(m+1) / d^2 through
+    the helper that power_columns uses, and the unhoisted formulas keep that
+    evaluation order.
     """
 
     @pytest.mark.parametrize("order", [1.0, 7.5])
