@@ -10,10 +10,10 @@ inside the field of view (0 beyond it). For the coplanar ceiling/floor
 geometry here the LED normal points down and the PD normal up, so both
 cosines equal the link cosine c = V/d, and P = K c^(m+1) / d^2 with
 K = P_trans*(m+1)*A*h*g/(2*pi), the constant the estimator's inversion shares.
-_kc is the one place that evaluates K c^(m+1) and applies the FOV rule, a
-link being inside the FOV iff c >= cos(FOV) as concentrator_gain also reads
-it; power_columns calls it once per run of one cosine object and
-received_power once. received_power_at is a one-row view of power_columns.
+A link is inside the FOV iff c >= cos(FOV). concentrator_gain decides that
+for one link, and received_power takes its decision from the gain;
+power_columns decides it once per run of one cosine object, with cos(FOV)
+computed once per call. received_power_at is a one-row view of power_columns.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def concentrator_gain(c: float, n: float, fov: float) -> float:
     the FOV (c >= cos(fov)), else 0.
 
     Raises:
-        DomainError: when fov <= 0, n < 1, or c is above 1 or NaN.
+        DomainError: when fov is not in (0, inf), n < 1, or c is above 1 or NaN.
     """
 
-    if not fov > 0.0:
-        raise DomainError(f"field of view must be > 0 degrees, got {fov}")
+    if not 0.0 < fov < math.inf:
+        raise DomainError(f"field of view must be finite and > 0 degrees, got {fov}")
     if not n >= 1.0:
         raise DomainError(f"refractive index must be >= 1, got {n}")
     if not c <= 1.0:
@@ -177,15 +177,6 @@ class ChannelSample(NamedTuple):
     received_power: float
 
 
-def _kc(k: float, exponent: float, cos_fov: float, c: float) -> float | None:
-    """K c^(m+1), exponent being m + 1, for a link of cosine c inside the FOV
-    (c >= cos(fov)), else None. A cosine above 1 or NaN raises DomainError."""
-
-    if not c <= 1.0:
-        raise DomainError(f"link cosine must be <= 1, got {c}")
-    return k * c**exponent if c >= cos_fov else None
-
-
 def power_columns(
     led: LedSpec,
     pd: PdSpec,
@@ -212,7 +203,9 @@ def power_columns(
         if not distance > 0.0:
             raise DomainError(f"distance must be > 0, got {distance}")
         if c is not last:
-            last, kc = c, _kc(k, exponent, cos_fov, c)
+            if not c <= 1.0:
+                raise DomainError(f"link cosine must be <= 1, got {c}")
+            last, kc = c, k * c**exponent if c >= cos_fov else None
         powers.append(0.0 if kc is None else kc / distance**2)
     return powers
 
@@ -220,10 +213,11 @@ def power_columns(
 def received_power_at(led: LedSpec, pd: PdSpec, distance: float, angle: float) -> float:
     """Received power at a distance and a from-normal link angle in degrees,
     given explicitly: a one-row view of power_columns at cos(angle). A
-    negative or NaN angle raises DomainError."""
+    negative, infinite or NaN angle raises DomainError."""
 
-    if not angle >= 0.0:
-        raise DomainError(f"link angle must be >= 0 degrees, got {angle}")
+    if not 0.0 <= angle < math.inf:
+        bound = "finite" if angle == math.inf else ">= 0 degrees"
+        raise DomainError(f"link angle must be {bound}, got {angle}")
     return power_columns(led, pd, (distance,), (math.cos(math.radians(angle)),))[0]
 
 
@@ -242,7 +236,7 @@ def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
     """
 
     slant, c = link_geometry(led.position, position)
-    kc = _kc(_gain_constant(led, pd), led.lambertian_order + 1.0, _fov_cosine(pd.fov), c)
-    power = 0.0 if kc is None else kc / slant**2
+    k = _gain_constant(led, pd)
     gain = concentrator_gain(c, pd.refractive_index, pd.fov)
+    power = k * c ** (led.lambertian_order + 1.0) / slant**2 if gain else 0.0
     return tuple.__new__(ChannelSample, (slant, gain, power))

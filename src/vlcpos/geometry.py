@@ -73,30 +73,17 @@ class RoomSpec(_record("_Room", "width length height")):
         return 0.0 <= point.x <= self.width and 0.0 <= point.y <= self.length
 
 
-def _link(led_pos: Point3, point: Point3) -> tuple[float, float]:
-    """(slant, cosine) of one PD point, the row link_columns and link_geometry share."""
-
-    lz, z = led_pos.z, point.z
-    separation = lz - z
-    if not 0.0 < separation < math.inf:  # lz > z gives lz - z > 0; only overflow gives inf
-        if not lz > z:
-            raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
-        raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
-    slant = math.dist(led_pos, point)
-    return slant, min(separation / slant, 1.0)
-
-
 def link_columns(
     led_pos: Point3, points: Sequence[Point3]
 ) -> tuple[list[float], list[float]]:
-    """Slant distance and link cosine columns, one row per PD point.
+    """Slant distance and link cosine columns: link_geometry's row per PD point.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above a PD point.
         DomainError: when their heights lie further apart than the float range.
     """
 
-    rows = [_link(led_pos, point) for point in points]
+    rows = [link_geometry(led_pos, point) for point in points]
     return [slant for slant, _ in rows], [c for _, c in rows]
 
 
@@ -104,12 +91,21 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
     """(slant, cosine) for an LED strictly above the PD plane.
 
     With vertical separation V = led.z - pd.z, slant distance d and link
-    cosine min(V/d, 1); the elevation is asin of the cosine. The row is
-    link_columns' row for the point, from the same per-point helper.
+    cosine V/d; the elevation is asin of the cosine. V/d needs no clamp: the
+    exact distance is at least V, a double math.dist takes too (not so for two
+    int heights past 2**53), and math.dist is faithfully rounded on Python
+    3.10+, so d >= V and V/d <= 1, exactly 1 on axis.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD.
         DomainError: when their heights lie further apart than the float range.
     """
 
-    return _link(led_pos, pd_pos)
+    lz, z = led_pos.z, pd_pos.z
+    separation = lz - z
+    if not 0.0 < separation < math.inf:  # lz > z gives lz - z > 0; only overflow gives inf
+        if not lz > z:
+            raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
+        raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
+    slant = math.dist(led_pos, pd_pos)
+    return slant, separation / slant

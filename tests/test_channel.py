@@ -131,6 +131,8 @@ class TestRadiantIntensity:
             received_power_at(LED, PD, 3.0, -1.0)
         with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got nan$"):
             received_power_at(LED, PD, 3.0, math.nan)
+        with pytest.raises(DomainError, match=r"^link angle must be finite, got inf$"):
+            received_power_at(LED, PD, 3.0, math.inf)
         with pytest.raises(DomainError):
             LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=0.0)
         # Beyond every FOV (at most 90 degrees) the power is 0, not an error.
@@ -160,6 +162,12 @@ class TestConcentratorGain:
             concentrator_gain(math.nan, 1.5, 90.0)
         with pytest.raises(DomainError):
             concentrator_gain(1.0, 1.5, 0.0)
+        # On axis the gain reads no cosine of the FOV, off axis it does; both
+        # check the FOV first.
+        for c, fov in ((1.0, math.inf), (0.5, math.inf), (1.0, math.nan), (0.5, math.nan)):
+            message = f"^field of view must be finite and > 0 degrees, got {fov}$"
+            with pytest.raises(DomainError, match=message):
+                concentrator_gain(c, 1.5, fov)
         with pytest.raises(DomainError):
             concentrator_gain(1.0, 0.5, 90.0)
 
@@ -443,6 +451,19 @@ class TestGrazingLink:
         assert sample.concentrator_gain == 2.25
 
 
+def _floor_point_at_cosine(led_z, target):
+    """A floor point whose link cosine under an LED at (0, 0, led_z) is exactly
+    target: the closed-form x, stepped one float at a time either way."""
+    led = Point3(0.0, 0.0, led_z)
+    below = above = led_z * math.sqrt(1.0 / (target * target) - 1.0)
+    for _ in range(1000):
+        for x in (below, above):
+            if link_geometry(led, Point3(x, 0.0, 0.0))[1] == target:
+                return Point3(x, 0.0, 0.0)
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    raise AssertionError(f"no floor point at link cosine {target!r}")
+
+
 def _columns_row(led, pd, position):
     """received_power's fields from the column functions: link_columns' and
     power_columns' one row, and the gain at its cosine."""
@@ -460,7 +481,7 @@ class TestReceivedPowerIsTheColumnsRow:
     @pytest.mark.parametrize(
         "led, pd, position, power, gain",
         [
-            # c = min(V/d, 1) is 1 under the LED: P = K / V^2 at the on-axis gain.
+            # c = V/d is 1 under the LED: P = K / V^2 at the on-axis gain.
             pytest.param(LED, PD, Point3(2.5, 2.5, 0.0), CENTER_POWER, 2.25, id="on-axis"),
             # The corner link is 41 degrees above the floor, 49 from the PD normal.
             pytest.param(LED, PD._replace(fov=30.0), Point3(0.07, 0.07, 0.0), 0.0, 0.0,
@@ -478,6 +499,35 @@ class TestReceivedPowerIsTheColumnsRow:
         assert tuple(map(float.hex, sample)) == tuple(map(float.hex, row))
         assert math.isclose(sample.received_power, power, rel_tol=1e-3)
         assert sample.concentrator_gain == gain
+
+    # received_power takes its FOV decision from concentrator_gain, and
+    # power_columns takes its own; at the edge c == cos(fov) both read inside.
+    AXIS_LED = LED._replace(position=Point3(0.0, 0.0, 3.0))
+    COS_60 = math.cos(math.radians(60.0))
+
+    @pytest.mark.parametrize(
+        "led, pd, position, inside",
+        [
+            pytest.param(AXIS_LED, PD._replace(fov=60.0), _floor_point_at_cosine(3.0, COS_60),
+                         True, id="at-cos-fov"),
+            pytest.param(AXIS_LED, PD._replace(fov=60.0),
+                         _floor_point_at_cosine(3.0, math.nextafter(COS_60, 0.0)), False,
+                         id="next-double-below-cos-fov"),
+            # V/d = 5e-324 / 4 rounds to 0.0, which is cos(90 deg) as the channel takes it.
+            pytest.param(LED._replace(position=Point3(0.0, 0.0, 5e-324)), PD,
+                         Point3(4.0, 0.0, 0.0), True, id="fov-90-grazing"),
+            pytest.param(LED, PD._replace(fov=1e-6), Point3(2.5, 2.5, 0.0), True,
+                         id="on-axis-fov-1e-6"),
+        ],
+    )
+    def test_fov_edge_is_decided_as_the_row(self, led, pd, position, inside):
+        sample = received_power(led, pd, position)
+        row = _columns_row(led, pd, position)
+        assert tuple(map(float.hex, sample)) == tuple(map(float.hex, row))
+        if inside:
+            assert sample.concentrator_gain > 0.0
+        else:
+            assert sample.concentrator_gain == sample.received_power == 0.0
 
     def test_k_past_the_float_range_raises_as_the_row(self):
         led, pd = LED._replace(transmit_power=1e300), PD._replace(area=1e100)

@@ -100,6 +100,25 @@ def test_link_geometry_closes(link):
 
 
 @PROPERTY
+@given(
+    st.floats(5e-324, 1e300),  # V, every binade from the subnormals up
+    st.floats(0.0, 1e-8),
+    st.floats(0.0, 1e-8),
+    st.sampled_from((0.0, -1.0, 3.0, 1e4)),
+)
+def test_near_vertical_link_cosine_needs_no_clamp(height, dx, dy, floor):
+    """link_geometry's V/d stays <= 1 with no clamp, for horizontal offsets up
+    to 1e-8 V, and is exactly 1 on axis."""
+    pd = Point3(floor, 2.0 * floor, floor)
+    led = Point3(pd.x + dx * height, pd.y + dy * height, pd.z + height)
+    assume(led.z > pd.z)
+    d, c = link_geometry(led, pd)
+    assert c <= 1.0
+    if led.x == pd.x and led.y == pd.y:
+        assert (d, c) == (led.z - pd.z, 1.0)
+
+
+@PROPERTY
 @given(st.data(), links())
 def test_received_power_factors_are_non_negative(data, link):
     led_position, pd_position = link

@@ -239,8 +239,8 @@ class TestSweepColumnsMatchScalarPath:
     """Sweep columns against the one-shot API and the unhoisted formulas.
 
     Equality is exact: each sweep row is one received_power and one
-    estimate_position call, received_power evaluates K c^(m+1) / d^2 through
-    the helper that power_columns uses, and the unhoisted formulas keep that
+    estimate_position call, received_power evaluates K c^(m+1) / d^2 left to
+    right as power_columns does, and the unhoisted formulas keep that
     evaluation order.
     """
 
