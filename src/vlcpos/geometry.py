@@ -91,10 +91,11 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
     """(slant, cosine) for an LED strictly above the PD plane.
 
     With vertical separation V = led.z - pd.z, slant distance d and link
-    cosine V/d; the elevation is asin of the cosine. V/d needs no clamp: the
-    exact distance is at least V, a double math.dist takes too (not so for two
-    int heights past 2**53), and math.dist is faithfully rounded on Python
-    3.10+, so d >= V and V/d <= 1, exactly 1 on axis.
+    cosine min(V/d, 1); the elevation is asin of the cosine. For float
+    heights V/d is at most 1 unclamped, exactly 1 on axis: the exact distance
+    is at least V, a double, and math.dist is faithfully rounded on Python
+    3.10+. The clamp serves int heights past 2**53, where V is exact but
+    math.dist rounds each height to a double.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD.
@@ -108,4 +109,5 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
             raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
         raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
     slant = math.dist(led_pos, pd_pos)
-    return slant, separation / slant
+    c = separation / slant  # clamped by a comparison, a fraction of the cost of min()
+    return slant, c if c <= 1.0 else 1.0

@@ -123,14 +123,12 @@ def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str, respell: bool = Fals
 
     A float column takes %.6g in place, or in JSON %.1f where _whole holds;
     every other cell takes %s, after _csv_cell or _json_cell unless its column
-    holds ints. Rows where no column was so converted are formatted as given.
-    A %.6g text is JSON's spelling when _json_numbers keeps it, so a JSON text
-    where a float cell has no point, or "e+" or "e-3" appears, is rendered
-    again with respell: float columns then take _json_numbers.
+    holds ints. A %.6g text is JSON's spelling when _json_numbers keeps it, so
+    a JSON text where a float cell has no point, or "e+" or "e-3" appears, is
+    rendered again with respell: float columns then take _json_numbers.
     """
 
-    # dots: the count the text has when every float cell has one.
-    cells, columns, dots, converted = [], [], 0, False
+    cells, columns, dots = [], [], 0  # dots: the count the text has when every float cell has one
     for column in zip(*rows):
         kinds = set(map(type, column))
         if kinds == {float} and not respell:
@@ -139,10 +137,10 @@ def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str, respell: bool = Fals
         else:
             cells.append("%s")
             if kinds == {float}:
-                column, converted = _json_numbers(column), True
+                column = _json_numbers(column)
             elif kinds != {int}:
                 column = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
-                converted, dots = True, dots + "".join(column).count(".")
+                dots += "".join(column).count(".")
         columns.append(column)
     if fmt == "csv":
         if len(columns) == 1 and "" in columns[0]:
@@ -152,8 +150,7 @@ def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str, respell: bool = Fals
     else:
         # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".
         template, separator = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
-    values = chain.from_iterable(zip(*columns) if converted else rows)
-    text = separator.join(repeat(template, len(rows))) % tuple(values)
+    text = separator.join(repeat(template, len(rows))) % tuple(chain.from_iterable(zip(*columns)))
     if fmt == "json" and not respell:
         if text.count(".") != dots or "e+" in text or "e-3" in text:
             return _render_rows(rows, fmt, respell=True)
@@ -468,16 +465,11 @@ def config_hash(config: ScenarioConfig) -> str:
     newline, a count and the values: little-endian IEEE doubles, or for the
     sample count that many bytes of its two's complement. Two configs hash
     equal exactly when they hold the same ints and floats, 0.0 and -0.0 apart.
-    The builtin sha256 module serves where there is one, not OpenSSL's.
     """
 
-    import struct, sys  # here, not at the top: most commands never hash a config
-    try:  # the builtin digest, as hashlib's sha256 loads OpenSSL
-        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
-    except ImportError:  # an interpreter built without it
-        from hashlib import sha256
+    import hashlib, struct  # here, not at the top: most commands never hash a config
     derived_order = lambertian_order(config.led.half_power_angle)
-    digest = sha256()
+    digest = hashlib.sha256()
     for key, (field, parse, _) in _CONFIG_KEYS.items():
         value = attrgetter(field)(config)
         if value is None or (key == "led.lambertian_order" and value == derived_order):

@@ -481,7 +481,7 @@ class TestReceivedPowerIsTheColumnsRow:
     @pytest.mark.parametrize(
         "led, pd, position, power, gain",
         [
-            # c = V/d is 1 under the LED: P = K / V^2 at the on-axis gain.
+            # c = min(V/d, 1) is 1 under the LED: P = K / V^2 at the on-axis gain.
             pytest.param(LED, PD, Point3(2.5, 2.5, 0.0), CENTER_POWER, 2.25, id="on-axis"),
             # The corner link is 41 degrees above the floor, 49 from the PD normal.
             pytest.param(LED, PD._replace(fov=30.0), Point3(0.07, 0.07, 0.0), 0.0, 0.0,

@@ -368,9 +368,8 @@ class TestStartup:
 
     def test_import_loads_no_module_it_does_not_need(self):
         # dataclasses (with inspect, which it pulls in) and datetime cost about
-        # 15 ms of start-up, hashlib 3 ms; only config_hash imports a sha256
-        # (the builtin one, hashlib only without it) and struct, which packs
-        # the values it digests.
+        # 15 ms of start-up, hashlib 3 ms; only config_hash imports hashlib and
+        # struct, which packs the values it digests.
         unwanted = {"dataclasses", "inspect", "hashlib", "struct", "datetime"}
         bare = self._modules_after("pass")
         loaded = self._modules_after("import vlcpos.cli")

@@ -288,3 +288,10 @@ class TestLinkGeometryIsLinkColumnsRow:
             link_geometry(led, pd)
         assert type(scalar.value) is type(row.value) is error
         assert str(scalar.value) == str(row.value)
+
+    def test_int_heights_past_2_53_clamp_the_cosine_to_one(self):
+        # V = 2**53 is exact in ints, but math.dist takes 2**53 + 1 as the
+        # double 2**53 and returns 2**53 - 1, so V/d alone would exceed 1.
+        led, pd = Point3(0, 0, 2**53 + 1), Point3(0, 0, 1)
+        assert link_geometry(led, pd) == (2.0**53 - 1.0, 1.0)
+        assert link_columns(led, (pd,)) == ([2.0**53 - 1.0], [1.0])

@@ -106,9 +106,9 @@ def test_link_geometry_closes(link):
     st.floats(0.0, 1e-8),
     st.sampled_from((0.0, -1.0, 3.0, 1e4)),
 )
-def test_near_vertical_link_cosine_needs_no_clamp(height, dx, dy, floor):
-    """link_geometry's V/d stays <= 1 with no clamp, for horizontal offsets up
-    to 1e-8 V, and is exactly 1 on axis."""
+def test_near_vertical_link_cosine_is_at_most_one(height, dx, dy, floor):
+    """link_geometry's cosine stays <= 1 for horizontal offsets up to 1e-8 V,
+    and is exactly 1 on axis."""
     pd = Point3(floor, 2.0 * floor, floor)
     led = Point3(pd.x + dx * height, pd.y + dy * height, pd.z + height)
     assume(led.z > pd.z)
