@@ -209,7 +209,16 @@ def _run(argv: list[str] | None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli())
+    """Process entry: run the CLI and exit with its code. The heap it leaves
+    is frozen first, so the interpreter's shutdown collections skip tracing
+    what the exit hands back to the OS whole. os._exit would skip them too,
+    but also atexit handlers, the stdio flush and dev mode's warnings for
+    leaked objects.
+    """
+
+    code = cli()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -290,7 +290,8 @@ class TestUsage:
 
 
 class TestCollectorPause:
-    """cli() pauses the cyclic garbage collector and leaves it as it found it."""
+    """cli() pauses the cyclic garbage collector and leaves it as it found it,
+    frozen objects included: only main() freezes, at the process's exit."""
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
@@ -307,9 +308,11 @@ class TestCollectorPause:
     def test_the_collector_is_left_as_it_was_found(self, capsys, enabled, argv, code):
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
         try:
             assert cli(argv) == code
             assert gc.isenabled() == enabled
+            assert gc.get_freeze_count() == frozen
         finally:
             (gc.enable if was else gc.disable)()
         capsys.readouterr()
@@ -350,6 +353,58 @@ def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr():
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def _without_generated(data: bytes) -> bytes:
+    return b"".join(
+        line for line in data.splitlines(keepends=True) if not line.startswith(b"# generated = ")
+    )
+
+
+def _observed(code: int, stdout: bytes, stderr: bytes, out: Path) -> tuple:
+    written = out.read_bytes() if out.exists() else b""
+    return code, stderr, _without_generated(stdout), _without_generated(written)
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["position-sweep", "--out", "{out}"], 0, None),
+        (["replicate"], 0, None),
+        (["estimate", "--power", "1.0"], 1, "error: PowerTooHigh: "),
+        (["position-sweep", "--format", "yaml"], 2,
+         "vlcpos position-sweep: error: argument --format: "),
+    ],
+    ids=["position-sweep-out", "replicate-stdout", "runtime-error", "usage-error"],
+)
+def test_the_process_entry_does_what_cli_does_in_process(
+    tmp_path, capsys, monkeypatch, argv, code, error
+):
+    # main() freezes the heap left at exit; the process must still return,
+    # print and write exactly what cli() does in process, with no warning.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    process_out, in_process_out = tmp_path / "process", tmp_path / "in-process"
+    process = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "vlcpos.cli",
+         *(arg.format(out=process_out) for arg in argv)],
+        env=_source_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    returned = cli([arg.format(out=in_process_out) for arg in argv])
+    captured = capsys.readouterr()
+    observed = _observed(process.returncode, process.stdout, process.stderr, process_out)
+    assert observed == _observed(
+        returned, captured.out.encode(), captured.err.encode(), in_process_out
+    )
+    _, stderr, stdout, written = observed
+    assert returned == code
+    assert bool(stdout or written) == (code == 0)
+    if error is None:
+        assert stderr == b""
+    else:
+        errors = [line for line in stderr.decode().splitlines() if "error: " in line]
+        assert len(errors) == 1 and errors[0].startswith(error)
 
 
 class TestStartup:
