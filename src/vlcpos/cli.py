@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .estimator import estimate_position
 from .geometry import Point3, RoomSpec
 from .reporting import (
@@ -193,7 +193,7 @@ def _run(argv: list[str] | None) -> int:
             code = 1 if regressions else 0
         if args.out is None:
             sys.stdout.flush()  # so a closed pipe raises here, not at exit
-    except (UnsupportedFormat, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OSError) as exc:

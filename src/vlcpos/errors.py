@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 All domain violations raise DomainError subclasses so callers can catch one
-family; configuration and emission problems have their own types because the
-CLI maps them to a different exit code. A configuration error tied to one line
-carries it only in its message, "line N: ...".
+family; configuration problems have their own types because the CLI maps them
+to a different exit code, and emit raises UnsupportedFormat. A configuration
+error tied to one line carries it only in its message, "line N: ...".
 """
 
 from __future__ import annotations

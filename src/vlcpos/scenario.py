@@ -115,14 +115,15 @@ REFERENCE_POWER_FAMILIES = {
     12.0: (3.51, 1.54),
     15.0: (4.5, 1.92),
 }
-REFERENCE_PLOTTED_PEAK_POWER = 4.5  # at 3 m, 90 degrees, 15 W
 
 # Per-axis displacement from the LED floor projection implied by the
 # published corner estimate: 2.5 - 0.0136.
 REFERENCE_IMPLIED_CORNER_DISPLACEMENT = 2.4864
 
-# Half a unit in the last printed digit of the reference tables (4 decimals)
-# and of the headline values (3 decimals / coarse figure readouts).
+# _TOL_TABLE is half a unit in the 3rd decimal, not the 4th the reference
+# tables print: their error column lies up to 2.2e-4 (position 3) from the
+# errors recomputed from their coordinates. _TOL_HEADLINE is half a unit in the
+# 3rd decimal that the headline values print.
 _TOL_TABLE = 5e-4
 _TOL_HEADLINE = 5e-4
 _TOL_DISTANCE = 5e-3
@@ -201,9 +202,15 @@ class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions tra
                 )
         if not 0.0 <= azimuth < 360.0:
             raise ValidationError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
+        if not isinstance(distance_samples, int):
+            raise ValidationError(f"distance_samples must be an integer, got {distance_samples!r}")
         if distance_samples < 2:
             raise ValidationError(f"distance_samples must be >= 2, got {distance_samples}")
         if distance_range is not None:
+            if not (isinstance(distance_range, (tuple, list)) and len(distance_range) == 2):
+                raise ValidationError(
+                    f"distance_range must be (low, high), got {distance_range!r}"
+                )
             lo, hi = distance_range
             if not 0.0 < lo <= hi:
                 raise ValidationError(
@@ -468,11 +475,11 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
          "as printed the position-8 estimate (0.5591, 0.5519) breaks the "
          "stated X/Y symmetry and misses the published error by 5.3e-3; "
          "the symmetric reading 0.5591 reproduces it within 8.4e-5"),
-        ("published_absolute_power", REFERENCE_PLOTTED_PEAK_POWER, center_power,
+        ("published_absolute_power", plotted_center, center_power,
          _TOL_HEADLINE, None, not_reproducible,
          "closed-form received power at 3 m, 90 degrees, 15 W is "
          f"{center_power:.4g} W against the plotted 4.5 W, a factor of "
-         f"{REFERENCE_PLOTTED_PEAK_POWER / center_power:.3g}; no scaling "
+         f"{plotted_center / center_power:.3g}; no scaling "
          "constant is published"),
         ("published_power_decay_ratio", plotted_center / plotted_corner,
          center_power / corner_power, 0.05, None, not_reproducible,

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -97,6 +98,35 @@ class TestOtherSweeps:
             if line.startswith("# config")
         ]
         assert default_meta != changed_meta
+
+
+_floor = random.Random(7)
+CROSS_CHECK_CONFIGS = {
+    "default": "",
+    "bright": "led.transmit_power = 1e13\nsweep.transmit_powers = [8, 1e12]\n",
+    "brighter": "led.transmit_power = 1e14\n",
+    "sweep": "sweep.positions = [%s]" % ", ".join(
+        "(%r, %r, 0.0)" % (_floor.uniform(0, 5), _floor.uniform(0, 5)) for _ in range(2000)),
+}
+
+
+@pytest.mark.parametrize("config", CROSS_CHECK_CONFIGS)
+@pytest.mark.parametrize("command", ["angle-sweep --samples 3000", "power-sweep", "position-sweep"])
+def test_json_rows_are_the_csv_rows_spelled_as_repr(tmp_path, config, command):
+    # The default angle sweep renders chunks in place and respelled. e+ texts send
+    # chunks to the respelling: alone in brighter, beside whole texts in bright.
+    (tmp_path / "run.cfg").write_text(CROSS_CHECK_CONFIGS[config])
+    for fmt in ("csv", "json"):
+        argv = [*command.split(), "--config", str(tmp_path / "run.cfg"), "--format", fmt]
+        assert cli([*argv, "--out", str(tmp_path / fmt)]) == 0
+    _, rows = _read_csv(tmp_path / "csv")
+    assert len(rows) == 12000 or not command.startswith("angle-sweep")
+    # Each JSON float, kept as its text, is repr(float()) of its CSV cell; index
+    # is the one int column, an int in both formats.
+    table = json.loads((tmp_path / "json").read_text(), parse_float=str)
+    ints = [column == "index" for column in table["columns"]]
+    assert table["rows"] == [[int(c) if i else repr(float(c)) for c, i in zip(row, ints)]
+                             for row in rows]
 
 
 class TestSweepDispatch:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -169,6 +170,19 @@ class TestScenarioConfigValidation:
             config._replace(distance_range=(4.0, 3.0))
         with pytest.raises(ValidationError):
             config._replace(transmit_powers=(8.0, 0.0))
+
+    @pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
+    def test_rejects_a_sample_count_that_is_not_an_int(self, samples):
+        # Otherwise run_angle_sweep raises a TypeError deep inside the sweep.
+        message = f"distance_samples must be an integer, got {samples!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            default_config()._replace(distance_samples=samples)
+
+    @pytest.mark.parametrize("span", [(3.0,), (1.0, 2.0, 3.0), 3.0])
+    def test_rejects_a_distance_range_that_is_not_a_pair(self, span):
+        message = f"distance_range must be (low, high), got {span!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            default_config()._replace(distance_range=span)
 
 
 class TestPositionSweep:
