@@ -467,7 +467,9 @@ def config_hash(config: ScenarioConfig) -> str:
     equal exactly when they hold the same ints and floats, 0.0 and -0.0 apart.
     """
 
-    import hashlib, struct  # here, not at the top: most commands never hash a config
+    # Imported here, not at the top: estimate and the text replicate report never
+    # hash a config, and so skip hashlib's OpenSSL load (about 3 ms, ROADMAP item 15).
+    import hashlib, struct
     derived_order = lambertian_order(config.led.half_power_angle)
     digest = hashlib.sha256()
     for key, (field, parse, _) in _CONFIG_KEYS.items():

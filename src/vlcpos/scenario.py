@@ -143,6 +143,12 @@ _MIN_LED_HEIGHT = math.sqrt(_TINY)
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
+def _require_number(value: object, name: str) -> None:
+    # Worded as the config parser's _number, which rejects the same values first.
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
 class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions transmit_powers "
                              "sweep_elevations azimuth distance_samples distance_range")):
     """Complete description of one experiment scenario.
@@ -191,15 +197,20 @@ class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions tra
         if len(transmit_powers) == 0:
             raise ValidationError("transmit_powers must not be empty")
         for p in transmit_powers:
+            _require_number(p, "transmit_powers")
             if not p > 0.0:
                 raise ValidationError(f"transmit power must be > 0, got {p}")
+            if not p <= sys.float_info.max:  # inf, or an int past the float range
+                raise ValidationError(f"transmit_powers must be finite, got {p!r}")
         if len(sweep_elevations) == 0:
             raise ValidationError("sweep_elevations must not be empty")
         for elevation in sweep_elevations:
+            _require_number(elevation, "sweep_elevations")
             if not 0.0 < elevation <= 90.0:
                 raise ValidationError(
                     f"sweep elevation must lie in (0, 90] degrees, got {elevation}"
                 )
+        _require_number(azimuth, "azimuth")
         if not 0.0 <= azimuth < 360.0:
             raise ValidationError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
         if not isinstance(distance_samples, int):
@@ -212,6 +223,8 @@ class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions tra
                     f"distance_range must be (low, high), got {distance_range!r}"
                 )
             lo, hi = distance_range
+            _require_number(lo, "distance_range")
+            _require_number(hi, "distance_range")
             if not 0.0 < lo <= hi:
                 raise ValidationError(
                     f"distance_range must satisfy 0 < low <= high, got ({lo}, {hi})"

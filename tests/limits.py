@@ -1,5 +1,6 @@
-"""Behaviour at the limits, as one table: each row is a config and a command
-line, with the exit code, first stderr line and output cells they give.
+"""The CLI's observable contract, as one table: each row is a config and a
+command line, with the exit code, stderr, output cells and output digest they
+give. It holds the default config's output bytes and the behaviour at the limits.
 
 Tier-1 runs every row in-process through cli() (test_limits.py). As a script,
 with no options, it runs every row against the vlcpos script on PATH, under
@@ -12,6 +13,7 @@ imports nothing from vlcpos:
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,13 +23,15 @@ from typing import Callable, NamedTuple
 
 
 class Row(NamedTuple):
-    """One limit case. argv is split on spaces; a --config or --out value in
-    it names a file in a fresh directory, and config, unless None, is written
-    there and passed as --config. err is a prefix of stderr's first line and
-    its newline (argparse's message line, after its usage block); "" means
-    stderr is empty. cells maps a CSV cell (row from 1, column) or the key of
-    a `key = value` or `# key = value` line to its text, or to None where
-    there is no such cell. out_kept: an existing --out file stays as it was.
+    """One case. argv is split on spaces; a --config or --out value in it
+    names a file in a fresh directory, and config, unless None, is written
+    there and passed as --config. err is a prefix of stderr (argparse's message
+    line, after its usage block), or all of it where err ends in a newline;
+    "" means stderr is empty. cells maps a CSV cell (row from 1, column) or the
+    key of a `key = value` or `# key = value` line to its text, or to None
+    where there is no such cell. out_kept: an existing --out file stays as it
+    was. digest, unless None, is digest() of the output. The output is the
+    --out file, if there is one after the run, else stdout.
     """
 
     name: str
@@ -37,6 +41,7 @@ class Row(NamedTuple):
     err: str
     cells: dict = {}
     out_kept: bool = False
+    digest: str | None = None
 
 
 POWER_AT_3_5_M = "1.4496953791835698e-06"
@@ -58,8 +63,74 @@ NO_FILE = "error: FileNotFoundError: [Errno 2] No such file or directory: '"
 UNSEEN = "measured power must be > 0, got 0.0\n"
 INVALID = "ValidationError: line 1: "
 OVERFLOW = "error: ValidationError: {} is above 7.74e+153 m, where"
+# digest() of the default config's outputs that more than one row reads.
+POSITION_CSV = "940316055c1e0a1529644bb44d8e84135dda44dda8a4b1a86402570bbae1dc31"
+POSITION_JSON = "2bbab1a357417d696688046322f846405ada7932a6a47e87f13ce56ab7bb7218"
+REPLICATE_TEXT = "f9bb12b299df37672e4d3e6d004346befc47b8d9f02caa11fd2482d59e4687f9"
+REPLICATE_JSON = "2bd0ab267e19b8fc10571497a63fe7a45ef56d566bd3917d9d2b4c4269d4641f"
+ESTIMATE_3_5_M = "03ca6638280983da3488a28cce2bff008bc103e3f69ab145ebdef11c6c860eeb"
+# The default walk, from under the LED to the corner, run corner first: five
+# checks grade otherwise than expected, each on its own stderr line.
+WALK = [2.5 + i / 9 * (0.07 - 2.5) for i in range(9)] + [0.07]
+REVERSED_WALK = "sweep.positions = [%s]" % ", ".join(f"({c!r}, {c!r}, 0.0)" for c in WALK[::-1])
+REGRESSIONS = "".join(
+    f"error: ReplicationRegression: {check} graded NOT-REPRODUCIBLE, expected {expected}\n"
+    for check, expected in (
+        ("center_slant_distance", "REPRODUCED"), ("corner_slant_distance", "REPRODUCED"),
+        ("center_elevation_angle", "REPRODUCED"), ("pipeline_error_monotonic", "REPRODUCED"),
+        ("pipeline_error_spread", "TREND-ONLY")))
 
 ROWS = (
+    # The default config's output bytes, each command written with --out.
+    *(Row(f"golden-{name}", None, f"{argv} --out out", 0, "", digest=sha)
+      for name, argv, sha in (
+          ("position-sweep", "position-sweep", POSITION_CSV),
+          ("position-sweep-json", "position-sweep --format json", POSITION_JSON),
+          ("power-sweep", "power-sweep",
+           "1014071bdc9c04813a0576d863655214e5e446bb263bec450fdcb2cc0c1a9cfa"),
+          ("power-sweep-json", "power-sweep --format json",
+           "a9b04f79ad6b7ab36a1183941d636bf0c15576acd1ede2d0797aff7489b8aa47"),
+          ("angle-sweep", "angle-sweep",
+           "d4a60ee41479923567068ca9252e858902de05bf58c3eb1be170b54b08c2632a"),
+          ("angle-sweep-json", "angle-sweep --format json",
+           "85cc272c2714beccfe5353ae605d004cd3447dbd9b1a9a8a4191055c867b4e64"),
+          # 10^4 rows: long enough for columns to repeat values (four elevations),
+          # which is where the JSON number spelling reads a text back only once.
+          ("angle-sweep-10k-json", "angle-sweep --samples 2500 --format json",
+           "153aec7d837f09ea17f13a2a07e0fe1eea3da2ee0d905b7c2a55953cd996f784"),
+          ("replicate", "replicate", REPLICATE_TEXT),
+          ("replicate-csv", "replicate --format csv",
+           "ed5abebdc598e39de981d6683846ccb7e0a9de7e951da8c48ac3f0f08189bb02"),
+          ("replicate-json", "replicate --format json", REPLICATE_JSON),
+          ("estimate", f"estimate --power {POWER_AT_3_5_M} --actual 1.42 1.42", ESTIMATE_3_5_M))),
+    # The same bytes on stdout; a CSV output starts with its metadata.
+    Row("position-sweep-stdout", None, "position-sweep", 0, "",
+        {"config": "1a036cb8c79a", "version": "0.1.0"}, digest=POSITION_CSV),
+    Row("position-sweep-json-stdout", None, "position-sweep --format json", 0, "",
+        digest=POSITION_JSON),
+    Row("replicate-stdout", None, "replicate", 0, "", digest=REPLICATE_TEXT),
+    Row("replicate-json-stdout", None, "replicate --format json", 0, "", digest=REPLICATE_JSON),
+    Row("estimate-actual-stdout", None, f"estimate --power {POWER_AT_3_5_M} --actual 1.42 1.42",
+        0, "", digest=ESTIMATE_3_5_M),
+    # More command lines read from stdout.
+    Row("estimate-3.5-m", None, f"estimate --power {POWER_AT_3_5_M}", 0, "",
+        {"inverted_distance": "3.5", "clipped_to_room": "false", "positioning_error": None}),
+    Row("estimate-clipped", None, "estimate --power 1e-8", 0, "", {"clipped_to_room": "true"}),
+    # 20 rows, and a sample count changes the config hash.
+    Row("angle-sweep-samples-5", None, "angle-sweep --samples 5", 0, "",
+        {"config": "a38bd381538f"},
+        digest="c7b34f8d14c55878266a3c0e4dc52fab4303ed29bbe5385051f57e5cd8340364"),
+    Row("one-transmit-power", "sweep.transmit_powers = [8.0]", "power-sweep", 0, "",
+        {(1, "transmit_power"): "8", (10, "transmit_power"): "8", (11, "transmit_power"): None}),
+    # The digest of "vlcpos 0.1.0\n".
+    Row("version", None, "--version", 0, "",
+        digest="f49cce4bd82cd6603d003a58a1b3d687bec74470e223e575337f0f6b1c8fb24b"),
+    # A regression exits 1 after the whole report, in either form.
+    Row("replicate-regressions", REVERSED_WALK, "replicate", 1, REGRESSIONS,
+        digest="4b684d83293abc98c4845e345bc90ba666c2d32f45988592956f3f8424bd1a26"),
+    Row("replicate-regressions-csv", REVERSED_WALK, "replicate --format csv --out out.csv", 1,
+        REGRESSIONS, digest="d5106b786a3805dfc2795723b3c5b33a9cf138b1732a58fa23f7b28e23ca3e5b"),
+
     # Usage: argparse's message line, exit 2.
     Row("no-subcommand", None, "", 2,
         "vlcpos: error: the following arguments are required: command\n"),
@@ -219,6 +290,18 @@ ROWS = (
 _KEPT = b"kept\r\nas it was\n"
 
 
+def digest(output: bytes) -> str:
+    """The sha256 of an output outside its metadata: the lines that start
+    with '#' and the JSON "generated" line. A JSON output's "config" line is
+    not metadata, so the digest pins the config hash too."""
+
+    sha = hashlib.sha256()
+    for line in output.splitlines(keepends=True):
+        if not line.startswith(b"#") and b'"generated":' not in line:
+            sha.update(line)
+    return sha.hexdigest()
+
+
 def _cells(text: str) -> dict:
     """Each `key = value` line by key, with or without a `# ` prefix, and each
     cell of the CSV table by (row, column)."""
@@ -262,7 +345,8 @@ def check(row: Row, run: Callable[[list], tuple]) -> None:
             problems.append(f"exit code {code}, expected {row.code}")
         lines = stderr.splitlines(keepends=True)
         message = lines[-1] if lines and lines[0].startswith("usage:") else stderr
-        if not (message.startswith(row.err) if row.err else stderr == ""):
+        whole = row.err.endswith("\n") or not row.err
+        if not (message == row.err if whole else message.startswith(row.err)):
             problems.append(f"stderr {stderr!r}, expected {row.err!r}")
         if row.err.startswith("error:") and "ReplicationRegression" not in row.err:
             if len(lines) != 1:
@@ -273,13 +357,15 @@ def check(row: Row, run: Callable[[list], tuple]) -> None:
                 problems.append("a failing run wrote --out")
         if row.out_kept and out.read_bytes() != _KEPT:
             problems.append("the existing --out file changed")
-        if row.cells:
-            cells = _cells(out.read_text(encoding="utf-8") if out and out.exists() else stdout)
-            problems += [
-                f"cell {key!r} is {cells.get(key)!r}, expected {value!r}"
-                for key, value in row.cells.items()
-                if cells.get(key) != value
-            ]
+        output = out.read_bytes() if out and out.exists() else stdout.encode("utf-8")
+        cells = _cells(output.decode("utf-8")) if row.cells else {}
+        problems += [
+            f"cell {key!r} is {cells.get(key)!r}, expected {value!r}"
+            for key, value in row.cells.items()
+            if cells.get(key) != value
+        ]
+        if row.digest and digest(output) != row.digest:
+            problems.append(f"output digest {digest(output)}, expected {row.digest}")
     if problems:
         raise AssertionError("; ".join(problems))
 

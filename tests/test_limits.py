@@ -1,4 +1,4 @@
-"""The limit table of limits.py, run in-process through cli()."""
+"""The table of limits.py, run in-process through cli()."""
 
 import pytest
 

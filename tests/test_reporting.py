@@ -1,6 +1,7 @@
 """Tests for table emission, config parsing, and serialization round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -453,15 +454,21 @@ class TestSerializeConfig:
 
 
 class TestConfigHash:
-    def test_shape_and_stability(self):
-        digest = config_hash(default_config())
-        assert len(digest) == 12
-        assert all(c in "0123456789abcdef" for c in digest)
-        assert digest == config_hash(default_config())
-
     def test_sensitivity(self):
         other = parse_config("led.transmit_power = 12")
         assert config_hash(other) != config_hash(default_config())
+
+    def test_default_config_hash_is_pinned(self):
+        # The hash digests the values' bits, not text; the text has its own pin below.
+        assert config_hash(default_config()) == "1a036cb8c79a"
+
+    def test_default_config_text_is_pinned(self):
+        # The round-trip oracle's bytes. Their first 12 hex digits are the hash
+        # that config_hash gave while it digested this text.
+        text = serialize_config(default_config()).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == (
+            "b43b69b192d57b4f5138b074b5ce1195fe6a031ad469ce40b09132f6e79fffef"
+        )
 
     @pytest.mark.parametrize(
         "first, second, equal",

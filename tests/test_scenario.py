@@ -184,6 +184,32 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValidationError, match=re.escape(message)):
             default_config()._replace(distance_range=span)
 
+    @pytest.mark.parametrize(
+        "field, value, bad",
+        [("azimuth", "0", "'0'"), ("azimuth", True, "True"),
+         ("transmit_powers", ("8",), "'8'"), ("transmit_powers", (8.0, True), "True"),
+         ("sweep_elevations", (None,), "None"), ("sweep_elevations", (90.0, True), "True"),
+         ("distance_range", ("1", "2"), "'1'"), ("distance_range", (1.0, None), "None")],
+    )
+    def test_rejects_a_value_that_is_not_a_number(self, field, value, bad):
+        # Otherwise a str or None raises a bare TypeError and a bool loads as 1.
+        message = f"{field} must be a number, got {bad}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            default_config()._replace(**{field: value})
+
+    @pytest.mark.parametrize("power", [math.inf, 10**400])
+    def test_rejects_a_transmit_power_past_the_float_range(self, power):
+        # Otherwise it loads, and power-sweep fails in LedSpec or float().
+        message = f"transmit_powers must be finite, got {power!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            default_config()._replace(transmit_powers=(8.0, power))
+
+    def test_ints_load_as_numbers(self):
+        fields = {"azimuth": 225, "transmit_powers": (8, 15), "sweep_elevations": (90,),
+                  "distance_range": (1, 2)}
+        config = default_config()._replace(**fields)
+        assert {name: getattr(config, name) for name in fields} == fields
+
 
 class TestPositionSweep:
     def test_rows_follow_reference_grid(self):
@@ -414,9 +440,9 @@ class TestAngleSweep:
 class TestReplicationReport:
     def test_all_checks_match_expectations(self):
         checks = replication_report()
-        assert replication_text(checks).startswith(
-            f"# reference dataset version {REFERENCE_DATASET_VERSION}\n"
-        )
+        header = [f"# reference dataset version {REFERENCE_DATASET_VERSION}"]
+        header += [f"# assumption: {assumption}" for assumption in ASSUMPTIONS]
+        assert replication_text(checks).splitlines()[: len(header)] == header
         names = [check.name for check in checks]
         assert names == list(EXPECTED_VERDICTS)
         for check in checks:
