@@ -27,7 +27,8 @@ class Row(NamedTuple):
     names a file in a fresh directory, and config, unless None, is written
     there and passed as --config. err is a prefix of stderr (argparse's message
     line, after its usage block), or all of it where err ends in a newline;
-    "" means stderr is empty. cells maps a CSV cell (row from 1, column) or the
+    "" means stderr is empty, and {work} in it stands for that directory. A
+    config is written as UTF-8, each lone surrogate escape as its byte. cells maps a CSV cell (row from 1, column) or the
     key of a `key = value` or `# key = value` line to its text, or to None
     where there is no such cell. out_kept: an existing --out file stays as it
     was. digest, unless None, is digest() of the output. The output is the
@@ -265,6 +266,49 @@ ROWS = (
          "ValidationError: led height 1e-200 is below 1.49e-154 m"),
         ("negative-width", "room.width = -1",
          "ValidationError: RoomSpec.width must be > 0, got -1.0"),
+        ("led-power-zero", "led.transmit_power = 0",
+         "ValidationError: transmit_power must be > 0, got 0.0\n"),
+        ("half-power-90", "led.half_power_angle = 90",
+         "ValidationError: half-power angle must lie in (0, 90) degrees, got 90.0\n"),
+        ("half-power-infinite-order", "led.half_power_angle = 1e-9",
+         "ValidationError: half-power angle 1e-09 gives an infinite order\n"),
+        ("order-negative", "led.lambertian_order = -1",
+         "ValidationError: lambertian_order must be > 0, got -1.0\n"),
+        ("area-zero", "pd.area = 0", "ValidationError: area must be > 0, got 0.0\n"),
+        ("filter-gain-zero", "pd.filter_gain = 0",
+         "ValidationError: filter_gain must be > 0, got 0.0\n"),
+        ("index-below-1", "pd.refractive_index = 0.5",
+         "ValidationError: refractive_index must be >= 1, got 0.5\n"),
+        ("fov-infinite-gain", "pd.fov = 1e-160",
+         "ValidationError: fov 1e-160 with refractive_index 1.5 gives an infinite "
+         "concentrator gain\n"),
+        ("point-arity", "led.position = (1.0, 2.0)",
+         INVALID + "led.position must be a 3-tuple (x, y, z), got (1.0, 2.0)\n"),
+        ("no-positions", "sweep.positions = []",
+         INVALID + "sweep.positions must be a non-empty list of points, got []\n"),
+        ("position-off-floor", "sweep.positions = [(1.0, 1.0, 0.5)]",
+         "ValidationError: pd position 1 must lie on the floor plane (z = 0), got z=0.5\n"),
+        ("position-outside-room", "sweep.positions = [(1.0, 1.0, 0.0), (5.5, 1.0, 0.0)]",
+         "ValidationError: pd position 2 at (5.5, 1.0) is outside the room floor\n"),
+        ("no-transmit-powers", "sweep.transmit_powers = []",
+         INVALID + "sweep.transmit_powers must be a non-empty list of numbers, got []\n"),
+        ("transmit-power-zero", "sweep.transmit_powers = [0]",
+         "ValidationError: transmit power must be > 0, got 0.0\n"),
+        ("elevation-zero", "sweep.elevations = [0]",
+         "ValidationError: sweep elevation must lie in (0, 90] degrees, got 0.0\n"),
+        ("azimuth-360", "sweep.azimuth = 360",
+         "ValidationError: azimuth must lie in [0, 360) degrees, got 360.0\n"),
+        ("distance-range-triple", "sweep.distance_range = (1, 2, 3)",
+         INVALID + "sweep.distance_range must be (low, high), got (1.0, 2.0, 3.0)\n"),
+        ("distance-range-reversed", "sweep.distance_range = (3, 2)",
+         "ValidationError: distance_range must satisfy 0 < low <= high, got (3.0, 2.0)\n"),
+        ("no-equals", "room.width = 5.0\nnot a key value pair",
+         "ParseError: line 2: expected 'key = value', got 'not a key value pair'\n"),
+        ("duplicate-key", "pd.area = 1e-6\npd.area = 2e-6",
+         "ParseError: line 2: duplicate key 'pd.area'\n"),
+        # A lone surrogate escape is written as its byte: 0xff is no UTF-8.
+        ("not-utf8", "room.width = 5\udcff", "ParseError: {work}/run.cfg is not UTF-8 text: "
+         "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"),
     )),
     Row("missing-config", None, "position-sweep --config nope.cfg", 2, NO_FILE),
     Row("unwritable-out", None, "position-sweep --out missing/out.csv", 1, NO_FILE),
@@ -285,6 +329,14 @@ ROWS = (
     Row("config-and-out", "sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]",
         "position-sweep --out rows.csv", 0, "",
         {(1, "actual_x"): "1", (2, "actual_x"): "2", (3, "actual_x"): None}),
+    # Python spellings json rejects take the ast path to the same values.
+    Row("python-spelled-positions", "sweep.positions = [(1., 1., 0.), (2., 2., 0.)]",
+        "position-sweep", 0, "",
+        digest="61f5527436cf4e23049652af857c5e64ede43774cffb942bacdb46c2a50081e3"),
+    # A configured span, the figure_json workload's path.
+    Row("angle-sweep-distance-range", "sweep.distance_range = (2, 4)",
+        "angle-sweep --samples 5", 0, "", {(1, "distance"): "2", (5, "distance"): "4"},
+        digest="b3d36576a7fa0b4feada32be15fd6bc2e2aa47a92fb27fafec1c8f707973e2c0"),
 )
 
 _KEPT = b"kept\r\nas it was\n"
@@ -331,7 +383,9 @@ def check(row: Row, run: Callable[[list], tuple]) -> None:
     with tempfile.TemporaryDirectory() as work:
         argv = row.argv.split()
         if row.config is not None:
-            Path(work, "run.cfg").write_text(row.config + "\n", encoding="utf-8")
+            Path(work, "run.cfg").write_text(
+                row.config + "\n", encoding="utf-8", errors="surrogateescape"
+            )
             argv += ["--config", "run.cfg"]
         for i, arg in enumerate(argv[:-1]):
             if arg in ("--config", "--out"):
@@ -345,9 +399,10 @@ def check(row: Row, run: Callable[[list], tuple]) -> None:
             problems.append(f"exit code {code}, expected {row.code}")
         lines = stderr.splitlines(keepends=True)
         message = lines[-1] if lines and lines[0].startswith("usage:") else stderr
-        whole = row.err.endswith("\n") or not row.err
-        if not (message == row.err if whole else message.startswith(row.err)):
-            problems.append(f"stderr {stderr!r}, expected {row.err!r}")
+        err = row.err.replace("{work}", work)
+        whole = err.endswith("\n") or not err
+        if not (message == err if whole else message.startswith(err)):
+            problems.append(f"stderr {stderr!r}, expected {err!r}")
         if row.err.startswith("error:") and "ReplicationRegression" not in row.err:
             if len(lines) != 1:
                 problems.append(f"{len(lines)} stderr lines, expected 1")
