@@ -23,7 +23,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .geometry import Point3, _record, link_geometry
+from .geometry import _POSITIVE, Point3, _check, _record, _Rule, link_geometry
 
 __all__ = [
     "LedSpec",
@@ -46,10 +46,7 @@ def lambertian_order(half_power_angle: float) -> float:
         DomainError: when the angle is outside (0, 90) degrees.
     """
 
-    if not 0.0 < half_power_angle < 90.0:
-        raise DomainError(
-            f"half-power angle must lie in (0, 90) degrees, got {half_power_angle}"
-        )
+    _check(half_power_angle, LedSpec._rules["half_power_angle"], "half_power_angle")
     log_cos = math.log(math.cos(math.radians(half_power_angle)))
     if log_cos == 0.0:  # cos rounds to 1 below about 6e-7 degrees
         raise DomainError(f"half-power angle {half_power_angle} gives an infinite order")
@@ -86,7 +83,9 @@ def concentrator_gain(c: float, n: float, fov: float) -> float:
 _order_from_angle = lambertian_order
 
 
-class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order")):
+class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order",
+                      transmit_power=_POSITIVE, half_power_angle=_Rule(0.0, 90.0),
+                      lambertian_order=_POSITIVE)):
     """Transmitter: position, optical power, half-power angle, Lambertian order.
 
     lambertian_order None derives the order from the half-power-angle formula;
@@ -99,22 +98,15 @@ class LedSpec(_record("_Led", "position transmit_power half_power_angle lamberti
 
     def __new__(cls, position: Point3, transmit_power: float, half_power_angle: float,
                 lambertian_order: float | None = None) -> LedSpec:
-        if not transmit_power > 0.0:
-            raise DomainError(f"transmit_power must be > 0, got {transmit_power}")
         # The formula checks the angle even when an explicit order overrides it.
         derived = _order_from_angle(half_power_angle)
-        if lambertian_order is None:
-            lambertian_order = derived
-        elif not lambertian_order > 0.0:
-            raise DomainError(f"lambertian_order must be > 0, got {lambertian_order}")
-        fields = (position, transmit_power, half_power_angle, lambertian_order)
-        for name, value in zip(cls._fields[1:], fields[1:]):
-            if not math.isfinite(value):
-                raise DomainError(f"LedSpec.{name} must be finite, got {value}")
-        return tuple.__new__(cls, fields)
+        return super().__new__(cls, position, transmit_power, half_power_angle,
+                               derived if lambertian_order is None else lambertian_order)
 
 
-class PdSpec(_record("_Pd", "area fov filter_gain refractive_index")):
+class PdSpec(_record("_Pd", "area fov filter_gain refractive_index", area=_POSITIVE,
+                     fov=_Rule(0.0, 90.0, "(]"), filter_gain=_POSITIVE,
+                     refractive_index=_Rule(1.0, ends="[)"))):
     """Receiver: area, field of view, filter gain, refractive index; placed per call."""
 
     __slots__ = ()
@@ -122,25 +114,14 @@ class PdSpec(_record("_Pd", "area fov filter_gain refractive_index")):
     def __new__(
         cls, area: float, fov: float, filter_gain: float, refractive_index: float
     ) -> PdSpec:
-        if not area > 0.0:
-            raise DomainError(f"area must be > 0, got {area}")
-        if not 0.0 < fov <= 90.0:
-            raise DomainError(f"fov must lie in (0, 90] degrees, got {fov}")
-        if not filter_gain > 0.0:
-            raise DomainError(f"filter_gain must be > 0, got {filter_gain}")
-        if not refractive_index >= 1.0:
-            raise DomainError(f"refractive_index must be >= 1, got {refractive_index}")
-        fields = (area, fov, filter_gain, refractive_index)
-        for name, value in zip(cls._fields, fields):
-            if not math.isfinite(value):
-                raise DomainError(f"PdSpec.{name} must be finite, got {value}")
+        pd = super().__new__(cls, area, fov, filter_gain, refractive_index)
         # n^2 / sin^2(fov) overflows for a fov below about 1e-152 degrees.
-        sin_squared, n = math.sin(math.radians(fov)) ** 2, refractive_index
+        sin_squared, n = math.sin(math.radians(fov)) ** 2, float(refractive_index)
         if not (sin_squared > 0.0 and math.isfinite(n * n / sin_squared)):
             raise DomainError(
-                f"fov {fov} with refractive_index {n} gives an infinite concentrator gain"
+                f"pd.fov {fov} with pd.refractive_index {n} gives an infinite concentrator gain"
             )
-        return tuple.__new__(cls, fields)
+        return pd
 
 
 _TINY = sys.float_info.min  # the smallest normal double

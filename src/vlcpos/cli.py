@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 import time
@@ -19,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, ParseError, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, RoomSpec
+from .geometry import _FINITE, Point3, RoomSpec, _check
 from .reporting import (
     angle_sweep_table,
     config_hash,
@@ -114,10 +113,10 @@ def _emit_table(table, fmt: str | None, out: str | None) -> None:
 def _floor_point(x: float, y: float, room: RoomSpec) -> Point3:
     """The --actual position, held to the rule the config applies to PD positions."""
 
-    finite = math.isfinite(x) and math.isfinite(y)
-    if not (finite and room.contains_floor_point(Point3(x, y, 0.0))):
+    point = tuple.__new__(Point3, (x, y, 0.0))  # nan and inf lie off every floor
+    if not room.contains_floor_point(point):
         raise ValidationError(f"--actual ({x}, {y}) is not a point on the room floor")
-    return Point3(x, y, 0.0)
+    return point
 
 
 def cli(argv: list[str] | None = None) -> int:
@@ -163,8 +162,7 @@ def _run(argv: list[str] | None) -> int:
             run, table = sweeps[args.command]
             _emit_table(table(run(config), _metadata(config)), args.format, args.out)
         elif args.command == "estimate":
-            if not math.isfinite(args.power):
-                raise ValidationError(f"--power must be finite, got {args.power}")
+            _check(args.power, _FINITE, "--power", ValidationError)
             actual = _floor_point(*args.actual, config.room) if args.actual else None
             record = estimate_position(
                 args.power,

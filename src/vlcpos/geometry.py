@@ -16,8 +16,9 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import DomainError, LedNotAbovePd
 
@@ -29,8 +30,43 @@ __all__ = [
 ]
 
 
-def _record(name: str, fields: str) -> Any:
-    """A named-tuple base for a record that validates in its own __new__.
+class _Rule(NamedTuple):
+    """A number field's rule: low < value < high, with <= at each bound that
+    ends shows closed ("[" or "]"); an integer rule takes a whole number."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    ends: str = "()"
+    integer: bool = False
+
+
+_FINITE, _POSITIVE = _Rule(), _Rule(0.0)
+
+
+def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any:
+    """value as a float (an int, for an integer rule) when it keeps the rule,
+    else error("<name> must ..., got <value>"). A bool or a str is no number,
+    and an int past the float range is not finite."""
+
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise error(f"{name} must be finite, got {value!r}")
+    if rule.integer and not float(value).is_integer():
+        raise error(f"{name} must be an integer, got {value!r}")
+    number = int(value) if rule.integer else float(value)  # an int stays exact past 2**53
+    low, high, (left, right), _ = rule
+    if not ((low <= number if left == "[" else low < number)
+            and (number <= high if right == "]" else number < high)):
+        bounds = (f"be {'>=' if left == '[' else '>'} {low:g}" if high == math.inf
+                  else f"lie in {left}{low:g}, {high:g}{right}")
+        raise error(f"{name} must {bounds}, got {number}")
+    return number
+
+
+def _record(name: str, fields: str, **rules: _Rule) -> Any:
+    """A named-tuple base for a record whose __new__ checks each field named in
+    rules by its rule, as "<record>.<field>"; a record with more rules overrides it.
 
     The record is a tuple of its fields, equal to any tuple of the same values.
     The base's _make, which _replace calls, goes through that __new__ (the
@@ -38,35 +74,31 @@ def _record(name: str, fields: str) -> Any:
     """
 
     base = namedtuple(name, fields)
+    fill = base.__new__  # the namedtuple's own, which binds the arguments to fields
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        record = fill(cls, *args, **kwargs)
+        for field, rule in rules.items():
+            _check(getattr(record, field), rule, f"{cls.__name__}.{field}")
+        return record
+
+    base.__new__ = staticmethod(__new__)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base._rules = rules
     return base
 
 
-class Point3(_record("_Coordinates", "x y z")):
+class Point3(_record("_Coordinates", "x y z", x=_FINITE, y=_FINITE, z=_FINITE)):
     """A 3-D coordinate in meters in the room frame; each must be finite."""
 
     __slots__ = ()
 
-    def __new__(cls, x: float, y: float, z: float) -> Point3:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            for name, value in zip(cls._fields, (x, y, z)):
-                if not math.isfinite(value):
-                    raise DomainError(f"Point3.{name} must be finite, got {value}")
-        return tuple.__new__(cls, (x, y, z))
 
-
-class RoomSpec(_record("_Room", "width length height")):
+class RoomSpec(_record("_Room", "width length height",
+                       width=_POSITIVE, length=_POSITIVE, height=_POSITIVE)):
     """Rectangular room dimensions in meters, each finite and > 0."""
 
     __slots__ = ()
-
-    def __new__(cls, width: float, length: float, height: float) -> RoomSpec:
-        for name, value in zip(cls._fields, (width, length, height)):
-            if not value > 0:
-                raise DomainError(f"RoomSpec.{name} must be > 0, got {value}")
-            if value == math.inf:
-                raise DomainError(f"RoomSpec.{name} must be finite, got {value}")
-        return tuple.__new__(cls, (width, length, height))
 
     def contains_floor_point(self, point: Point3) -> bool:
         """True when the point lies on the floor rectangle (z ignored)."""

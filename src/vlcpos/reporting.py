@@ -30,9 +30,10 @@ from typing import IO, Any, Callable, Mapping, Sequence
 from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord
-from .geometry import Point3, _record
+from .geometry import Point3, _check, _record
 from .scenario import (
-    ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
+    ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, _numbers, _span,
+    default_config
 )
 
 __all__ = [
@@ -282,77 +283,45 @@ def estimate_lines(record: EstimateRecord, clipped: bool) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _number(value: Any, key: str) -> float:
-    if type(value) not in (int, float):  # a bool or a string is not a number here
-        raise ValidationError(f"{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(f"{key} must be finite, got {value!r}")
-    return number
-
-
-def _count(value: Any, key: str) -> int:
-    number = _number(value, key)
-    if not number.is_integer():
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value if type(value) is int else int(number)  # an int past 2**53 loads exactly
-
-
-def _point(value: Any, key: str) -> Point3:
+def _point(value: Any, rule: None, key: str) -> Point3:
     if not (isinstance(value, (tuple, list)) and len(value) == 3):
         raise ValidationError(f"{key} must be a 3-tuple (x, y, z), got {value!r}")
-    return Point3(*map(_number, value, repeat(key)))
+    return tuple.__new__(Point3, map(_check, value, Point3._rules.values(), repeat(key)))
 
 
-def _points(value: Any, key: str) -> tuple[Point3, ...]:
+def _points(value: Any, rule: None, key: str) -> tuple[Point3, ...]:
     if not isinstance(value, (tuple, list)) or len(value) == 0:
         raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
-    # 3-sequences of floats with a finite sum (so each is finite) are checked in
-    # bulk and built past Point3's own check; anything else takes _point, whose
-    # messages name the value.
+    # 3-sequences of floats with a finite sum (so each is finite) keep Point3's
+    # rule in bulk; anything else takes _point, whose messages name the value.
     if set(map(type, value)) <= {tuple, list} and set(map(len, value)) == {3}:
         coordinates = list(chain.from_iterable(value))
         if set(map(type, coordinates)) == {float} and math.isfinite(sum(coordinates)):
             return tuple(map(tuple.__new__, repeat(Point3), value))
-    return tuple(_point(p, key) for p in value)
-
-
-def _floats(value: Any, key: str) -> tuple[float, ...]:
-    if not isinstance(value, (tuple, list)) or len(value) == 0:
-        raise ValidationError(f"{key} must be a non-empty list of numbers, got {value!r}")
-    return tuple(_number(v, key) for v in value)
-
-
-def _span(value: Any, key: str) -> tuple[float, ...]:
-    span = _floats(value, key)
-    if len(span) != 2:
-        raise ValidationError(f"{key} must be (low, high), got {span!r}")
-    return span
+    return tuple(_point(p, rule, key) for p in value)
 
 
 # Every accepted dotted key, in config_hash's order: the ScenarioConfig field
 # it sets ("record.field" inside the room, LED and detector records), its
-# parser, and a short description used in errors.
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, str], Any], str]] = {
-    "room.width": ("room.width", _number, "room width in meters"),
-    "room.length": ("room.length", _number, "room length in meters"),
-    "room.height": ("room.height", _number, "room height in meters"),
+# reader of the value's shape, which holds each number to the rule the record
+# of the field declares, and a short description used in errors.
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, Any, str], Any], str]] = {
+    "room.width": ("room.width", _check, "room width in meters"),
+    "room.length": ("room.length", _check, "room length in meters"),
+    "room.height": ("room.height", _check, "room height in meters"),
     "led.position": ("led.position", _point, "LED position (x, y, z)"),
-    "led.transmit_power": ("led.transmit_power", _number, "LED transmit power in watts"),
-    "led.half_power_angle": ("led.half_power_angle", _number, "LED half-power angle, degrees"),
-    "led.lambertian_order": ("led.lambertian_order", _number, "Lambertian order override"),
-    "pd.area": ("pd_template.area", _number, "PD active area in square meters"),
-    "pd.fov": ("pd_template.fov", _number, "PD field of view in degrees"),
-    "pd.filter_gain": ("pd_template.filter_gain", _number, "PD optical filter gain"),
-    "pd.refractive_index": ("pd_template.refractive_index", _number, "PD refractive index"),
+    "led.transmit_power": ("led.transmit_power", _check, "LED transmit power in watts"),
+    "led.half_power_angle": ("led.half_power_angle", _check, "LED half-power angle, degrees"),
+    "led.lambertian_order": ("led.lambertian_order", _check, "Lambertian order override"),
+    "pd.area": ("pd_template.area", _check, "PD active area in square meters"),
+    "pd.fov": ("pd_template.fov", _check, "PD field of view in degrees"),
+    "pd.filter_gain": ("pd_template.filter_gain", _check, "PD optical filter gain"),
+    "pd.refractive_index": ("pd_template.refractive_index", _check, "PD refractive index"),
     "sweep.positions": ("pd_positions", _points, "list of PD positions [(x, y, z), ...]"),
-    "sweep.transmit_powers": ("transmit_powers", _floats, "transmit powers in watts"),
-    "sweep.elevations": ("sweep_elevations", _floats, "angle-sweep elevations, degrees"),
-    "sweep.azimuth": ("azimuth", _number, "anchoring azimuth in degrees"),
-    "sweep.distance_samples": ("distance_samples", _count, "figure-sweep sample count"),
+    "sweep.transmit_powers": ("transmit_powers", _numbers, "transmit powers in watts"),
+    "sweep.elevations": ("sweep_elevations", _numbers, "angle-sweep elevations, degrees"),
+    "sweep.azimuth": ("azimuth", _check, "anchoring azimuth in degrees"),
+    "sweep.distance_samples": ("distance_samples", _check, "figure-sweep sample count"),
     "sweep.distance_range": ("distance_range", _span, "figure-sweep span (low, high)"),
 }
 
@@ -417,6 +386,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # Field overrides per record of the default; "" holds ScenarioConfig's own fields.
     changes: dict[str, dict[str, Any]] = {"room": {}, "led": {}, "pd_template": {}, "": {}}
+    base = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -439,12 +409,13 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ParseError(
                     f"invalid value {value_text!r} for {key} ({description}): {exc}"
                 ) from exc
-            changes[record][name] = parse(value, key)
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
+            rule = (getattr(base, record) if record else base)._rules.get(name)
+            changes[record][name] = parse(value, rule, key)
+        except (ParseError, ValidationError, DomainError) as exc:
+            kind = ParseError if isinstance(exc, ParseError) else ValidationError
+            raise kind(f"line {lineno}: {exc}") from exc
     # Unless led.lambertian_order is set, the order follows the half-power angle.
     changes["led"].setdefault("lambertian_order", None)
-    base = default_config()
     fields = changes.pop("")
     try:
         for record, overrides in changes.items():
@@ -476,11 +447,11 @@ def config_hash(config: ScenarioConfig) -> str:
         value = attrgetter(field)(config)
         if value is None or (key == "led.lambertian_order" and value == derived_order):
             continue
-        if parse is _count:
+        if key == "sweep.distance_samples":
             count = value.bit_length() // 8 + 1
             data = value.to_bytes(count, "little", signed=True)
         else:
-            if parse is _number:
+            if parse is _check:
                 value = (value,)
             elif parse is _points:
                 value = tuple(chain.from_iterable(value))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .channel import _TINY, LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, RoomSpec, _record, link_columns, link_geometry
+from .geometry import Point3, RoomSpec, _check, _record, _Rule, link_columns, link_geometry
 
 __all__ = [
     "ScenarioConfig",
@@ -143,20 +143,39 @@ _MIN_LED_HEIGHT = math.sqrt(_TINY)
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
-def _require_number(value: object, name: str) -> None:
-    # Worded as the config parser's _number, which rejects the same values first.
-    if type(value) is bool or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+def _numbers(values: object, rule: _Rule, name: str) -> tuple:
+    """A non-empty list's entries as _check gives them, each kept to rule."""
+
+    if not isinstance(values, (tuple, list)) or len(values) == 0:
+        raise ValidationError(f"{name} must be a non-empty list of numbers, got {values!r}")
+    return tuple(_check(value, rule, name, ValidationError) for value in values)
+
+
+def _span(values: object, rule: _Rule, name: str) -> tuple:
+    """A (low, high) pair as _check gives it, each end kept to rule, low <= high."""
+
+    if not (isinstance(values, (tuple, list)) and len(values) == 2):
+        raise ValidationError(f"{name} must be (low, high), got {values!r}")
+    low, high = _numbers(values, rule, name)
+    if not low <= high:
+        raise ValidationError(f"{name} must satisfy low <= high, got ({low}, {high})")
+    return low, high
 
 
 class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions transmit_powers "
-                             "sweep_elevations azimuth distance_samples distance_range")):
+                             "sweep_elevations azimuth distance_samples distance_range",
+                             transmit_powers=LedSpec._rules["transmit_power"],
+                             sweep_elevations=_Rule(0.0, 90.0, "(]"),
+                             azimuth=_Rule(0.0, 360.0, "[)"),
+                             distance_samples=_Rule(2.0, ends="[)", integer=True),
+                             distance_range=_Rule(0.0, _MAX_ROOM_SIZE, "(]"))):
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
-    the floor points the position sweep visits. The LED must lie inside the
-    room, at least _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor. No room
-    side, and no distance_range end, may exceed _MAX_ROOM_SIZE (about 7.7e153 m).
+    the floor points the position sweep visits. A list field's rule holds for
+    each of its entries. The LED must lie inside the room, at least
+    _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor. No room side, and no
+    distance_range end, may exceed _MAX_ROOM_SIZE (about 7.7e153 m).
     distance_range is the span for the figure-style sweeps; None derives it
     from the configured positions.
     """
@@ -167,72 +186,40 @@ class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions tra
                 pd_positions: tuple[Point3, ...], transmit_powers: tuple[float, ...],
                 sweep_elevations: tuple[float, ...], azimuth: float, distance_samples: int = 50,
                 distance_range: tuple[float, float] | None = None) -> ScenarioConfig:
+        _numbers(transmit_powers, cls._rules["transmit_powers"], "transmit_powers")
+        _numbers(sweep_elevations, cls._rules["sweep_elevations"], "sweep_elevations")
+        _check(azimuth, cls._rules["azimuth"], "azimuth", ValidationError)
+        distance_samples = _check(distance_samples, cls._rules["distance_samples"],
+                                  "distance_samples", ValidationError)
+        if distance_range is not None:
+            _span(distance_range, cls._rules["distance_range"], "distance_range")
+        if len(pd_positions) == 0:
+            raise ValidationError("pd_positions must not be empty")
+        # The rules that join fields name the config keys they join.
         for name, side in zip(room._fields, room):
             if side > _MAX_ROOM_SIZE:
                 raise ValidationError(
-                    f"room {name} {side} is above {_MAX_ROOM_SIZE:.3g} m, "
+                    f"room.{name} {side} is above {_MAX_ROOM_SIZE:.3g} m, "
                     "where the squared link distances overflow"
                 )
         source = led.position
         if not (room.contains_floor_point(source) and 0.0 < source.z <= room.height):
             raise ValidationError(
-                f"led position ({source.x}, {source.y}, {source.z}) is outside the room"
+                f"led.position ({source.x}, {source.y}, {source.z}) is outside the room"
             )
         if source.z < _MIN_LED_HEIGHT:
             raise ValidationError(
-                f"led height {source.z} is below {_MIN_LED_HEIGHT:.3g} m, where the "
-                "squared link distances underflow"
+                f"led.position height {source.z} is below {_MIN_LED_HEIGHT:.3g} m, where "
+                "the squared link distances underflow"
             )
-        if len(pd_positions) == 0:
-            raise ValidationError("pd_positions must not be empty")
         for i, pos in enumerate(pd_positions, start=1):
             if pos.z != 0.0:
                 raise ValidationError(
-                    f"pd position {i} must lie on the floor plane (z = 0), got z={pos.z}"
+                    f"sweep.positions point {i} must lie on the floor plane (z = 0), got z={pos.z}"
                 )
             if not room.contains_floor_point(pos):
                 raise ValidationError(
-                    f"pd position {i} at ({pos.x}, {pos.y}) is outside the room floor"
-                )
-        if len(transmit_powers) == 0:
-            raise ValidationError("transmit_powers must not be empty")
-        for p in transmit_powers:
-            _require_number(p, "transmit_powers")
-            if not p > 0.0:
-                raise ValidationError(f"transmit power must be > 0, got {p}")
-            if not p <= sys.float_info.max:  # inf, or an int past the float range
-                raise ValidationError(f"transmit_powers must be finite, got {p!r}")
-        if len(sweep_elevations) == 0:
-            raise ValidationError("sweep_elevations must not be empty")
-        for elevation in sweep_elevations:
-            _require_number(elevation, "sweep_elevations")
-            if not 0.0 < elevation <= 90.0:
-                raise ValidationError(
-                    f"sweep elevation must lie in (0, 90] degrees, got {elevation}"
-                )
-        _require_number(azimuth, "azimuth")
-        if not 0.0 <= azimuth < 360.0:
-            raise ValidationError(f"azimuth must lie in [0, 360) degrees, got {azimuth}")
-        if not isinstance(distance_samples, int):
-            raise ValidationError(f"distance_samples must be an integer, got {distance_samples!r}")
-        if distance_samples < 2:
-            raise ValidationError(f"distance_samples must be >= 2, got {distance_samples}")
-        if distance_range is not None:
-            if not (isinstance(distance_range, (tuple, list)) and len(distance_range) == 2):
-                raise ValidationError(
-                    f"distance_range must be (low, high), got {distance_range!r}"
-                )
-            lo, hi = distance_range
-            _require_number(lo, "distance_range")
-            _require_number(hi, "distance_range")
-            if not 0.0 < lo <= hi:
-                raise ValidationError(
-                    f"distance_range must satisfy 0 < low <= high, got ({lo}, {hi})"
-                )
-            if hi > _MAX_ROOM_SIZE:
-                raise ValidationError(
-                    f"distance_range high end {hi} is above {_MAX_ROOM_SIZE:.3g} m, "
-                    "where the squared distances overflow"
+                    f"sweep.positions point {i} at ({pos.x}, {pos.y}) is outside the room floor"
                 )
         return tuple.__new__(cls, (room, led, pd_template, pd_positions, transmit_powers,
                                    sweep_elevations, azimuth, distance_samples, distance_range))

@@ -11,20 +11,21 @@ config_hash to it: two configs hash equal exactly when their texts are equal.
 from operator import attrgetter
 
 from vlcpos import lambertian_order
-from vlcpos.reporting import _CONFIG_KEYS, _count, _floats, _number, _point, _points, _span
+from vlcpos.geometry import _check
+from vlcpos.reporting import _CONFIG_KEYS, _point, _points
+from vlcpos.scenario import _numbers, _span
 
 
 def _point_text(point):
     return f"({point.x!r}, {point.y!r}, {point.z!r})"
 
 
-# The text each of the config's parsers reads back to the value it returned.
+# The text each of the config's readers reads back to the value it returned.
 _TEXT_FORMS = {
-    _number: repr,
-    _count: repr,
+    _check: repr,
     _point: _point_text,
     _points: lambda points: "[" + ", ".join(map(_point_text, points)) + "]",
-    _floats: lambda values: "[" + ", ".join(map(repr, values)) + "]",
+    _numbers: lambda values: "[" + ", ".join(map(repr, values)) + "]",
     _span: lambda span: "(" + ", ".join(map(repr, span)) + ")",
 }
 

@@ -25,14 +25,15 @@ from typing import Callable, NamedTuple
 class Row(NamedTuple):
     """One case. argv is split on spaces; a --config or --out value in it
     names a file in a fresh directory, and config, unless None, is written
-    there and passed as --config. err is a prefix of stderr (argparse's message
-    line, after its usage block), or all of it where err ends in a newline;
-    "" means stderr is empty, and {work} in it stands for that directory. A
-    config is written as UTF-8, each lone surrogate escape as its byte. cells maps a CSV cell (row from 1, column) or the
-    key of a `key = value` or `# key = value` line to its text, or to None
-    where there is no such cell. out_kept: an existing --out file stays as it
-    was. digest, unless None, is digest() of the output. The output is the
-    --out file, if there is one after the run, else stdout.
+    there as UTF-8 (a lone surrogate escape as its byte) and passed as
+    --config. err is a prefix of stderr (argparse's message line, after its
+    usage block), or all of it where err ends in a newline; "" means stderr is
+    empty, and {work} in err stands for the fresh directory. cells maps a CSV
+    cell (row from 1, column), the key of a `key = value` or `# key = value`
+    line, or the label of another `# label: text` line to its text, or to None
+    where there is no such cell (see _cells). out_kept: an existing --out file stays as it was. digest, unless
+    None, is digest() of the output. The output is the --out file, if there is
+    one after the run, else stdout.
     """
 
     name: str
@@ -64,6 +65,17 @@ NO_FILE = "error: FileNotFoundError: [Errno 2] No such file or directory: '"
 UNSEEN = "measured power must be > 0, got 0.0\n"
 INVALID = "ValidationError: line 1: "
 OVERFLOW = "error: ValidationError: {} is above 7.74e+153 m, where"
+ASSUMPTIONS = "\n".join((
+    "vertical separation V in the horizontal-distance relation is read as the LED-PD height "
+    "difference (3.0 m in the default room)",
+    "figure-mode sweeps hold the angle factor fixed across the distance axis as the published "
+    "families do; the position sweep couples the angles to the true geometry",
+    "a single-LED intensity measurement cannot disambiguate direction, so estimates are "
+    "anchored along the configured azimuth (225 degrees for the published half-diagonal)",
+    "the position sweep runs at 15 W; positioning results are power-independent in this "
+    "noiseless model",
+    "position-8 estimated coordinates of the reference table use the symmetric reading, see "
+    "reference_position8_symmetry"))
 # digest() of the default config's outputs that more than one row reads.
 POSITION_CSV = "940316055c1e0a1529644bb44d8e84135dda44dda8a4b1a86402570bbae1dc31"
 POSITION_JSON = "2bbab1a357417d696688046322f846405ada7932a6a47e87f13ce56ab7bb7218"
@@ -109,7 +121,9 @@ ROWS = (
         {"config": "1a036cb8c79a", "version": "0.1.0"}, digest=POSITION_CSV),
     Row("position-sweep-json-stdout", None, "position-sweep --format json", 0, "",
         digest=POSITION_JSON),
-    Row("replicate-stdout", None, "replicate", 0, "", digest=REPLICATE_TEXT),
+    # The text report opens with the dataset version and the assumptions.
+    Row("replicate-stdout", None, "replicate", 0, "",
+        {"reference dataset version 1.0.0": "", "assumption": ASSUMPTIONS}, digest=REPLICATE_TEXT),
     Row("replicate-json-stdout", None, "replicate --format json", 0, "", digest=REPLICATE_JSON),
     Row("estimate-actual-stdout", None, f"estimate --power {POWER_AT_3_5_M} --actual 1.42 1.42",
         0, "", digest=ESTIMATE_3_5_M),
@@ -196,18 +210,19 @@ ROWS = (
         {(1, "slant_d"): "1.49167e-154", (10, "est_x"): "1.285"}),
     Row("led-height-below-bound", "room.height = 1.4916681462400412e-154\n"
         "led.position = (2.5, 2.5, 1.4916681462400412e-154)", "position-sweep", 2,
-        "error: ValidationError: led height 1.4916681462400412e-154 is below 1.49e-154 m, "),
+        "error: ValidationError: led.position height 1.4916681462400412e-154 is below "
+        "1.49e-154 m, "),
     Row("room-side-at-bound", "room.width = 7.741001517595157e+153", "position-sweep", 0, "",
         {(10, "est_x"): "0.785669"}),
     Row("room-side-above-bound", "room.width = 7.741001517595158e+153", "position-sweep", 2,
-        OVERFLOW.format("room width 7.741001517595158e+153")),
+        OVERFLOW.format("room.width 7.741001517595158e+153")),
     Row("height-overflows", "room.height = 1e300\nled.position = (2.5, 2.5, 1e200)\n"
         "sweep.positions = [(0.0, 0.0, 0.0)]", "position-sweep", 2,
-        OVERFLOW.format("room height 1e+300")),
+        OVERFLOW.format("room.height 1e+300")),
     Row("width-overflows", "room.width = 1e200\nsweep.positions = [(1e200, 0.0, 0.0)]",
-        "power-sweep", 2, OVERFLOW.format("room width 1e+200")),
+        "power-sweep", 2, OVERFLOW.format("room.width 1e+200")),
     Row("distance-range-overflows", "sweep.distance_range = (1.0, 1e200)", "angle-sweep", 2,
-        OVERFLOW.format("distance_range high end 1e+200")),
+        "error: " + INVALID + "sweep.distance_range must lie in (0, 7.741e+153], got 1e+200\n"),
     # 3.0 ** 651 overflows a float; the inversion then runs in logarithms.
     Row("large-order-estimate", "led.lambertian_order = 650", "estimate --power 1e-9", 0, "",
         {"inverted_distance": "3.06352"}),
@@ -237,8 +252,7 @@ ROWS = (
         ("unknown-key", "foo.bar = 1", "ParseError: line 1: unknown key"),
         ("unknown-key-line-2", "room.width = 5.0\nfoo = 1", "ParseError: line 2: unknown key"),
         ("text-width", "room.width = 'a'", INVALID),
-        ("fov-120", "pd.fov = 120",
-         "ValidationError: fov must lie in (0, 90] degrees, got 120.0\n"),
+        ("fov-120", "pd.fov = 120", INVALID + "pd.fov must lie in (0, 90], got 120.0\n"),
         ("width-1e999", "room.width = 1e999", INVALID + "room.width must be finite, got inf\n"),
         ("power-1e999", "led.transmit_power = 1e999",
          INVALID + "led.transmit_power must be finite, got inf\n"),
@@ -259,49 +273,51 @@ ROWS = (
         ("unknown-key-before-bad-value", "foo = 1\nroom.width = 'a'",
          "ParseError: line 1: unknown key"),
         ("led-above-ceiling", "led.position = (2.5, 2.5, 1e200)",
-         "ValidationError: led position (2.5, 2.5, 1e+200) is outside the room"),
+         "ValidationError: led.position (2.5, 2.5, 1e+200) is outside the room"),
         ("led-off-floor", "led.position = (90.0, 2.5, 3.0)",
-         "ValidationError: led position (90.0, 2.5, 3.0) is outside the room"),
+         "ValidationError: led.position (90.0, 2.5, 3.0) is outside the room"),
         ("led-height-underflows", "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
-         "ValidationError: led height 1e-200 is below 1.49e-154 m"),
-        ("negative-width", "room.width = -1",
-         "ValidationError: RoomSpec.width must be > 0, got -1.0"),
+         "ValidationError: led.position height 1e-200 is below 1.49e-154 m"),
+        ("negative-width", "room.width = -1", INVALID + "room.width must be > 0, got -1.0\n"),
+        ("zero-length", "room.length = 0", INVALID + "room.length must be > 0, got 0.0\n"),
+        ("bool-height", "room.height = True", INVALID + "room.height must be a number, got True\n"),
         ("led-power-zero", "led.transmit_power = 0",
-         "ValidationError: transmit_power must be > 0, got 0.0\n"),
+         INVALID + "led.transmit_power must be > 0, got 0.0\n"),
         ("half-power-90", "led.half_power_angle = 90",
-         "ValidationError: half-power angle must lie in (0, 90) degrees, got 90.0\n"),
+         INVALID + "led.half_power_angle must lie in (0, 90), got 90.0\n"),
         ("half-power-infinite-order", "led.half_power_angle = 1e-9",
          "ValidationError: half-power angle 1e-09 gives an infinite order\n"),
         ("order-negative", "led.lambertian_order = -1",
-         "ValidationError: lambertian_order must be > 0, got -1.0\n"),
-        ("area-zero", "pd.area = 0", "ValidationError: area must be > 0, got 0.0\n"),
+         INVALID + "led.lambertian_order must be > 0, got -1.0\n"),
+        ("area-zero", "pd.area = 0", INVALID + "pd.area must be > 0, got 0.0\n"),
         ("filter-gain-zero", "pd.filter_gain = 0",
-         "ValidationError: filter_gain must be > 0, got 0.0\n"),
+         INVALID + "pd.filter_gain must be > 0, got 0.0\n"),
         ("index-below-1", "pd.refractive_index = 0.5",
-         "ValidationError: refractive_index must be >= 1, got 0.5\n"),
+         INVALID + "pd.refractive_index must be >= 1, got 0.5\n"),
         ("fov-infinite-gain", "pd.fov = 1e-160",
-         "ValidationError: fov 1e-160 with refractive_index 1.5 gives an infinite "
+         "ValidationError: pd.fov 1e-160 with pd.refractive_index 1.5 gives an infinite "
          "concentrator gain\n"),
         ("point-arity", "led.position = (1.0, 2.0)",
          INVALID + "led.position must be a 3-tuple (x, y, z), got (1.0, 2.0)\n"),
         ("no-positions", "sweep.positions = []",
          INVALID + "sweep.positions must be a non-empty list of points, got []\n"),
         ("position-off-floor", "sweep.positions = [(1.0, 1.0, 0.5)]",
-         "ValidationError: pd position 1 must lie on the floor plane (z = 0), got z=0.5\n"),
+         "ValidationError: sweep.positions point 1 must lie on the floor plane (z = 0), "
+         "got z=0.5\n"),
         ("position-outside-room", "sweep.positions = [(1.0, 1.0, 0.0), (5.5, 1.0, 0.0)]",
-         "ValidationError: pd position 2 at (5.5, 1.0) is outside the room floor\n"),
+         "ValidationError: sweep.positions point 2 at (5.5, 1.0) is outside the room floor\n"),
         ("no-transmit-powers", "sweep.transmit_powers = []",
          INVALID + "sweep.transmit_powers must be a non-empty list of numbers, got []\n"),
         ("transmit-power-zero", "sweep.transmit_powers = [0]",
-         "ValidationError: transmit power must be > 0, got 0.0\n"),
+         INVALID + "sweep.transmit_powers must be > 0, got 0.0\n"),
         ("elevation-zero", "sweep.elevations = [0]",
-         "ValidationError: sweep elevation must lie in (0, 90] degrees, got 0.0\n"),
+         INVALID + "sweep.elevations must lie in (0, 90], got 0.0\n"),
         ("azimuth-360", "sweep.azimuth = 360",
-         "ValidationError: azimuth must lie in [0, 360) degrees, got 360.0\n"),
+         INVALID + "sweep.azimuth must lie in [0, 360), got 360.0\n"),
         ("distance-range-triple", "sweep.distance_range = (1, 2, 3)",
-         INVALID + "sweep.distance_range must be (low, high), got (1.0, 2.0, 3.0)\n"),
+         INVALID + "sweep.distance_range must be (low, high), got (1, 2, 3)\n"),
         ("distance-range-reversed", "sweep.distance_range = (3, 2)",
-         "ValidationError: distance_range must satisfy 0 < low <= high, got (3.0, 2.0)\n"),
+         INVALID + "sweep.distance_range must satisfy low <= high, got (3.0, 2.0)\n"),
         ("no-equals", "room.width = 5.0\nnot a key value pair",
          "ParseError: line 2: expected 'key = value', got 'not a key value pair'\n"),
         ("duplicate-key", "pd.area = 1e-6\npd.area = 2e-6",
@@ -355,14 +371,19 @@ def digest(output: bytes) -> str:
 
 
 def _cells(text: str) -> dict:
-    """Each `key = value` line by key, with or without a `# ` prefix, and each
-    cell of the CSV table by (row, column)."""
+    """Each `key = value` line by key, with or without a `# ` prefix, each
+    other `# label: text` line by label (a repeated label's texts joined by
+    newlines; a line without ": " is all label, its text ""), and each cell of
+    the CSV table by (row, column)."""
 
     cells, table = {}, []
     for line in text.splitlines():
         key, sep, value = line.removeprefix("# ").partition(" = ")
         if sep:
             cells[key] = value
+        elif line.startswith("# "):
+            label, _, note = line[2:].partition(": ")
+            cells[label] = cells[label] + "\n" + note if label in cells else note
         elif not line.startswith("#"):
             table.append(line)
     header, *rows = csv.reader(table or [""])

@@ -19,27 +19,38 @@ from vlcpos import (
 CONFIG = default_config()
 TABLE = OutputTable("demo", ("a", "b"), ((1, 2.5),), {"k": "v"})
 
-# (a valid record, a field, a value that field rejects, the error, its message)
+# (a valid record, a field, a value that field rejects, the error, its message);
+# a bool, str or int value's id ends in its type.
 INVALID_FIELDS = [
-    pytest.param(*case, id=f"{type(case[0]).__name__}.{case[1]}")
+    pytest.param(*case, id=f"{type(case[0]).__name__}.{case[1]}"
+                 + (f"-{type(case[2]).__name__}" if type(case[2]) in (bool, str, int) else ""))
     for case in (
         (Point3(1.0, 2.0, 3.0), "y", math.nan, DomainError, r"^Point3\.y must be finite, got nan$"),
         (CONFIG.room, "height", 0.0, DomainError, r"^RoomSpec\.height must be > 0, got 0\.0$"),
         (CONFIG.led, "transmit_power", -1.0, DomainError,
-         r"^transmit_power must be > 0, got -1\.0$"),
+         r"^LedSpec\.transmit_power must be > 0, got -1\.0$"),
         (CONFIG.led, "half_power_angle", 90.0, DomainError,
-         r"^half-power angle must lie in \(0, 90\) degrees, got 90\.0$"),
+         r"^half_power_angle must lie in \(0, 90\), got 90\.0$"),
         (CONFIG.led, "lambertian_order", 0.0, DomainError,
-         r"^lambertian_order must be > 0, got 0\.0$"),
+         r"^LedSpec\.lambertian_order must be > 0, got 0\.0$"),
         (CONFIG.pd_template, "fov", 120.0, DomainError,
-         r"^fov must lie in \(0, 90\] degrees, got 120\.0$"),
+         r"^PdSpec\.fov must lie in \(0, 90\], got 120\.0$"),
         (CONFIG.pd_template, "refractive_index", 0.5, DomainError,
-         r"^refractive_index must be >= 1, got 0\.5$"),
+         r"^PdSpec\.refractive_index must be >= 1, got 0\.5$"),
         (CONFIG, "azimuth", 360.0, ValidationError,
-         r"^azimuth must lie in \[0, 360\) degrees, got 360\.0$"),
-        (CONFIG, "transmit_powers", (), ValidationError, r"^transmit_powers must not be empty$"),
+         r"^azimuth must lie in \[0, 360\), got 360\.0$"),
+        (CONFIG, "transmit_powers", (), ValidationError,
+         r"^transmit_powers must be a non-empty list of numbers, got \(\)$"),
         (TABLE, "columns", (), ValidationError, r"^a table needs at least one column$"),
         (TABLE, "rows", ((1,),), ValidationError, r"^row 1 has 1 cells for 2 columns$"),
+        # A bool is no number, a str no number, and an int past the float range
+        # not finite.
+        *((record, field, bad, DomainError,
+           rf"^{type(record).__name__}\.{field} must be {rule}, got {text}$")
+          for record, field in ((Point3(1.0, 2.0, 3.0), "x"), (CONFIG.room, "width"),
+                                (CONFIG.led, "transmit_power"), (CONFIG.pd_template, "area"))
+          for bad, rule, text in ((True, "a number", "True"), ("1", "a number", "'1'"),
+                                  (10**400, "finite", "1" + "0" * 400))),
     )
 ]
 
