@@ -3,7 +3,7 @@
 All domain violations raise DomainError subclasses so callers can catch one
 family; configuration problems have their own types because the CLI maps them
 to a different exit code, and emit raises UnsupportedFormat. A configuration
-error tied to one line carries it only in its message, "line N: ...".
+error in one line or value names them only in its message, "line N: <key> ...".
 """
 
 from __future__ import annotations

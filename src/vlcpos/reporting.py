@@ -380,8 +380,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Raises:
         ParseError: malformed lines, unknown or duplicate keys, unreadable values.
-        ValidationError: a value its key's reader rejects, or parsed values
-            violating a scenario invariant (which name no line).
+        ValidationError: a value of the wrong shape or out of its field's rule
+            ("line N: <key> must ..."), or values that break a rule joining
+            fields, which names their keys and no line.
     """
 
     # Field overrides per record of the default; "" holds ScenarioConfig's own fields.
