@@ -31,9 +31,9 @@ class Row(NamedTuple):
     empty, and {work} in err stands for the fresh directory. cells maps a CSV
     cell (row from 1, column), the key of a `key = value` or `# key = value`
     line, or the label of another `# label: text` line to its text, or to None
-    where there is no such cell (see _cells). out_kept: an existing --out file stays as it was. digest, unless
-    None, is digest() of the output. The output is the --out file, if there is
-    one after the run, else stdout.
+    where there is no such cell (see _cells). out_kept: an existing --out file
+    stays as it was. digest, unless None, is digest() of the output. The output
+    is the --out file, if there is one after the run, else stdout.
     """
 
     name: str
