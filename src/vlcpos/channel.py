@@ -46,10 +46,14 @@ def lambertian_order(half_power_angle: float) -> float:
         DomainError: when the angle is outside (0, 90) degrees.
     """
 
-    _check(half_power_angle, LedSpec._rules["half_power_angle"], "half_power_angle")
-    log_cos = math.log(math.cos(math.radians(half_power_angle)))
+    return _order(_check(half_power_angle, LedSpec._rules["half_power_angle"], "half_power_angle"))
+
+
+def _order(angle: float) -> float:
+    """lambertian_order of an angle that keeps LedSpec's rule, unchecked."""
+    log_cos = math.log(math.cos(math.radians(angle)))
     if log_cos == 0.0:  # cos rounds to 1 below about 6e-7 degrees
-        raise DomainError(f"half-power angle {half_power_angle} gives an infinite order")
+        raise DomainError(f"half-power angle {angle} gives an infinite order")
     return -math.log(2.0) / log_cos
 
 
@@ -79,10 +83,6 @@ def concentrator_gain(c: float, n: float, fov: float) -> float:
     return n * n / math.sin(math.radians(fov)) ** 2
 
 
-# LedSpec's field of the same name shadows the function inside its __new__.
-_order_from_angle = lambertian_order
-
-
 class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order",
                       transmit_power=_POSITIVE, half_power_angle=_Rule(0.0, 90.0),
                       lambertian_order=_POSITIVE)):
@@ -98,10 +98,10 @@ class LedSpec(_record("_Led", "position transmit_power half_power_angle lamberti
 
     def __new__(cls, position: Point3, transmit_power: float, half_power_angle: float,
                 lambertian_order: float | None = None) -> LedSpec:
-        # The formula checks the angle even when an explicit order overrides it.
-        derived = _order_from_angle(half_power_angle)
-        return super().__new__(cls, position, transmit_power, half_power_angle,
-                               derived if lambertian_order is None else lambertian_order)
+        led = super().__new__(cls, position, transmit_power, half_power_angle,
+                              1.0 if lambertian_order is None else lambertian_order)
+        derived = _order(half_power_angle)  # an infinite order fails even under an override
+        return led if lambertian_order is not None else tuple.__new__(cls, (*led[:3], derived))
 
 
 class PdSpec(_record("_Pd", "area fov filter_gain refractive_index", area=_POSITIVE,

@@ -32,30 +32,47 @@ __all__ = [
 
 class _Rule(NamedTuple):
     """A number field's rule: low < value < high, with <= at each bound that
-    ends shows closed ("[" or "]"); an integer rule takes a whole number."""
+    ends shows closed ("[" or "]"); an integer rule takes an int. The "list"
+    shape holds each entry of a non-empty list to the rule, and "span" each
+    end of a (low, high) pair with low <= high."""
 
     low: float = -math.inf
     high: float = math.inf
     ends: str = "()"
     integer: bool = False
+    shape: str = ""
 
 
 _FINITE, _POSITIVE = _Rule(), _Rule(0.0)
 
 
 def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any:
-    """value as a float (an int, for an integer rule) when it keeps the rule,
-    else error("<name> must ..., got <value>"). A bool or a str is no number,
-    and an int past the float range is not finite."""
+    """value as a float (an int, for an integer rule; a tuple of them, for a
+    shaped rule) when it keeps the rule, else error("<name> must ..., got
+    <value>"). A bool or a str is no number, and an int past the float range
+    is not finite."""
 
+    if rule.shape:  # a tuple of its entries, each held to the rule without its shape
+        if rule.shape == "span" and not (isinstance(value, (tuple, list)) and len(value) == 2):
+            raise error(f"{name} must be (low, high), got {value!r}")
+        if not isinstance(value, (tuple, list)) or len(value) == 0:
+            raise error(f"{name} must be a non-empty list of numbers, got {value!r}")
+        entries = tuple(_check(entry, rule._replace(shape=""), name, error) for entry in value)
+        if rule.shape == "span" and not entries[0] <= entries[1]:
+            raise error(f"{name} must satisfy low <= high, got ({entries[0]}, {entries[1]})")
+        return entries
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
-        raise error(f"{name} must be finite, got {value!r}")
-    if rule.integer and not float(value).is_integer():
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            shown = f"an int of {value.bit_length()} bits"
+        raise error(f"{name} must be finite, got {shown}")
+    if rule.integer and not isinstance(value, int):
         raise error(f"{name} must be an integer, got {value!r}")
-    number = int(value) if rule.integer else float(value)  # an int stays exact past 2**53
-    low, high, (left, right), _ = rule
+    number = value if rule.integer else float(value)  # an int stays exact past 2**53
+    low, high, (left, right) = rule[:3]
     if not ((low <= number if left == "[" else low < number)
             and (number <= high if right == "]" else number < high)):
         bounds = (f"be {'>=' if left == '[' else '>'} {low:g}" if high == math.inf

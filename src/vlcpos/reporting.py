@@ -32,8 +32,7 @@ from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord
 from .geometry import Point3, _check, _record
 from .scenario import (
-    ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, _numbers, _span,
-    default_config
+    ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
 )
 
 __all__ = [
@@ -283,13 +282,18 @@ def estimate_lines(record: EstimateRecord, clipped: bool) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _point(value: Any, rule: None, key: str) -> Point3:
+def _count(value: Any, rule: Any, key: str) -> int:
+    # A whole float is read as its int (7.0 as 7), which the integer rule takes.
+    return _check(int(value) if type(value) is float and value.is_integer() else value, rule, key)
+
+
+def _point(value: Any, rules: dict, key: str) -> Point3:
     if not (isinstance(value, (tuple, list)) and len(value) == 3):
         raise ValidationError(f"{key} must be a 3-tuple (x, y, z), got {value!r}")
-    return tuple.__new__(Point3, map(_check, value, Point3._rules.values(), repeat(key)))
+    return tuple.__new__(Point3, map(_check, value, rules.values(), repeat(key)))
 
 
-def _points(value: Any, rule: None, key: str) -> tuple[Point3, ...]:
+def _points(value: Any, rules: dict, key: str) -> tuple[Point3, ...]:
     if not isinstance(value, (tuple, list)) or len(value) == 0:
         raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
     # 3-sequences of floats with a finite sum (so each is finite) keep Point3's
@@ -298,13 +302,14 @@ def _points(value: Any, rule: None, key: str) -> tuple[Point3, ...]:
         coordinates = list(chain.from_iterable(value))
         if set(map(type, coordinates)) == {float} and math.isfinite(sum(coordinates)):
             return tuple(map(tuple.__new__, repeat(Point3), value))
-    return tuple(_point(p, rule, key) for p in value)
+    return tuple(_point(p, rules, key) for p in value)
 
 
 # Every accepted dotted key, in config_hash's order: the ScenarioConfig field
 # it sets ("record.field" inside the room, LED and detector records), its
 # reader of the value's shape, which holds each number to the rule the record
-# of the field declares, and a short description used in errors.
+# of the field declares (Point3's, in a field with no rule of its own, which
+# holds points), and a short description used in errors.
 _CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, Any, str], Any], str]] = {
     "room.width": ("room.width", _check, "room width in meters"),
     "room.length": ("room.length", _check, "room length in meters"),
@@ -318,11 +323,11 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, Any, str], Any], str]] = {
     "pd.filter_gain": ("pd_template.filter_gain", _check, "PD optical filter gain"),
     "pd.refractive_index": ("pd_template.refractive_index", _check, "PD refractive index"),
     "sweep.positions": ("pd_positions", _points, "list of PD positions [(x, y, z), ...]"),
-    "sweep.transmit_powers": ("transmit_powers", _numbers, "transmit powers in watts"),
-    "sweep.elevations": ("sweep_elevations", _numbers, "angle-sweep elevations, degrees"),
+    "sweep.transmit_powers": ("transmit_powers", _check, "transmit powers in watts"),
+    "sweep.elevations": ("sweep_elevations", _check, "angle-sweep elevations, degrees"),
     "sweep.azimuth": ("azimuth", _check, "anchoring azimuth in degrees"),
-    "sweep.distance_samples": ("distance_samples", _check, "figure-sweep sample count"),
-    "sweep.distance_range": ("distance_range", _span, "figure-sweep span (low, high)"),
+    "sweep.distance_samples": ("distance_samples", _count, "figure-sweep sample count"),
+    "sweep.distance_range": ("distance_range", _check, "figure-sweep span (low, high)"),
 }
 
 
@@ -410,7 +415,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ParseError(
                     f"invalid value {value_text!r} for {key} ({description}): {exc}"
                 ) from exc
-            rule = (getattr(base, record) if record else base)._rules.get(name)
+            rule = (getattr(base, record) if record else base)._rules.get(name, Point3._rules)
             changes[record][name] = parse(value, rule, key)
         except (ParseError, ValidationError, DomainError) as exc:
             kind = ParseError if isinstance(exc, ParseError) else ValidationError
@@ -452,7 +457,7 @@ def config_hash(config: ScenarioConfig) -> str:
             count = value.bit_length() // 8 + 1
             data = value.to_bytes(count, "little", signed=True)
         else:
-            if parse is _check:
+            if isinstance(value, (int, float)):
                 value = (value,)
             elif parse is _points:
                 value = tuple(chain.from_iterable(value))

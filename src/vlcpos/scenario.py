@@ -143,32 +143,13 @@ _MIN_LED_HEIGHT = math.sqrt(_TINY)
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
-def _numbers(values: object, rule: _Rule, name: str) -> tuple:
-    """A non-empty list's entries as _check gives them, each kept to rule."""
-
-    if not isinstance(values, (tuple, list)) or len(values) == 0:
-        raise ValidationError(f"{name} must be a non-empty list of numbers, got {values!r}")
-    return tuple(_check(value, rule, name, ValidationError) for value in values)
-
-
-def _span(values: object, rule: _Rule, name: str) -> tuple:
-    """A (low, high) pair as _check gives it, each end kept to rule, low <= high."""
-
-    if not (isinstance(values, (tuple, list)) and len(values) == 2):
-        raise ValidationError(f"{name} must be (low, high), got {values!r}")
-    low, high = _numbers(values, rule, name)
-    if not low <= high:
-        raise ValidationError(f"{name} must satisfy low <= high, got ({low}, {high})")
-    return low, high
-
-
-class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions transmit_powers "
-                             "sweep_elevations azimuth distance_samples distance_range",
-                             transmit_powers=LedSpec._rules["transmit_power"],
-                             sweep_elevations=_Rule(0.0, 90.0, "(]"),
-                             azimuth=_Rule(0.0, 360.0, "[)"),
-                             distance_samples=_Rule(2.0, ends="[)", integer=True),
-                             distance_range=_Rule(0.0, _MAX_ROOM_SIZE, "(]"))):
+class ScenarioConfig(_record(
+        "_Scenario", "room led pd_template pd_positions transmit_powers sweep_elevations "
+        "azimuth distance_samples distance_range",
+        transmit_powers=LedSpec._rules["transmit_power"]._replace(shape="list"),
+        sweep_elevations=_Rule(0.0, 90.0, "(]", shape="list"), azimuth=_Rule(0.0, 360.0, "[)"),
+        distance_samples=_Rule(2.0, ends="[)", integer=True),
+        distance_range=_Rule(0.0, _MAX_ROOM_SIZE, "(]", shape="span"))):
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
@@ -186,13 +167,11 @@ class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions tra
                 pd_positions: tuple[Point3, ...], transmit_powers: tuple[float, ...],
                 sweep_elevations: tuple[float, ...], azimuth: float, distance_samples: int = 50,
                 distance_range: tuple[float, float] | None = None) -> ScenarioConfig:
-        _numbers(transmit_powers, cls._rules["transmit_powers"], "transmit_powers")
-        _numbers(sweep_elevations, cls._rules["sweep_elevations"], "sweep_elevations")
-        _check(azimuth, cls._rules["azimuth"], "azimuth", ValidationError)
-        distance_samples = _check(distance_samples, cls._rules["distance_samples"],
-                                  "distance_samples", ValidationError)
-        if distance_range is not None:
-            _span(distance_range, cls._rules["distance_range"], "distance_range")
+        fields = (room, led, pd_template, pd_positions, transmit_powers, sweep_elevations,
+                  azimuth, distance_samples, distance_range)
+        for name, value in zip(cls._fields, fields):
+            if name in cls._rules and not (name == "distance_range" and value is None):
+                _check(value, cls._rules[name], name, ValidationError)
         if len(pd_positions) == 0:
             raise ValidationError("pd_positions must not be empty")
         # The rules that join fields name the config keys they join.
@@ -221,8 +200,7 @@ class ScenarioConfig(_record("_Scenario", "room led pd_template pd_positions tra
                 raise ValidationError(
                     f"sweep.positions point {i} at ({pos.x}, {pos.y}) is outside the room floor"
                 )
-        return tuple.__new__(cls, (room, led, pd_template, pd_positions, transmit_powers,
-                                   sweep_elevations, azimuth, distance_samples, distance_range))
+        return tuple.__new__(cls, fields)
 
 
 def default_config() -> ScenarioConfig:

@@ -10,23 +10,24 @@ config_hash to it: two configs hash equal exactly when their texts are equal.
 
 from operator import attrgetter
 
-from vlcpos import lambertian_order
+from vlcpos import ScenarioConfig, lambertian_order
 from vlcpos.geometry import _check
-from vlcpos.reporting import _CONFIG_KEYS, _point, _points
-from vlcpos.scenario import _numbers, _span
+from vlcpos.reporting import _CONFIG_KEYS, _count, _point, _points
 
 
 def _point_text(point):
     return f"({point.x!r}, {point.y!r}, {point.z!r})"
 
 
-# The text each of the config's readers reads back to the value it returned.
+# The text each of the config's readers reads back to the value it returned,
+# and for a shaped rule's field, the text of its shape.
 _TEXT_FORMS = {
     _check: repr,
+    _count: repr,
     _point: _point_text,
     _points: lambda points: "[" + ", ".join(map(_point_text, points)) + "]",
-    _numbers: lambda values: "[" + ", ".join(map(repr, values)) + "]",
-    _span: lambda span: "(" + ", ".join(map(repr, span)) + ")",
+    "list": lambda values: "[" + ", ".join(map(repr, values)) + "]",
+    "span": lambda span: "(" + ", ".join(map(repr, span)) + ")",
 }
 
 
@@ -46,5 +47,6 @@ def serialize_config(config):
             continue
         if key == "led.lambertian_order" and value == derived_order:
             continue
-        lines.append(f"{key} = {_TEXT_FORMS[parse](value)}")
+        shape = getattr(ScenarioConfig._rules.get(field), "shape", "")
+        lines.append(f"{key} = {_TEXT_FORMS[shape or parse](value)}")
     return "\n".join(lines) + "\n"

@@ -498,8 +498,8 @@ def test_bulk_point_check_matches_the_per_point_loop(points, odd_entries):
     for index, entry in odd_entries:
         value.insert(index % (len(value) + 1), entry)
     key = "sweep.positions"
-    bulk = _outcome(lambda v: _points(v, None, key), value)
-    assert bulk == _outcome(lambda v: tuple(_point(p, None, key) for p in v), value)
+    bulk = _outcome(lambda v: _points(v, Point3._rules, key), value)
+    assert bulk == _outcome(lambda v: tuple(_point(p, Point3._rules, key) for p in v), value)
 
 
 # Emission. Texts at the edges of the spelling rule: around 1e-4 and 1e6,

@@ -30,7 +30,10 @@ INVALID_FIELDS = [
         (CONFIG.led, "transmit_power", -1.0, DomainError,
          r"^LedSpec\.transmit_power must be > 0, got -1\.0$"),
         (CONFIG.led, "half_power_angle", 90.0, DomainError,
-         r"^half_power_angle must lie in \(0, 90\), got 90\.0$"),
+         r"^LedSpec\.half_power_angle must lie in \(0, 90\), got 90\.0$"),
+        # The record's rule checks the angle before the order formula reads it.
+        (CONFIG.led, "half_power_angle", "60", DomainError,
+         r"^LedSpec\.half_power_angle must be a number, got '60'$"),
         (CONFIG.led, "lambertian_order", 0.0, DomainError,
          r"^LedSpec\.lambertian_order must be > 0, got 0\.0$"),
         (CONFIG.pd_template, "fov", 120.0, DomainError,
@@ -41,6 +44,11 @@ INVALID_FIELDS = [
          r"^azimuth must lie in \[0, 360\), got 360\.0$"),
         (CONFIG, "transmit_powers", (), ValidationError,
          r"^transmit_powers must be a non-empty list of numbers, got \(\)$"),
+        # An int too long to print is named by its size.
+        (Point3(1.0, 2.0, 3.0), "y", 10**5000, DomainError,
+         r"^Point3\.y must be finite, got an int of 16610 bits$"),
+        (CONFIG, "azimuth", -(10**5000), ValidationError,
+         r"^azimuth must be finite, got an int of 16610 bits$"),
         (TABLE, "columns", (), ValidationError, r"^a table needs at least one column$"),
         (TABLE, "rows", ((1,),), ValidationError, r"^row 1 has 1 cells for 2 columns$"),
         # A bool is no number, a str no number, and an int past the float range

@@ -171,18 +171,13 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValidationError):
             config._replace(transmit_powers=(8.0, 0.0))
 
-    @pytest.mark.parametrize("samples", [2.5, "3"])
+    @pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
     def test_rejects_a_sample_count_that_is_not_an_int(self, samples):
         # Otherwise run_angle_sweep raises a TypeError deep inside the sweep.
         kind = "an integer" if isinstance(samples, float) else "a number"
         message = f"distance_samples must be {kind}, got {samples!r}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             default_config()._replace(distance_samples=samples)
-
-    def test_a_whole_float_sample_count_is_held_as_its_int(self):
-        # The rule the config file applies: sweep.distance_samples = 3.0 loads as 3.
-        config = default_config()._replace(distance_samples=3.0)
-        assert type(config.distance_samples) is int and config.distance_samples == 3
 
     @pytest.mark.parametrize("span", [(3.0,), (1.0, 2.0, 3.0), 3.0])
     def test_rejects_a_distance_range_that_is_not_a_pair(self, span):
