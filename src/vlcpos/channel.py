@@ -14,6 +14,7 @@ A link is inside the FOV iff c >= cos(FOV). concentrator_gain decides that
 for one link, and received_power takes its decision from the gain;
 power_columns decides it once per run of one cosine object, with cos(FOV)
 computed once per call. received_power_at is a one-row view of power_columns.
+LedSpec's angle rule, [6.0371e-07, 90) degrees, keeps the order formula finite.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ __all__ = [
 def lambertian_order(half_power_angle: float) -> float:
     """Lambertian order m = -ln(2) / ln(cos(half_power_angle)).
 
-    Strictly decreasing in the angle; m = 1 at 60 degrees.
+    Strictly decreasing in the angle; m = 1 at 60 degrees. Finite over the
+    angle rule: below about 6.03709e-07 degrees the cosine rounds to 1.
 
     Raises:
-        DomainError: when the angle is outside (0, 90) degrees.
+        DomainError: when the angle is outside [6.0371e-07, 90) degrees.
     """
 
     return _order(_check(half_power_angle, LedSpec._rules["half_power_angle"], "half_power_angle"))
@@ -51,10 +53,7 @@ def lambertian_order(half_power_angle: float) -> float:
 
 def _order(angle: float) -> float:
     """lambertian_order of an angle that keeps LedSpec's rule, unchecked."""
-    log_cos = math.log(math.cos(math.radians(angle)))
-    if log_cos == 0.0:  # cos rounds to 1 below about 6e-7 degrees
-        raise DomainError(f"half-power angle {angle} gives an infinite order")
-    return -math.log(2.0) / log_cos
+    return -math.log(2.0) / math.log(math.cos(math.radians(angle)))
 
 
 def _fov_cosine(fov: float) -> float:
@@ -84,7 +83,7 @@ def concentrator_gain(c: float, n: float, fov: float) -> float:
 
 
 class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order",
-                      transmit_power=_POSITIVE, half_power_angle=_Rule(0.0, 90.0),
+                      transmit_power=_POSITIVE, half_power_angle=_Rule(6.0371e-07, 90.0, "[)"),
                       lambertian_order=_POSITIVE)):
     """Transmitter: position, optical power, half-power angle, Lambertian order.
 
@@ -100,8 +99,8 @@ class LedSpec(_record("_Led", "position transmit_power half_power_angle lamberti
                 lambertian_order: float | None = None) -> LedSpec:
         led = super().__new__(cls, position, transmit_power, half_power_angle,
                               1.0 if lambertian_order is None else lambertian_order)
-        derived = _order(half_power_angle)  # an infinite order fails even under an override
-        return led if lambertian_order is not None else tuple.__new__(cls, (*led[:3], derived))
+        return led if lambertian_order is not None else tuple.__new__(
+            cls, (*led[:3], _order(half_power_angle)))  # the angle the rule has checked
 
 
 class PdSpec(_record("_Pd", "area fov filter_gain refractive_index", area=_POSITIVE,

@@ -144,6 +144,8 @@ def _run(argv: list[str] | None) -> int:
     try:
         config = load_config(Path(args.config)) if args.config else default_config()
         if getattr(args, "samples", None) is not None:
+            _check(args.samples, ScenarioConfig._rules["distance_samples"], "--samples",
+                   ValidationError)
             config = config._replace(distance_samples=args.samples)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -44,6 +44,10 @@ class _Rule(NamedTuple):
 
 
 _FINITE, _POSITIVE = _Rule(), _Rule(0.0)
+# The largest room side, and figure-sweep distance, whose squared link
+# distances stay finite: the channel's d^2 sums the squares of three such sides.
+_MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
+_ROOM_SIDE = _Rule(0.0, _MAX_ROOM_SIZE, "(]")
 
 
 def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any:
@@ -112,8 +116,8 @@ class Point3(_record("_Coordinates", "x y z", x=_FINITE, y=_FINITE, z=_FINITE)):
 
 
 class RoomSpec(_record("_Room", "width length height",
-                       width=_POSITIVE, length=_POSITIVE, height=_POSITIVE)):
-    """Rectangular room dimensions in meters, each finite and > 0."""
+                       width=_ROOM_SIDE, length=_ROOM_SIDE, height=_ROOM_SIDE)):
+    """Rectangular room dimensions in meters, each in (0, _MAX_ROOM_SIZE] (about 7.7e153 m)."""
 
     __slots__ = ()
 

@@ -19,7 +19,6 @@ run. The modeling assumptions the checks rest on are ASSUMPTIONS.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import pairwise, repeat, starmap
 from typing import NamedTuple
 
@@ -138,9 +137,6 @@ _TOL_DISTANCE = 5e-3
 # Below it the channel's d^2 for a PD under the LED (where d = V) can round
 # to 0, and the channel divides by it.
 _MIN_LED_HEIGHT = math.sqrt(_TINY)
-# The largest room side, and figure-sweep distance, whose squared link
-# distances stay finite: the channel's d^2 sums the squares of three such sides.
-_MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 
 
 class ScenarioConfig(_record(
@@ -149,16 +145,15 @@ class ScenarioConfig(_record(
         transmit_powers=LedSpec._rules["transmit_power"]._replace(shape="list"),
         sweep_elevations=_Rule(0.0, 90.0, "(]", shape="list"), azimuth=_Rule(0.0, 360.0, "[)"),
         distance_samples=_Rule(2.0, ends="[)", integer=True),
-        distance_range=_Rule(0.0, _MAX_ROOM_SIZE, "(]", shape="span"))):
+        distance_range=RoomSpec._rules["width"]._replace(shape="span"))):
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
     the floor points the position sweep visits. A list field's rule holds for
-    each of its entries. The LED must lie inside the room, at least
-    _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor. No room side, and no
-    distance_range end, may exceed _MAX_ROOM_SIZE (about 7.7e153 m).
-    distance_range is the span for the figure-style sweeps; None derives it
-    from the configured positions.
+    each of its entries, and each distance_range end keeps a room side's rule.
+    The LED must lie inside the room, at least _MIN_LED_HEIGHT (about
+    1.5e-154 m) above the floor. distance_range is the span for the
+    figure-style sweeps; None derives it from the configured positions.
     """
 
     __slots__ = ()
@@ -175,12 +170,6 @@ class ScenarioConfig(_record(
         if len(pd_positions) == 0:
             raise ValidationError("pd_positions must not be empty")
         # The rules that join fields name the config keys they join.
-        for name, side in zip(room._fields, room):
-            if side > _MAX_ROOM_SIZE:
-                raise ValidationError(
-                    f"room.{name} {side} is above {_MAX_ROOM_SIZE:.3g} m, "
-                    "where the squared link distances overflow"
-                )
         source = led.position
         if not (room.contains_floor_point(source) and 0.0 < source.z <= room.height):
             raise ValidationError(

@@ -64,7 +64,8 @@ BY_VALUE_HASH = "c541c3281021"
 NO_FILE = "error: FileNotFoundError: [Errno 2] No such file or directory: '"
 UNSEEN = "measured power must be > 0, got 0.0\n"
 INVALID = "ValidationError: line 1: "
-OVERFLOW = "error: ValidationError: {} is above 7.74e+153 m, where"
+ROOM_SIDE = "must lie in (0, 7.741e+153], got "  # a room side's rule, and a distance's
+HALF_POWER = "must lie in [6.0371e-07, 90), got "
 ASSUMPTIONS = "\n".join((
     "vertical separation V in the horizontal-distance relation is read as the LED-PD height "
     "difference (3.0 m in the default room)",
@@ -162,7 +163,7 @@ ROWS = (
     *(Row(f"help-{command}", None, f"{command} --help", 0, "")
       for command in ("position-sweep", "power-sweep", "angle-sweep", "estimate", "replicate")),
     *(Row(f"samples-{n}", None, f"angle-sweep --samples {n}", 2,
-          f"error: ValidationError: distance_samples must be >= 2, got {n}\n")
+          f"error: ValidationError: --samples must be >= 2, got {n}\n")
       for n in ("1", "0", "-3")),
 
     # estimate: the on-axis maximum (the power received 3 m under the LED),
@@ -215,18 +216,22 @@ ROWS = (
     Row("room-side-at-bound", "room.width = 7.741001517595157e+153", "position-sweep", 0, "",
         {(10, "est_x"): "0.785669"}),
     Row("room-side-above-bound", "room.width = 7.741001517595158e+153", "position-sweep", 2,
-        OVERFLOW.format("room.width 7.741001517595158e+153")),
+        "error: " + INVALID + "room.width " + ROOM_SIDE + "7.741001517595158e+153\n"),
     Row("height-overflows", "room.height = 1e300\nled.position = (2.5, 2.5, 1e200)\n"
         "sweep.positions = [(0.0, 0.0, 0.0)]", "position-sweep", 2,
-        OVERFLOW.format("room.height 1e+300")),
+        "error: " + INVALID + "room.height " + ROOM_SIDE + "1e+300\n"),
     Row("width-overflows", "room.width = 1e200\nsweep.positions = [(1e200, 0.0, 0.0)]",
-        "power-sweep", 2, OVERFLOW.format("room.width 1e+200")),
+        "power-sweep", 2, "error: " + INVALID + "room.width " + ROOM_SIDE + "1e+200\n"),
     Row("distance-range-overflows", "sweep.distance_range = (1.0, 1e200)", "angle-sweep", 2,
-        "error: " + INVALID + "sweep.distance_range must lie in (0, 7.741e+153], got 1e+200\n"),
+        "error: " + INVALID + "sweep.distance_range " + ROOM_SIDE + "1e+200\n"),
     # 3.0 ** 651 overflows a float; the inversion then runs in logarithms.
     Row("large-order-estimate", "led.lambertian_order = 650", "estimate --power 1e-9", 0, "",
         {"inverted_distance": "3.06352"}),
     Row("large-order-sweep", "led.lambertian_order = 650", "position-sweep", 0, ""),
+    # The smallest half-power angle: its order, about 6.2e15, is finite, and every
+    # reading but the on-axis one inverts to the vertical separation.
+    Row("half-power-at-bound", "led.half_power_angle = 6.0371e-07", "estimate --power 1e-9", 0,
+        "", {"inverted_distance": "3"}),
 
     # K = P_t (m+1) A h g(0) / (2 pi): each factor in range, the product not.
     # ROADMAP item 3: checked at the first channel call (exit 1), not at load.
@@ -278,15 +283,16 @@ ROWS = (
          "ValidationError: led.position (90.0, 2.5, 3.0) is outside the room"),
         ("led-height-underflows", "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
          "ValidationError: led.position height 1e-200 is below 1.49e-154 m"),
-        ("negative-width", "room.width = -1", INVALID + "room.width must be > 0, got -1.0\n"),
-        ("zero-length", "room.length = 0", INVALID + "room.length must be > 0, got 0.0\n"),
+        ("negative-width", "room.width = -1", INVALID + "room.width " + ROOM_SIDE + "-1.0\n"),
+        ("zero-length", "room.length = 0", INVALID + "room.length " + ROOM_SIDE + "0.0\n"),
         ("bool-height", "room.height = True", INVALID + "room.height must be a number, got True\n"),
         ("led-power-zero", "led.transmit_power = 0",
          INVALID + "led.transmit_power must be > 0, got 0.0\n"),
         ("half-power-90", "led.half_power_angle = 90",
-         INVALID + "led.half_power_angle must lie in (0, 90), got 90.0\n"),
+         INVALID + "led.half_power_angle " + HALF_POWER + "90.0\n"),
+        # cos rounds to 1 below about 6.03709e-07 degrees, and the order is infinite.
         ("half-power-infinite-order", "led.half_power_angle = 1e-9",
-         "ValidationError: half-power angle 1e-09 gives an infinite order\n"),
+         INVALID + "led.half_power_angle " + HALF_POWER + "1e-09\n"),
         ("order-negative", "led.lambertian_order = -1",
          INVALID + "led.lambertian_order must be > 0, got -1.0\n"),
         ("area-zero", "pd.area = 0", INVALID + "pd.area must be > 0, got 0.0\n"),

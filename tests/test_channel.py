@@ -105,10 +105,21 @@ class TestLambertianOrder:
         assert all(a > b for a, b in zip(orders, orders[1:]))
 
     def test_rejects_out_of_range(self):
-        # Below about 6e-7 degrees cos rounds to 1 and the order is infinite.
+        # Below about 6.03709e-07 degrees cos rounds to 1 and the order is infinite.
         for bad in (0.0, 90.0, -5.0, 95.0, 1e-9):
             with pytest.raises(DomainError):
                 lambertian_order(bad)
+
+    def test_finite_at_the_low_bound(self):
+        assert math.cos(math.radians(6.0371e-07)) < 1.0
+        assert math.isfinite(lambertian_order(6.0371e-07))
+
+    @pytest.mark.parametrize("order", [None, 2.0])
+    def test_rejects_the_angle_below_the_bound_by_its_field(self, order):
+        below = math.nextafter(6.0371e-07, 0.0)
+        with pytest.raises(DomainError, match=r"^LedSpec\.half_power_angle must lie in "
+                           rf"\[6\.0371e-07, 90\), got {below}$"):
+            LedSpec(LED.position, 1.0, below, lambertian_order=order)
 
 
 class TestRadiantIntensity:

@@ -10,11 +10,13 @@ from vlcpos import (
     OutputTable,
     PdSpec,
     Point3,
+    RoomSpec,
     ScenarioConfig,
     ValidationError,
     default_config,
     lambertian_order,
 )
+from vlcpos.geometry import _check
 
 CONFIG = default_config()
 TABLE = OutputTable("demo", ("a", "b"), ((1, 2.5),), {"k": "v"})
@@ -26,11 +28,15 @@ INVALID_FIELDS = [
                  + (f"-{type(case[2]).__name__}" if type(case[2]) in (bool, str, int) else ""))
     for case in (
         (Point3(1.0, 2.0, 3.0), "y", math.nan, DomainError, r"^Point3\.y must be finite, got nan$"),
-        (CONFIG.room, "height", 0.0, DomainError, r"^RoomSpec\.height must be > 0, got 0\.0$"),
+        (CONFIG.room, "height", 0.0, DomainError,
+         r"^RoomSpec\.height must lie in \(0, 7\.741e\+153\], got 0\.0$"),
+        # A side past the bound would overflow the channel's squared distances.
+        (CONFIG.room, "width", 1e200, DomainError,
+         r"^RoomSpec\.width must lie in \(0, 7\.741e\+153\], got 1e\+200$"),
         (CONFIG.led, "transmit_power", -1.0, DomainError,
          r"^LedSpec\.transmit_power must be > 0, got -1\.0$"),
         (CONFIG.led, "half_power_angle", 90.0, DomainError,
-         r"^LedSpec\.half_power_angle must lie in \(0, 90\), got 90\.0$"),
+         r"^LedSpec\.half_power_angle must lie in \[6\.0371e-07, 90\), got 90\.0$"),
         # The record's rule checks the angle before the order formula reads it.
         (CONFIG.led, "half_power_angle", "60", DomainError,
          r"^LedSpec\.half_power_angle must be a number, got '60'$"),
@@ -153,3 +159,25 @@ class TestNonFiniteFields:
         name = type(record).__name__
         with pytest.raises(DomainError, match=rf"^{name}\.{field} must be finite, got inf$"):
             type(record)(**{**record._asdict(), field: math.inf})
+
+
+RULES = [
+    pytest.param(rule, id=f"{record.__name__}.{field}")
+    for record in (Point3, RoomSpec, LedSpec, PdSpec, ScenarioConfig)
+    for field, rule in record._rules.items()
+]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_printed_bound_reads_back_inside_its_rule(rule):
+    # A message prints a bound by %g. A closed bound's printed value must keep
+    # the rule, and an open bound's must be the bound itself, so that no value
+    # the rule rejects appears to meet the bound the message shows.
+    rule = rule._replace(shape="")
+    for bound, closed in ((rule.low, rule.ends[0] == "["), (rule.high, rule.ends[1] == "]")):
+        if math.isfinite(bound):
+            shown = float(f"{bound:g}")
+            if closed:
+                _check(int(shown) if rule.integer else shown, rule, "bound")
+            else:
+                assert shown == bound

@@ -394,9 +394,10 @@ class TestLoadConfig:
         for elevations in ("[0]", "[95]"):
             with pytest.raises(ValidationError, match="got " + elevations.strip("[]")):
                 parse_config(f"sweep.elevations = {elevations}")
-        # The serialized form needs the formula's order even when one is given.
+        # The angle's rule holds whether or not an order is given.
         for order in ("", "\nled.lambertian_order = 2"):
-            with pytest.raises(ValidationError, match="angle 1e-09"):
+            with pytest.raises(ValidationError, match=r"^line 1: led\.half_power_angle must lie "
+                               r"in \[6\.0371e-07, 90\), got 1e-09$"):
                 parse_config("led.half_power_angle = 1e-9" + order)
 
     @pytest.mark.parametrize(
