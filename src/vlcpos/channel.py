@@ -83,8 +83,8 @@ def concentrator_gain(c: float, n: float, fov: float) -> float:
 
 
 class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order",
-                      transmit_power=_POSITIVE, half_power_angle=_Rule(6.0371e-07, 90.0, "[)"),
-                      lambertian_order=_POSITIVE)):
+                      position=_Rule(shape="point"), transmit_power=_POSITIVE,
+                      half_power_angle=_Rule(6.0371e-07, 90.0, "[)"), lambertian_order=_POSITIVE)):
     """Transmitter: position, optical power, half-power angle, Lambertian order.
 
     lambertian_order None derives the order from the half-power-angle formula;
@@ -100,7 +100,7 @@ class LedSpec(_record("_Led", "position transmit_power half_power_angle lamberti
         led = super().__new__(cls, position, transmit_power, half_power_angle,
                               1.0 if lambertian_order is None else lambertian_order)
         return led if lambertian_order is not None else tuple.__new__(
-            cls, (*led[:3], _order(half_power_angle)))  # the angle the rule has checked
+            cls, (*led[:3], _order(led.half_power_angle)))  # the angle the rule has checked
 
 
 class PdSpec(_record("_Pd", "area fov filter_gain refractive_index", area=_POSITIVE,
@@ -115,7 +115,7 @@ class PdSpec(_record("_Pd", "area fov filter_gain refractive_index", area=_POSIT
     ) -> PdSpec:
         pd = super().__new__(cls, area, fov, filter_gain, refractive_index)
         # n^2 / sin^2(fov) overflows for a fov below about 1e-152 degrees.
-        sin_squared, n = math.sin(math.radians(fov)) ** 2, float(refractive_index)
+        sin_squared, n = math.sin(math.radians(fov)) ** 2, pd.refractive_index
         if not (sin_squared > 0.0 and math.isfinite(n * n / sin_squared)):
             raise DomainError(
                 f"pd.fov {fov} with pd.refractive_index {n} gives an infinite concentrator gain"
@@ -172,21 +172,24 @@ def power_columns(
     since K * c**(m+1) / d**2 evaluates left to right. Each row checks its inputs.
 
     Raises:
-        DomainError: when K is 0 or infinite, a distance is not > 0 or a cosine
-            is above 1 or NaN.
+        DomainError: when K is 0 or infinite, a distance is not > 0 or its
+            square underflows to 0, or a cosine is above 1 or NaN.
     """
 
     k, exponent, cos_fov = _gain_constant(led, pd), led.lambertian_order + 1.0, _fov_cosine(pd.fov)
     powers: list[float] = []
     last, kc = object(), None  # the run's cosine, and its K c^(m+1) (None beyond the FOV)
-    for distance, c in zip(distances, cosines):
-        if not distance > 0.0:
-            raise DomainError(f"distance must be > 0, got {distance}")
-        if c is not last:
-            if not c <= 1.0:
-                raise DomainError(f"link cosine must be <= 1, got {c}")
-            last, kc = c, k * c**exponent if c >= cos_fov else None
-        powers.append(0.0 if kc is None else kc / distance**2)
+    try:  # free until it catches: only a positive distance's square underflows to 0
+        for distance, c in zip(distances, cosines):
+            if not distance > 0.0:
+                raise DomainError(f"distance must be > 0, got {distance}")
+            if c is not last:
+                if not c <= 1.0:
+                    raise DomainError(f"link cosine must be <= 1, got {c}")
+                last, kc = c, k * c**exponent if c >= cos_fov else None
+            powers.append(0.0 if kc is None else kc / distance**2)
+    except ZeroDivisionError:
+        raise DomainError(f"distance {distance} squares to 0") from None
     return powers
 
 

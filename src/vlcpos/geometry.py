@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from itertools import chain, repeat
 from typing import Any, NamedTuple, Sequence
 
 from .errors import DomainError, LedNotAbovePd
@@ -33,8 +34,10 @@ __all__ = [
 class _Rule(NamedTuple):
     """A number field's rule: low < value < high, with <= at each bound that
     ends shows closed ("[" or "]"); an integer rule takes an int. The "list"
-    shape holds each entry of a non-empty list to the rule, and "span" each
-    end of a (low, high) pair with low <= high."""
+    shape holds each entry of a non-empty list to the rule, "span" each end of
+    a (low, high) pair with low <= high, "point" each coordinate of an (x, y, z)
+    and "points" each point of a non-empty list. A point rule is unbounded:
+    its coordinates need only be finite, as a Point3's."""
 
     low: float = -math.inf
     high: float = math.inf
@@ -44,19 +47,36 @@ class _Rule(NamedTuple):
 
 
 _FINITE, _POSITIVE = _Rule(), _Rule(0.0)
-# The largest room side, and figure-sweep distance, whose squared link
-# distances stay finite: the channel's d^2 sums the squares of three such sides.
+# The shortest and longest lengths whose squared link distances stay normal
+# and finite: the channel divides by d^2, the sum of three such squares.
+_MIN_LED_HEIGHT = math.sqrt(sys.float_info.min)
 _MAX_ROOM_SIZE = math.sqrt(sys.float_info.max / 3.0)
 _ROOM_SIDE = _Rule(0.0, _MAX_ROOM_SIZE, "(]")
 
 
 def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any:
-    """value as a float (an int, for an integer rule; a tuple of them, for a
-    shaped rule) when it keeps the rule, else error("<name> must ..., got
-    <value>"). A bool or a str is no number, and an int past the float range
-    is not finite."""
+    """value as a float (an int, for an integer rule; a tuple of them, a
+    Point3 or a tuple of Point3s, for a shaped rule) when it keeps the rule,
+    else error("<name> must ..., got <value>"). A bool or a str is no number,
+    and an int past the float range is not finite."""
 
-    if rule.shape:  # a tuple of its entries, each held to the rule without its shape
+    if rule.shape == "points":
+        if not isinstance(value, (tuple, list)) or len(value) == 0:
+            raise error(f"{name} must be a non-empty list of points, got {value!r}")
+        kinds = set(map(type, value))
+        if kinds == {Point3}:  # each was checked when it was built
+            return tuple(value)
+        # 3-sequences of floats with a finite sum (so each is finite) keep the
+        # rule in bulk; anything else goes point by point, naming the value.
+        if kinds <= {tuple, list} and set(map(len, value)) == {3}:
+            coordinates = list(chain.from_iterable(value))
+            if set(map(type, coordinates)) == {float} and math.isfinite(sum(coordinates)):
+                return tuple(map(tuple.__new__, repeat(Point3), value))
+        point = rule._replace(shape="point")
+        return tuple(_check(entry, point, name, error) for entry in value)
+    if rule.shape:  # its entries, each held to the rule without its shape
+        if rule.shape == "point" and not (isinstance(value, (tuple, list)) and len(value) == 3):
+            raise error(f"{name} must be a 3-tuple (x, y, z), got {value!r}")
         if rule.shape == "span" and not (isinstance(value, (tuple, list)) and len(value) == 2):
             raise error(f"{name} must be (low, high), got {value!r}")
         if not isinstance(value, (tuple, list)) or len(value) == 0:
@@ -64,7 +84,7 @@ def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any
         entries = tuple(_check(entry, rule._replace(shape=""), name, error) for entry in value)
         if rule.shape == "span" and not entries[0] <= entries[1]:
             raise error(f"{name} must satisfy low <= high, got ({entries[0]}, {entries[1]})")
-        return entries
+        return tuple.__new__(Point3, entries) if rule.shape == "point" else entries
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
@@ -87,7 +107,8 @@ def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any
 
 def _record(name: str, fields: str, **rules: _Rule) -> Any:
     """A named-tuple base for a record whose __new__ checks each field named in
-    rules by its rule, as "<record>.<field>"; a record with more rules overrides it.
+    rules by its rule, as "<record>.<field>", and stores the value the check
+    returns; a record with more rules overrides it.
 
     The record is a tuple of its fields, equal to any tuple of the same values.
     The base's _make, which _replace calls, goes through that __new__ (the
@@ -99,9 +120,9 @@ def _record(name: str, fields: str, **rules: _Rule) -> Any:
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Any:
         record = fill(cls, *args, **kwargs)
-        for field, rule in rules.items():
-            _check(getattr(record, field), rule, f"{cls.__name__}.{field}")
-        return record
+        return tuple.__new__(cls, [
+            _check(value, rules[field], f"{cls.__name__}.{field}") if field in rules else value
+            for field, value in zip(cls._fields, record)])
 
     base.__new__ = staticmethod(__new__)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -110,7 +131,7 @@ def _record(name: str, fields: str, **rules: _Rule) -> Any:
 
 
 class Point3(_record("_Coordinates", "x y z", x=_FINITE, y=_FINITE, z=_FINITE)):
-    """A 3-D coordinate in meters in the room frame; each must be finite."""
+    """A 3-D coordinate in meters in the room frame; each a finite float."""
 
     __slots__ = ()
 
@@ -144,11 +165,9 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
     """(slant, cosine) for an LED strictly above the PD plane.
 
     With vertical separation V = led.z - pd.z, slant distance d and link
-    cosine min(V/d, 1); the elevation is asin of the cosine. For float
-    heights V/d is at most 1 unclamped, exactly 1 on axis: the exact distance
-    is at least V, a double, and math.dist is faithfully rounded on Python
-    3.10+. The clamp serves int heights past 2**53, where V is exact but
-    math.dist rounds each height to a double.
+    cosine V/d; the elevation is asin of the cosine. A Point3 holds floats,
+    so V/d is at most 1, exactly 1 on axis: the exact distance is at least V,
+    a double, and math.dist is faithfully rounded on Python 3.10+.
 
     Raises:
         LedNotAbovePd: when the LED is not strictly above the PD.
@@ -162,5 +181,4 @@ def link_geometry(led_pos: Point3, pd_pos: Point3) -> tuple[float, float]:
             raise LedNotAbovePd(f"LED z={lz} must be strictly above PD z={z}")
         raise DomainError(f"LED z={lz} and PD z={z} are further apart than the float range")
     slant = math.dist(led_pos, pd_pos)
-    c = separation / slant  # clamped by a comparison, a fraction of the cost of min()
-    return slant, c if c <= 1.0 else 1.0
+    return slant, separation / slant

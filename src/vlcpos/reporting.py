@@ -25,12 +25,12 @@ from contextlib import nullcontext
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Mapping, Sequence
+from typing import IO, Any, Mapping, Sequence
 
 from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord
-from .geometry import Point3, _check, _record
+from .geometry import _check, _record
 from .scenario import (
     ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
 )
@@ -282,52 +282,28 @@ def estimate_lines(record: EstimateRecord, clipped: bool) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _count(value: Any, rule: Any, key: str) -> int:
-    # A whole float is read as its int (7.0 as 7), which the integer rule takes.
-    return _check(int(value) if type(value) is float and value.is_integer() else value, rule, key)
-
-
-def _point(value: Any, rules: dict, key: str) -> Point3:
-    if not (isinstance(value, (tuple, list)) and len(value) == 3):
-        raise ValidationError(f"{key} must be a 3-tuple (x, y, z), got {value!r}")
-    return tuple.__new__(Point3, map(_check, value, rules.values(), repeat(key)))
-
-
-def _points(value: Any, rules: dict, key: str) -> tuple[Point3, ...]:
-    if not isinstance(value, (tuple, list)) or len(value) == 0:
-        raise ValidationError(f"{key} must be a non-empty list of points, got {value!r}")
-    # 3-sequences of floats with a finite sum (so each is finite) keep Point3's
-    # rule in bulk; anything else takes _point, whose messages name the value.
-    if set(map(type, value)) <= {tuple, list} and set(map(len, value)) == {3}:
-        coordinates = list(chain.from_iterable(value))
-        if set(map(type, coordinates)) == {float} and math.isfinite(sum(coordinates)):
-            return tuple(map(tuple.__new__, repeat(Point3), value))
-    return tuple(_point(p, rules, key) for p in value)
-
-
 # Every accepted dotted key, in config_hash's order: the ScenarioConfig field
-# it sets ("record.field" inside the room, LED and detector records), its
-# reader of the value's shape, which holds each number to the rule the record
-# of the field declares (Point3's, in a field with no rule of its own, which
-# holds points), and a short description used in errors.
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[Any, Any, str], Any], str]] = {
-    "room.width": ("room.width", _check, "room width in meters"),
-    "room.length": ("room.length", _check, "room length in meters"),
-    "room.height": ("room.height", _check, "room height in meters"),
-    "led.position": ("led.position", _point, "LED position (x, y, z)"),
-    "led.transmit_power": ("led.transmit_power", _check, "LED transmit power in watts"),
-    "led.half_power_angle": ("led.half_power_angle", _check, "LED half-power angle, degrees"),
-    "led.lambertian_order": ("led.lambertian_order", _check, "Lambertian order override"),
-    "pd.area": ("pd_template.area", _check, "PD active area in square meters"),
-    "pd.fov": ("pd_template.fov", _check, "PD field of view in degrees"),
-    "pd.filter_gain": ("pd_template.filter_gain", _check, "PD optical filter gain"),
-    "pd.refractive_index": ("pd_template.refractive_index", _check, "PD refractive index"),
-    "sweep.positions": ("pd_positions", _points, "list of PD positions [(x, y, z), ...]"),
-    "sweep.transmit_powers": ("transmit_powers", _check, "transmit powers in watts"),
-    "sweep.elevations": ("sweep_elevations", _check, "angle-sweep elevations, degrees"),
-    "sweep.azimuth": ("azimuth", _check, "anchoring azimuth in degrees"),
-    "sweep.distance_samples": ("distance_samples", _count, "figure-sweep sample count"),
-    "sweep.distance_range": ("distance_range", _check, "figure-sweep span (low, high)"),
+# it sets ("record.field" inside the room, LED and detector records), whose
+# record declares the rule its value keeps, and a short description used in
+# errors.
+_CONFIG_KEYS: dict[str, tuple[str, str]] = {
+    "room.width": ("room.width", "room width in meters"),
+    "room.length": ("room.length", "room length in meters"),
+    "room.height": ("room.height", "room height in meters"),
+    "led.position": ("led.position", "LED position (x, y, z)"),
+    "led.transmit_power": ("led.transmit_power", "LED transmit power in watts"),
+    "led.half_power_angle": ("led.half_power_angle", "LED half-power angle, degrees"),
+    "led.lambertian_order": ("led.lambertian_order", "Lambertian order override"),
+    "pd.area": ("pd_template.area", "PD active area in square meters"),
+    "pd.fov": ("pd_template.fov", "PD field of view in degrees"),
+    "pd.filter_gain": ("pd_template.filter_gain", "PD optical filter gain"),
+    "pd.refractive_index": ("pd_template.refractive_index", "PD refractive index"),
+    "sweep.positions": ("pd_positions", "list of PD positions [(x, y, z), ...]"),
+    "sweep.transmit_powers": ("transmit_powers", "transmit powers in watts"),
+    "sweep.elevations": ("sweep_elevations", "angle-sweep elevations, degrees"),
+    "sweep.azimuth": ("azimuth", "anchoring azimuth in degrees"),
+    "sweep.distance_samples": ("distance_samples", "figure-sweep sample count"),
+    "sweep.distance_range": ("distance_range", "figure-sweep span (low, high)"),
 }
 
 
@@ -404,7 +380,7 @@ def parse_config(text: str) -> ScenarioConfig:
             key, value_text = key.strip(), value_text.strip()
             if key not in _CONFIG_KEYS:
                 raise ParseError(f"unknown key {key!r}")
-            field, parse, description = _CONFIG_KEYS[key]
+            field, description = _CONFIG_KEYS[key]
             record, _, name = field.rpartition(".")
             if name in changes[record]:
                 raise ParseError(f"duplicate key {key!r}")
@@ -415,8 +391,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ParseError(
                     f"invalid value {value_text!r} for {key} ({description}): {exc}"
                 ) from exc
-            rule = (getattr(base, record) if record else base)._rules.get(name, Point3._rules)
-            changes[record][name] = parse(value, rule, key)
+            rule = (getattr(base, record) if record else base)._rules[name]
+            whole = rule.integer and type(value) is float and value.is_integer()  # 7.0 as 7
+            changes[record][name] = _check(int(value) if whole else value, rule, key)
         except (ParseError, ValidationError, DomainError) as exc:
             kind = ParseError if isinstance(exc, ParseError) else ValidationError
             raise kind(f"line {lineno}: {exc}") from exc
@@ -449,7 +426,7 @@ def config_hash(config: ScenarioConfig) -> str:
     import hashlib, struct
     derived_order = lambertian_order(config.led.half_power_angle)
     digest = hashlib.sha256()
-    for key, (field, parse, _) in _CONFIG_KEYS.items():
+    for key, (field, _) in _CONFIG_KEYS.items():
         value = attrgetter(field)(config)
         if value is None or (key == "led.lambertian_order" and value == derived_order):
             continue
@@ -459,7 +436,7 @@ def config_hash(config: ScenarioConfig) -> str:
         else:
             if isinstance(value, (int, float)):
                 value = (value,)
-            elif parse is _points:
+            elif key == "sweep.positions":
                 value = tuple(chain.from_iterable(value))
             count, data = len(value), struct.pack(f"<{len(value)}d", *value)
         digest.update(key.encode() + b"\n" + struct.pack("<Q", count) + data)

@@ -22,10 +22,13 @@ import math
 from itertools import pairwise, repeat, starmap
 from typing import NamedTuple
 
-from .channel import _TINY, LedSpec, PdSpec, power_columns, received_power
+from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import estimate_position
-from .geometry import Point3, RoomSpec, _check, _record, _Rule, link_columns, link_geometry
+from .geometry import (
+    _MAX_ROOM_SIZE, _MIN_LED_HEIGHT, Point3, RoomSpec, _check, _record, _Rule, link_columns,
+    link_geometry,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -133,27 +136,23 @@ _TOL_DISTANCE = 5e-3
 # ---------------------------------------------------------------------------
 
 
-# The lowest LED whose squared height above the floor is a normal float.
-# Below it the channel's d^2 for a PD under the LED (where d = V) can round
-# to 0, and the channel divides by it.
-_MIN_LED_HEIGHT = math.sqrt(_TINY)
-
-
 class ScenarioConfig(_record(
         "_Scenario", "room led pd_template pd_positions transmit_powers sweep_elevations "
         "azimuth distance_samples distance_range",
         transmit_powers=LedSpec._rules["transmit_power"]._replace(shape="list"),
         sweep_elevations=_Rule(0.0, 90.0, "(]", shape="list"), azimuth=_Rule(0.0, 360.0, "[)"),
-        distance_samples=_Rule(2.0, ends="[)", integer=True),
-        distance_range=RoomSpec._rules["width"]._replace(shape="span"))):
+        pd_positions=_Rule(shape="points"), distance_samples=_Rule(2.0, 1e6, "[]", integer=True),
+        distance_range=_Rule(_MIN_LED_HEIGHT, _MAX_ROOM_SIZE, "[]", shape="span"))):
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
     the floor points the position sweep visits. A list field's rule holds for
-    each of its entries, and each distance_range end keeps a room side's rule.
-    The LED must lie inside the room, at least _MIN_LED_HEIGHT (about
-    1.5e-154 m) above the floor. distance_range is the span for the
-    figure-style sweeps; None derives it from the configured positions.
+    each of its entries, and the fields hold what their rules return: floats,
+    tuples and Point3s. The LED must lie inside the room, at least
+    _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor; each distance_range
+    end lies in [_MIN_LED_HEIGHT, _MAX_ROOM_SIZE]. distance_range is the span
+    for the figure-style sweeps; None derives it from the configured positions.
+    At most 10^6 distance_samples bound the figure sweeps' rows and memory.
     """
 
     __slots__ = ()
@@ -162,13 +161,13 @@ class ScenarioConfig(_record(
                 pd_positions: tuple[Point3, ...], transmit_powers: tuple[float, ...],
                 sweep_elevations: tuple[float, ...], azimuth: float, distance_samples: int = 50,
                 distance_range: tuple[float, float] | None = None) -> ScenarioConfig:
-        fields = (room, led, pd_template, pd_positions, transmit_powers, sweep_elevations,
-                  azimuth, distance_samples, distance_range)
-        for name, value in zip(cls._fields, fields):
-            if name in cls._rules and not (name == "distance_range" and value is None):
-                _check(value, cls._rules[name], name, ValidationError)
-        if len(pd_positions) == 0:
-            raise ValidationError("pd_positions must not be empty")
+        fields = tuple(
+            _check(value, cls._rules[name], name, ValidationError)
+            if name in cls._rules and not (name == "distance_range" and value is None) else value
+            for name, value in zip(cls._fields, (
+                room, led, pd_template, pd_positions, transmit_powers, sweep_elevations,
+                azimuth, distance_samples, distance_range)))
+        pd_positions = fields[3]
         # The rules that join fields name the config keys they join.
         source = led.position
         if not (room.contains_floor_point(source) and 0.0 < source.z <= room.height):

@@ -10,22 +10,19 @@ config_hash to it: two configs hash equal exactly when their texts are equal.
 
 from operator import attrgetter
 
-from vlcpos import ScenarioConfig, lambertian_order
-from vlcpos.geometry import _check
-from vlcpos.reporting import _CONFIG_KEYS, _count, _point, _points
+from vlcpos import lambertian_order
+from vlcpos.reporting import _CONFIG_KEYS
 
 
 def _point_text(point):
     return f"({point.x!r}, {point.y!r}, {point.z!r})"
 
 
-# The text each of the config's readers reads back to the value it returned,
-# and for a shaped rule's field, the text of its shape.
+# The text that reads back to a field's value, by the shape of its rule.
 _TEXT_FORMS = {
-    _check: repr,
-    _count: repr,
-    _point: _point_text,
-    _points: lambda points: "[" + ", ".join(map(_point_text, points)) + "]",
+    "": repr,
+    "point": _point_text,
+    "points": lambda points: "[" + ", ".join(map(_point_text, points)) + "]",
     "list": lambda values: "[" + ", ".join(map(repr, values)) + "]",
     "span": lambda span: "(" + ", ".join(map(repr, span)) + ")",
 }
@@ -41,12 +38,13 @@ def serialize_config(config):
 
     derived_order = lambertian_order(config.led.half_power_angle)
     lines = []
-    for key, (field, parse, _) in _CONFIG_KEYS.items():
+    for key, (field, _) in _CONFIG_KEYS.items():
         value = attrgetter(field)(config)
         if value is None:
             continue
         if key == "led.lambertian_order" and value == derived_order:
             continue
-        shape = getattr(ScenarioConfig._rules.get(field), "shape", "")
-        lines.append(f"{key} = {_TEXT_FORMS[shape or parse](value)}")
+        record, _, name = field.rpartition(".")
+        rule = (getattr(config, record) if record else config)._rules[name]
+        lines.append(f"{key} = {_TEXT_FORMS[rule.shape](value)}")
     return "\n".join(lines) + "\n"

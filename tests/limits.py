@@ -64,8 +64,10 @@ BY_VALUE_HASH = "c541c3281021"
 NO_FILE = "error: FileNotFoundError: [Errno 2] No such file or directory: '"
 UNSEEN = "measured power must be > 0, got 0.0\n"
 INVALID = "ValidationError: line 1: "
-ROOM_SIDE = "must lie in (0, 7.741e+153], got "  # a room side's rule, and a distance's
+ROOM_SIDE = "must lie in (0, 7.741e+153], got "
+DISTANCE = "must lie in [1.49167e-154, 7.741e+153], got "
 HALF_POWER = "must lie in [6.0371e-07, 90), got "
+SAMPLES = "must lie in [2, 1e+06], got "
 ASSUMPTIONS = "\n".join((
     "vertical separation V in the horizontal-distance relation is read as the LED-PD height "
     "difference (3.0 m in the default room)",
@@ -163,8 +165,8 @@ ROWS = (
     *(Row(f"help-{command}", None, f"{command} --help", 0, "")
       for command in ("position-sweep", "power-sweep", "angle-sweep", "estimate", "replicate")),
     *(Row(f"samples-{n}", None, f"angle-sweep --samples {n}", 2,
-          f"error: ValidationError: --samples must be >= 2, got {n}\n")
-      for n in ("1", "0", "-3")),
+          f"error: ValidationError: --samples {SAMPLES}{n}\n")
+      for n in ("1", "0", "-3", "1000001")),
 
     # estimate: the on-axis maximum (the power received 3 m under the LED),
     # the float floor and non-finite input.
@@ -223,7 +225,10 @@ ROWS = (
     Row("width-overflows", "room.width = 1e200\nsweep.positions = [(1e200, 0.0, 0.0)]",
         "power-sweep", 2, "error: " + INVALID + "room.width " + ROOM_SIDE + "1e+200\n"),
     Row("distance-range-overflows", "sweep.distance_range = (1.0, 1e200)", "angle-sweep", 2,
-        "error: " + INVALID + "sweep.distance_range " + ROOM_SIDE + "1e+200\n"),
+        "error: " + INVALID + "sweep.distance_range " + DISTANCE + "1e+200\n"),
+    # A distance whose square underflows to 0, which the channel divides by.
+    Row("distance-range-underflows", "sweep.distance_range = (1e-200, 1.0)", "angle-sweep", 2,
+        "error: " + INVALID + "sweep.distance_range " + DISTANCE + "1e-200\n"),
     # 3.0 ** 651 overflows a float; the inversion then runs in logarithms.
     Row("large-order-estimate", "led.lambertian_order = 650", "estimate --power 1e-9", 0, "",
         {"inverted_distance": "3.06352"}),
@@ -345,9 +350,9 @@ ROWS = (
           ("ints", "5", "(1, 1, 0)", BY_VALUE_HASH),
           ("floats", "5.0e0", "(1.0, 1.0, 0.0)", BY_VALUE_HASH),
           ("signed", "5.0e0", "(1.0, 1.0, -0.0)", "3cd02d5e3402"))),
-    # A sample count past eight bytes still hashes.
-    Row("samples-1e300", "sweep.distance_samples = 1e300", "position-sweep", 0, "",
-        {"config": "992a8d296163"}),
+    # A whole float count is read as its int, which the ceiling then rejects.
+    Row("samples-1e300", "sweep.distance_samples = 1e300", "position-sweep", 2,
+        "error: " + INVALID + f"sweep.distance_samples {SAMPLES}{int(1e300)}\n"),
     Row("config-and-out", "sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]",
         "position-sweep --out rows.csv", 0, "",
         {(1, "actual_x"): "1", (2, "actual_x"): "2", (3, "actual_x"): None}),

@@ -372,6 +372,13 @@ class TestPowerColumns:
         with pytest.raises(DomainError, match=r"^distance must be > 0, got 0.0$"):
             power_columns(led, pd, (3.0, 0.0), (inside, inside))
 
+    def test_rejects_a_distance_whose_square_underflows_to_zero(self):
+        # The row divides by d^2; 1e-200 squared is 0.0, while the smallest
+        # config distance, about 1.49e-154, squares to a normal double.
+        with pytest.raises(DomainError, match=r"^distance 1e-200 squares to 0$"):
+            power_columns(LED, PD, (3.0, 1e-200), (1.0, 1.0))
+        assert power_columns(LED, PD, (1.4916681462400413e-154,), (1.0,))[0] < math.inf
+
     @pytest.mark.parametrize("cosine", [1.5, math.nan], ids=["above-one", "nan"])
     def test_rejects_a_cosine_above_one_or_nan(self, cosine):
         with pytest.raises(DomainError, match=rf"^link cosine must be <= 1, got {cosine}$"):

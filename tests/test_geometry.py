@@ -289,9 +289,11 @@ class TestLinkGeometryIsLinkColumnsRow:
         assert type(scalar.value) is type(row.value) is error
         assert str(scalar.value) == str(row.value)
 
-    def test_int_heights_past_2_53_clamp_the_cosine_to_one(self):
-        # V = 2**53 is exact in ints, but math.dist takes 2**53 + 1 as the
-        # double 2**53 and returns 2**53 - 1, so V/d alone would exceed 1.
+    def test_int_heights_past_2_53_are_stored_as_doubles_and_the_cosine_is_one(self):
+        # As ints V = 2**53 would be exact while math.dist took 2**53 + 1 as the
+        # double 2**53 and returned 2**53 - 1, so V/d would exceed 1. A Point3
+        # holds the doubles, so V is 2**53 - 1 too.
         led, pd = Point3(0, 0, 2**53 + 1), Point3(0, 0, 1)
+        assert led.z == 2.0**53 and type(led.z) is float
         assert link_geometry(led, pd) == (2.0**53 - 1.0, 1.0)
         assert link_columns(led, (pd,)) == ([2.0**53 - 1.0], [1.0])

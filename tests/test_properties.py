@@ -37,8 +37,8 @@ from vlcpos import (
     run_position_sweep,
 )
 from vlcpos import reporting
-from vlcpos.reporting import _CONFIG_KEYS, _literal, _point, _point_list_skeleton, _points
-from vlcpos.scenario import _MIN_LED_HEIGHT
+from vlcpos.geometry import _MIN_LED_HEIGHT, _check
+from vlcpos.reporting import _CONFIG_KEYS, _literal, _point_list_skeleton
 
 from config_text import serialize_config
 from csa_oracle import offset_estimate
@@ -315,7 +315,7 @@ def config_pairs(draw):
         return first, parse_config(serialize_config(first))
     second = draw(configs())
     if how == "one key":
-        field = draw(st.sampled_from([field for field, _, _ in _CONFIG_KEYS.values()]))
+        field = draw(st.sampled_from([field for field, _ in _CONFIG_KEYS.values()]))
         record, _, name = field.rpartition(".")
         value = attrgetter(field)(second)
         try:
@@ -465,11 +465,13 @@ def test_long_point_list_loads_as_literal_eval_reads_it(monkeypatch):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
-# Points the bulk check accepts, and entries that send a list to the per-point
-# loop, one family per reason: a non-finite float, an int or bool (some past
-# the float range), a wrong length, a non-number, a non-sequence. A Point3 is
-# a tuple subclass, which the loop accepts too.
+# Points the bulk checks accept (a list of float 3-sequences, or of Point3s
+# alone), and entries that send a list to the per-point loop, one family per
+# reason: a non-finite float, an int or bool (some past the float range), a
+# wrong length, a non-number, a non-sequence. A Point3 among plain tuples is a
+# tuple subclass, which the loop accepts too.
 FLOAT_POINT = st.tuples(FINITE, FINITE, FINITE) | st.lists(FINITE, min_size=3, max_size=3)
+POINT3 = st.builds(Point3, FINITE, FINITE, FINITE)
 ODD_COORDINATE = st.one_of(
     st.floats(),
     st.integers(),
@@ -483,23 +485,26 @@ ODD_ENTRY = st.one_of(
     st.tuples(FINITE, FINITE, st.sampled_from([10**400, -(10**401)])),
     st.lists(FINITE, max_size=5).filter(lambda entry: len(entry) != 3),
     st.tuples(ODD_COORDINATE, ODD_COORDINATE, ODD_COORDINATE),
-    st.builds(Point3, FINITE, FINITE, FINITE),
+    POINT3,
     ODD_COORDINATE,
 )
 
 
 @PROPERTY
 @given(
-    st.lists(FLOAT_POINT, min_size=1),
+    st.lists(FLOAT_POINT, min_size=1) | st.lists(POINT3, min_size=1),
     st.lists(st.tuples(st.integers(0), ODD_ENTRY), max_size=3),
 )
 def test_bulk_point_check_matches_the_per_point_loop(points, odd_entries):
     value = list(points)
     for index, entry in odd_entries:
         value.insert(index % (len(value) + 1), entry)
-    key = "sweep.positions"
-    bulk = _outcome(lambda v: _points(v, Point3._rules, key), value)
-    assert bulk == _outcome(lambda v: tuple(_point(p, Point3._rules, key) for p in v), value)
+    key, rule = "sweep.positions", ScenarioConfig._rules["pd_positions"]
+    point = rule._replace(shape="point")
+    bulk = _outcome(lambda v: _check(v, rule, key, ValidationError), value)
+    assert bulk == _outcome(
+        lambda v: tuple(_check(p, point, key, ValidationError) for p in v), value
+    )
 
 
 # Emission. Texts at the edges of the spelling rule: around 1e-4 and 1e6,

@@ -50,6 +50,14 @@ INVALID_FIELDS = [
          r"^azimuth must lie in \[0, 360\), got 360\.0$"),
         (CONFIG, "transmit_powers", (), ValidationError,
          r"^transmit_powers must be a non-empty list of numbers, got \(\)$"),
+        # A point is a shape of its record's rule: three finite numbers.
+        *((CONFIG.led, "position", bad, DomainError,
+           rf"^LedSpec\.position must be a 3-tuple \(x, y, z\), got {text}$")
+          for bad, text in ((None, "None"), ("abc", "'abc'"), ((1, 2), r"\(1, 2\)"))),
+        (CONFIG, "pd_positions", (None,), ValidationError,
+         r"^pd_positions must be a 3-tuple \(x, y, z\), got None$"),
+        (CONFIG, "pd_positions", (), ValidationError,
+         r"^pd_positions must be a non-empty list of points, got \(\)$"),
         # An int too long to print is named by its size.
         (Point3(1.0, 2.0, 3.0), "y", 10**5000, DomainError,
          r"^Point3\.y must be finite, got an int of 16610 bits$"),
@@ -108,6 +116,23 @@ class TestTupleSemantics:
     def test_takes_no_attribute_beyond_its_fields(self, record):
         with pytest.raises(AttributeError):
             record.extra = 1.0
+
+
+class TestRecordsHoldWhatTheirRulesReturn:
+    def test_int_coordinates_are_stored_as_floats(self):
+        point = Point3(1, 2, 3)
+        assert point == (1.0, 2.0, 3.0) and set(map(type, point)) == {float}
+        led = LedSpec((2, 2, 3), 15, 60)
+        assert type(led.position) is Point3 and set(map(type, led[:3])) == {Point3, float}
+
+    @pytest.mark.parametrize("positions", [[(1.0, 1.0, 0.0)], ((1, 1, 0),), [Point3(1, 1, 0)]],
+                             ids=["float-list", "int-triples", "point-list"])
+    def test_positions_are_stored_as_a_hashable_tuple_of_points(self, positions):
+        config = CONFIG._replace(pd_positions=positions, transmit_powers=[8, 10])
+        assert type(config.pd_positions) is tuple and type(config.transmit_powers) is tuple
+        assert [type(point) for point in config.pd_positions] == [Point3]
+        assert config.pd_positions == (Point3(1.0, 1.0, 0.0),)
+        assert hash(config) == hash(tuple(config))
 
 
 class TestScenarioConfig:

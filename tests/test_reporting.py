@@ -416,10 +416,13 @@ class TestLoadConfig:
     def test_accepts_integral_float_sample_count(self):
         assert parse_config("sweep.distance_samples = 7.0").distance_samples == 7
 
-    def test_an_int_sample_count_past_two_to_the_53_loads_exactly(self):
-        config = parse_config(f"sweep.distance_samples = {2**53 + 1}")
-        assert config.distance_samples == 2**53 + 1
+    def test_a_sample_count_at_the_ceiling_loads_and_one_past_it_is_rejected(self):
+        config = parse_config("sweep.distance_samples = 1e6")
+        assert config.distance_samples == 10**6 and type(config.distance_samples) is int
         assert parse_config(serialize_config(config)) == config
+        with pytest.raises(ValidationError, match=r"^line 1: sweep\.distance_samples must "
+                           r"lie in \[2, 1e\+06\], got 1000001$"):
+            parse_config("sweep.distance_samples = 1000001")
 
     def test_rejects_bad_distance_range(self):
         with pytest.raises(ValidationError):
@@ -491,15 +494,11 @@ class TestConfigHash:
                 "sweep.transmit_powers = [8.0]\nsweep.elevations = [10.0, 60.0, 90.0]",
                 False,
             ),
-            # Both read as 2**63: the int exactly, the float text rounded to it.
-            (
-                f"sweep.distance_samples = {2**63}",
-                "sweep.distance_samples = 9.2233720368547758e18",
-                True,
-            ),
-            # An int count is not read through a float, which rounds 2**63 - 1 up.
-            (f"sweep.distance_samples = {2**63 - 1}", f"sweep.distance_samples = {2**63}", False),
-            ("sweep.distance_samples = 1e300", f"sweep.distance_samples = {2**63}", False),
+            # Both read as the int 10**6, the ceiling.
+            ("sweep.distance_samples = 1000000", "sweep.distance_samples = 1e6", True),
+            ("sweep.distance_samples = 999999", "sweep.distance_samples = 1e6", False),
+            # Neighbours across the step from one byte of the count to two.
+            ("sweep.distance_samples = 127", "sweep.distance_samples = 128", False),
         ],
     )
     def test_near_collisions_hash_equal_exactly_when_their_texts_are(self, first, second, equal):
@@ -507,8 +506,9 @@ class TestConfigHash:
         assert (serialize_config(first) == serialize_config(second)) == equal
         assert (config_hash(first) == config_hash(second)) == equal
 
-    @pytest.mark.parametrize("samples", [2**63, int(1e300)])
-    def test_a_sample_count_past_eight_bytes_hashes_apart_from_its_neighbour(self, samples):
+    # The last count of one, two and three bytes of two's complement.
+    @pytest.mark.parametrize("samples", [127, 2**15 - 1, 10**6 - 1])
+    def test_a_sample_count_hashes_apart_from_its_neighbour(self, samples):
         config = default_config()._replace(distance_samples=samples)
         neighbour = config._replace(distance_samples=samples + 1)
         assert serialize_config(config) != serialize_config(neighbour)
