@@ -57,8 +57,8 @@ COMMANDS = ("position-sweep", "power-sweep", *FIGURE_SWEEPS, "estimate --power 1
 @pytest.mark.parametrize("config", list(_bound_configs()))
 def test_every_command_keeps_the_error_contract_at_each_declared_bound(config, tmp_path, capsys):
     # Exit 0, 1 or 2, and a failure says so in one error line. A figure sweep
-    # at the sample count's ceiling would take seconds and gigabytes, so it is
-    # not run: the ceiling exists to bound them.
+    # at the sample count's ceiling takes seconds and half a gigabyte, so it is
+    # not run: the ceiling exists to bound it.
     path = tmp_path / "run.cfg"
     path.write_text(config + "\n", encoding="utf-8")
     ceiling = int(ScenarioConfig._rules["distance_samples"].high)
