@@ -10,8 +10,8 @@ inside the field of view (0 beyond it). For the coplanar ceiling/floor
 geometry here the LED normal points down and the PD normal up, so both
 cosines equal the link cosine c = V/d, and P = K c^(m+1) / d^2 with
 K = P_trans*(m+1)*A*h*g/(2*pi), the constant the estimator's inversion shares.
-A link is inside the FOV iff c >= cos(FOV). concentrator_gain decides that
-for one link, and received_power takes its decision from the gain;
+A link is inside the FOV iff c >= cos(FOV). concentrator_gain(c, pd) decides
+that for one link, and received_power takes its decision from the gain;
 power_columns decides it once per run of one cosine object, with cos(FOV)
 computed once per call. received_power_at is a one-row view of power_columns.
 LedSpec's angle rule, [6.0371e-07, 90) degrees, keeps the order formula finite.
@@ -62,24 +62,21 @@ def _fov_cosine(fov: float) -> float:
     return 0.0 if fov == 90.0 else math.cos(math.radians(fov))
 
 
-def concentrator_gain(c: float, n: float, fov: float) -> float:
-    """Optical concentrator gain n^2 / sin^2(fov) for a link of cosine c inside
-    the FOV (c >= cos(fov)), else 0.
+def concentrator_gain(c: float, pd: PdSpec) -> float:
+    """The PD's optical concentrator gain n^2 / sin^2(fov) for a link of cosine
+    c inside its FOV (c >= cos(fov)), else 0. PdSpec's rules bound n and the
+    FOV and keep the gain finite.
 
     Raises:
-        DomainError: when fov is not in (0, inf), n < 1, or c is above 1 or NaN.
+        DomainError: when c is above 1 or NaN.
     """
 
-    if not 0.0 < fov < math.inf:
-        raise DomainError(f"field of view must be finite and > 0 degrees, got {fov}")
-    if not n >= 1.0:
-        raise DomainError(f"refractive index must be >= 1, got {n}")
     if not c <= 1.0:
         raise DomainError(f"link cosine must be <= 1, got {c}")
     # On axis (c = 1, where K takes the gain) every FOV sees the LED.
-    if c < 1.0 and c < _fov_cosine(fov):
+    if c < 1.0 and c < _fov_cosine(pd.fov):
         return 0.0
-    return n * n / math.sin(math.radians(fov)) ** 2
+    return pd.refractive_index * pd.refractive_index / math.sin(math.radians(pd.fov)) ** 2
 
 
 class LedSpec(_record("_Led", "position transmit_power half_power_angle lambertian_order",
@@ -128,7 +125,7 @@ _TINY = sys.float_info.min  # the smallest normal double
 
 def _gain_constant(led: LedSpec, pd: PdSpec) -> float:
     """K = P_t (m+1) A h g(0) / (2 pi), so that P = K c^(m+1) / d^2."""
-    gain, m = concentrator_gain(1.0, pd.refractive_index, pd.fov), led.lambertian_order
+    gain, m = concentrator_gain(1.0, pd), led.lambertian_order
     radiated = led.transmit_power * (m + 1.0)
     collected = radiated * pd.area
     filtered = collected * pd.filter_gain
@@ -220,6 +217,6 @@ def received_power(led: LedSpec, pd: PdSpec, position: Point3) -> ChannelSample:
 
     slant, c = link_geometry(led.position, position)
     k = _gain_constant(led, pd)
-    gain = concentrator_gain(c, pd.refractive_index, pd.fov)
+    gain = concentrator_gain(c, pd)
     power = k * c ** (led.lambertian_order + 1.0) / slant**2 if gain else 0.0
     return tuple.__new__(ChannelSample, (slant, gain, power))

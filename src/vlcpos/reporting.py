@@ -392,8 +392,9 @@ def parse_config(text: str) -> ScenarioConfig:
                     f"invalid value {value_text!r} for {key} ({description}): {exc}"
                 ) from exc
             rule = (getattr(base, record) if record else base)._rules[name]
-            whole = rule.integer and type(value) is float and value.is_integer()  # 7.0 as 7
-            changes[record][name] = _check(int(value) if whole else value, rule, key)
+            if rule.integer and type(value) is float and value.is_integer():  # 7.0 as 7
+                value = int(_check(value, rule._replace(integer=False), key))  # in bounds first
+            changes[record][name] = _check(value, rule, key)
         except (ParseError, ValidationError, DomainError) as exc:
             kind = ParseError if isinstance(exc, ParseError) else ValidationError
             raise kind(f"line {lineno}: {exc}") from exc

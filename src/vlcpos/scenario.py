@@ -176,7 +176,7 @@ class ScenarioConfig(_record(
             )
         if source.z < _MIN_LED_HEIGHT:
             raise ValidationError(
-                f"led.position height {source.z} is below {_MIN_LED_HEIGHT:.3g} m, where "
+                f"led.position height {source.z} is below {_MIN_LED_HEIGHT:g} m, where "
                 "the squared link distances underflow"
             )
         for i, pos in enumerate(pd_positions, start=1):

@@ -214,7 +214,7 @@ ROWS = (
     Row("led-height-below-bound", "room.height = 1.4916681462400412e-154\n"
         "led.position = (2.5, 2.5, 1.4916681462400412e-154)", "position-sweep", 2,
         "error: ValidationError: led.position height 1.4916681462400412e-154 is below "
-        "1.49e-154 m, "),
+        "1.49167e-154 m, "),
     Row("room-side-at-bound", "room.width = 7.741001517595157e+153", "position-sweep", 0, "",
         {(10, "est_x"): "0.785669"}),
     Row("room-side-above-bound", "room.width = 7.741001517595158e+153", "position-sweep", 2,
@@ -287,7 +287,7 @@ ROWS = (
         ("led-off-floor", "led.position = (90.0, 2.5, 3.0)",
          "ValidationError: led.position (90.0, 2.5, 3.0) is outside the room"),
         ("led-height-underflows", "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
-         "ValidationError: led.position height 1e-200 is below 1.49e-154 m"),
+         "ValidationError: led.position height 1e-200 is below 1.49167e-154 m"),
         ("negative-width", "room.width = -1", INVALID + "room.width " + ROOM_SIDE + "-1.0\n"),
         ("zero-length", "room.length = 0", INVALID + "room.length " + ROOM_SIDE + "0.0\n"),
         ("bool-height", "room.height = True", INVALID + "room.height must be a number, got True\n"),
@@ -350,9 +350,9 @@ ROWS = (
           ("ints", "5", "(1, 1, 0)", BY_VALUE_HASH),
           ("floats", "5.0e0", "(1.0, 1.0, 0.0)", BY_VALUE_HASH),
           ("signed", "5.0e0", "(1.0, 1.0, -0.0)", "3cd02d5e3402"))),
-    # A whole float count is read as its int, which the ceiling then rejects.
+    # A whole float count meets its bounds as a float before it is read as its int.
     Row("samples-1e300", "sweep.distance_samples = 1e300", "position-sweep", 2,
-        "error: " + INVALID + f"sweep.distance_samples {SAMPLES}{int(1e300)}\n"),
+        "error: " + INVALID + f"sweep.distance_samples {SAMPLES}1e+300\n"),
     Row("config-and-out", "sweep.positions = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]",
         "position-sweep --out rows.csv", 0, "",
         {(1, "actual_x"): "1", (2, "actual_x"): "2", (3, "actual_x"): None}),

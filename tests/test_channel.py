@@ -155,39 +155,32 @@ def _cos(angle):
 
 
 class TestConcentratorGain:
-    """The gain takes the link cosine: inside the FOV iff c >= cos(fov)."""
+    """The gain takes the link cosine and the PD: inside the FOV iff
+    c >= cos(fov). PdSpec's rules bound the FOV and the index."""
+
+    PD_60 = PD._replace(fov=60.0)
 
     def test_full_hemisphere_fov(self):
         # sin(90 deg) = 1, so the gain is n^2 everywhere inside.
-        assert concentrator_gain(1.0, 1.5, 90.0) == 2.25
-        assert concentrator_gain(_cos(89.9), 1.5, 90.0) == 2.25
+        assert concentrator_gain(1.0, PD) == 2.25
+        assert concentrator_gain(_cos(89.9), PD) == 2.25
 
     def test_narrow_fov(self):
-        assert _close(concentrator_gain(_cos(30.0), 1.5, 60.0), 3.0)
-        assert concentrator_gain(_cos(60.5), 1.5, 60.0) == 0.0
+        assert _close(concentrator_gain(_cos(30.0), self.PD_60), 3.0)
+        assert concentrator_gain(_cos(60.5), self.PD_60) == 0.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError, match=r"^link cosine must be <= 1, got 1.5$"):
-            concentrator_gain(1.5, 1.5, 90.0)
+            concentrator_gain(1.5, PD)
         with pytest.raises(DomainError, match=r"^link cosine must be <= 1, got nan$"):
-            concentrator_gain(math.nan, 1.5, 90.0)
-        with pytest.raises(DomainError):
-            concentrator_gain(1.0, 1.5, 0.0)
-        # On axis the gain reads no cosine of the FOV, off axis it does; both
-        # check the FOV first.
-        for c, fov in ((1.0, math.inf), (0.5, math.inf), (1.0, math.nan), (0.5, math.nan)):
-            message = f"^field of view must be finite and > 0 degrees, got {fov}$"
-            with pytest.raises(DomainError, match=message):
-                concentrator_gain(c, 1.5, fov)
-        with pytest.raises(DomainError):
-            concentrator_gain(1.0, 0.5, 90.0)
+            concentrator_gain(math.nan, PD)
 
     def test_grazing_link_is_inside_a_90_degree_fov(self):
         # cos(90 deg) is taken as exactly 0, not the 6.1e-17 of
         # cos(radians(90)), so a link at c = 1e-100 is seen.
-        assert concentrator_gain(1e-100, 1.5, 90.0) == 2.25
-        assert concentrator_gain(0.0, 1.5, 90.0) == 2.25
-        assert concentrator_gain(-1e-100, 1.5, 90.0) == 0.0
+        assert concentrator_gain(1e-100, PD) == 2.25
+        assert concentrator_gain(0.0, PD) == 2.25
+        assert concentrator_gain(-1e-100, PD) == 0.0
 
 
 class TestEffectiveArea:
@@ -316,7 +309,7 @@ class TestReceivedPower:
             * (m + 1.0)
             * PD.area
             * PD.filter_gain
-            * concentrator_gain(0.0, PD.refractive_index, PD.fov)
+            * concentrator_gain(0.0, PD)
             / (2.0 * math.pi)
         )
         for xy, expected in zip(DIAGONAL_XY, DIAGONAL_POWERS):
@@ -447,8 +440,8 @@ class TestFovEdge:
         beyond = math.nextafter(fov, math.inf)
         assert _close(received_power_at(LED, pd, 3.0, fov), power)
         assert received_power_at(LED, pd, 3.0, beyond) == 0.0
-        assert _close(concentrator_gain(_cos(fov), 1.5, fov), gain)
-        assert concentrator_gain(_cos(beyond), 1.5, fov) == 0.0
+        assert _close(concentrator_gain(_cos(fov), pd), gain)
+        assert concentrator_gain(_cos(beyond), pd) == 0.0
 
 
 class TestGrazingLink:
@@ -487,7 +480,7 @@ def _columns_row(led, pd, position):
     power_columns' one row, and the gain at its cosine."""
     (slant,), (c,) = link_columns(led.position, (position,))
     (power,) = power_columns(led, pd, (slant,), (c,))
-    return slant, concentrator_gain(c, pd.refractive_index, pd.fov), power
+    return slant, concentrator_gain(c, pd), power
 
 
 class TestReceivedPowerIsTheColumnsRow:

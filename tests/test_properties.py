@@ -28,6 +28,7 @@ from vlcpos import (
     RoomSpec,
     ScenarioConfig,
     ValidationError,
+    concentrator_gain,
     config_hash,
     default_config,
     estimate_position,
@@ -149,6 +150,32 @@ def test_received_power_matches_the_textbook_product(data, link):
     assert sample.slant_distance == d
     assert math.isclose(sample.concentrator_gain, gain, rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(sample.received_power, expected, rel_tol=1e-12, abs_tol=0.0)
+
+
+@st.composite
+def pd_specs(draw):
+    """Any PdSpec that constructs, each field drawn over its whole rule; a
+    draw that the finite-gain rule rejects (a FOV too narrow for its index)
+    is discarded."""
+
+    number = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    try:
+        return PdSpec(area=draw(number), fov=draw(FOV), filter_gain=draw(number),
+                      refractive_index=draw(st.floats(1.0, allow_infinity=False)))
+    except DomainError:
+        reject()
+
+
+@PROPERTY
+@given(pd_specs(), st.floats(-1.0, 1.0))
+def test_concentrator_gain_of_any_pd_is_the_closed_form_and_0_beyond_the_fov(pd, c):
+    # The FOV is closed, with cos(90 deg) = 0, and on axis every FOV sees the LED.
+    on_axis = concentrator_gain(1.0, pd)
+    n, cos_fov = pd.refractive_index, 0.0 if pd.fov == 90.0 else math.cos(math.radians(pd.fov))
+    assert 0.0 < on_axis < math.inf
+    assert on_axis.hex() == (n * n / math.sin(math.radians(pd.fov)) ** 2).hex()
+    assert concentrator_gain(c, pd) == (on_axis if c >= cos_fov else 0.0)
+    assert concentrator_gain(math.nextafter(cos_fov, -math.inf), pd) == 0.0
 
 
 @st.composite

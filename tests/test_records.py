@@ -1,6 +1,7 @@
 """Tests for the validated named-tuple records: every way of building one checks it."""
 
 import math
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from vlcpos import (
     default_config,
     lambertian_order,
 )
-from vlcpos.geometry import _check
+from vlcpos.geometry import _MIN_LED_HEIGHT, _check
 
 CONFIG = default_config()
 TABLE = OutputTable("demo", ("a", "b"), ((1, 2.5),), {"k": "v"})
@@ -206,3 +207,14 @@ def test_each_printed_bound_reads_back_inside_its_rule(rule):
                 _check(int(shown) if rule.integer else shown, rule, "bound")
             else:
                 assert shown == bound
+
+
+def test_the_printed_led_height_floor_is_above_every_height_it_rejects():
+    # The joined rule prints its floor by %g; a height one float below the
+    # floor must read as below the floor the message shows.
+    below = math.nextafter(_MIN_LED_HEIGHT, 0.0)
+    with pytest.raises(ValidationError, match=r"^led\.position height ") as caught:
+        CONFIG._replace(room=CONFIG.room._replace(height=below),
+                        led=CONFIG.led._replace(position=Point3(2.5, 2.5, below)))
+    shown = float(re.search(r" is below (\S+) m, ", str(caught.value))[1])
+    assert below < _MIN_LED_HEIGHT <= shown

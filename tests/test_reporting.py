@@ -414,7 +414,8 @@ class TestLoadConfig:
             parse_config(text)
 
     def test_accepts_integral_float_sample_count(self):
-        assert parse_config("sweep.distance_samples = 7.0").distance_samples == 7
+        samples = parse_config("sweep.distance_samples = 7.0").distance_samples
+        assert samples == 7 and type(samples) is int
 
     def test_a_sample_count_at_the_ceiling_loads_and_one_past_it_is_rejected(self):
         config = parse_config("sweep.distance_samples = 1e6")

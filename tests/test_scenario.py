@@ -323,7 +323,7 @@ class TestSweepColumnsMatchScalarPath:
     @staticmethod
     def _gain_constant(led, pd):
         m = led.lambertian_order
-        gain = concentrator_gain(1.0, pd.refractive_index, pd.fov)
+        gain = concentrator_gain(1.0, pd)
         return led.transmit_power * (m + 1.0) * pd.area * pd.filter_gain * gain / (2.0 * math.pi)
 
     @classmethod
