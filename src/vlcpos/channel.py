@@ -12,8 +12,9 @@ cosines equal the link cosine c = V/d, and P = K c^(m+1) / d^2 with
 K = P_trans*(m+1)*A*h*g/(2*pi), the constant the estimator's inversion shares.
 A link is inside the FOV iff c >= cos(FOV). concentrator_gain(c, pd) decides
 that for one link, and received_power takes its decision from the gain;
-power_columns decides it once per run of one cosine object, with cos(FOV)
-computed once per call. received_power_at is a one-row view of power_columns.
+power_columns decides it once per column of one cosine, else once per row,
+with cos(FOV) computed once per call. received_power_at is a one-row view of
+power_columns.
 LedSpec's angle rule, [6.0371e-07, 90) degrees, keeps the order formula finite.
 """
 
@@ -164,9 +165,10 @@ def power_columns(
     cosine c, 0 beyond the FOV (c < cos(fov)).
 
     One cosine serves as both the irradiance and the incidence factor. K and
-    cos(fov) are computed once, and K c^(m+1) once per run of rows holding one
-    cosine object (an angle-sweep family). A row keeps the per-row form's bits,
-    since K * c**(m+1) / d**2 evaluates left to right. Each row checks its inputs.
+    cos(fov) are computed once. A column of one cosine in (0, 1] (an angle-sweep
+    family) is checked whole and takes K c^(m+1) once; any other column, or one
+    that fails the checks, goes row by row, which names the first bad row. Both
+    keep the bits of K * c**(m+1) / d**2, which evaluates left to right.
 
     Raises:
         DomainError: when K is 0 or infinite, a distance is not > 0 or its
@@ -174,17 +176,23 @@ def power_columns(
     """
 
     k, exponent, cos_fov = _gain_constant(led, pd), led.lambertian_order + 1.0, _fov_cosine(pd.fov)
+    c = cosines[0] if cosines else 0.0
+    # Equal cosines in (0, 1] share their bits. The smallest distance squaring to a
+    # normal double covers every row, and the sum of positive distances is NaN only
+    # when one of them is.
+    if 0.0 < c <= 1.0 and cosines.count(c) == len(cosines) == len(distances):
+        low, total = min(distances), sum(distances)
+        if low > 0.0 and low**2 > 0.0 and total == total:
+            kc = k * c**exponent if c >= cos_fov else 0.0
+            return [kc / d**2 for d in distances]
     powers: list[float] = []
-    last, kc = object(), None  # the run's cosine, and its K c^(m+1) (None beyond the FOV)
     try:  # free until it catches: only a positive distance's square underflows to 0
         for distance, c in zip(distances, cosines):
             if not distance > 0.0:
                 raise DomainError(f"distance must be > 0, got {distance}")
-            if c is not last:
-                if not c <= 1.0:
-                    raise DomainError(f"link cosine must be <= 1, got {c}")
-                last, kc = c, k * c**exponent if c >= cos_fov else None
-            powers.append(0.0 if kc is None else kc / distance**2)
+            if not c <= 1.0:
+                raise DomainError(f"link cosine must be <= 1, got {c}")
+            powers.append(k * c**exponent / distance**2 if c >= cos_fov else 0.0)
     except ZeroDivisionError:
         raise DomainError(f"distance {distance} squares to 0") from None
     return powers

@@ -22,17 +22,18 @@ import json
 import math
 from collections import Counter
 from contextlib import nullcontext
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 from .channel import lambertian_order
 from .errors import DomainError, ParseError, UnsupportedFormat, ValidationError
 from .estimator import EstimateRecord
 from .geometry import _check, _record
 from .scenario import (
-    ASSUMPTIONS, REFERENCE_DATASET_VERSION, ReplicationCheck, ScenarioConfig, default_config
+    ASSUMPTIONS, REFERENCE_DATASET_VERSION, FigureRows, ReplicationCheck, ScenarioConfig,
+    default_config,
 )
 
 __all__ = [
@@ -60,12 +61,13 @@ class OutputTable(_record("_Table", "name columns rows metadata")):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, columns: tuple[str, ...], rows: tuple[tuple[Any, ...], ...],
+    def __new__(cls, name: str, columns: tuple[str, ...], rows: Sequence[tuple[Any, ...]],
                 metadata: Mapping[str, str]) -> OutputTable:
         if not columns:
             raise ValidationError("a table needs at least one column")
         width = len(columns)
-        if not set(map(len, rows)) <= {width}:
+        # A figure sweep's rows are (label, distance, power) by construction.
+        if not ({3} if isinstance(rows, FigureRows) else set(map(len, rows))) <= {width}:
             # Only a ragged table pays for the pass that finds its first bad row.
             i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
             raise ValidationError(f"row {i} has {len(row)} cells for {width} columns")
@@ -118,50 +120,75 @@ def _whole(column: Sequence[float]) -> bool:
     return column[0].is_integer() and all(v.is_integer() and -1e6 < v < 1e6 for v in set(column))
 
 
-def _render_rows(rows: Sequence[tuple[Any, ...]], fmt: str, respell: bool = False) -> str:
-    """The rows' text without a final newline, from one % call over a row template.
+def _render(columns: Sequence[Sequence[Any]], fmt: str, label: Any = None,
+            respell: bool = False) -> str:
+    """A chunk's text without a final newline, from one % call over a row template.
 
-    A float column takes %.6g in place, or in JSON %.1f where _whole holds;
-    every other cell takes %s, after _csv_cell or _json_cell unless its column
-    holds ints. A %.6g text is JSON's spelling when _json_numbers keeps it, so
-    a JSON text where a float cell has no point, or "e+" or "e-3" appears, is
-    rendered again with respell: float columns then take _json_numbers.
+    columns are the chunk's columns. A figure chunk's label, unless None, is
+    the first cell of every row: _csv_cell or _json_cell spells it once, into
+    the template. A float column takes %.6g in place, or in JSON %.1f where
+    _whole holds; every other cell takes %s, after _csv_cell or _json_cell
+    unless its column holds ints. A %.6g text is JSON's spelling when
+    _json_numbers keeps it, so a JSON text where a float cell has no point, or
+    "e+" or "e-3" appears, is rendered again with respell: float columns then
+    take _json_numbers.
     """
 
-    cells, columns, dots = [], [], 0  # dots: the count the text has when every float cell has one
-    for column in zip(*rows):
+    spell, count = _csv_cell if fmt == "csv" else _json_cell, len(columns[0])
+    cells, texts, dots = [], [], 0  # dots: the count the text has when every float cell has one
+    if label is not None:
+        text = spell(label)
+        cells.append(text.replace("%", "%%"))
+        dots += text.count(".") * count
+    for column in columns:
         kinds = set(map(type, column))
         if kinds == {float} and not respell:
             cells.append("%.1f" if fmt == "json" and _whole(column) else _NUMBER)
-            dots += len(column)
+            dots += count
         else:
             cells.append("%s")
             if kinds == {float}:
                 column = _json_numbers(column)
             elif kinds != {int}:
-                column = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
+                column = list(map(spell, column))
                 dots += "".join(column).count(".")
-        columns.append(column)
+        texts.append(column)
     if fmt == "csv":
-        if len(columns) == 1 and "" in columns[0]:
+        if len(texts) == 1 and "" in texts[0]:
             # csv.writer quotes a lone empty field so the row is not blank.
-            columns[0] = ['""' if cell == "" else cell for cell in columns[0]]
+            texts[0] = ['""' if cell == "" else cell for cell in texts[0]]
         template, separator = ",".join(cells), "\n"
     else:
         # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".
         template, separator = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
-    text = separator.join(repeat(template, len(rows))) % tuple(chain.from_iterable(zip(*columns)))
+    text = separator.join(repeat(template, count)) % tuple(chain.from_iterable(zip(*texts)))
     if fmt == "json" and not respell:
         if text.count(".") != dots or "e+" in text or "e-3" in text:
-            return _render_rows(rows, fmt, respell=True)
+            return _render(columns, fmt, label, respell=True)
     return text
+
+
+def _chunks(rows: Sequence[tuple[Any, ...]] | FigureRows, fmt: str) -> Iterator[str]:
+    """Each chunk's text: _CHUNK_ROWS rows at most, a figure chunk within one family."""
+
+    if isinstance(rows, FigureRows):
+        for label, distances, powers in rows.families():
+            for start in range(0, len(distances), _CHUNK_ROWS):
+                stop = start + _CHUNK_ROWS
+                yield _render((distances[start:stop].tolist(), powers[start:stop]), fmt, label)
+            del powers  # freed before the next family's powers are computed
+    else:
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            yield _render(list(zip(*rows[start:start + _CHUNK_ROWS])), fmt)
 
 
 def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> int:
     """Write the table to a path or text stream, _CHUNK_ROWS rows at a time;
-    returns the UTF-8 bytes written. A path is written as chunks render, so a
-    cell that cannot render leaves the chunks before it in the file; a caller's
-    own errors leave the file alone when it builds every row before emit.
+    returns the UTF-8 bytes written. A figure table is rendered one family at a
+    time, each chunk within a family, its label spelled once per chunk. The
+    first chunk renders before the destination is opened or written, so a
+    figure sweep that fails in its first family leaves a path as it was; a cell
+    that cannot render in a later chunk leaves the chunks before it in the file.
 
     Raises:
         UnsupportedFormat: for formats other than "csv" and "json", before the
@@ -173,7 +200,7 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
     if format == "csv":
         # The header is one more row of text cells.
         head = "".join(f"# {key} = {value}\n" for key, value in metadata)
-        head, joint, tail = head + _render_rows((table.columns,), "csv"), "\n", "\n"
+        head, joint, tail = head + _render([(name,) for name in table.columns], "csv"), "\n", "\n"
     elif format == "json":
         frame = {"name": table.name, "columns": list(table.columns), "rows": []}
         text = json.dumps({**frame, "metadata": dict(metadata)}, indent=2)
@@ -183,14 +210,13 @@ def emit(table: OutputTable, format: str, destination: str | Path | IO[str]) -> 
     else:
         raise UnsupportedFormat(f"unsupported output format: {format!r}")
 
-    chunks = (
-        ("\n" if start == 0 else joint) + _render_rows(rows[start:start + _CHUNK_ROWS], format)
-        for start in range(0, len(rows), _CHUNK_ROWS)
-    )
+    chunks = _chunks(rows, format)
+    first = list(islice(chunks, 1))
     size = 0
     with (nullcontext(destination) if hasattr(destination, "write")
           else open(destination, "w", encoding="utf-8", newline="")) as stream:
-        for piece in chain((head,), chunks, (tail,)):
+        for piece in chain((head,), ("\n" + text for text in first),
+                           (joint + text for text in chunks), (tail,)):
             stream.write(piece)
             size += len(piece.encode("utf-8"))
     return size
@@ -210,18 +236,14 @@ def position_sweep_table(
     return OutputTable("position_sweep", columns, tuple(rows), metadata)
 
 
-def power_sweep_table(
-    rows: tuple[tuple[float, float, float], ...], metadata: Mapping[str, str]
-) -> OutputTable:
+def power_sweep_table(rows: FigureRows, metadata: Mapping[str, str]) -> OutputTable:
     columns = ("transmit_power", "distance", "received_power")
-    return OutputTable("power_sweep", columns, tuple(rows), metadata)
+    return OutputTable("power_sweep", columns, rows, metadata)
 
 
-def angle_sweep_table(
-    rows: tuple[tuple[float, float, float], ...], metadata: Mapping[str, str]
-) -> OutputTable:
+def angle_sweep_table(rows: FigureRows, metadata: Mapping[str, str]) -> OutputTable:
     columns = ("elevation", "distance", "received_power")
-    return OutputTable("angle_sweep", columns, tuple(rows), metadata)
+    return OutputTable("angle_sweep", columns, rows, metadata)
 
 
 def replication_table(

@@ -19,8 +19,9 @@ run. The modeling assumptions the checks rest on are ASSUMPTIONS.
 from __future__ import annotations
 
 import math
-from itertools import pairwise, repeat, starmap
-from typing import NamedTuple
+from array import array
+from itertools import chain, pairwise, repeat, starmap
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
@@ -33,6 +34,7 @@ from .geometry import (
 __all__ = [
     "ScenarioConfig",
     "ReplicationCheck",
+    "FigureRows",
     "default_config",
     "run_position_sweep",
     "run_power_distance_sweep",
@@ -254,39 +256,67 @@ def run_position_sweep(
     return tuple(rows)
 
 
-def run_power_distance_sweep(
-    config: ScenarioConfig,
-) -> tuple[tuple[float, float, float], ...]:
+class FigureRows:
+    """A figure sweep's rows (label, distance, power), held as its families: the
+    labels, their shared distance column (an array of doubles) and family i's
+    power column, family_powers(i), computed each time the family is read."""
+
+    def __init__(self, labels: Sequence[float], distances: array,
+                 family_powers: Callable[[int], list[float]]) -> None:
+        self.labels, self.distances, self._family_powers = labels, distances, family_powers
+        self._held: tuple = (None, None)  # the family that indexing read last, and its powers
+
+    def families(self) -> Iterator[tuple[float, array, list[float]]]:
+        """(label, distances, powers) per family in order, each computed as it is reached."""
+        for i, label in enumerate(self.labels):
+            yield label, self.distances, self._family_powers(i)
+
+    def __len__(self) -> int:
+        return len(self.labels) * len(self.distances)
+
+    def __iter__(self) -> Iterator[tuple[float, float, float]]:
+        return chain.from_iterable(zip(repeat(label), d, p) for label, d, p in self.families())
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        family, i = divmod(range(len(self))[index], len(self.distances))
+        if self._held[0] != family:
+            self._held = family, self._family_powers(family)
+        return self.labels[family], self.distances[i], self._held[1][i]
+
+
+def run_power_distance_sweep(config: ScenarioConfig) -> FigureRows:
     """(transmit_power, distance, received_power) over powers x positions.
 
-    Rows are grouped by transmit power in configured order, distance
-    ascending within each group; the geometry is fully coupled as in the
-    position sweep.
+    One family per transmit power in configured order, over the positions'
+    slant distances in ascending order; the geometry is fully coupled as in
+    the position sweep. Its size is set by the configured positions, not by a
+    sample count, so every family is computed here, and a transmit power that
+    puts K past the float range raises before any row is written.
     """
 
     led = config.led
     # (slant, cosine) pairs by distance: floor points share V, so equal slants
     # carry equal cosines and give equal rows.
     slants, cosines = zip(*sorted(zip(*link_columns(led.position, config.pd_positions))))
-    rows: list[tuple[float, float, float]] = []
-    for power in config.transmit_powers:
-        powers = power_columns(
-            led._replace(transmit_power=power), config.pd_template, slants, cosines
-        )
-        rows.extend(zip(repeat(power), slants, powers))
-    return tuple(rows)
+    slants = array("d", slants)
+    walks = [
+        power_columns(led._replace(transmit_power=power), config.pd_template, slants, cosines)
+        for power in config.transmit_powers
+    ]
+    return FigureRows(config.transmit_powers, slants, walks.__getitem__)
 
 
-def run_angle_sweep(
-    config: ScenarioConfig,
-) -> tuple[tuple[float, float, float], ...]:
+def run_angle_sweep(config: ScenarioConfig) -> FigureRows:
     """(elevation, distance, received_power) with the angle factor held fixed.
 
     This is the figure parameterization: each family keeps its labelled
     elevation across the whole distance axis, so only the inverse-square term
     varies within a family. Elevation e maps to the link cosine cos(90 - e),
     taken once per family. Without a configured distance_range the span runs
-    from the nearest to the farthest configured position.
+    from the nearest to the farthest configured position. Only the distance
+    column is computed here; a family's powers are computed when it is reached.
     """
 
     if config.distance_range is None:
@@ -295,13 +325,14 @@ def run_angle_sweep(
     else:
         low, high = config.distance_range
     count = config.distance_samples
-    distances = [low + i * (high - low) / (count - 1) for i in range(count)]
-    rows: list[tuple[float, float, float]] = []
-    for elevation in config.sweep_elevations:
-        cosines = [math.cos(math.radians(90.0 - elevation))] * count
-        powers = power_columns(config.led, config.pd_template, distances, cosines)
-        rows.extend(zip(repeat(elevation), distances, powers))
-    return tuple(rows)
+    distances = array("d", [low + i * (high - low) / (count - 1) for i in range(count)])
+    elevations = config.sweep_elevations
+
+    def family_powers(i: int) -> list[float]:
+        cosines = [math.cos(math.radians(90.0 - elevations[i]))] * count
+        return power_columns(config.led, config.pd_template, distances, cosines)
+
+    return FigureRows(elevations, distances, family_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +391,13 @@ def _grade(
     return ReplicationCheck(name, reference, computed, difference, verdict, expected, note)
 
 
-def _families(rows: tuple[tuple[float, float, float], ...], size: int) -> list[list[float]]:
-    """A figure runner's power column, one list per family: a block of size rows."""
-
-    return [[p for _, _, p in rows[start:start + size]] for start in range(0, len(rows), size)]
-
-
-def replication_report(config: ScenarioConfig | None = None) -> tuple[ReplicationCheck, ...]:
+def replication_report(config: ScenarioConfig) -> tuple[ReplicationCheck, ...]:
     """Compare computed results against the embedded reference dataset.
 
     Designed for the default configuration; the reference values only
     describe that scenario.
     """
 
-    if config is None:
-        config = default_config()
     # Rows end (slant_d, received_power, error_m).
     sweep = run_position_sweep(config)
     *_, center_slant, center_power, _ = sweep[0]
@@ -406,12 +429,11 @@ def replication_report(config: ScenarioConfig | None = None) -> tuple[Replicatio
     attainable = math.dist((led_x, led_y), (x, y)) * math.sqrt(2.0) / 2.0
 
     # Trend checks over the implemented pipeline, as violation counts. Each
-    # family is read as its runner's block: grouping by value would join the
-    # walks of a repeated power. A repeated elevation's identical blocks key as one.
-    walks = _families(run_power_distance_sweep(config), len(config.pd_positions))
+    # family is read as its runner gives it: grouping rows by value would join
+    # the walks of a repeated power. A repeated elevation's identical curves key as one.
+    walks = [powers for _, _, powers in run_power_distance_sweep(config).families()]
     power_violations = sum(not b < a for walk in walks for a, b in pairwise(walk))
-    curves = dict(zip(config.sweep_elevations,
-                      _families(run_angle_sweep(config), config.distance_samples)))
+    curves = {elevation: powers for elevation, _, powers in run_angle_sweep(config).families()}
     ordered = [curves[elevation] for elevation in sorted(curves, reverse=True)]
     angle_violations = sum(not a > b for high, low in pairwise(ordered) for a, b in zip(high, low))
     error_violations = sum(b < a for a, b in pairwise(errors))

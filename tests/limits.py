@@ -246,6 +246,10 @@ ROWS = (
           "error: DomainError: position 1: " + K_INF_IS)
       for command in ("position-sweep", "replicate")),
     Row("k-inf-stdout", K_INF, "angle-sweep", 1, "error: DomainError: " + K_INF_IS),
+    # A later transmit power puts K past the float range: the power sweep
+    # computes every family before it writes a row.
+    Row("k-inf-later-power", "sweep.transmit_powers = [8.0, 1e300]\npd.area = 1e100",
+        "power-sweep --out out.txt", 1, "error: DomainError: " + K_INF_IS, out_kept=True),
     Row("k-inf-out-kept", K_INF, "angle-sweep --format json --out out.txt", 1,
         "error: DomainError: " + K_INF_IS, out_kept=True),
     Row("k-zero-estimate", "pd.area = 1e-300\npd.filter_gain = 1e-300",

@@ -352,8 +352,8 @@ class TestReceivedPowerAt:
 class TestPowerColumns:
     @pytest.mark.parametrize("order", [1.0, 1.7])
     def test_runs_of_one_cosine_match_the_one_row_views(self, order):
-        # K c^(m+1) is taken once per run of rows holding one cosine object:
-        # a run broken by rows beyond a 60-degree FOV, then a new cosine.
+        # A column of mixed cosines goes row by row: runs broken by rows
+        # beyond a 60-degree FOV, then a new cosine.
         led, pd = LED._replace(lambertian_order=order), PD._replace(fov=60.0)
         inside, beyond, other = (math.cos(math.radians(a)) for a in (30.0, 75.0, 10.0))
         cosines = [inside] * 3 + [beyond, inside, beyond, beyond, inside] + [other] * 3
@@ -364,6 +364,20 @@ class TestPowerColumns:
         assert [power == 0.0 for power in column] == [c is beyond for c in cosines]
         with pytest.raises(DomainError, match=r"^distance must be > 0, got 0.0$"):
             power_columns(led, pd, (3.0, 0.0), (inside, inside))
+        # A column of one cosine is computed whole, with the bits of the same
+        # rows computed one by one in a column that ends in another cosine.
+        for c in (inside, beyond):
+            whole = power_columns(led, pd, distances, [c] * len(distances))
+            by_rows = power_columns(led, pd, [*distances, 3.0], [c] * len(distances) + [other])
+            assert whole == by_rows[:-1]
+            assert (set(whole) == {0.0}) is (c is beyond)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -math.inf])
+    def test_a_column_of_one_cosine_names_its_first_bad_distance(self, bad):
+        # The whole-column checks catch a bad distance after the first row,
+        # and the rows then name it.
+        with pytest.raises(DomainError, match=rf"^distance must be > 0, got {bad}$"):
+            power_columns(LED, PD, (3.0, 4.0, bad, 5.0), (1.0,) * 4)
 
     def test_rejects_a_distance_whose_square_underflows_to_zero(self):
         # The row divides by d^2; 1e-200 squared is 0.0, while the smallest

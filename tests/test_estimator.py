@@ -15,6 +15,7 @@ from vlcpos import (
     PdSpec,
     Point3,
     PowerTooHigh,
+    default_config,
     estimate_lines,
     estimate_position,
     invert_power_to_distance,
@@ -342,11 +343,11 @@ class TestAverageError:
     """The mean errors of the published column, as the replication report takes them."""
 
     def test_published_column_mean(self):
-        computed = {check.name: check.computed for check in replication_report()}
+        computed = {check.name: check.computed for check in replication_report(default_config())}
         assert _close(computed["reference_mean_error"], 0.04207)
 
     def test_published_first_eight_mean(self):
-        computed = {check.name: check.computed for check in replication_report()}
+        computed = {check.name: check.computed for check in replication_report(default_config())}
         assert _close(computed["first_eight_mean_error"], 0.032925)
 
 

@@ -35,7 +35,9 @@ from vlcpos import (
     link_geometry,
     parse_config,
     received_power,
+    run_angle_sweep,
     run_position_sweep,
+    run_power_distance_sweep,
 )
 from vlcpos import reporting
 from vlcpos.geometry import _MIN_LED_HEIGHT, _check
@@ -685,12 +687,50 @@ def test_emit_across_chunk_boundaries_matches_the_csv_and_json_modules(tmp_path,
 
 def test_only_a_chunk_with_a_respelled_text_falls_back(monkeypatch):
     # Each chunk renders once in place; the middle one renders again respelled.
-    render, calls = reporting._render_rows, []
+    render, calls = reporting._render, []
 
-    def spy(rows, fmt, respell=False):
-        calls.append((rows[0][0], respell))
-        return render(rows, fmt, respell)
+    def spy(columns, fmt, label=None, respell=False):
+        calls.append((columns[0][0], respell))
+        return render(columns, fmt, label, respell)
 
-    monkeypatch.setattr(reporting, "_render_rows", spy)
+    monkeypatch.setattr(reporting, "_render", spy)
     reporting.emit(_middle_table(3 * CHUNK), "json", io.StringIO())
     assert calls == [(0.5, False), (0.0, False), (0.0, True), (2 * CHUNK + 0.5, False)]
+
+
+def _figure_config(case, samples):
+    """samples distance samples and as many floor points, along the y = 0 edge
+    (beyond a 5-degree FOV), in the default room."""
+
+    base = default_config()
+    edge = tuple(Point3(5.0 * i / (samples - 1), 0.0, 0.0) for i in range(samples))
+    config = base._replace(pd_positions=edge, distance_samples=samples)
+    if case == "respelled":
+        # JSON spells 1e-05 and 1e+06 otherwise than %.6g and %.1f do.
+        return config._replace(sweep_elevations=(1e-05, 90.0), transmit_powers=(1e6, 8.0))
+    if case == "beyond-fov":
+        return config._replace(pd_template=base.pd_template._replace(fov=5.0),
+                               sweep_elevations=(60.0, 70.0, 80.0))
+    return config
+
+
+@pytest.mark.parametrize("samples", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("case", ["default", "respelled", "beyond-fov"])
+def test_figure_tables_emit_the_bytes_of_their_rows_as_a_row_table(case, samples):
+    # A figure table renders family by family, each chunk within one family
+    # and its label spelled once; a row table of the same rows renders in
+    # chunks that straddle the families.
+    config = _figure_config(case, samples)
+    for build, run, labels in (
+        (reporting.angle_sweep_table, run_angle_sweep, config.sweep_elevations),
+        (reporting.power_sweep_table, run_power_distance_sweep, config.transmit_powers),
+    ):
+        table = build(run(config), {"k": "v"})
+        assert len(table.rows) == len(labels) * samples
+        if case == "beyond-fov":
+            assert {power for _, _, power in table.rows} == {0.0}
+        plain = table._replace(rows=tuple(table.rows))
+        for fmt, expected in (("csv", _csv_reference(plain)), ("json", _json_reference(plain))):
+            buffer = io.StringIO()
+            assert reporting.emit(table, fmt, buffer) == len(expected.encode("utf-8"))
+            assert buffer.getvalue() == expected

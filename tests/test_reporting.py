@@ -229,7 +229,7 @@ class TestSweepTables:
         assert first[7] == 0.0
 
     def test_replication_table_schema(self):
-        checks = replication_report()
+        checks = replication_report(default_config())
         table = replication_table(checks, {})
         assert table.columns == (
             "check",

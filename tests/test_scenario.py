@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import vlcpos.scenario
 from vlcpos import (
     LedSpec,
     NonPositivePower,
@@ -16,6 +17,7 @@ from vlcpos import (
     default_config,
     estimate_position,
     link_geometry,
+    power_columns,
     received_power,
     replication_report,
     replication_text,
@@ -433,6 +435,29 @@ class TestAngleSweep:
         rows = run_angle_sweep(config)
         assert [row[1] for row in rows] == [2.0, 2.5, 3.0, 3.5, 4.0]
 
+    def test_rows_index_and_slice_as_the_tuple_of_rows(self):
+        rows = run_angle_sweep(default_config())
+        whole = tuple(rows)
+        assert len(whole) == len(rows) == 200
+        assert [rows[i] for i in (0, 49, 50, -1, -200)] == [whole[i] for i in (0, 49, 50, -1, -200)]
+        assert rows[45:155:3] == whole[45:155:3]
+        with pytest.raises(IndexError):
+            rows[200]
+
+    def test_the_first_family_computes_only_its_own_powers(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return power_columns(*args)
+
+        monkeypatch.setattr(vlcpos.scenario, "power_columns", spy)
+        rows = run_angle_sweep(default_config())
+        assert calls == []
+        label, distances, powers = next(rows.families())
+        assert len(calls) == 1
+        assert label == 60.0 and len(distances) == len(powers) == 50
+
     def test_rejects_out_of_range_elevation(self):
         with pytest.raises(ValidationError):
             default_config()._replace(sweep_elevations=(0.0,))
@@ -440,7 +465,7 @@ class TestAngleSweep:
 
 class TestReplicationReport:
     def test_all_checks_match_expectations(self):
-        checks = replication_report()
+        checks = replication_report(default_config())
         header = [f"# reference dataset version {REFERENCE_DATASET_VERSION}"]
         header += [f"# assumption: {assumption}" for assumption in ASSUMPTIONS]
         assert replication_text(checks).splitlines()[: len(header)] == header
@@ -510,7 +535,7 @@ class TestReplicationReport:
         assert not any(c.regressed for c in checks)
 
     def test_quantified_gaps(self):
-        by_name = {check.name: check for check in replication_report()}
+        by_name = {check.name: check for check in replication_report(default_config())}
         power = by_name["published_absolute_power"]
         assert _close(power.computed, DIAGONAL_POWERS[0])
         assert power.reference == 4.5
