@@ -202,8 +202,8 @@ def _run(argv: list[str] | None) -> int:
             # devnull so that its flush at exit cannot raise again (the
             # SIGPIPE note in the documentation of Python's signal module).
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return code
 

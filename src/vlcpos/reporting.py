@@ -63,8 +63,8 @@ class OutputTable(_record("_Table", "name columns rows metadata")):
 
     def __new__(cls, name: str, columns: tuple[str, ...], rows: Sequence[tuple[Any, ...]],
                 metadata: Mapping[str, str]) -> OutputTable:
-        if not columns:
-            raise ValidationError("a table needs at least one column")
+        if len(columns) < 2:
+            raise ValidationError("a table needs at least two columns")
         width = len(columns)
         # A figure sweep's rows are (label, distance, power) by construction.
         if not ({3} if isinstance(rows, FigureRows) else set(map(len, rows))) <= {width}:
@@ -83,8 +83,6 @@ def format_number(value: float) -> str:
 def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     text = format_number(value) if isinstance(value, float) else str(value)
     # Quoting as csv.writer's QUOTE_MINIMAL does with a "\n" line terminator.
     if "," in text or '"' in text or "\n" in text:
@@ -154,9 +152,6 @@ def _render(columns: Sequence[Sequence[Any]], fmt: str, label: Any = None,
                 dots += "".join(column).count(".")
         texts.append(column)
     if fmt == "csv":
-        if len(texts) == 1 and "" in texts[0]:
-            # csv.writer quotes a lone empty field so the row is not blank.
-            texts[0] = ['""' if cell == "" else cell for cell in texts[0]]
         template, separator = ",".join(cells), "\n"
     else:
         # Each row reads "    [\n      a,\n      b\n    ]"; rows are joined by ",\n".

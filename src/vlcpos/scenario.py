@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain, pairwise, repeat, starmap
+from itertools import pairwise, starmap
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .channel import LedSpec, PdSpec, power_columns, received_power
@@ -259,12 +259,11 @@ def run_position_sweep(
 class FigureRows:
     """A figure sweep's rows (label, distance, power), held as its families: the
     labels, their shared distance column (an array of doubles) and family i's
-    power column, family_powers(i), computed each time the family is read."""
+    power column, family_powers(i), computed each time the family is reached."""
 
     def __init__(self, labels: Sequence[float], distances: array,
                  family_powers: Callable[[int], list[float]]) -> None:
         self.labels, self.distances, self._family_powers = labels, distances, family_powers
-        self._held: tuple = (None, None)  # the family that indexing read last, and its powers
 
     def families(self) -> Iterator[tuple[float, array, list[float]]]:
         """(label, distances, powers) per family in order, each computed as it is reached."""
@@ -273,17 +272,6 @@ class FigureRows:
 
     def __len__(self) -> int:
         return len(self.labels) * len(self.distances)
-
-    def __iter__(self) -> Iterator[tuple[float, float, float]]:
-        return chain.from_iterable(zip(repeat(label), d, p) for label, d, p in self.families())
-
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        family, i = divmod(range(len(self))[index], len(self.distances))
-        if self._held[0] != family:
-            self._held = family, self._family_powers(family)
-        return self.labels[family], self.distances[i], self._held[1][i]
 
 
 def run_power_distance_sweep(config: ScenarioConfig) -> FigureRows:
@@ -430,12 +418,15 @@ def replication_report(config: ScenarioConfig) -> tuple[ReplicationCheck, ...]:
 
     # Trend checks over the implemented pipeline, as violation counts. Each
     # family is read as its runner gives it: grouping rows by value would join
-    # the walks of a repeated power. A repeated elevation's identical curves key as one.
+    # the walks of a repeated power. The angle families run once per distinct
+    # elevation, highest first, each compared with the one before: two are held.
     walks = [powers for _, _, powers in run_power_distance_sweep(config).families()]
     power_violations = sum(not b < a for walk in walks for a, b in pairwise(walk))
-    curves = {elevation: powers for elevation, _, powers in run_angle_sweep(config).families()}
-    ordered = [curves[elevation] for elevation in sorted(curves, reverse=True)]
-    angle_violations = sum(not a > b for high, low in pairwise(ordered) for a, b in zip(high, low))
+    descending = config._replace(sweep_elevations=sorted(set(config.sweep_elevations))[::-1])
+    angle_violations, high = 0, []
+    for _, _, low in run_angle_sweep(descending).families():
+        angle_violations += sum(not a > b for a, b in zip(high, low))
+        high = low
     error_violations = sum(b < a for a, b in pairwise(errors))
 
     reproduced, not_reproducible = "REPRODUCED", "NOT-REPRODUCIBLE"

@@ -32,6 +32,7 @@ from vlcpos.scenario import (
 )
 
 from csa_oracle import csa_angles, offset_estimate
+from figure_rows import rows_of
 
 # Criterion tolerances. Each value is pinned; loosening one is a contract
 # change, not a test fix.
@@ -157,12 +158,12 @@ def test_criterion_5_angle_identities_and_fusion():
 def test_criterion_6_published_trends():
     config = default_config()
 
-    power_rows = run_power_distance_sweep(config)
+    power_rows = rows_of(run_power_distance_sweep(config))
     for start in range(0, len(power_rows), 10):
         family = [row[2] for row in power_rows[start : start + 10]]
         assert all(a > b for a, b in zip(family, family[1:]))
 
-    angle_rows = run_angle_sweep(config)
+    angle_rows = rows_of(run_angle_sweep(config))
     families = {
         elevation: [row[2] for row in angle_rows if row[0] == elevation]
         for elevation in (60.0, 70.0, 80.0, 90.0)

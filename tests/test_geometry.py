@@ -105,7 +105,7 @@ class TestPoint3:
             default_config().led,
             default_config().pd_template,
             default_config(),
-            OutputTable("demo", ("a",), ((1,),), {}),
+            OutputTable("demo", ("a", "b"), ((1, 2),), {}),
         ],
         ids=lambda record: type(record).__name__,
     )

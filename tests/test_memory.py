@@ -1,6 +1,7 @@
-"""The figure sweeps stream: an angle sweep's peak memory does not follow its
-sample count. Each run is a fresh interpreter that runs the CLI's process
-entry and reads its own peak resident size (VmHWM, Linux only) at exit."""
+"""The figure sweeps stream: the peak memory of an angle sweep, and of the
+replicate report that runs one, does not follow the sample count. Each run is
+a fresh interpreter that runs the CLI's process entry and reads its own peak
+resident size (VmHWM, Linux only) at exit."""
 
 import os
 import subprocess
@@ -22,24 +23,27 @@ def peak():
     print(kb, file=sys.stderr)
 
 atexit.register(peak)
-sys.argv = ["vlcpos", "angle-sweep", "--format", "json", "--out", os.devnull,
-            "--samples", sys.argv[1]]
+sys.argv = ["vlcpos", sys.argv[1], "--format", "json", "--out", os.devnull,
+            "--samples", sys.argv[2]]
 from vlcpos.cli import main
 main()
 """
 
 
-def _peak_mb(samples):
+def _peak_mb(command, samples):
     env = {**os.environ, "PYTHONPATH": str(Path(vlcpos.__file__).resolve().parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", PEAK, str(samples)], env=env,
+    proc = subprocess.run([sys.executable, "-c", PEAK, command, str(samples)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stderr.split()[-1]) / 1024
 
 
 @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status (Linux)")
-def test_angle_sweep_peak_grows_less_than_20_mb_over_ten_times_the_samples():
-    # 4 families of 2x10^4 and of 2x10^5 samples: about 21 and 30 MB, where
-    # holding every row took about 28 and 113 MB.
-    small, large = _peak_mb(20_000), _peak_mb(200_000)
+@pytest.mark.parametrize("command", ["angle-sweep", "replicate"])
+def test_peak_grows_less_than_20_mb_over_ten_times_the_samples(command):
+    # 4 families of 2x10^4 and of 2x10^5 samples. The angle sweep holds one
+    # family, about 21 and 30 MB, where holding every row took about 28 and
+    # 113 MB. replicate compares each family with the one before, and so
+    # holds two; holding all four grew it by about 29 MB.
+    small, large = _peak_mb(command, 20_000), _peak_mb(command, 200_000)
     assert large - small < 20.0, (small, large)

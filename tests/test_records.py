@@ -64,7 +64,7 @@ INVALID_FIELDS = [
          r"^Point3\.y must be finite, got an int of 16610 bits$"),
         (CONFIG, "azimuth", -(10**5000), ValidationError,
          r"^azimuth must be finite, got an int of 16610 bits$"),
-        (TABLE, "columns", (), ValidationError, r"^a table needs at least one column$"),
+        (TABLE, "columns", (), ValidationError, r"^a table needs at least two columns$"),
         (TABLE, "rows", ((1,),), ValidationError, r"^row 1 has 1 cells for 2 columns$"),
         # A bool is no number, a str no number, and an int past the float range
         # not finite.

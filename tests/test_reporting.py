@@ -87,8 +87,13 @@ class TestOutputTable:
             OutputTable(name="bad", columns=("a", "b"), rows=tuple(rows), metadata={})
 
     def test_rejects_a_table_without_columns(self):
-        with pytest.raises(ValidationError, match="at least one column"):
+        with pytest.raises(ValidationError, match="at least two columns"):
             OutputTable(name="bad", columns=(), rows=((),), metadata={})
+
+    def test_rejects_a_one_column_table(self):
+        # So no table can render a row that is one empty CSV field.
+        with pytest.raises(ValidationError, match="^a table needs at least two columns$"):
+            OutputTable(name="bad", columns=("a",), rows=(("",),), metadata={})
 
 
 class TestEmit:
@@ -172,19 +177,19 @@ class TestEmit:
         assert buffer.getvalue() == json.dumps(payload, indent=2) + "\n"
 
     def test_json_without_metadata(self):
-        table = OutputTable(name="demo", columns=("a",), rows=((1.0,),), metadata={})
+        table = OutputTable(name="demo", columns=("a", "b"), rows=((1.0, 2),), metadata={})
         buffer = io.StringIO()
         emit(table, "json", buffer)
-        payload = {"name": "demo", "columns": ["a"], "rows": [[1.0]], "metadata": {}}
+        payload = {"name": "demo", "columns": ["a", "b"], "rows": [[1.0, 2]], "metadata": {}}
         assert buffer.getvalue() == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "columns, rows",
         [
-            (("a", "b,c"), (("x,y", 'q"t'), ("line\nbreak", None), (True, 1.5), (7, -0.0))),
-            (("only",), (("",), (None,), ("x",))),
+            (("a", "b,c"), (("x,y", 'q"t'), ("line\nbreak", None), ("true", 1.5), (7, -0.0))),
+            (("", "empty"), (("", None), (None, ""), ("x", ""))),
         ],
-        ids=["quoting", "one-column"],
+        ids=["quoting", "empty-cells"],
     )
     def test_csv_matches_csv_writer(self, columns, rows):
         table = OutputTable(name="demo", columns=columns, rows=rows, metadata={"k": "v"})
@@ -197,8 +202,6 @@ class TestEmit:
                 [
                     ""
                     if c is None
-                    else str(c).lower()
-                    if isinstance(c, bool)
                     else format_number(c)
                     if isinstance(c, float)
                     else c
