@@ -18,7 +18,8 @@ of that function, never by line number. Each entry has a class:
 - bench: kept because perfbench/run.py's COUNTED names it (ROADMAP item 1a).
 
 test_reach.py fails on an unreached statement that is not declared, and on a
-declared one that a row reaches or that no longer exists. As a script, with
+declared one that a row reaches, that no longer exists or whose text names
+more than one statement. As a script, with
 no options, it prints each unreached statement with its class, and the
 totals; it uses only the standard library:
 
@@ -61,9 +62,9 @@ class Unreached(NamedTuple):
 ENTRY = "python tests/limits.py"
 CLOSED_PIPE = "vlcpos angle-sweep --samples 3000"
 COUNTED = "perfbench/run.py COUNTED"
+# The test files that a library entry's test is in.
 CHANNEL, ESTIMATOR = "tests/test_channel.py::", "tests/test_estimator.py::"
 GEOMETRY, REPORTING = "tests/test_geometry.py::", "tests/test_reporting.py::"
-
 
 UNREACHED = (
     # A link's cosine and distance come from link_geometry, which keeps both in
@@ -126,6 +127,8 @@ UNREACHED = (
 
 
 class Statement(NamedTuple):
+    """A simple statement of a function body, with the lines it spans."""
+
     module: str
     function: str
     text: str

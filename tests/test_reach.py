@@ -9,7 +9,7 @@ ROOT = reach.SRC.parent
 
 
 def test_every_unreached_statement_is_declared_and_every_declared_one_is_unreached():
-    # A fresh interpreter runs every row under the line recorder (about 1.5 s).
+    # A fresh interpreter runs every row under the line recorder (1-2 s).
     counted, unreached = reach.reach()
     assert reach.problems(counted, unreached) == []
 
