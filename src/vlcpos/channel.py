@@ -65,8 +65,7 @@ def _fov_cosine(fov: float) -> float:
 
 def concentrator_gain(c: float, pd: PdSpec) -> float:
     """The PD's optical concentrator gain n^2 / sin^2(fov) for a link of cosine
-    c inside its FOV (c >= cos(fov)), else 0. PdSpec's rules bound n and the
-    FOV and keep the gain finite.
+    c inside its FOV (c >= cos(fov)), else 0; PdSpec's rules keep it finite.
 
     Raises:
         DomainError: when c is above 1 or NaN.
@@ -101,24 +100,21 @@ class LedSpec(_record("_Led", "position transmit_power half_power_angle lamberti
             cls, (*led[:3], _order(led.half_power_angle)))  # the angle the rule has checked
 
 
+def _infinite_gain(pd: PdSpec) -> str:
+    # n^2 / sin^2(fov) overflows for a fov below about 1e-152 degrees.
+    sin_squared, n = math.sin(math.radians(pd.fov)) ** 2, pd.refractive_index
+    if sin_squared > 0.0 and math.isfinite(n * n / sin_squared):
+        return ""
+    return f"pd.fov {pd.fov} with pd.refractive_index {n} gives an infinite concentrator gain"
+
+
 class PdSpec(_record("_Pd", "area fov filter_gain refractive_index", area=_POSITIVE,
                      fov=_Rule(0.0, 90.0, "(]"), filter_gain=_POSITIVE,
-                     refractive_index=_Rule(1.0, ends="[)"))):
+                     refractive_index=_Rule(1.0, ends="[)"),
+                     joined=((("pd.fov", "pd.refractive_index"), _infinite_gain),))):
     """Receiver: area, field of view, filter gain, refractive index; placed per call."""
 
     __slots__ = ()
-
-    def __new__(
-        cls, area: float, fov: float, filter_gain: float, refractive_index: float
-    ) -> PdSpec:
-        pd = super().__new__(cls, area, fov, filter_gain, refractive_index)
-        # n^2 / sin^2(fov) overflows for a fov below about 1e-152 degrees.
-        sin_squared, n = math.sin(math.radians(fov)) ** 2, pd.refractive_index
-        if not (sin_squared > 0.0 and math.isfinite(n * n / sin_squared)):
-            raise DomainError(
-                f"pd.fov {fov} with pd.refractive_index {n} gives an infinite concentrator gain"
-            )
-        return pd
 
 
 _TINY = sys.float_info.min  # the smallest normal double

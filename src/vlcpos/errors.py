@@ -3,7 +3,8 @@
 All domain violations raise DomainError subclasses so callers can catch one
 family; configuration problems have their own types because the CLI maps them
 to a different exit code, and emit raises UnsupportedFormat. A configuration
-error in one line or value names them only in its message, "line N: <key> ...".
+error names its lines only in its message: "line N: <key> ..." for one value,
+"lines N, M: ..." for a rule that joins the keys those lines set.
 """
 
 from __future__ import annotations

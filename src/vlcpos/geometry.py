@@ -105,10 +105,13 @@ def _check(value: Any, rule: _Rule, name: str, error: type = DomainError) -> Any
     return number
 
 
-def _record(name: str, fields: str, **rules: _Rule) -> Any:
+def _record(name: str, fields: str, error: type = DomainError, joined: tuple = (),
+            **rules: _Rule) -> Any:
     """A named-tuple base for a record whose __new__ checks each field named in
     rules by its rule, as "<record>.<field>", and stores the value the check
-    returns; a record with more rules overrides it.
+    returns, then checks each joined rule (keys, broken): broken(record) is the
+    message for the first value that breaks it, or "". Either raises error, a
+    joined rule's with the config keys it joins as .keys.
 
     The record is a tuple of its fields, equal to any tuple of the same values.
     The base's _make, which _replace calls, goes through that __new__ (the
@@ -119,10 +122,15 @@ def _record(name: str, fields: str, **rules: _Rule) -> Any:
     fill = base.__new__  # the namedtuple's own, which binds the arguments to fields
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Any:
-        record = fill(cls, *args, **kwargs)
-        return tuple.__new__(cls, [
-            _check(value, rules[field], f"{cls.__name__}.{field}") if field in rules else value
-            for field, value in zip(cls._fields, record)])
+        record = tuple.__new__(cls, [
+            _check(value, rules[field], f"{cls.__name__}.{field}", error) if field in rules
+            else value for field, value in zip(cls._fields, fill(cls, *args, **kwargs))])
+        for keys, broken in joined:
+            if message := broken(record):
+                exc = error(message)
+                exc.keys = keys
+                raise exc
+        return record
 
     base.__new__ = staticmethod(__new__)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))

@@ -57,22 +57,23 @@ _NUMBER = f"%.{SIGNIFICANT_DIGITS}g"  # every emitted number's spelling, as a %-
 _CHUNK_ROWS = 2048  # emit holds one chunk's text at a time, not the table's
 
 
-class OutputTable(_record("_Table", "name columns rows metadata")):
+def _ragged(table: OutputTable) -> str:
+    width, rows = len(table.columns), table.rows
+    if width < 2:
+        return "a table needs at least two columns"
+    # A figure sweep's rows are (label, distance, power) by construction.
+    if ({3} if isinstance(rows, FigureRows) else set(map(len, rows))) <= {width}:
+        return ""
+    # Only a ragged table pays for the pass that finds its first bad row.
+    i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
+    return f"row {i} has {len(row)} cells for {width} columns"
+
+
+class OutputTable(_record("_Table", "name columns rows metadata", error=ValidationError,
+                          joined=(((), _ragged),))):
     """A named table with column headers, rows, and free-form metadata."""
 
     __slots__ = ()
-
-    def __new__(cls, name: str, columns: tuple[str, ...], rows: Sequence[tuple[Any, ...]],
-                metadata: Mapping[str, str]) -> OutputTable:
-        if len(columns) < 2:
-            raise ValidationError("a table needs at least two columns")
-        width = len(columns)
-        # A figure sweep's rows are (label, distance, power) by construction.
-        if not ({3} if isinstance(rows, FigureRows) else set(map(len, rows))) <= {width}:
-            # Only a ragged table pays for the pass that finds its first bad row.
-            i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
-            raise ValidationError(f"row {i} has {len(row)} cells for {width} columns")
-        return tuple.__new__(cls, (name, columns, rows, metadata))
 
 
 def format_number(value: float) -> str:
@@ -399,12 +400,13 @@ def parse_config(text: str) -> ScenarioConfig:
     Raises:
         ParseError: malformed lines, unknown or duplicate keys, unreadable values.
         ValidationError: a value of the wrong shape or out of its field's rule
-            ("line N: <key> must ..."), or values that break a rule joining
-            fields, which names their keys and no line.
+            ("line N: <key> must ..."), or, once every line is read, values that
+            break a rule joining fields ("lines N, M: ", the lines of its keys).
     """
 
     # Field overrides per record of the default; "" holds ScenarioConfig's own fields.
     changes: dict[str, dict[str, Any]] = {"room": {}, "led": {}, "pd_template": {}, "": {}}
+    lines: dict[str, int] = {}  # the line that sets each key
     base = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -417,10 +419,11 @@ def parse_config(text: str) -> ScenarioConfig:
             key, value_text = key.strip(), value_text.strip()
             if key not in _CONFIG_KEYS:
                 raise ParseError(f"unknown key {key!r}")
+            if key in lines:
+                raise ParseError(f"duplicate key {key!r}")
+            lines[key] = lineno
             field, description = _CONFIG_KEYS[key]
             record, _, name = field.rpartition(".")
-            if name in changes[record]:
-                raise ParseError(f"duplicate key {key!r}")
             # Every error ast.literal_eval documents for malformed input.
             try:
                 value = _literal(value_text)
@@ -442,10 +445,9 @@ def parse_config(text: str) -> ScenarioConfig:
         for record, overrides in changes.items():
             fields[record] = getattr(base, record)._replace(**overrides)
         return base._replace(**fields)
-    except DomainError as exc:
-        # Constructor-level domain violations become config validation errors
-        # so the CLI maps them to the usage exit code.
-        raise ValidationError(str(exc)) from exc
+    except (DomainError, ValidationError) as exc:  # a joined rule's; the file sets a key of it
+        numbers = ", ".join(map(str, sorted(lines[key] for key in exc.keys if key in lines)))
+        raise ValidationError(f"line{'s' if ',' in numbers else ''} {numbers}: {exc}") from exc
 
 
 def config_hash(config: ScenarioConfig) -> str:

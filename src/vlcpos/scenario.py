@@ -27,8 +27,7 @@ from .channel import LedSpec, PdSpec, power_columns, received_power
 from .errors import DomainError, ValidationError
 from .estimator import estimate_position
 from .geometry import (
-    _MAX_ROOM_SIZE, _MIN_LED_HEIGHT, Point3, RoomSpec, _check, _record, _Rule, link_columns,
-    link_geometry,
+    _MAX_ROOM_SIZE, _MIN_LED_HEIGHT, Point3, RoomSpec, _record, _Rule, link_columns, link_geometry,
 )
 
 __all__ = [
@@ -138,9 +137,31 @@ _TOL_DISTANCE = 5e-3
 # ---------------------------------------------------------------------------
 
 
+def _led_outside(config: ScenarioConfig) -> str:
+    room, source = config.room, config.led.position
+    if not (room.contains_floor_point(source) and 0.0 < source.z <= room.height):
+        return f"led.position ({source.x}, {source.y}, {source.z}) is outside the room"
+    if source.z < _MIN_LED_HEIGHT:
+        return (f"led.position height {source.z} is below {_MIN_LED_HEIGHT:g} m, where "
+                "the squared link distances underflow")
+    return ""
+
+
+def _position_outside(config: ScenarioConfig) -> str:
+    on_floor = config.room.contains_floor_point
+    for i, pos in enumerate(config.pd_positions, start=1):
+        if pos.z != 0.0:
+            return f"sweep.positions point {i} must lie on the floor plane (z = 0), got z={pos.z}"
+        if not on_floor(pos):
+            return f"sweep.positions point {i} at ({pos.x}, {pos.y}) is outside the room floor"
+    return ""
+
+
 class ScenarioConfig(_record(
         "_Scenario", "room led pd_template pd_positions transmit_powers sweep_elevations "
-        "azimuth distance_samples distance_range",
+        "azimuth distance_samples distance_range", error=ValidationError,
+        joined=((("led.position", "room.width", "room.length", "room.height"), _led_outside),
+                (("sweep.positions", "room.width", "room.length"), _position_outside)),
         transmit_powers=LedSpec._rules["transmit_power"]._replace(shape="list"),
         sweep_elevations=_Rule(0.0, 90.0, "(]", shape="list"), azimuth=_Rule(0.0, 360.0, "[)"),
         pd_positions=_Rule(shape="points"), distance_samples=_Rule(2.0, 1e6, "[]", integer=True),
@@ -148,13 +169,11 @@ class ScenarioConfig(_record(
     """Complete description of one experiment scenario.
 
     pd_template is the one detector the sweeps place at each of pd_positions,
-    the floor points the position sweep visits. A list field's rule holds for
-    each of its entries, and the fields hold what their rules return: floats,
-    tuples and Point3s. The LED must lie inside the room, at least
-    _MIN_LED_HEIGHT (about 1.5e-154 m) above the floor; each distance_range
-    end lies in [_MIN_LED_HEIGHT, _MAX_ROOM_SIZE]. distance_range is the span
-    for the figure-style sweeps; None derives it from the configured positions.
-    At most 10^6 distance_samples bound the figure sweeps' rows and memory.
+    the floor points the position sweep visits. The joined rules keep the LED
+    in the room, at least _MIN_LED_HEIGHT (about 1.5e-154 m) up, and each
+    position on its floor. distance_range is the figure sweeps' span; None
+    derives it from the positions. At most 10^6 distance_samples bound their
+    rows and memory.
     """
 
     __slots__ = ()
@@ -163,34 +182,11 @@ class ScenarioConfig(_record(
                 pd_positions: tuple[Point3, ...], transmit_powers: tuple[float, ...],
                 sweep_elevations: tuple[float, ...], azimuth: float, distance_samples: int = 50,
                 distance_range: tuple[float, float] | None = None) -> ScenarioConfig:
-        fields = tuple(
-            _check(value, cls._rules[name], name, ValidationError)
-            if name in cls._rules and not (name == "distance_range" and value is None) else value
-            for name, value in zip(cls._fields, (
-                room, led, pd_template, pd_positions, transmit_powers, sweep_elevations,
-                azimuth, distance_samples, distance_range)))
-        pd_positions = fields[3]
-        # The rules that join fields name the config keys they join.
-        source = led.position
-        if not (room.contains_floor_point(source) and 0.0 < source.z <= room.height):
-            raise ValidationError(
-                f"led.position ({source.x}, {source.y}, {source.z}) is outside the room"
-            )
-        if source.z < _MIN_LED_HEIGHT:
-            raise ValidationError(
-                f"led.position height {source.z} is below {_MIN_LED_HEIGHT:g} m, where "
-                "the squared link distances underflow"
-            )
-        for i, pos in enumerate(pd_positions, start=1):
-            if pos.z != 0.0:
-                raise ValidationError(
-                    f"sweep.positions point {i} must lie on the floor plane (z = 0), got z={pos.z}"
-                )
-            if not room.contains_floor_point(pos):
-                raise ValidationError(
-                    f"sweep.positions point {i} at ({pos.x}, {pos.y}) is outside the room floor"
-                )
-        return tuple.__new__(cls, fields)
+        # An unset span passes its rule as a stand-in, and is stored as None.
+        config = super().__new__(cls, room, led, pd_template, pd_positions, transmit_powers,
+                                 sweep_elevations, azimuth, distance_samples,
+                                 (1.0, 1.0) if distance_range is None else distance_range)
+        return config if distance_range is not None else tuple.__new__(cls, (*config[:8], None))
 
 
 def default_config() -> ScenarioConfig:
@@ -202,20 +198,11 @@ def default_config() -> ScenarioConfig:
     """
 
     room = RoomSpec(width=5.0, length=5.0, height=3.0)
-    led = LedSpec(
-        position=Point3(2.5, 2.5, 3.0),
-        transmit_power=15.0,
-        half_power_angle=60.0,
-    )
+    led = LedSpec(position=Point3(2.5, 2.5, 3.0), transmit_power=15.0, half_power_angle=60.0)
     # Ten points from under the LED to the corner end of the half-diagonal,
     # the last pinned so that 0.07 is exact.
     walk = [2.5 + i / 9 * (0.07 - 2.5) for i in range(9)] + [0.07]
-    pd = PdSpec(
-        area=2.25e-6,
-        fov=90.0,
-        filter_gain=1.0,
-        refractive_index=1.5,
-    )
+    pd = PdSpec(area=2.25e-6, fov=90.0, filter_gain=1.0, refractive_index=1.5)
     return ScenarioConfig(
         room=room,
         led=led,

@@ -213,7 +213,7 @@ ROWS = (
         {(1, "slant_d"): "1.49167e-154", (10, "est_x"): "1.285"}),
     Row("led-height-below-bound", "room.height = 1.4916681462400412e-154\n"
         "led.position = (2.5, 2.5, 1.4916681462400412e-154)", "position-sweep", 2,
-        "error: ValidationError: led.position height 1.4916681462400412e-154 is below "
+        "error: ValidationError: lines 1, 2: led.position height 1.4916681462400412e-154 is below "
         "1.49167e-154 m, "),
     Row("room-side-at-bound", "room.width = 7.741001517595157e+153", "position-sweep", 0, "",
         {(10, "est_x"): "0.785669"}),
@@ -286,12 +286,15 @@ ROWS = (
          INVALID + "room.width must be a number"),
         ("unknown-key-before-bad-value", "foo = 1\nroom.width = 'a'",
          "ParseError: line 1: unknown key"),
+        # A rule that joins keys names the lines that set them, after every line is read.
         ("led-above-ceiling", "led.position = (2.5, 2.5, 1e200)",
-         "ValidationError: led.position (2.5, 2.5, 1e+200) is outside the room"),
+         INVALID + "led.position (2.5, 2.5, 1e+200) is outside the room\n"),
         ("led-off-floor", "led.position = (90.0, 2.5, 3.0)",
-         "ValidationError: led.position (90.0, 2.5, 3.0) is outside the room"),
+         INVALID + "led.position (90.0, 2.5, 3.0) is outside the room\n"),
+        ("room-height-only", "room.height = 2",
+         INVALID + "led.position (2.5, 2.5, 3.0) is outside the room\n"),
         ("led-height-underflows", "room.height = 1e-200\nled.position = (2.5, 2.5, 1e-200)",
-         "ValidationError: led.position height 1e-200 is below 1.49167e-154 m"),
+         "ValidationError: lines 1, 2: led.position height 1e-200 is below 1.49167e-154 m"),
         ("negative-width", "room.width = -1", INVALID + "room.width " + ROOM_SIDE + "-1.0\n"),
         ("zero-length", "room.length = 0", INVALID + "room.length " + ROOM_SIDE + "0.0\n"),
         ("bool-height", "room.height = True", INVALID + "room.height must be a number, got True\n"),
@@ -310,17 +313,22 @@ ROWS = (
         ("index-below-1", "pd.refractive_index = 0.5",
          INVALID + "pd.refractive_index must be >= 1, got 0.5\n"),
         ("fov-infinite-gain", "pd.fov = 1e-160",
-         "ValidationError: pd.fov 1e-160 with pd.refractive_index 1.5 gives an infinite "
+         INVALID + "pd.fov 1e-160 with pd.refractive_index 1.5 gives an infinite "
+         "concentrator gain\n"),
+        ("index-infinite-gain", "pd.refractive_index = 1e200",
+         INVALID + "pd.fov 90.0 with pd.refractive_index 1e+200 gives an infinite "
          "concentrator gain\n"),
         ("point-arity", "led.position = (1.0, 2.0)",
          INVALID + "led.position must be a 3-tuple (x, y, z), got (1.0, 2.0)\n"),
         ("no-positions", "sweep.positions = []",
          INVALID + "sweep.positions must be a non-empty list of points, got []\n"),
         ("position-off-floor", "sweep.positions = [(1.0, 1.0, 0.5)]",
-         "ValidationError: sweep.positions point 1 must lie on the floor plane (z = 0), "
-         "got z=0.5\n"),
+         INVALID + "sweep.positions point 1 must lie on the floor plane (z = 0), got z=0.5\n"),
         ("position-outside-room", "sweep.positions = [(1.0, 1.0, 0.0), (5.5, 1.0, 0.0)]",
-         "ValidationError: sweep.positions point 2 at (5.5, 1.0) is outside the room floor\n"),
+         INVALID + "sweep.positions point 2 at (5.5, 1.0) is outside the room floor\n"),
+        ("positions-outside-narrow-room", "room.width = 4\nsweep.positions = [(4.5, 1.0, 0.0)]",
+         "ValidationError: lines 1, 2: sweep.positions point 1 at (4.5, 1.0) is outside the "
+         "room floor\n"),
         ("no-transmit-powers", "sweep.transmit_powers = []",
          INVALID + "sweep.transmit_powers must be a non-empty list of numbers, got []\n"),
         ("transmit-power-zero", "sweep.transmit_powers = [0]",

@@ -106,11 +106,11 @@ UNREACHED = (
               "test_rejects_a_non_finite_estimate_naming_the_offset"),
     # src/ builds every table with 3 to 8 columns and rows of their width, and
     # argparse admits only csv and json.
-    Unreached("reporting", "OutputTable.__new__", 'raise ValidationError("a table', LIBRARY,
+    Unreached("reporting", "_ragged", 'return "a table', LIBRARY,
               REPORTING + "TestOutputTable::test_rejects_a_one_column_table"),
-    Unreached("reporting", "OutputTable.__new__", "i, row = next(", LIBRARY,
+    Unreached("reporting", "_ragged", "i, row = next(", LIBRARY,
               REPORTING + "TestOutputTable::test_names_the_first_ragged_row"),
-    Unreached("reporting", "OutputTable.__new__", 'raise ValidationError(f"row', LIBRARY,
+    Unreached("reporting", "_ragged", 'return f"row', LIBRARY,
               REPORTING + "TestOutputTable::test_names_the_first_ragged_row"),
     Unreached("reporting", "emit", "raise UnsupportedFormat(", LIBRARY,
               REPORTING + "TestEmit::test_rejects_unknown_format"),

@@ -1,12 +1,13 @@
 """The table of limits.py, run in-process through cli()."""
 
 import math
+import re
 
 import pytest
 
-from vlcpos import ScenarioConfig, default_config
+from vlcpos import ParseError, ScenarioConfig, ValidationError, default_config
 from vlcpos.cli import cli
-from vlcpos.reporting import _CONFIG_KEYS
+from vlcpos.reporting import _CONFIG_KEYS, parse_config
 
 from limits import ROWS, check
 
@@ -32,6 +33,23 @@ def test_every_config_key_has_a_row_that_rejects_it_at_its_line():
         if f"line {number}: {key} " in row.err
     }
     assert sorted(_CONFIG_KEYS.keys() - pinned) == []
+
+
+def test_every_config_error_names_a_line_that_sets_a_key_of_its_rule():
+    # A rule that joins keys raises after every line is read, its keys on the
+    # record's error; any other error's rule is its line's. Only a file that is
+    # not UTF-8 has no lines to name.
+    for row in ROWS:
+        if row.code != 2 or row.config is None or row.name == "not-utf8":
+            continue
+        named = re.match(r"error: \w+: (line \d+|lines \d+(, \d+)+): ", row.err)
+        assert named, row.name
+        texts, numbers = row.config.splitlines(), list(map(int, re.findall(r"\d+", named[1])))
+        assert all(1 <= n <= len(texts) for n in numbers), row.name
+        sets = {texts[n - 1].partition("=")[0].strip() for n in numbers}
+        with pytest.raises((ParseError, ValidationError)) as caught:
+            parse_config(row.config)
+        assert sets & set(getattr(caught.value.__cause__, "keys", sets)), row.name
 
 
 def _bound_configs():

@@ -394,7 +394,11 @@ def test_config_text_loads_or_is_rejected_at_the_boundary(lines):
     text = "".join(f"{key} = {value}\n" for key, value in lines)
     try:
         config = parse_config(text)
-    except (ParseError, ValidationError):
+    except (ParseError, ValidationError) as exc:
+        # Every error names the lines it comes from, each a line of the text.
+        named = re.match(r"(line \d+|lines \d+(, \d+)+): ", str(exc))
+        assert named and all(
+            1 <= int(n) <= len(text.splitlines()) for n in re.findall(r"\d+", named[1])), exc
         return
     assert isinstance(config, ScenarioConfig)
 

@@ -48,22 +48,22 @@ INVALID_FIELDS = [
         (CONFIG.pd_template, "refractive_index", 0.5, DomainError,
          r"^PdSpec\.refractive_index must be >= 1, got 0\.5$"),
         (CONFIG, "azimuth", 360.0, ValidationError,
-         r"^azimuth must lie in \[0, 360\), got 360\.0$"),
+         r"^ScenarioConfig\.azimuth must lie in \[0, 360\), got 360\.0$"),
         (CONFIG, "transmit_powers", (), ValidationError,
-         r"^transmit_powers must be a non-empty list of numbers, got \(\)$"),
+         r"^ScenarioConfig\.transmit_powers must be a non-empty list of numbers, got \(\)$"),
         # A point is a shape of its record's rule: three finite numbers.
         *((CONFIG.led, "position", bad, DomainError,
            rf"^LedSpec\.position must be a 3-tuple \(x, y, z\), got {text}$")
           for bad, text in ((None, "None"), ("abc", "'abc'"), ((1, 2), r"\(1, 2\)"))),
         (CONFIG, "pd_positions", (None,), ValidationError,
-         r"^pd_positions must be a 3-tuple \(x, y, z\), got None$"),
+         r"^ScenarioConfig\.pd_positions must be a 3-tuple \(x, y, z\), got None$"),
         (CONFIG, "pd_positions", (), ValidationError,
-         r"^pd_positions must be a non-empty list of points, got \(\)$"),
+         r"^ScenarioConfig\.pd_positions must be a non-empty list of points, got \(\)$"),
         # An int too long to print is named by its size.
         (Point3(1.0, 2.0, 3.0), "y", 10**5000, DomainError,
          r"^Point3\.y must be finite, got an int of 16610 bits$"),
         (CONFIG, "azimuth", -(10**5000), ValidationError,
-         r"^azimuth must be finite, got an int of 16610 bits$"),
+         r"^ScenarioConfig\.azimuth must be finite, got an int of 16610 bits$"),
         (TABLE, "columns", (), ValidationError, r"^a table needs at least two columns$"),
         (TABLE, "rows", ((1,),), ValidationError, r"^row 1 has 1 cells for 2 columns$"),
         # A bool is no number, a str no number, and an int past the float range
