@@ -115,60 +115,47 @@ def _json_cell(value: Any) -> str:
     return _json_numbers((value,))[0] if isinstance(value, float) else json.dumps(value)
 
 
-def _whole(column: Sequence[float]) -> bool:
-    # Whole values below 1e6 in magnitude: %.1f spells them as JSON does (60.0, -0.0).
-    return column[0].is_integer() and all(v.is_integer() and -1e6 < v < 1e6 for v in set(column))
-
-
 # A row is lead, its cells joined by sep, then close; rows are joined by rowsep.
 _ROW = {"csv": ("", ",", "", "\n"), "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n")}
 _LOW_EXPONENT = re.compile(r"e-3\d\d")  # e-300 and below, which _json_numbers reads back
 
 
 def _spelled(column: Sequence[float], fmt: str) -> str:
-    """A float column's texts joined by "\n": as _render spells a float column,
-    checked on the column's own text, and through _json_numbers where it fails."""
+    """A float column's %.6g texts joined by "\n"; in JSON, _json_numbers' texts
+    instead where a cell's text lacks a point, or the column's holds "e+" or an
+    exponent of e-300 or below."""
 
-    cell = "%.1f" if fmt == "json" and _whole(column) else _NUMBER
-    text = "\n".join(repeat(cell, len(column))) % tuple(column)
+    text = "\n".join(repeat(_NUMBER, len(column))) % tuple(column)
     if fmt == "json" and (text.count(".") != len(column) or "e+" in text
                           or _LOW_EXPONENT.search(text)):
         return "\n".join(_json_numbers(column))
     return text
 
 
-def _render(columns: Sequence[Sequence[Any]], fmt: str, respell: bool = False) -> str:
+def _render(columns: Sequence[Sequence[Any]], fmt: str) -> str:
     """A row table chunk's text without a final newline, from one % call over a row template.
 
-    columns are the chunk's columns. A float column takes %.6g in place, or in
-    JSON %.1f where _whole holds; every other cell takes %s, after _csv_cell or
-    _json_cell unless its column holds ints. A JSON text with a float cell
-    without a point, "e+" or an exponent of e-300 or below is rendered again
-    with respell: float columns then take _json_numbers.
+    columns are the chunk's columns. A float column takes %.6g in place in CSV
+    and _spelled's texts in JSON; every other cell takes %s, after _csv_cell or
+    _json_cell unless its column holds ints.
     """
 
     spell, count = _csv_cell if fmt == "csv" else _json_cell, len(columns[0])
-    cells, texts, dots = [], [], 0  # dots: the count the text has when every float cell has one
+    cells, texts = [], []
     for column in columns:
         kinds = set(map(type, column))
-        if kinds == {float} and not respell:
-            cells.append("%.1f" if fmt == "json" and _whole(column) else _NUMBER)
-            dots += count
+        if kinds == {float} and fmt == "csv":
+            cells.append(_NUMBER)
         else:
             cells.append("%s")
             if kinds == {float}:
-                column = _json_numbers(column)
+                column = _spelled(column, fmt).split("\n")
             elif kinds != {int}:
                 column = list(map(spell, column))
-                dots += "".join(column).count(".")
         texts.append(column)
     lead, sep, close, rowsep = _ROW[fmt]
     template = lead + sep.join(cells) + close
-    text = rowsep.join(repeat(template, count)) % tuple(chain.from_iterable(zip(*texts)))
-    if fmt == "json" and not respell:
-        if text.count(".") != dots or "e+" in text or _LOW_EXPONENT.search(text):
-            return _render(columns, fmt, respell=True)
-    return text
+    return rowsep.join(repeat(template, count)) % tuple(chain.from_iterable(zip(*texts)))
 
 
 def _chunks(rows: Sequence[tuple[Any, ...]] | FigureRows, fmt: str) -> Iterator[str]:

@@ -372,6 +372,11 @@ ROWS = (
     Row("python-spelled-positions", "sweep.positions = [(1., 1., 0.), (2., 2., 0.)]",
         "position-sweep", 0, "",
         digest="61f5527436cf4e23049652af857c5e64ede43774cffb942bacdb46c2a50081e3"),
+    # Whole coordinates, -0.0 among them: JSON writes each actual_x and actual_y
+    # cell with its point (1.0, -0.0), which their %.6g texts (1, -0) lack.
+    Row("whole-positions-json", "sweep.positions = [(1, 1, 0), (2, 3, 0), (-0.0, 0, 0)]",
+        "position-sweep --format json", 0, "",
+        digest="679774e135a9d01a52874ddd8260c439b66ac9be89bdf6c71d47ad0b67c85de2"),
     # A configured span, the figure_json workload's path.
     Row("angle-sweep-distance-range", "sweep.distance_range = (2, 4)",
         "angle-sweep --samples 5", 0, "", {(1, "distance"): "2", (5, "distance"): "4"},

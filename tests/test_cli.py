@@ -40,8 +40,9 @@ CROSS_CHECK_CONFIGS = {
 @pytest.mark.parametrize("config", CROSS_CHECK_CONFIGS)
 @pytest.mark.parametrize("command", ["angle-sweep --samples 3000", "power-sweep", "position-sweep"])
 def test_json_rows_are_the_csv_rows_spelled_as_repr(tmp_path, config, command):
-    # The default angle sweep renders chunks in place and respelled. e+ texts send
-    # chunks to the respelling: alone in brighter, beside whole texts in bright.
+    # A figure sweep keeps the %.6g texts of powers in [1e-299, 0.999999) and
+    # takes _spelled's texts for the rest: the powers from 1 W up in bright and
+    # brighter. The position sweep's float columns take _spelled's texts.
     (tmp_path / "run.cfg").write_text(CROSS_CHECK_CONFIGS[config])
     for fmt in ("csv", "json"):
         argv = [*command.split(), "--config", str(tmp_path / "run.cfg"), "--format", fmt]

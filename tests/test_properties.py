@@ -403,6 +403,59 @@ def test_config_text_loads_or_is_rejected_at_the_boundary(lines):
     assert isinstance(config, ScenarioConfig)
 
 
+def _outside(low, high):
+    """Finite floats below low or above high."""
+
+    return st.floats(-1e300, low, exclude_max=True) | st.floats(high, 1e300, exclude_min=True)
+
+
+@st.composite
+def joined_rule_breaks(draw):
+    """A valid config's text, its lines in any order, with one key's value
+    swapped for one that the key's field rule accepts and exactly one joined
+    rule does not; and the keys that rule joins, the one its error names first."""
+
+    config = draw(configs())
+    values = dict(line.split(" = ", 1) for line in serialize_config(config).splitlines())
+    room, point = config.room, "({!r}, {!r}, {!r})".format
+    rule = draw(st.sampled_from(["led", "positions", "gain"]))
+    if rule == "led":  # outside the room, or below _MIN_LED_HEIGHT
+        x, y, z = config.led.position
+        values["led.position"] = draw(st.one_of(
+            _outside(0.0, room.width).map(lambda v: point(v, y, z)),
+            _outside(0.0, room.length).map(lambda v: point(x, v, z)),
+            _outside(_MIN_LED_HEIGHT, room.height).map(lambda v: point(x, y, v))))
+        keys = ("led.position", "room.width", "room.length", "room.height")
+    elif rule == "positions":  # one point off the floor rectangle or its plane
+        off = draw(st.one_of(
+            _outside(0.0, room.width).map(lambda v: point(v, 0.0, 0.0)),
+            _outside(0.0, room.length).map(lambda v: point(0.0, v, 0.0)),
+            st.floats(-1e300, 1e300).filter(bool).map(lambda v: point(0.0, 0.0, v))))
+        points = [point(*p) for p in config.pd_positions]
+        points.insert(draw(st.integers(0, len(points))), off)
+        values["sweep.positions"] = "[" + ", ".join(points) + "]"
+        keys = ("sweep.positions", "room.width", "room.length")
+    else:  # n^2 / sin^2(fov) overflows: a FOV of 1e-160 degrees or less, or n past 1.35e154
+        values.update(draw(st.one_of(
+            st.floats(5e-324, 1e-160).map(lambda v: {"pd.fov": repr(v)}),
+            st.floats(1.35e154, 1e300).map(lambda v: {"pd.refractive_index": repr(v)}))))
+        keys = ("pd.fov", "pd.refractive_index")
+    order = draw(st.permutations(list(values)))
+    return "".join(f"{key} = {values[key]}\n" for key in order), order, keys
+
+
+# Half PROPERTY's examples: the suite has a time budget, and each of the three
+# rules is still broken about 50 times.
+@settings(PROPERTY, max_examples=150)
+@given(joined_rule_breaks())
+def test_a_broken_joined_rule_names_the_lines_of_its_keys(case):
+    text, order, keys = case
+    with pytest.raises(ValidationError) as raised:
+        parse_config(text)
+    numbers = ", ".join(str(order.index(key) + 1) for key in sorted(keys, key=order.index))
+    assert str(raised.value).startswith(f"lines {numbers}: {keys[0]}"), (raised.value, keys)
+
+
 # Numbers as repr spells them, all in JSON's grammar: signed zeros, exponents
 # such as 1e-05 and 1e+16, and integers of more than 400 digits.
 POINT_NUMBER = st.one_of(
@@ -544,9 +597,9 @@ def test_bulk_point_check_matches_the_per_point_loop(points, odd_entries):
 # Emission. Texts at the edges of the spelling rule: around 1e-4 and 1e6,
 # where the rounded text changes notation, 1e16, where repr does, e-300, the
 # smallest normal and subnormal doubles, and -0.0. A single-digit mantissa
-# (2e-06) rounds to a text with an exponent and no point. Whole values below
-# 1e6 in magnitude render in place with %.1f; from 1e6 up they take an
-# exponent, which JSON spells out.
+# (2e-06) rounds to a text with an exponent and no point. A whole value's
+# text has no point below 1e6 in magnitude (60, -0) and an exponent from 1e6
+# up, so JSON spells each through _json_numbers (60.0, -0.0, 1000000.0).
 EDGE_NUMBERS = st.sampled_from(
     [9.999995e-05, 0.0001, 999999.5, 1e16, 1e-300, 9.999995e-301, 1e-299,
      2.2250738585072014e-308, 5e-324, -0.0, 2e-06]
@@ -637,10 +690,10 @@ def test_emit_matches_the_csv_and_json_modules(tmp_path_factory, table):
 # Chunk boundaries: tables around one and two chunks of rows. The float
 # column's texts that JSON spells otherwise (0, -0, an integral value, a
 # positive exponent that repr spells without one, a subnormal, nan) sit in
-# the first chunk only, so a later chunk renders its floats in place. In the
+# the first chunk only, so a later chunk keeps its floats' %.6g texts. In the
 # "middle" table they sit in the second chunk, which falls back between two
-# chunks rendered in place, beside a whole-valued column that renders in
-# place with %.1f.
+# chunks that keep them, beside a whole-valued column that every chunk spells
+# through _json_numbers.
 CHUNK = reporting._CHUNK_ROWS
 RESPELLED_FLOATS = (0.0, -0.0, 60.0, 1234567.0, 5e-324, math.nan)
 
@@ -687,35 +740,40 @@ def test_emit_across_chunk_boundaries_matches_the_csv_and_json_modules(tmp_path,
             assert target.read_bytes() == expected.encode("utf-8")
 
 
+def _spy_json_numbers(monkeypatch):
+    """The first value of each column that _json_numbers spells, in call order."""
+
+    numbers, calls = reporting._json_numbers, []
+
+    def spy(column):
+        calls.append(column[0])
+        return numbers(column)
+
+    monkeypatch.setattr(reporting, "_json_numbers", spy)
+    return calls
+
+
 def test_only_a_chunk_with_a_respelled_text_falls_back(monkeypatch):
-    # Each chunk renders once in place; the middle one renders again respelled.
-    render, calls = reporting._render, []
-
-    def spy(columns, fmt, respell=False):
-        calls.append((columns[0][0], respell))
-        return render(columns, fmt, respell)
-
-    monkeypatch.setattr(reporting, "_render", spy)
-    reporting.emit(_middle_table(3 * CHUNK), "json", io.StringIO())
-    assert calls == [(0.5, False), (0.0, False), (0.0, True), (2 * CHUNK + 0.5, False)]
+    # The float column falls back to _json_numbers in the middle chunk only.
+    # The whole column's texts (-10 up to 51) have no point, so every chunk
+    # spells it there.
+    calls = _spy_json_numbers(monkeypatch)
+    table = _middle_table(3 * CHUNK)
+    reporting.emit(table, "json", io.StringIO())
+    whole = [row[1] for row in table.rows[::CHUNK]]  # each chunk's first whole value
+    assert calls == [whole[0], 0.0, whole[1], whole[2]]
 
 
 def test_a_chunk_with_two_digit_exponents_from_e_30_renders_once(monkeypatch):
     # %.6g spells the first chunk's texts (1.25e-30 up to 1.375e-30, each with a
     # point) as JSON does; only the second chunk's e-300 falls back.
-    render, calls = reporting._render, []
-
-    def spy(columns, fmt, respell=False):
-        calls.append((columns[0][0], respell))
-        return render(columns, fmt, respell)
-
-    monkeypatch.setattr(reporting, "_render", spy)
+    calls = _spy_json_numbers(monkeypatch)
     rows = tuple(((1.25 + i / 8 / CHUNK) * 1e-30 if i < CHUNK else 2.5e-300, i)
                  for i in range(CHUNK + 1))
     table = reporting.OutputTable("small", ("float", "int"), rows, {})
     buffer = io.StringIO()
     reporting.emit(table, "json", buffer)
-    assert calls == [(rows[0][0], False), (2.5e-300, False), (2.5e-300, True)]
+    assert calls == [2.5e-300]
     assert buffer.getvalue() == _json_reference(table)
 
 
@@ -727,7 +785,7 @@ def _figure_config(case, samples):
     edge = tuple(Point3(5.0 * i / (samples - 1), 0.0, 0.0) for i in range(samples))
     config = base._replace(pd_positions=edge, distance_samples=samples)
     if case == "respelled":
-        # JSON spells 1e-05 and 1e+06 otherwise than %.6g and %.1f do.
+        # JSON spells 1e-05 and 1e+06 otherwise than %.6g does.
         return config._replace(sweep_elevations=(1e-05, 90.0), transmit_powers=(1e6, 8.0))
     if case == "beyond-fov":
         return config._replace(pd_template=base.pd_template._replace(fov=5.0),
