@@ -205,6 +205,22 @@ def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_a_stdout_pipe_closed_unread_exits_1_at_the_flush_with_nothing_on_stderr():
+    # estimate's lines sit in the stdout buffer (PYTHONUNBUFFERED dropped, as
+    # a plain shell runs it), so the CLI first meets the pipe, closed before it
+    # starts, at its own flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ["-X", "dev", "-W", "error", "-m", "vlcpos.cli", "estimate", "--power", POWER_AT_3_5_M]
+    env = {key: value for key, value in _source_env().items() if key != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run([sys.executable, *argv], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def _without_generated(data: bytes) -> bytes:
     return b"".join(
         line for line in data.splitlines(keepends=True) if not line.startswith(b"# generated = ")
