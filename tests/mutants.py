@@ -95,7 +95,7 @@ MUTANTS = (
     Mutant("gain-constant-inf-passes", "channel", "if not 0.0 < k < math.inf:", "if not 0.0 < k:",
            (CH + "TestPowerColumns::test_gain_constant_outside_the_float_range_names_k[inf]",)),
     Mutant("link-angle-range", "channel", "if not 0.0 <= angle < math.inf:",
-           "if not angle < math.inf:", (CH + "TestReceivedPowerAt::test_rejects_bad_angles",)),
+           "if not angle < math.inf:", (CH + "TestEmitterPattern::test_rejects_bad_inputs",)),
     # The Lambertian order: its formula, its override, and the angle rule's bound.
     Mutant("order-log-two", "channel", "return -math.log(2.0) /", "return -math.log(3.0) /",
            (CH + "TestLambertianOrder::test_reference_values",)),
@@ -255,7 +255,7 @@ MUTANTS = (
     Mutant("utf8-error-uncaught", "reporting", "except UnicodeDecodeError as exc:",
            "except LookupError as exc:", (row("not-utf8"),)),
     Mutant("path-str-unwrapped", "reporting", "Path(path).read_text(", "path.read_text(",
-           (RE + "TestLoadConfig::test_byte_order_mark_is_dropped",)),
+           (RE + "TestLoadConfig::test_from_file",)),
     # A joined rule's error names the sorted lines of its keys.
     Mutant("joined-rule-prefix", "reporting",
            "raise ValidationError(f\"line{'s' if ',' in numbers else ''} {numbers}: {exc}\")",

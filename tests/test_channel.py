@@ -1,6 +1,7 @@
 """Tests for the Lambertian line-of-sight optical channel."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -47,10 +48,42 @@ CENTER_POWER = 2.685739664675734e-06
 CORNER_POWER = 5.023577648361831e-07
 CORNER_EFFECTIVE_AREA = 3.329295454237597e-06
 CORNER_INTENSITY = 0.2093328705403617
+DIAGONAL_POWERS = (
+    2.685739664675734e-06,
+    2.600791469355401e-06,
+    2.3687969119075403e-06,
+    2.0457204062701983e-06,
+    1.6938481850301814e-06,
+    1.360539843556051e-06,
+    1.071500432677483e-06,
+    8.346720556058764e-07,
+    6.473917199346377e-07,
+    5.023577648361831e-07,
+)
+DIAGONAL_XY = (2.50, 2.23, 1.96, 1.69, 1.42, 1.15, 0.88, 0.61, 0.34, 0.07)
 
 
 def _close(a, b, tol=1e-12):
     return math.isclose(a, b, rel_tol=tol, abs_tol=1e-300)
+
+
+# A detector with A * h * g = 1: unit area and filter gain, n = 1 and a
+# 90-degree FOV. At 1 m from a 1 W emitter it reads the emitter pattern
+# (m+1)/2pi cos^m times the cos of the incidence angle.
+UNIT_PD = PdSpec(area=1.0, fov=90.0, filter_gain=1.0, refractive_index=1.0)
+
+
+def _intensity(angle, m):
+    """(m+1)/2pi cos^m(angle), read off the one channel path."""
+    led = LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=m)
+    return received_power_at(led, UNIT_PD, 1.0, angle) / math.cos(math.radians(angle))
+
+
+def _effective_area(angle, pd):
+    """A * h * g(angle) * cos(angle), read off the one channel path at 1 m
+    from a 1 W first-order emitter, whose pattern is cos(angle) / pi."""
+    led = LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=1.0)
+    return received_power_at(led, pd, 1.0, angle) / (math.cos(math.radians(angle)) / math.pi)
 
 
 class TestLambertianOrder:
@@ -58,11 +91,28 @@ class TestLambertianOrder:
         for angle, m in ORDER_BY_HALF_ANGLE.items():
             assert _close(lambertian_order(angle), m)
 
+    def test_table_override_angle(self):
+        assert _close(lambertian_order(54.08), 1.299687764887075)
+
+    def test_half_power_property(self):
+        for angle in (15.0, 30.0, 45.0, 60.0, 70.0, 80.0):
+            m = lambertian_order(angle)
+            assert abs(math.cos(math.radians(angle)) ** m - 0.5) < 1e-9
+
+    def test_strictly_decreasing_in_half_angle(self):
+        angles = [5.0 + 0.5 * k for k in range(160)]
+        orders = [lambertian_order(a) for a in angles]
+        assert all(a > b for a, b in zip(orders, orders[1:]))
+
     def test_rejects_out_of_range(self):
         # Below about 6.03709e-07 degrees cos rounds to 1 and the order is infinite.
         for bad in (0.0, 90.0, -5.0, 95.0, 1e-9):
             with pytest.raises(DomainError):
                 lambertian_order(bad)
+
+    def test_finite_at_the_low_bound(self):
+        assert math.cos(math.radians(6.0371e-07)) < 1.0
+        assert math.isfinite(lambertian_order(6.0371e-07))
 
     @pytest.mark.parametrize("order", [None, 2.0])
     def test_rejects_the_angle_below_the_bound_by_its_field(self, order):
@@ -70,6 +120,36 @@ class TestLambertianOrder:
         with pytest.raises(DomainError, match=r"^LedSpec\.half_power_angle must lie in "
                            rf"\[6\.0371e-07, 90\), got {below}$"):
             LedSpec(LED.position, 1.0, below, lambertian_order=order)
+
+
+class TestEmitterPattern:
+    """(m+1)/2pi cos^m, the radiant intensity, read off received_power_at."""
+
+    def test_on_axis_first_order(self):
+        assert _close(_intensity(0.0, 1.0), 1.0 / math.pi)
+
+    def test_reference_values(self):
+        assert _close(_intensity(60.0, 1.0), 0.15915494309189535)
+        assert _close(_intensity(45.0, 3.0), 0.22507907903927651)
+        assert _close(_intensity(48.87997267609269, 1.0), CORNER_INTENSITY)
+
+    def test_vanishes_at_grazing(self):
+        # cos(radians(90)) is ~6e-17 in floats, so the intensity is a
+        # residue rather than an exact zero.
+        assert 0.0 <= _intensity(90.0, 1.0) < 1e-15
+        assert 0.0 <= _intensity(90.0, 3.0) < 1e-15
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got -1.0$"):
+            received_power_at(LED, PD, 3.0, -1.0)
+        with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got nan$"):
+            received_power_at(LED, PD, 3.0, math.nan)
+        with pytest.raises(DomainError, match=r"^link angle must be finite, got inf$"):
+            received_power_at(LED, PD, 3.0, math.inf)
+        with pytest.raises(DomainError):
+            LedSpec(LED.position, transmit_power=1.0, half_power_angle=60.0, lambertian_order=0.0)
+        # Beyond every FOV (at most 90 degrees) the power is 0, not an error.
+        assert received_power_at(LED, PD, 3.0, 91.0) == 0.0
 
 
 def _cos(angle):
@@ -105,6 +185,82 @@ class TestConcentratorGain:
         assert concentrator_gain(-1e-100, PD) == 0.0
 
 
+class TestDetectorResponse:
+    """A h g(angle) cos(angle), the effective area, read off received_power_at."""
+
+    def test_normal_incidence(self):
+        assert _close(_effective_area(0.0, PD), 2.25e-6 * 1.0 * 2.25)
+
+    def test_corner_incidence(self):
+        assert _close(_effective_area(48.87997267609269, PD), CORNER_EFFECTIVE_AREA)
+
+    def test_reference_value_at_30_degrees(self):
+        assert _close(_effective_area(30.0, PD), 4.384253606658721e-06)
+
+    def test_zero_beyond_fov(self):
+        narrow = PdSpec(
+            area=2.25e-6,
+            fov=45.0,
+            filter_gain=1.0,
+            refractive_index=1.5,
+        )
+        assert received_power_at(LED, narrow, 3.0, 50.0) == 0.0
+
+    def test_non_increasing_within_fov(self):
+        values = [_effective_area(0.1 * k, PD) for k in range(900)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestLedSpec:
+    def test_order_defaults_from_half_power_angle(self):
+        assert _close(LED.lambertian_order, 1.0)
+
+    def test_order_override(self):
+        led = LedSpec(
+            position=Point3(2.5, 2.5, 3.0),
+            transmit_power=15.0,
+            half_power_angle=60.0,
+            lambertian_order=1.3,
+        )
+        assert led.lambertian_order == 1.3
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(DomainError):
+            LedSpec(Point3(0, 0, 3), transmit_power=0.0, half_power_angle=60.0)
+        with pytest.raises(DomainError):
+            LedSpec(Point3(0, 0, 3), transmit_power=15.0, half_power_angle=90.0)
+        with pytest.raises(DomainError):
+            LedSpec(
+                Point3(0, 0, 3),
+                transmit_power=15.0,
+                half_power_angle=60.0,
+                lambertian_order=-1.0,
+            )
+
+
+class TestPdSpec:
+    def test_rejects_bad_parameters(self):
+        good = dict(
+            area=2.25e-6,
+            fov=90.0,
+            filter_gain=1.0,
+            refractive_index=1.5,
+        )
+        for key, bad in (
+            ("area", 0.0),
+            ("fov", 0.0),
+            ("fov", 120.0),
+            ("filter_gain", 0.0),
+            ("refractive_index", 0.5),
+            # Each gives an infinite concentrator gain n^2 / sin^2(fov).
+            ("fov", 5e-324),
+            ("fov", 1e-155),
+            ("refractive_index", 1e200),
+        ):
+            with pytest.raises(DomainError):
+                PdSpec(**{**good, key: bad})
+
+
 class TestReceivedPower:
     def test_center_link(self):
         sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
@@ -116,8 +272,6 @@ class TestReceivedPower:
         assert _close(sample.received_power, 15.0 / 9.0 / math.pi * 2.25e-6 * 2.25)
 
     def test_corner_link(self):
-        # The emitter's pattern (m+1)/2pi cos^m and the detector's A h g cos
-        # at the corner's 48.88 degrees, each derived independently.
         sample = received_power(LED, PD, Point3(0.07, 0.07, 0.0))
         assert _close(sample.received_power, CORNER_POWER)
         assert sample.concentrator_gain == 2.25
@@ -126,12 +280,45 @@ class TestReceivedPower:
         )
         assert _close(sample.received_power, expected)
 
+    def test_diagonal_grid(self):
+        for xy, expected in zip(DIAGONAL_XY, DIAGONAL_POWERS):
+            power = received_power(LED, PD, Point3(xy, xy, 0.0)).received_power
+            assert _close(power, expected)
+
     def test_zero_beyond_fov(self):
         # Corner incidence is 48.88 deg from the detector normal.
-        sample = received_power(LED, PD._replace(fov=45.0), Point3(0.07, 0.07, 0.0))
+        pd = PdSpec(
+            area=2.25e-6,
+            fov=45.0,
+            filter_gain=1.0,
+            refractive_index=1.5,
+        )
+        sample = received_power(LED, pd, Point3(0.07, 0.07, 0.0))
         # The zero gain marks a FOV cut, not a power that underflowed.
         assert sample.received_power == 0.0
         assert sample.concentrator_gain == 0.0
+
+    def test_scales_linearly_with_transmit_power(self):
+        led8 = LedSpec(Point3(2.5, 2.5, 3.0), transmit_power=8.0, half_power_angle=60.0)
+        center = Point3(2.5, 2.5, 0.0)
+        p8 = received_power(led8, PD, center).received_power
+        p15 = received_power(LED, PD, center).received_power
+        assert _close(p15 / p8, 15.0 / 8.0)
+
+    def test_matches_decay_law_on_grid(self):
+        # P = K V^(m+1) / d^(m+3) with K folding emitter and detector constants.
+        m = LED.lambertian_order
+        k = (
+            LED.transmit_power
+            * (m + 1.0)
+            * PD.area
+            * PD.filter_gain
+            * concentrator_gain(0.0, PD)
+            / (2.0 * math.pi)
+        )
+        for xy, expected in zip(DIAGONAL_XY, DIAGONAL_POWERS):
+            d, _ = link_geometry(LED.position, Point3(xy, xy, 0.0))
+            assert _close(k * 3.0 ** (m + 1.0) / d ** (m + 3.0), expected, 1e-9)
 
 
 class TestReceivedPowerAt:
@@ -140,18 +327,30 @@ class TestReceivedPowerAt:
         p2 = received_power_at(LED, PD, 4.0, 30.0)
         assert _close(p1 / p2, 4.0)
 
-    def test_zero_beyond_fov(self):
-        assert received_power_at(LED, PD._replace(fov=60.0), 3.0, 75.0) == 0.0
-        # Beyond every FOV (at most 90 degrees) the power is 0, not an error.
-        assert received_power_at(LED, PD, 3.0, 91.0) == 0.0
+    def test_elevation_family_values_at_center_distance(self):
+        # Incidence fixed at the emission angle, both measured from normals.
+        expected = {
+            60.0: 2.0143047485068003e-06,
+            70.0: 2.3715678052324037e-06,
+            80.0: 2.6047547044617702e-06,
+            90.0: 2.685739664675734e-06,
+        }
+        for elevation, power in expected.items():
+            angle = 90.0 - elevation
+            assert _close(received_power_at(LED, PD, 3.0, angle), power)
 
-    def test_rejects_bad_angles(self):
-        with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got -1.0$"):
-            received_power_at(LED, PD, 3.0, -1.0)
-        with pytest.raises(DomainError, match=r"^link angle must be >= 0 degrees, got nan$"):
-            received_power_at(LED, PD, 3.0, math.nan)
-        with pytest.raises(DomainError, match=r"^link angle must be finite, got inf$"):
-            received_power_at(LED, PD, 3.0, math.inf)
+    def test_zero_beyond_fov(self):
+        narrow = PdSpec(
+            area=2.25e-6,
+            fov=60.0,
+            filter_gain=1.0,
+            refractive_index=1.5,
+        )
+        assert received_power_at(LED, narrow, 3.0, 75.0) == 0.0
+
+    def test_rejects_non_positive_distance(self):
+        with pytest.raises(DomainError):
+            received_power_at(LED, PD, 0.0, 0.0)
 
 
 class TestPowerColumns:
@@ -263,6 +462,24 @@ class TestFovEdge:
         assert concentrator_gain(_cos(beyond), pd) == 0.0
 
 
+class TestGrazingLink:
+    """An LED 1e-100 m above the floor: every off-axis link grazes the PD at
+    c = V/d near 2.6e-100, and the channel keeps that cosine exactly."""
+
+    LOW_LED = LedSpec(Point3(2.5, 2.5, 1e-100), transmit_power=15.0, half_power_angle=60.0)
+
+    def test_power_is_the_closed_form_at_the_link_cosine(self):
+        position = Point3(2.23, 2.23, 0.0)
+        sample = received_power(self.LOW_LED, PD, position)
+        d = math.hypot(2.5 - 2.23, 2.5 - 2.23, 1e-100)
+        c = 1e-100 / d
+        # K = P_t (m+1) A h n^2 / (2 pi) with m = 1, n = 1.5 and sin(90 deg) = 1.
+        k = 15.0 * 2.0 * 2.25e-6 * 1.0 * 2.25 / (2.0 * math.pi)
+        assert math.isclose(sample.received_power, k * c**2 / d**2, rel_tol=1e-12)
+        assert math.isclose(sample.received_power, 1.137e-203, rel_tol=1e-3)
+        assert sample.concentrator_gain == 2.25
+
+
 def _floor_point_at_cosine(led_z, target):
     """A floor point whose link cosine under an LED at (0, 0, led_z) is exactly
     target: the closed-form x, stepped one float at a time either way."""
@@ -288,9 +505,7 @@ class TestReceivedPowerIsTheColumnsRow:
     """received_power gives the column functions' one row: the same bits
     (float.hex), or the same exception type and message."""
 
-    # An LED 1e-100 m above the floor: every off-axis link grazes the PD at
-    # c = V/d near 2.6e-100, and the channel keeps that cosine exactly.
-    LOW_LED = LED._replace(position=Point3(2.5, 2.5, 1e-100))
+    LOW_LED = TestGrazingLink.LOW_LED
 
     @pytest.mark.parametrize(
         "led, pd, position, power, gain",
@@ -352,3 +567,13 @@ class TestReceivedPowerIsTheColumnsRow:
         assert type(scalar.value) is type(row.value) is DomainError
         assert str(scalar.value) == str(row.value)
         assert str(scalar.value).startswith("K = P_t (m+1) A h g(0) / (2 pi) is inf")
+
+
+class TestRandomizedConsistency:
+    def test_power_positive_inside_fov(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            position = Point3(rng.uniform(0, 5), rng.uniform(0, 5), 0.0)
+            sample = received_power(LED, PD, position)
+            assert sample.received_power > 0.0
+            assert sample.received_power <= CENTER_POWER * (1.0 + 1e-12)

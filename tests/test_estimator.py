@@ -1,6 +1,7 @@
 """Tests for the complementary/supplementary-angle position estimator."""
 
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 
@@ -10,13 +11,16 @@ from scipy.optimize import brentq
 from vlcpos import (
     DomainError,
     LedSpec,
+    NonPositivePower,
     PdSpec,
     Point3,
     PowerTooHigh,
+    default_config,
     estimate_lines,
     estimate_position,
     invert_power_to_distance,
     received_power,
+    replication_report,
 )
 
 from csa_oracle import csa_angles, offset_estimate
@@ -39,6 +43,10 @@ POWER_AT_3_5_M = 1.4496953791835698e-06
 POSITION5_POWER = 1.6938481850301814e-06
 POSITION5_ESTIMATE = 1.7737782028390627
 POSITION5_ERROR = 0.5003179325269824
+PUBLISHED_ERRORS = (
+    0.0013, 0.0050, 0.0118, 0.0247, 0.0376,
+    0.0495, 0.0616, 0.0719, 0.0776, 0.0797,
+)
 
 
 def _close(a, b, tol=1e-12):
@@ -54,10 +62,28 @@ def _forward_power(distance, led, pd, vertical):
 
 
 class TestInvertPowerToDistance:
+    def test_reference_round_trip(self):
+        d = invert_power_to_distance(POWER_AT_3_5_M, LED, PD, 3.0)
+        assert _close(d, 3.5, 1e-9)
+
+    def test_on_axis_maximum_maps_to_vertical(self):
+        d = invert_power_to_distance(CENTER_POWER, LED, PD, 3.0)
+        assert d >= 3.0
+        assert _close(d, 3.0)
+
     def test_clamps_rounding_noise_to_vertical(self):
         # A hair above the on-axis maximum is rounding noise, not an error.
         d = invert_power_to_distance(CENTER_POWER * (1.0 + 1e-12), LED, PD, 3.0)
         assert d == 3.0
+
+    def test_round_trip_against_forward_model(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            vertical = rng.uniform(1.5, 4.0)
+            d_true = rng.uniform(vertical, 3.0 * vertical)
+            p = _forward_power(d_true, LED, PD, vertical)
+            d = invert_power_to_distance(p, LED, PD, vertical)
+            assert _close(d, d_true, 1e-9)
 
     def test_matches_root_finder(self):
         # Cross-check the closed-form inversion against a numeric root of
@@ -76,6 +102,16 @@ class TestInvertPowerToDistance:
             )
             assert _close(d, root, 1e-9)
             assert _close(d, d_true, 1e-9)
+
+    def test_rejects_non_positive_power(self):
+        with pytest.raises(NonPositivePower):
+            invert_power_to_distance(0.0, LED, PD, 3.0)
+        with pytest.raises(NonPositivePower):
+            invert_power_to_distance(-1e-6, LED, PD, 3.0)
+
+    def test_rejects_power_above_on_axis_maximum(self):
+        with pytest.raises(PowerTooHigh):
+            invert_power_to_distance(2.0 * CENTER_POWER, LED, PD, 3.0)
 
     def test_rejects_non_positive_vertical_separation(self):
         with pytest.raises(DomainError):
@@ -126,6 +162,14 @@ class TestInvertPowerToDistance:
         assert math.isclose(invert_power_to_distance(power, led, PD, height), expected,
                             rel_tol=1e-12)
 
+    def test_gain_constant_past_the_float_range_still_fails(self):
+        # K = P_t (m+1) A h g / (2 pi) overflows to inf, and the channel's K
+        # names itself before the inversion runs.
+        led = LedSpec(LED.position, transmit_power=1e308, half_power_angle=60.0)
+        pd = PdSpec(area=1e308, fov=90.0, filter_gain=1.0, refractive_index=1.5)
+        with pytest.raises(DomainError, match=r"^K = P_t \(m\+1\) A h g\(0\) / \(2 pi\) is inf"):
+            invert_power_to_distance(1e-6, led, pd, 3.0)
+
     def test_distance_past_the_float_range_in_logarithms_fails(self):
         # V^(m+1) overflows, so the inversion takes logarithms, and there
         # (ln K + (m+1) ln V - ln P) / (m+3) is about 720, past exp's range.
@@ -175,6 +219,11 @@ class TestCsaAngles:
         assert abs(float(lines["complementary"]) - 48.877) < 1e-12
         assert abs(float(lines["supplementary"]) - 131.123) < 1e-12
 
+    def test_pair_sums_to_straight_angle_exactly(self):
+        for k in range(1801):
+            complementary, supplementary = csa_angles(k * 0.05)
+            assert complementary + supplementary == 180.0
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             csa_angles(-0.1)
@@ -195,6 +244,19 @@ class TestOffsetEstimate:
         led, power = _reading_at(3.4365, 41.123)
         assert _close(estimate_position(power, led, PD, 225.0).fused, 2.4244114653242295)
 
+    def test_fused_closed_form(self):
+        for d_hor in (0.5, 1.0, 3.4365):
+            for k in range(0, 901, 9):
+                theta = k * 0.1
+                fused = offset_estimate(d_hor, theta)
+                rad = math.radians(theta)
+                expected = d_hor * (math.sin(rad) + math.cos(rad)) / 2.0
+                assert abs(fused - expected) < 1e-12
+
+    def test_zero_horizontal_distance(self):
+        sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
+        assert estimate_position(sample.received_power, LED, PD, 225.0).fused == 0.0
+
     def test_rejects_negative_distance(self):
         with pytest.raises(DomainError):
             offset_estimate(-0.1, 45.0)
@@ -213,6 +275,11 @@ class TestOffsetEstimate:
 
 class TestAnchorEstimate:
     """estimate_position places the fused offset at the LED's floor projection."""
+
+    def test_zero_offset_lands_under_emitter(self):
+        sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
+        p = estimate_position(sample.received_power, LED, PD, 225.0).estimated
+        assert (p.x, p.y, p.z) == (2.5, 2.5, 0.0)
 
     def test_reference_anchor(self):
         record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0)
@@ -240,11 +307,48 @@ class TestAnchorEstimate:
         with pytest.raises(DomainError, match=rf"^fused offset {offset} anchors to a non-finite"):
             estimate_position(power, led, pd, azimuth)
 
+    def test_finite_estimate_is_a_floor_point(self):
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 10.0)
+        p, fused = record.estimated, record.fused
+        assert type(p) is Point3
+        assert p.z == 0.0
+        angle = math.radians(10.0)
+        assert p == Point3(2.5 + fused * math.cos(angle), 2.5 + fused * math.sin(angle), 0.0)
+
     def test_rejects_azimuth_out_of_range(self):
         with pytest.raises(DomainError, match=r"^azimuth must lie in \[0, 360\) degrees"):
             estimate_position(POWER_AT_3_5_M, LED, PD, 360.0)
         with pytest.raises(DomainError, match=r"^azimuth must lie in \[0, 360\) degrees"):
             estimate_position(POWER_AT_3_5_M, LED, PD, -1.0)
+
+
+class TestPositioningError:
+    def test_matches_published_rows_closely(self):
+        actual = (2.50, 2.23, 1.96, 1.69, 1.42, 1.15, 0.88, 0.61, 0.34, 0.07)
+        estimated = (
+            2.5009, 2.2336, 1.9515, 1.6724, 1.3933,
+            1.1149, 0.8363, 0.5591, 0.2851, 0.0136,
+        )
+        for a, e, published in zip(actual, estimated, PUBLISHED_ERRORS):
+            err = math.dist((a, a), (e, e))
+            assert abs(err - published) < 5e-4
+
+    def test_zero_for_identical_points(self):
+        estimated = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0).estimated
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0, actual=estimated)
+        assert record.positioning_error == 0.0
+
+
+class TestPublishedMeanErrors:
+    """The mean errors of the published column, as the replication report takes them."""
+
+    def test_published_column_mean(self):
+        computed = {check.name: check.computed for check in replication_report(default_config())}
+        assert _close(computed["reference_mean_error"], 0.04207)
+
+    def test_published_first_eight_mean(self):
+        computed = {check.name: check.computed for check in replication_report(default_config())}
+        assert _close(computed["first_eight_mean_error"], 0.032925)
 
 
 class TestEstimatePosition:
@@ -258,6 +362,15 @@ class TestEstimatePosition:
         assert record.estimated.z == 0.0
         assert _close(record.positioning_error, POSITION5_ERROR, 1e-9)
 
+    def test_pipeline_matches_independent_recompute(self):
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0)
+        d = record.inverted_distance
+        theta = math.asin(3.0 / d)
+        fused = math.sqrt(d * d - 9.0) * (math.sin(theta) + math.cos(theta)) / 2.0
+        expected_x = 2.5 + fused * math.cos(math.radians(225.0))
+        assert _close(record.estimated.x, expected_x, 1e-9)
+        assert record.positioning_error is None
+
     def test_under_emitter_is_error_free(self):
         sample = received_power(LED, PD, Point3(2.5, 2.5, 0.0))
         record = estimate_position(
@@ -265,6 +378,16 @@ class TestEstimatePosition:
         )
         assert record.positioning_error == 0.0
         assert record.estimated == Point3(2.5, 2.5, 0.0)
+
+    def test_vertical_separation_is_the_led_height(self):
+        record = estimate_position(POWER_AT_3_5_M, LED, PD, 225.0)
+        assert _close(record.inverted_distance, 3.5, 1e-9)
+
+    def test_propagates_inversion_failures(self):
+        with pytest.raises(PowerTooHigh):
+            estimate_position(1.0, LED, PD, 225.0)
+        with pytest.raises(NonPositivePower):
+            estimate_position(0.0, LED, PD, 225.0)
 
     @pytest.mark.parametrize(
         "height, power, transmit_power, area",

@@ -141,6 +141,10 @@ class TestScenarioConfig:
         config = ScenarioConfig(*CONFIG[:7])
         assert (config.distance_samples, config.distance_range) == (50, None)
 
+    def test_hashed_as_the_tuple_of_its_fields(self):
+        # The room, LED and PD records inside are hashed the same way.
+        assert hash(CONFIG) == hash(tuple(CONFIG))
+
 
 class TestLambertianOrder:
     def test_derived_when_none(self):
@@ -174,6 +178,13 @@ class TestNonFiniteFields:
         # nan and -inf fail the range check, whose message names both too.
         with pytest.raises(DomainError, match=rf"\b{field} must .*, got {value}$"):
             record._replace(**{field: value})
+
+    def test_positive_infinity_is_not_finite(self, record, field):
+        # An infinite power, area or gain would give inf W, an infinite order
+        # nan W off axis, and an infinite room side would hold every floor point.
+        name = type(record).__name__
+        with pytest.raises(DomainError, match=rf"^{name}\.{field} must be finite, got inf$"):
+            type(record)(**{**record._asdict(), field: math.inf})
 
 
 RULES = [

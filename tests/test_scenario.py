@@ -8,7 +8,10 @@ import pytest
 
 import vlcpos.scenario
 from vlcpos import (
+    LedSpec,
+    NonPositivePower,
     Point3,
+    ScenarioConfig,
     ValidationError,
     concentrator_gain,
     default_config,
@@ -26,6 +29,7 @@ from vlcpos.scenario import (
     ASSUMPTIONS,
     REFERENCE_ACTUAL_XY,
     REFERENCE_DATASET_VERSION,
+    REFERENCE_ERRORS,
     REFERENCE_MEAN_ERROR,
 )
 
@@ -110,6 +114,21 @@ def _close(a, b, tol=1e-12):
 
 
 class TestDefaultConfig:
+    def test_room_and_emitter(self):
+        config = default_config()
+        assert (config.room.width, config.room.length, config.room.height) == (5.0, 5.0, 3.0)
+        assert config.led.position == Point3(2.5, 2.5, 3.0)
+        assert config.led.transmit_power == 15.0
+        assert config.led.half_power_angle == 60.0
+        assert _close(config.led.lambertian_order, 1.0)
+
+    def test_detector(self):
+        pd = default_config().pd_template
+        assert pd.area == 2.25e-6
+        assert pd.fov == 90.0
+        assert pd.filter_gain == 1.0
+        assert pd.refractive_index == 1.5
+
     def test_sweep_axes(self):
         config = default_config()
         assert config.transmit_powers == (8.0, 10.0, 12.0, 15.0)
@@ -124,6 +143,38 @@ class TestDefaultConfig:
 
 
 class TestScenarioConfigValidation:
+    def test_rejects_position_off_floor(self):
+        config = default_config()
+        bad = config.pd_positions[:9] + (Point3(1.0, 1.0, 0.5),)
+        with pytest.raises(ValidationError, match="floor"):
+            config._replace(pd_positions=bad)
+
+    def test_rejects_position_outside_room(self):
+        config = default_config()
+        bad = (Point3(5.5, 1.0, 0.0),)
+        with pytest.raises(ValidationError):
+            config._replace(pd_positions=bad)
+
+    def test_rejects_empty_axes(self):
+        config = default_config()
+        with pytest.raises(ValidationError):
+            config._replace(transmit_powers=())
+        with pytest.raises(ValidationError):
+            config._replace(sweep_elevations=())
+        with pytest.raises(ValidationError):
+            config._replace(pd_positions=())
+
+    def test_rejects_bad_scalars(self):
+        config = default_config()
+        with pytest.raises(ValidationError):
+            config._replace(azimuth=360.0)
+        with pytest.raises(ValidationError):
+            config._replace(distance_samples=1)
+        with pytest.raises(ValidationError):
+            config._replace(distance_range=(4.0, 3.0))
+        with pytest.raises(ValidationError):
+            config._replace(transmit_powers=(8.0, 0.0))
+
     @pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
     def test_rejects_a_sample_count_that_is_not_an_int(self, samples):
         # Otherwise run_angle_sweep raises a TypeError deep inside the sweep.
@@ -131,6 +182,12 @@ class TestScenarioConfigValidation:
         message = f"distance_samples must be {kind}, got {samples!r}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             default_config()._replace(distance_samples=samples)
+
+    @pytest.mark.parametrize("span", [(3.0,), (1.0, 2.0, 3.0), 3.0])
+    def test_rejects_a_distance_range_that_is_not_a_pair(self, span):
+        message = f"distance_range must be (low, high), got {span!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            default_config()._replace(distance_range=span)
 
     @pytest.mark.parametrize(
         "field, value, bad",
@@ -177,6 +234,19 @@ class TestPositionSweep:
             else:
                 assert _close(row_error, error)
             assert abs(est_x - est_y) < 1e-12
+
+    def test_failures_name_the_position(self):
+        config = default_config()
+        grounded = LedSpec(
+            position=Point3(2.5, 2.5, 0.0),
+            transmit_power=15.0,
+            half_power_angle=60.0,
+        )
+        # An LED on the floor is outside the room, so the config rejects it
+        # before a sweep could fail at position 1.
+        with pytest.raises(ValidationError, match=r"led\.position \(2.5, 2.5, 0.0\)"):
+            config._replace(led=grounded)
+
 
     def test_grazing_row_matches_the_closed_form(self):
         # The LED 1e-100 m above the floor: position 2 sits h = 0.27 sqrt(2)
@@ -295,7 +365,26 @@ class TestSweepColumnsMatchScalarPath:
             expected = {s.slant_distance: s.received_power for s in samples}
             assert {row[1]: row[2] for row in rows if row[0] == transmit} == expected
 
+    def test_power_outside_the_fov_names_the_position(self):
+        config = default_config()
+        narrow = config._replace(pd_template=config.pd_template._replace(fov=30.0))
+        with pytest.raises(NonPositivePower, match="^position 6:"):
+            run_position_sweep(narrow)
+
+
 class TestPowerDistanceSweep:
+    def test_family_layout(self):
+        rows = rows_of(run_power_distance_sweep(default_config()))
+        assert len(rows) == 40
+        powers = [row[0] for row in rows]
+        assert powers == [8.0] * 10 + [10.0] * 10 + [12.0] * 10 + [15.0] * 10
+        for start in range(0, 40, 10):
+            family = rows[start : start + 10]
+            distances = [row[1] for row in family]
+            assert distances == sorted(distances)
+            received = [row[2] for row in family]
+            assert all(a > b for a, b in zip(received, received[1:]))
+
     def test_reference_values(self):
         rows = rows_of(run_power_distance_sweep(default_config()))
         for start, transmit in zip(range(0, 40, 10), (8.0, 10.0, 12.0, 15.0)):
@@ -314,6 +403,17 @@ class TestPowerDistanceSweep:
 
 
 class TestAngleSweep:
+    def test_family_layout(self):
+        rows = rows_of(run_angle_sweep(default_config()))
+        assert len(rows) == 200
+        elevations = sorted({row[0] for row in rows})
+        assert elevations == [60.0, 70.0, 80.0, 90.0]
+        for elevation in elevations:
+            family = [row for row in rows if row[0] == elevation]
+            assert len(family) == 50
+            assert _close(family[0][1], 3.0)
+            assert _close(family[-1][1], 4.561775969948546)
+
     def test_reference_values(self):
         rows = rows_of(run_angle_sweep(default_config()))
         for elevation in (60.0, 70.0, 80.0, 90.0):
@@ -328,6 +428,15 @@ class TestAngleSweep:
         for _, d, p in family[1:]:
             assert _close(p0 / p, (d / d0) ** 2, 1e-9)
 
+    def test_respects_distance_range_and_samples(self):
+        config = default_config()._replace(
+            distance_range=(2.0, 4.0),
+            distance_samples=5,
+            sweep_elevations=(90.0,),
+        )
+        rows = rows_of(run_angle_sweep(config))
+        assert [row[1] for row in rows] == [2.0, 2.5, 3.0, 3.5, 4.0]
+
     def test_the_first_family_computes_only_its_own_powers(self, monkeypatch):
         calls = []
 
@@ -341,6 +450,11 @@ class TestAngleSweep:
         label, distances, powers = next(rows.families())
         assert len(calls) == 1
         assert label == 60.0 and len(distances) == len(powers) == 50
+
+    def test_rejects_out_of_range_elevation(self):
+        with pytest.raises(ValidationError):
+            default_config()._replace(sweep_elevations=(0.0,))
+
 
 class TestReplicationReport:
     def test_all_checks_match_expectations(self):
@@ -395,6 +509,24 @@ class TestReplicationReport:
             "pipeline_error_spread",
         ]
 
+    def test_repeated_transmit_power_grades_each_walk_alone(self):
+        # Two walks at the same power are two families; joining them would
+        # count the corner-to-center seam as a violation.
+        checks = replication_report(default_config()._replace(transmit_powers=(8.0, 8.0)))
+        check = next(c for c in checks if c.name == "power_monotonic_decrease")
+        assert (check.verdict, check.computed) == ("REPRODUCED", 0.0)
+        assert not any(c.regressed for c in checks)
+
+    def test_repeated_elevation_grades_as_one_family(self):
+        # A repeated elevation writes an identical block; comparing that block
+        # with itself would count every point as a violation.
+        config = default_config()._replace(sweep_elevations=(90.0, 60.0, 90.0))
+        checks = replication_report(config)
+        check = next(c for c in checks if c.name == "angle_family_ordering")
+        assert (check.verdict, check.computed) == ("REPRODUCED", 0.0)
+        assert len(checks) == 14
+        assert not any(c.regressed for c in checks)
+
     def test_quantified_gaps(self):
         by_name = {check.name: check for check in replication_report(default_config())}
         power = by_name["published_absolute_power"]
@@ -403,7 +535,14 @@ class TestReplicationReport:
         mean = by_name["reference_mean_error"]
         assert _close(mean.computed, 0.04207)
         assert mean.reference == REFERENCE_MEAN_ERROR
-        assert _close(by_name["first_eight_mean_error"].computed, 0.032925)
         coords = by_name["published_estimated_coordinates"]
         assert _close(coords.computed, 2.4244304208947547)
         assert coords.reference == 2.4864
+
+    def test_assumptions_are_stated(self):
+        assert len(ASSUMPTIONS) >= 3
+        assert all(isinstance(a, str) and a for a in ASSUMPTIONS)
+
+    def test_reference_column_is_self_consistent(self):
+        assert len(REFERENCE_ERRORS) == 10
+        assert _close(sum(REFERENCE_ERRORS) / 10.0, 0.04207)
