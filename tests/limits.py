@@ -277,7 +277,8 @@ ROWS = (
          INVALID + "led.position must be a number, got 'a'"),
         ("none-coordinate", "sweep.positions = [(1, 2, None)]",
          INVALID + "sweep.positions must be a number, got None"),
-        ("huge-int", "room.width = 1" + "0" * 400, INVALID + "room.width must be finite, got 1000"),
+        ("huge-int", "room.width = 1" + "0" * 400,
+         INVALID + "room.width must be finite, got 1000"),
         ("text-count", 'sweep.distance_samples = "7.0"',
          INVALID + "sweep.distance_samples must be a number, got '7.0'"),
         ("text-number-on-line-3", "# a comment\nroom.length = 5.0\nroom.width = 'a'",
@@ -297,7 +298,8 @@ ROWS = (
          "ValidationError: lines 1, 2: led.position height 1e-200 is below 1.49167e-154 m"),
         ("negative-width", "room.width = -1", INVALID + "room.width " + ROOM_SIDE + "-1.0\n"),
         ("zero-length", "room.length = 0", INVALID + "room.length " + ROOM_SIDE + "0.0\n"),
-        ("bool-height", "room.height = True", INVALID + "room.height must be a number, got True\n"),
+        ("bool-height", "room.height = True",
+         INVALID + "room.height must be a number, got True\n"),
         ("led-power-zero", "led.transmit_power = 0",
          INVALID + "led.transmit_power must be > 0, got 0.0\n"),
         ("half-power-90", "led.half_power_angle = 90",

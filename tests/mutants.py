@@ -51,6 +51,7 @@ def row(name: str) -> str:
 CH, ES, GE = "tests/test_channel.py::", "tests/test_estimator.py::", "tests/test_geometry.py::"
 RE, SC, CL = "tests/test_reporting.py::", "tests/test_scenario.py::", "tests/test_cli.py::"
 RC, PR = "tests/test_records.py::", "tests/test_properties.py::"
+RF = "tests/test_reference.py::test_reference_value["
 CHUNKS = PR + "test_emit_across_chunk_boundaries_matches_the_csv_and_json_modules"
 HASH_PIN = RE + "TestConfigHash::test_default_config_hash_is_pinned"
 
@@ -63,23 +64,23 @@ MUTANTS = (
     Mutant("fov-edge-row", "channel", "distance**2 if c >= cos_fov", "distance**2 if c > cos_fov",
            (CH + "TestPowerColumns::test_runs_of_one_cosine_match_the_one_row_views[1.0]",)),
     Mutant("fov-edge-gain", "channel", "and c < _fov_cosine", "and c <= _fov_cosine",
-           (CH + "TestConcentratorGain::test_grazing_link_is_inside_a_90_degree_fov",)),
+           (RF + "gain-in-a-90-degree-fov]",)),
     Mutant("fov-90-cosine", "channel", "0.0 if fov == 90.0 else math.cos", "math.cos",
-           (CH + "TestConcentratorGain::test_grazing_link_is_inside_a_90_degree_fov",)),
+           (RF + "gain-in-a-90-degree-fov]",)),
     Mutant("fov-cut-sample", "channel", "/ slant**2 if gain else 0.0", "/ slant**2",
-           (CH + "TestReceivedPower::test_zero_beyond_fov",)),
+           (RF + "beyond-the-fov]",)),
     Mutant("fov-cut-column", "channel", "kc = k * c**exponent if c >= cos_fov else 0.0",
-           "kc = k * c**exponent", (CH + "TestReceivedPowerAt::test_zero_beyond_fov",)),
+           "kc = k * c**exponent", (RF + "beyond-the-fov]",)),
     # The closed form's terms: K's P_t (m+1), c^(m+1), 1/d^2, n^2 / sin^2(fov), 2 pi.
     Mutant("gain-constant-order", "channel", "led.transmit_power * (m + 1.0)",
-           "led.transmit_power * (m + 2.0)", (CH + "TestReceivedPower::test_center_link",)),
+           "led.transmit_power * (m + 2.0)", (RF + "center-link-power]",)),
     Mutant("power-not-linear", "channel", "radiated = led.transmit_power * (m + 1.0)",
            "radiated = math.sqrt(led.transmit_power) * (m + 1.0)",
-           (SC + "TestPowerDistanceSweep::test_families_scale_linearly",)),
+           (RF + "power-sweep-linear-in-power]",)),
     Mutant("cosine-exponent-columns", "channel", "led.lambertian_order + 1.0, _fov_cosine",
-           "led.lambertian_order, _fov_cosine", (SC + "TestAngleSweep::test_reference_values",)),
+           "led.lambertian_order, _fov_cosine", (RF + "angle-sweep-end-powers]",)),
     Mutant("cosine-exponent-sample", "channel", "c ** (led.lambertian_order + 1.0)",
-           "c ** led.lambertian_order", (CH + "TestReceivedPower::test_corner_link",)),
+           "c ** led.lambertian_order", (RF + "corner-link-power]",)),
     Mutant("inverse-square-column", "channel", "[kc / d**2 for", "[kc / d / d for",
            (CH + "TestPowerColumns::test_runs_of_one_cosine_match_the_one_row_views[1.0]",)),
     Mutant("column-distance-guard", "channel", "if low > 0.0 and low**2 > 0.0 and total == total:",
@@ -88,26 +89,27 @@ MUTANTS = (
             "test_a_column_of_one_cosine_names_its_first_bad_distance[0.0]",)),
     Mutant("concentrator-index-squared", "channel",
            "return pd.refractive_index * pd.refractive_index /", "return pd.refractive_index /",
-           (CH + "TestConcentratorGain::test_narrow_fov",)),
+           (RF + "gain-in-a-60-degree-fov]",)),
     Mutant("gain-constant-log-tau", "channel", ")) - math.log(", ")) + math.log(",
            (CH + "TestPowerColumns::"
-            "test_gain_constant_in_range_past_an_overflowing_partial_product",)),
+            "test_gain_constant_in_range_past_an_out_of_range_partial_product[overflowing]",)),
     Mutant("gain-constant-inf-passes", "channel", "if not 0.0 < k < math.inf:", "if not 0.0 < k:",
            (CH + "TestPowerColumns::test_gain_constant_outside_the_float_range_names_k[inf]",)),
     Mutant("link-angle-range", "channel", "if not 0.0 <= angle < math.inf:",
-           "if not angle < math.inf:", (CH + "TestEmitterPattern::test_rejects_bad_inputs",)),
+           "if not angle < math.inf:", (CH + "test_rejects[link-angle-below-0]",)),
     # The Lambertian order: its formula, its override, and the angle rule's bound.
     Mutant("order-log-two", "channel", "return -math.log(2.0) /", "return -math.log(3.0) /",
-           (CH + "TestLambertianOrder::test_reference_values",)),
+           (RF + "lambertian-orders]",)),
     Mutant("order-angle-folded", "channel", "math.log(math.cos(math.radians(angle)))",
            "math.log(math.cos(math.radians(angle % 45.0)))",
-           (CH + "TestLambertianOrder::test_reference_values",)),
+           (RF + "lambertian-orders]",)),
     Mutant("order-override-ignored", "channel",
            "led if lambertian_order is not None else tuple.__new__(", "tuple.__new__(",
            (RC + "TestLambertianOrder::test_replace_with_none_derives_it_again",)),
     Mutant("angle-rule-low-bound", "channel", "_Rule(6.0371e-07, 90.0",
            "_Rule(6.037091348628667e-07, 90.0",
-           (RC + "TestEveryConstructionValidates::test_constructor[LedSpec.half_power_angle]",)),
+           (RC + "TestEveryConstructionValidates::"
+            "test_constructor[LedSpec.half_power_angle=90.0]",)),
     Mutant("angle-rule-bound-raised", "channel", "(6.0371e-07, 90.0", "(6.0372e-07, 90.0",
            (row("half-power-at-bound"),)),
     # The records' rules: a field rule made finite-only, a joined rule dropped.
@@ -122,18 +124,18 @@ MUTANTS = (
     # its clamp and its rejections.
     Mutant("inversion-lift", "estimator", "vertical_separation ** (m + 1.0)",
            "vertical_separation ** m",
-           (ES + "TestEstimatePosition::test_reference_position_pipeline",)),
+           (RF + "position-5-pipeline]",)),
     Mutant("inversion-root", "estimator", "quotient ** (1.0 / (m + 3.0))",
            "quotient ** (1.0 / (m + 2.0))",
-           (ES + "TestEstimatePosition::test_reference_position_pipeline",)),
+           (RF + "position-5-pipeline]",)),
     Mutant("inversion-log-root", "estimator", "- log_p) / (m + 3.0))", "- log_p) / (m + 2.0))",
            (SC + "TestPositionSweep::test_tall_room_inverts_row_1_to_the_led_height",)),
     Mutant("inversion-slack", "estimator", "_INVERSION_SLACK = 1e-9", "_INVERSION_SLACK = 0.0",
-           (ES + "TestInvertPowerToDistance::test_clamps_rounding_noise_to_vertical",)),
+           (RF + "inverted-at-the-on-axis-maximum]",)),
     Mutant("inversion-clamp", "estimator",
            "return vertical_separation if distance < vertical_separation else distance",
            "return distance",
-           (ES + "TestInvertPowerToDistance::test_clamps_rounding_noise_to_vertical",)),
+           (RF + "inverted-at-the-on-axis-maximum]",)),
     Mutant("power-too-high-unchecked", "estimator",
            "if distance < vertical_separation * (1.0 - _INVERSION_SLACK):", "if False:",
            (row("power-too-high"),)),
@@ -141,26 +143,26 @@ MUTANTS = (
            (row("zero-power"),)),
     # The fusion: the mean of the two projections, d_hor's overflow form, anchoring.
     Mutant("fused-mean-half", "estimator", "(cosine + d_hor / distance) / 2.0",
-           "(cosine + d_hor / distance)", (ES + "TestOffsetEstimate::test_reference_offsets",)),
+           "(cosine + d_hor / distance)", (RF + "fused-offset-at-41.123]",)),
     Mutant("horizontal-overflow", "estimator",
            "else distance * math.sqrt((1.0 - cosine) * (1.0 + cosine)))", "else distance)",
            (ES + "TestEstimatePosition::"
             "test_slant_whose_square_overflows_keeps_its_horizontal_part[tall-room]",)),
     Mutant("anchor-sign", "estimator", "x = led_x + fused", "x = led_x - fused",
-           (ES + "TestAnchorEstimate::test_reference_anchor",)),
+           (RF + "anchor]",)),
     Mutant("azimuth-range", "estimator", "0.0 <= azimuth < 360.0", "0.0 <= azimuth <= 360.0",
-           (ES + "TestAnchorEstimate::test_rejects_azimuth_out_of_range",)),
+           (ES + "test_rejects[azimuth-360]",)),
     # geometry.py. The link: its slant, its errors, its columns.
     Mutant("slant-horizontal-only", "geometry", "slant = math.dist(led_pos, pd_pos)",
            "slant = math.dist(led_pos[:2], pd_pos[:2])",
-           (GE + "TestLinkGeometry::test_center_link",)),
+           (RF + "center-link]",)),
     Mutant("level-led-error", "geometry", "if not lz > z:", "if not lz >= z:",
-           (GE + "TestLinkGeometry::test_led_must_be_above_pd",)),
+           (GE + "TestLinkGeometryIsLinkColumnsRow::test_same_exception[level]",)),
     Mutant("led-not-above-type", "geometry", 'LedNotAbovePd(f"LED z=', 'DomainError(f"LED z=',
-           (GE + "TestLinkGeometry::test_led_must_be_above_pd",)),
+           (GE + "TestLinkGeometryIsLinkColumnsRow::test_same_exception[level]",)),
     Mutant("further-apart-type", "geometry", 'raise DomainError(f"LED z={lz} and',
            'raise LedNotAbovePd(f"LED z={lz} and',
-           (GE + "TestLinkGeometry::test_separation_past_the_float_range_names_both_heights",)),
+           (GE + "TestLinkGeometryIsLinkColumnsRow::test_same_exception[past-the-float-range]",)),
     Mutant("link-columns-swapped", "geometry",
            "return [slant for slant, _ in rows], [c for _, c in rows]",
            "return [c for _, c in rows], [slant for slant, _ in rows]",
@@ -170,7 +172,7 @@ MUTANTS = (
     # The field checks every record applies, and what a record stores.
     Mutant("bool-is-a-number", "geometry", "if isinstance(value, bool) or not isinstance",
            "if not isinstance",
-           (RC + "TestEveryConstructionValidates::test_make[Point3.x-bool]",)),
+           (RC + "TestEveryConstructionValidates::test_make[Point3.x=True]",)),
     Mutant("finite-check-dropped", "geometry", "if not abs(value) <= sys.float_info.max:",
            "if False:", (row("width-1e999"),)),
     Mutant("integer-rule-dropped", "geometry", "if rule.integer and not isinstance(value, int):",
@@ -188,7 +190,7 @@ MUTANTS = (
            (row("no-transmit-powers"),)),
     Mutant("entries-reversed", "geometry", 'if rule.shape == "point" else entries',
            'if rule.shape == "point" else entries[::-1]',
-           (SC + "TestPowerDistanceSweep::test_reference_values",)),
+           (RF + "power-sweep-first-rows]",)),
     Mutant("points-bulk-drops-first", "geometry", "repeat(Point3), value))",
            "repeat(Point3), value[1:]))",
            (PR + "test_long_point_list_loads_as_literal_eval_reads_it",)),
@@ -238,7 +240,7 @@ MUTANTS = (
     Mutant("line-numbers-from-0", "reporting", "enumerate(text.splitlines(), start=1)",
            "enumerate(text.splitlines(), start=0)", (row("no-equals"),)),
     Mutant("comment-kept", "reporting", 'raw.split("#", 1)[0].strip()', "raw.strip()",
-           (RE + "TestLoadConfig::test_comments_and_blank_lines",)),
+           (RE + "TestLoadConfig::test_loads[comments-and-blank-lines]",)),
     Mutant("unknown-key-accepted", "reporting", "if key not in _CONFIG_KEYS:", "if False:",
            (row("unknown-key"),)),
     Mutant("duplicate-key", "reporting", "if key in lines:", "if False:", (row("duplicate-key"),)),
@@ -247,15 +249,14 @@ MUTANTS = (
            (PR + "test_config_text_loads_or_is_rejected_at_the_boundary",)),
     Mutant("integral-float-count", "reporting", "if rule.integer and type(value) is float",
            "if False and type(value) is float",
-           (RE + "TestLoadConfig::"
-            "test_a_sample_count_at_the_ceiling_loads_and_one_past_it_is_rejected",)),
+           (RE + "TestLoadConfig::test_loads[integral-float-sample-count]",)),
     Mutant("point-list-as-lists", "reporting", "return list(map(tuple, json.loads(",
            "return list(map(list, json.loads(",
            (PR + "test_point_list_reader_matches_literal_eval",)),
     Mutant("utf8-error-uncaught", "reporting", "except UnicodeDecodeError as exc:",
            "except LookupError as exc:", (row("not-utf8"),)),
     Mutant("path-str-unwrapped", "reporting", "Path(path).read_text(", "path.read_text(",
-           (RE + "TestLoadConfig::test_from_file",)),
+           (RE + "TestLoadConfig::test_from_file[str]",)),
     # A joined rule's error names the sorted lines of its keys.
     Mutant("joined-rule-prefix", "reporting",
            "raise ValidationError(f\"line{'s' if ',' in numbers else ''} {numbers}: {exc}\")",
@@ -277,7 +278,7 @@ MUTANTS = (
     # scenario.py. The default walk and detector, the sweeps, the reference data,
     # the report's grading and the config's rules.
     Mutant("walk-step", "scenario", "walk = [2.5 + i / 9 *", "walk = [2.5 + i / 10 *",
-           (SC + "TestDefaultConfig::test_sweep_axes",)),
+           (RF + "walk-points]",)),
     Mutant("walk-end-computed", "scenario", "for i in range(9)] + [0.07]", "for i in range(10)]",
            (HASH_PIN,)),
     Mutant("default-pd-area", "scenario", "pd = PdSpec(area=2.25e-6", "pd = PdSpec(area=2.5e-6",
@@ -286,14 +287,14 @@ MUTANTS = (
            'raise type(exc)(f"position {index}: {exc}") from exc', "raise", (row("fov-30"),)),
     Mutant("power-sweep-descending", "scenario", "config.pd_positions))))",
            "config.pd_positions)), reverse=True))",
-           (SC + "TestPowerDistanceSweep::test_reference_values",)),
+           (RF + "power-sweep-first-rows]",)),
     Mutant("angle-sweep-step", "scenario", "/ (count - 1) for i", "/ count for i",
-           (SC + "TestAngleSweep::test_reference_values",)),
+           (RF + "angle-sweep-end-powers]",)),
     Mutant("assumptions-dropped", "scenario", "ASSUMPTIONS = (", "ASSUMPTIONS = () and (",
            (row("replicate-stdout"),)),
     Mutant("reference-error-edited", "scenario", "REFERENCE_ERRORS = (\n    0.0013,",
            "REFERENCE_ERRORS = (\n    0.0113,",
-           (SC + "TestReplicationReport::test_quantified_gaps",)),
+           (RF + "replication-computed]",)),
     Mutant("grade-strict", "scenario", "if difference <= (0.0 if", "if difference < (0.0 if",
            (SC + "TestReplicationReport::test_all_checks_match_expectations",)),
     Mutant("led-height-floor", "scenario", "if source.z < _MIN_LED_HEIGHT:", "if False:",

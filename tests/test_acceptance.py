@@ -33,6 +33,7 @@ from vlcpos.scenario import (
 
 from csa_oracle import csa_angles, offset_estimate
 from figure_rows import rows_of
+from reference import PUBLISHED_COLUMN_MEAN as REFERENCE_MEAN_RECOMPUTED
 
 # Criterion tolerances. Each value is pinned; loosening one is a contract
 # change, not a test fix.
@@ -47,10 +48,10 @@ TOL_INVERSION = 1e-9
 TOL_FUSION = 1e-12
 TIME_BUDGET_S = 60.0
 
-# The printed reference column averages to 0.04207 exactly; the published
-# headline rounds that to 0.042. The mean is checked against both: the
-# recomputed value at 5e-5 and the headline at its printing precision.
-REFERENCE_MEAN_RECOMPUTED = 0.04207
+# The printed reference column averages to 0.04207 exactly
+# (REFERENCE_MEAN_RECOMPUTED); the published headline rounds that to 0.042.
+# The mean is checked against both: the recomputed value at 5e-5 and the
+# headline at its printing precision.
 REFERENCE_MEAN_HEADLINE = 0.042
 REFERENCE_FIRST_EIGHT_HEADLINE = 0.0329
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from vlcpos import ParseError, ScenarioConfig, ValidationError, default_config
+from vlcpos import LedSpec, ParseError, PdSpec, RoomSpec, ScenarioConfig, ValidationError
 from vlcpos.cli import cli
 from vlcpos.reporting import _CONFIG_KEYS, parse_config
 
@@ -54,13 +54,14 @@ def test_every_config_error_names_a_line_that_sets_a_key_of_its_rule():
 
 def _bound_configs():
     """A one-key config at each finite bound of each key's rule: the bound when
-    it is closed, else the float next to it inside the rule."""
+    it is closed, else the float next to it inside the rule. The rules are read
+    off the record types, so collecting the tests builds no record."""
 
-    base = default_config()
+    types = {"room": RoomSpec, "led": LedSpec, "pd_template": PdSpec, "": ScenarioConfig}
     spell = {"": repr, "list": "[{!r}]".format, "span": "({0!r}, {0!r})".format}
     for key, (field, _) in _CONFIG_KEYS.items():
         record, _, name = field.rpartition(".")
-        rule = (getattr(base, record) if record else base)._rules[name]
+        rule = types[record]._rules[name]
         for bound, closed, inward in ((rule.low, rule.ends[0] == "[", math.inf),
                                       (rule.high, rule.ends[1] == "]", -math.inf)):
             if math.isfinite(bound):
